@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 identity failure or method mismatch (witnesses
 printed), 2 usage or domain error, 3 budget refusal.  JSON output encodes
 every exact integer as a decimal string, since values outgrow doubles.
+
+Every subcommand is one row of COMMANDS.  Rows name library functions as
+"module.function" and look them up when the command runs, so a function
+replaced on its module (for instance by a tracer) is the one that is called.
 """
 from __future__ import annotations
 
@@ -10,40 +14,47 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable, Union
 
-from .core import DEFAULT_ORACLE_BUDGET, BudgetExceededError, jordan_totient
-from .menon import (
-    gcd_sum_lhs_oracle,
-    lemma_sweep,
-    n_k,
-    n_k_oracle,
-    n_k_recursion,
-    n_k_sweep,
-    parse_function_spec,
-    verify_sweep,
-)
-from .summatory import (
-    DEFAULT_PRIME_BOUND,
-    DEFAULT_SIEVE_LIMIT,
-    average_order_constant,
-    error_table_csv,
-    error_term_rows,
-    sum_phi_k_convolution,
-    sum_phi_k_direct,
-)
-from .totients import (
-    g_k,
-    phi_k,
-    phi_k_nm,
-    phi_k_nm_oracle,
-    phi_k_nm_recursion,
-    phi_k_oracle,
-)
+from . import core, menon, summatory, totients
+from .core import DEFAULT_ORACLE_BUDGET, BudgetExceededError
+from .summatory import DEFAULT_PRIME_BOUND, DEFAULT_SIEVE_LIMIT
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+MODULES = {"core": core, "menon": menon, "summatory": summatory, "totients": totients}
+
+GROUPS = {
+    "eval": "closed-form evaluation",
+    "oracle": "brute-force enumeration",
+    "verify": "identity sweeps against oracles",
+    "sum": "exact partial sums",
+}
+
+M_ORACLE_HELP = "test the sum against m instead of n (m not dividing n is experimental)"
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: where it sits, what it may print, the flags its handler reads.
+
+    `flags` name entries of `_flag_specs()`, optionally as (name, overrides).
+    `formats` are the allowed --format values, the first being the default.
+    `fn` is the row's library call: for value rows a "module.function" name,
+    or a callable picking one from the parsed arguments; for verify rows a
+    callable returning the reports.
+    """
+
+    path: tuple[str, ...]
+    help: str
+    handler: Callable[["Command", argparse.Namespace], int]
+    flags: tuple[Union[str, tuple[str, dict]], ...]
+    formats: tuple[str, ...] = ("plain", "json")
+    fn: Union[str, Callable, None] = None
 
 
 def _default_workers() -> int:
@@ -54,8 +65,33 @@ def _default_workers() -> int:
         return 1
 
 
+def _flag_specs() -> dict[str, dict]:
+    return {
+        "k": dict(type=int, required=True),
+        "n": dict(type=int, required=True),
+        "m": dict(type=int, required=True),
+        "d": dict(type=int, required=True),
+        "delta": dict(type=int, required=True),
+        "x": dict(type=int, required=True),
+        "f": dict(default="id", help="id | one | tau | mu | pow:j | table:<path>"),
+        "method": dict(choices=("closed", "recursion"), default="closed"),
+        "k-max": dict(type=int, default=3),
+        "n-max": dict(type=int, default=40),
+        "x-grid": dict(required=True, help="comma-separated cutoffs, e.g. 100,1000"),
+        "budget": dict(type=int, default=DEFAULT_ORACLE_BUDGET),
+        "workers": dict(type=int, default=_default_workers()),
+        "prime-bound": dict(type=int, default=DEFAULT_PRIME_BOUND),
+        "sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT),
+    }
+
+
+def _library(name: str):
+    module, attr = name.split(".")
+    return getattr(MODULES[module], attr)
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
@@ -66,89 +102,34 @@ def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(payload, indent=2))
 
 
-def _no_csv(args) -> None:
-    if args.format == "csv":
-        raise ValueError("csv output is not defined for this subcommand")
+# -- handlers -----------------------------------------------------------------
 
 
-def _emit_value(args, value, **fields) -> None:
+def _cmd_value(cmd: Command, args) -> int:
+    """Call the row's function with its flags as keywords and print the value.
+
+    --method only picks the function, and an unset optional flag is left out;
+    JSON echoes every parameter but the budget.
+    """
+    params = {}
+    for flag in cmd.flags:
+        name = flag if isinstance(flag, str) else flag[0]
+        value = getattr(args, name)
+        if name != "method" and value is not None:
+            params[name] = menon.parse_function_spec(value) if name == "f" else value
+    value = _library(cmd.fn(args) if callable(cmd.fn) else cmd.fn)(**params)
     if args.format == "json":
-        payload = {key: str(v) for key, v in fields.items()}
+        payload = {key: str(v) for key, v in params.items() if key != "budget"}
         payload["value"] = str(value)
         _emit_json(args, payload)
     else:
         _emit(args, str(value))
-
-
-# -- eval / oracle handlers -------------------------------------------------
-
-
-def _cmd_eval_phi_k(args) -> int:
-    _no_csv(args)
-    _emit_value(args, phi_k(args.k, args.n), k=args.k, n=args.n)
     return EXIT_OK
 
 
-def _cmd_eval_phi_k_nm(args) -> int:
-    _no_csv(args)
-    fn = phi_k_nm_recursion if args.method == "recursion" else phi_k_nm
-    _emit_value(args, fn(args.k, args.n, args.m), k=args.k, n=args.n, m=args.m)
-    return EXIT_OK
-
-
-def _cmd_eval_g_k(args) -> int:
-    _no_csv(args)
-    _emit_value(args, g_k(args.k, args.n), k=args.k, n=args.n)
-    return EXIT_OK
-
-
-def _cmd_eval_n_k(args) -> int:
-    _no_csv(args)
-    fn = n_k_recursion if args.method == "recursion" else n_k
-    _emit_value(
-        args,
-        fn(args.k, args.n, args.d, args.delta),
-        k=args.k,
-        n=args.n,
-        d=args.d,
-        delta=args.delta,
-    )
-    return EXIT_OK
-
-
-def _cmd_eval_jordan(args) -> int:
-    _no_csv(args)
-    _emit_value(args, jordan_totient(args.k, args.n), k=args.k, n=args.n)
-    return EXIT_OK
-
-
-def _cmd_oracle_phi_k(args) -> int:
-    _no_csv(args)
-    if args.m is None:
-        value = phi_k_oracle(args.k, args.n, args.budget)
-        _emit_value(args, value, k=args.k, n=args.n)
-    else:
-        value = phi_k_nm_oracle(args.k, args.n, args.m, args.budget)
-        _emit_value(args, value, k=args.k, n=args.n, m=args.m)
-    return EXIT_OK
-
-
-def _cmd_oracle_n_k(args) -> int:
-    _no_csv(args)
-    value = n_k_oracle(args.k, args.n, args.d, args.delta, args.budget)
-    _emit_value(args, value, k=args.k, n=args.n, d=args.d, delta=args.delta)
-    return EXIT_OK
-
-
-def _cmd_oracle_menon_lhs(args) -> int:
-    _no_csv(args)
-    spec = parse_function_spec(args.f)
-    value = gcd_sum_lhs_oracle(args.k, args.n, spec, args.budget)
-    _emit_value(args, value, k=args.k, n=args.n, f=spec.label)
-    return EXIT_OK
-
-
-# -- verify handlers ---------------------------------------------------------
+def _by_method(closed: str, recursion: str) -> Callable:
+    """Pick a value row's function by --method."""
+    return lambda args: recursion if args.method == "recursion" else closed
 
 
 def _report_lines(report) -> list[str]:
@@ -168,7 +149,9 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _finish_verify(args, reports) -> int:
+def _cmd_verify(cmd: Command, args) -> int:
+    """Run the row's sweeps; exit 1 on any failure, else 3 when any sweep skipped."""
+    reports = cmd.fn(args)
     if args.format == "json":
         payload = [report.as_dict() for report in reports]
         _emit_json(args, payload if len(payload) > 1 else payload[0])
@@ -188,64 +171,18 @@ def _finish_verify(args, reports) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_menon(args) -> int:
-    _no_csv(args)
-    report = verify_sweep(
-        "menon_general",
-        k_max=args.k_max,
-        n_max=args.n_max,
-        f=args.f,
-        budget=args.budget,
-        workers=args.workers,
-    )
-    return _finish_verify(args, [report])
-
-
-def _cmd_verify_sita_ramaiah(args) -> int:
-    _no_csv(args)
-    report = verify_sweep(
-        "sita_ramaiah",
-        n_max=args.n_max,
-        budget=args.budget,
-        workers=args.workers,
-    )
-    return _finish_verify(args, [report])
-
-
-def _cmd_verify_nageswara_rao(args) -> int:
-    _no_csv(args)
-    report = verify_sweep(
-        "nageswara_rao",
-        k_max=args.k_max,
-        n_max=args.n_max,
-        budget=args.budget,
-        workers=args.workers,
-    )
-    return _finish_verify(args, [report])
-
-
-def _cmd_verify_lemmas(args) -> int:
-    _no_csv(args)
-    reports = [
-        lemma_sweep(args.n_max),
-        n_k_sweep(args.k_max, args.n_max, args.budget),
-    ]
-    return _finish_verify(args, reports)
-
-
-# -- summatory handlers -------------------------------------------------------
-
-
-def _cmd_sum_phi_k(args) -> int:
+def _cmd_sum_phi_k(cmd: Command, args) -> int:
     results = []
     if args.method in ("direct", "both"):
         results.append(
-            sum_phi_k_direct(
+            summatory.sum_phi_k_direct(
                 args.k, args.x, sieve_limit=args.sieve_limit, workers=args.workers
             )
         )
     if args.method in ("convolution", "both"):
-        results.append(sum_phi_k_convolution(args.k, args.x, sieve_limit=args.sieve_limit))
+        results.append(
+            summatory.sum_phi_k_convolution(args.k, args.x, sieve_limit=args.sieve_limit)
+        )
     if len(results) == 2 and results[0].value != results[1].value:
         print(
             "METHOD MISMATCH (implementation bug): "
@@ -254,10 +191,9 @@ def _cmd_sum_phi_k(args) -> int:
         )
         return EXIT_FAILURE
     if args.format == "csv":
-        rows = error_term_rows(
-            args.k, [args.x], prime_bound=args.prime_bound, sieve_limit=args.sieve_limit
-        )
-        _emit(args, error_table_csv(rows))
+        enclosure = summatory.average_order_constant(args.k, args.prime_bound)
+        row = summatory.error_row(args.x, results[0].value, enclosure)
+        _emit(args, summatory.error_table_csv([row]))
     elif args.format == "json":
         payload = results[0].as_dict()
         if args.method == "both":
@@ -268,10 +204,8 @@ def _cmd_sum_phi_k(args) -> int:
     return EXIT_OK
 
 
-def _cmd_constant(args) -> int:
-    enclosure = average_order_constant(args.k, args.prime_bound)
-    if args.format == "csv":
-        raise ValueError("csv output is not defined for this subcommand")
+def _cmd_constant(cmd: Command, args) -> int:
+    enclosure = summatory.average_order_constant(args.k, args.prime_bound)
     if args.format == "json":
         _emit_json(args, enclosure.as_dict())
     else:
@@ -283,33 +217,67 @@ def _cmd_constant(args) -> int:
     return EXIT_OK
 
 
-def _cmd_error_table(args) -> int:
+def _cmd_error_table(cmd: Command, args) -> int:
     try:
         grid = [int(part) for part in args.x_grid.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"bad x grid {args.x_grid!r}, expected comma-separated integers")
-    rows = error_term_rows(
+    rows = summatory.error_term_rows(
         args.k, grid, prime_bound=args.prime_bound, sieve_limit=args.sieve_limit
     )
     if args.format == "json":
         _emit_json(args, [row.as_dict() for row in rows])
     else:
-        _emit(args, error_table_csv(rows))
+        _emit(args, summatory.error_table_csv(rows))
     return EXIT_OK
 
 
-# -- parser ---------------------------------------------------------------
+# -- the command table ----------------------------------------------------------
 
 
-def _add_common(
-    parser: argparse.ArgumentParser,
-    formats=("plain", "json", "csv"),
-    default_format="plain",
-) -> None:
-    parser.add_argument("--format", choices=formats, default=default_format)
-    parser.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
-    parser.add_argument("--workers", type=int, default=_default_workers())
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+COMMANDS = (
+    Command(("eval", "phi-k"), "phi_k(n)", _cmd_value, ("k", "n"), fn="totients.phi_k"),
+    Command(("eval", "phi-k-nm"), "two-parameter phi_k(n, m)", _cmd_value,
+            ("k", "n", "m", "method"),
+            fn=_by_method("totients.phi_k_nm", "totients.phi_k_nm_recursion")),
+    Command(("eval", "g-k"), "convolution factor g_k(n)", _cmd_value, ("k", "n"),
+            fn="totients.g_k"),
+    Command(("eval", "n-k"), "unit-tuple count N_k(n, d, delta)", _cmd_value,
+            ("k", "n", "d", "delta", "method"), fn=_by_method("menon.n_k", "menon.n_k_recursion")),
+    Command(("eval", "jordan"), "Jordan totient J_k(n)", _cmd_value, ("k", "n"),
+            fn="core.jordan_totient"),
+    Command(("oracle", "phi-k"), "phi_k(n) by full tuple enumeration", _cmd_value,
+            ("k", "n", ("m", dict(required=False, help=M_ORACLE_HELP)), "budget"),
+            fn=lambda a: "totients.phi_k_oracle" if a.m is None else "totients.phi_k_nm_oracle"),
+    Command(("oracle", "n-k"), "N_k(n, d, delta) by unit-tuple enumeration", _cmd_value,
+            ("k", "n", "d", "delta", "budget"), fn="menon.n_k_oracle"),
+    Command(("oracle", "menon-lhs"), "gcd sum over admissible tuples", _cmd_value,
+            ("k", "n", "f", "budget"), fn="menon.gcd_sum_lhs_oracle"),
+    Command(("verify", "menon"), "gcd-sum identity, arbitrary f", _cmd_verify,
+            ("k-max", "n-max", "f", "budget", "workers"),
+            fn=lambda a: [menon.verify_sweep("menon_general", a.k_max, a.n_max, a.f,
+                                             budget=a.budget, workers=a.workers)]),
+    Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", _cmd_verify,
+            (("n-max", dict(default=60)), "budget", "workers"),
+            fn=lambda a: [menon.verify_sweep("sita_ramaiah", n_max=a.n_max,
+                                             budget=a.budget, workers=a.workers)]),
+    Command(("verify", "nageswara-rao"), "joint-gcd power identity", _cmd_verify,
+            ("k-max", "n-max", "budget", "workers"),
+            fn=lambda a: [menon.verify_sweep("nageswara_rao", a.k_max, a.n_max,
+                                             budget=a.budget, workers=a.workers)]),
+    Command(("verify", "lemmas"), "residue-class counts and N_k machinery", _cmd_verify,
+            ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget"),
+            fn=lambda a: [menon.lemma_sweep(a.n_max),
+                          menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
+    Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_sum_phi_k,
+            ("k", "x", "sieve-limit", "prime-bound", "workers",
+             ("method", dict(choices=("direct", "convolution", "both"), default="direct"))),
+            formats=("plain", "json", "csv")),
+    Command(("constant",), "enclose the average-order constant C_k", _cmd_constant,
+            ("k", "prime-bound")),
+    Command(("error-table",), "exact sums against the main term", _cmd_error_table,
+            ("k", "x-grid", "prime-bound", "sieve-limit"), formats=("csv", "json", "plain")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,135 +287,34 @@ def build_parser() -> argparse.ArgumentParser:
         "gcd-sum identities, and its average order.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_eval = sub.add_parser("eval", help="closed-form evaluation")
-    eval_sub = p_eval.add_subparsers(dest="target", required=True)
-
-    p = eval_sub.add_parser("phi-k", help="phi_k(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_eval_phi_k)
-
-    p = eval_sub.add_parser("phi-k-nm", help="two-parameter phi_k(n, m)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "recursion"), default="closed")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_eval_phi_k_nm)
-
-    p = eval_sub.add_parser("g-k", help="convolution factor g_k(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_eval_g_k)
-
-    p = eval_sub.add_parser("n-k", help="unit-tuple count N_k(n, d, delta)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "recursion"), default="closed")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_eval_n_k)
-
-    p = eval_sub.add_parser("jordan", help="Jordan totient J_k(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_eval_jordan)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force enumeration")
-    oracle_sub = p_oracle.add_subparsers(dest="target", required=True)
-
-    p = oracle_sub.add_parser("phi-k", help="phi_k(n) by full tuple enumeration")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--m",
-        type=int,
-        default=None,
-        help="test the sum against m instead of n (m not dividing n is experimental)",
-    )
-    _add_common(p)
-    p.set_defaults(handler=_cmd_oracle_phi_k)
-
-    p = oracle_sub.add_parser("n-k", help="N_k(n, d, delta) by unit-tuple enumeration")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_oracle_n_k)
-
-    p = oracle_sub.add_parser("menon-lhs", help="gcd sum over admissible tuples")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--f", default="id", help="id | one | tau | mu | pow:j | table:<path>")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_oracle_menon_lhs)
-
-    p_verify = sub.add_parser("verify", help="identity sweeps against oracles")
-    verify_sub = p_verify.add_subparsers(dest="target", required=True)
-
-    p = verify_sub.add_parser("menon", help="gcd-sum identity, arbitrary f")
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--f", default="id", help="id | one | tau | mu | pow:j | table:<path>")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_menon)
-
-    p = verify_sub.add_parser("sita-ramaiah", help="k = 2 gcd-sum specialization")
-    p.add_argument("--n-max", type=int, default=60)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_sita_ramaiah)
-
-    p = verify_sub.add_parser("nageswara-rao", help="joint-gcd power identity")
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=40)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_nageswara_rao)
-
-    p = verify_sub.add_parser("lemmas", help="residue-class counts and N_k machinery")
-    p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--k-max", type=int, default=3, help="tuple length cap for the N_k sweep")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_lemmas)
-
-    p_sum = sub.add_parser("sum", help="exact partial sums")
-    sum_sub = p_sum.add_subparsers(dest="target", required=True)
-
-    p = sum_sub.add_parser("phi-k", help="sum of phi_k(n) for n <= x")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "convolution", "both"), default="direct")
-    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_sum_phi_k)
-
-    p = sub.add_parser("constant", help="enclose the average-order constant C_k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
-    _add_common(p, formats=("plain", "json"))
-    p.set_defaults(handler=_cmd_constant)
-
-    p = sub.add_parser("error-table", help="exact sums against the main term")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x-grid", required=True, help="comma-separated cutoffs, e.g. 100,1000")
-    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
-    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    _add_common(p, formats=("csv", "json", "plain"), default_format="csv")
-    p.set_defaults(handler=_cmd_error_table)
-
+    groups = {}
+    specs = _flag_specs()
+    for cmd in COMMANDS:
+        parent = sub
+        if len(cmd.path) == 2:
+            group = cmd.path[0]
+            if group not in groups:
+                p_group = sub.add_parser(group, help=GROUPS[group])
+                groups[group] = p_group.add_subparsers(dest="target", required=True)
+            parent = groups[group]
+        p = parent.add_parser(cmd.path[-1], help=cmd.help)
+        for flag in cmd.flags:
+            name, overrides = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(f"--{name}", **{**specs[name], **overrides})
+        # every format is parseable; main() rejects one the row does not allow
+        p.add_argument("--format", choices=("plain", "json", "csv"), default=cmd.formats[0])
+        p.add_argument("--out", help="write output to this file instead of stdout")
+        p.set_defaults(command=cmd)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = args.command
     try:
-        return args.handler(args)
+        if args.format not in cmd.formats:
+            raise ValueError(f"{args.format} output is not defined for this subcommand")
+        return cmd.handler(cmd, args)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -5,6 +5,7 @@ Functions here are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -21,6 +22,38 @@ class BudgetExceededError(Exception):
 
 # Default cap on brute-force work, measured in tuples visited (n**k per call).
 DEFAULT_ORACLE_BUDGET = 10**8
+
+
+def positive_int(value, name: str) -> int:
+    """value as a Python int when it is a positive integer, else a domain error.
+
+    Any integer type is accepted (numpy integers included); bool, floats and
+    everything else are rejected.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1 or isinstance(value, bool):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return n
+
+
+def positive_divisor(d, n: int, name: str) -> int:
+    """d as a Python int when it is a positive divisor of n, else a domain error."""
+    d = positive_int(d, name)
+    if n % d != 0:
+        raise ValueError(f"{name}={d} must be a positive divisor of n={n}")
+    return d
+
+
+def check_budget(cost: int, budget: int, what: str) -> None:
+    """Refuse an enumeration that would visit more than `budget` tuples."""
+    if cost > budget:
+        raise BudgetExceededError(
+            f"{what} would visit {cost} tuples, over the budget of {budget}; "
+            f"raise the budget explicitly to force the computation"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,14 +101,13 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
 
 def factorize(n: int) -> Factorization:
     """Factor a positive integer by trial division; n < 1 is a domain error."""
-    if n < 1:
-        raise ValueError(f"factorize: n must be a positive integer, got {n}")
+    n = positive_int(n, "factorize: n")
     return Factorization(n, _trial_division(n))
 
 
 def divisors(f: Factorization | int) -> list[int]:
     """All divisors of n in increasing order."""
-    if isinstance(f, int):
+    if not isinstance(f, Factorization):
         f = factorize(f)
     divs = [1]
     for p, e in f.factors:
@@ -148,15 +180,13 @@ id_mf = id_k_mf(1)
 
 def jordan_mf(k: int) -> MultiplicativeFunction:
     """Jordan totient J_k: counts k-tuples below n with joint gcd 1 against n."""
-    if k < 1:
-        raise ValueError("jordan_mf: k must be >= 1")
+    k = positive_int(k, "jordan_mf: k")
     return MultiplicativeFunction(f"J_{k}", lambda p, e: p ** ((e - 1) * k) * (p**k - 1))
 
 
 def piltz_mf(j: int) -> MultiplicativeFunction:
     """Piltz divisor function tau_j: ordered factorizations into j factors."""
-    if j < 1:
-        raise ValueError("piltz_mf: j must be >= 1")
+    j = positive_int(j, "piltz_mf: j")
     return MultiplicativeFunction(f"tau_{j}", lambda p, e: comb(e + j - 1, j - 1))
 
 
@@ -190,18 +220,24 @@ def as_arith_fn(f: ArithFn) -> Callable[[int], ArithValue]:
     if isinstance(f, MultiplicativeFunction):
         return f
     if isinstance(f, Mapping):
-        table = {int(k): v for k, v in f.items()}
-
-        def lookup(n: int) -> ArithValue:
-            try:
-                return table[n]
-            except KeyError:
-                raise ValueError(f"value table has no entry for {n}") from None
-
-        return lookup
+        return table_lookup({int(k): v for k, v in f.items()})
     if callable(f):
         return f
     raise ValueError(f"cannot interpret {f!r} as an arithmetic function")
+
+
+def table_lookup(
+    table: Mapping[int, ArithValue], what: str = "value table"
+) -> Callable[[int], ArithValue]:
+    """Read an arithmetic function off a divisor-indexed table."""
+
+    def lookup(n: int) -> ArithValue:
+        try:
+            return table[n]
+        except KeyError:
+            raise ValueError(f"{what} has no entry for {n}") from None
+
+    return lookup
 
 
 def pointwise_eval(f: ArithFn, n: int) -> ArithValue:

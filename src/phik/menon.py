@@ -22,25 +22,23 @@ from typing import Callable, Mapping, Union
 from .core import (
     DEFAULT_ORACLE_BUDGET,
     ArithValue,
-    BudgetExceededError,
     MultiplicativeFunction,
+    check_budget,
     divisors,
     euler_phi,
     factorize,
     jordan_totient,
     mobius,
     mobius_transform,
+    positive_divisor,
+    positive_int,
     reduce_gcd,
+    table_lookup,
     tau,
 )
 from .totients import alternating_unit_sum, phi_k
 
 IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
-
-
-def _check_divisor(name: str, d: int, n: int) -> None:
-    if d < 1 or n % d != 0:
-        raise ValueError(f"{name}={d} must be a positive divisor of n={n}")
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -63,7 +61,7 @@ def count_units_in_class(n: int, d: int, r: int) -> tuple[int, int]:
 
     Prediction: phi(n)/phi(d) when gcd(r, d) = 1, else 0.  d must divide n.
     """
-    _check_divisor("d", d, n)
+    d = positive_divisor(d, n, "d")
     count = sum(1 for a in units_mod(n) if a % d == r % d)
     predicted = _exact_div(euler_phi(n), euler_phi(d)) if gcd(r, d) == 1 else 0
     return count, predicted
@@ -77,8 +75,8 @@ def count_units_in_two_classes(
     Prediction: phi(n) gcd(d,e) / phi(de) when gcd(r,d) = gcd(s,e) = 1 and
     gcd(d,e) divides r - s, else 0.  Both d and e must divide n.
     """
-    _check_divisor("d", d, n)
-    _check_divisor("e", e, n)
+    d = positive_divisor(d, n, "d")
+    e = positive_divisor(e, n, "e")
     count = sum(1 for a in units_mod(n) if a % d == r % d and a % e == s % e)
     g = gcd(d, e)
     if gcd(r, d) == 1 and gcd(s, e) == 1 and (r - s) % g == 0:
@@ -100,10 +98,10 @@ def n_k(k: int, n: int, d: int, delta: int) -> int:
     phi(n)**k / (phi(d) phi(delta)) times alternating unit sums of length k
     over primes dividing d and length k-1 over primes dividing delta.
     """
-    if k < 1:
-        raise ValueError(f"tuple length k must be >= 1, got {k}")
-    _check_divisor("d", d, n)
-    _check_divisor("delta", delta, n)
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    d = positive_divisor(d, n, "d")
+    delta = positive_divisor(delta, n, "delta")
     if gcd(d, delta) > 1:
         return 0
     if k == 1:
@@ -124,10 +122,12 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
 
     Requires k >= 2 and gcd(d, delta) = 1; bottoms out at the k = 1 count.
     """
+    k = positive_int(k, "tuple length k")
     if k < 2:
         raise ValueError(f"recursion path requires k >= 2, got k={k}")
-    _check_divisor("d", d, n)
-    _check_divisor("delta", delta, n)
+    n = positive_int(n, "modulus n")
+    d = positive_divisor(d, n, "d")
+    delta = positive_divisor(delta, n, "delta")
     if gcd(d, delta) != 1:
         raise ValueError(
             f"recursion path requires gcd(d, delta) = 1, got d={d}, delta={delta}"
@@ -159,17 +159,12 @@ def n_k_oracle(
     k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> int:
     """Count N_k(n, d, delta) by enumerating all unit tuples."""
-    if k < 1:
-        raise ValueError(f"tuple length k must be >= 1, got {k}")
-    _check_divisor("d", d, n)
-    _check_divisor("delta", delta, n)
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    d = positive_divisor(d, n, "d")
+    delta = positive_divisor(delta, n, "delta")
     units = units_mod(n)
-    cost = len(units) ** k
-    if cost > budget:
-        raise BudgetExceededError(
-            f"N_{k}({n}, {d}, {delta}) oracle would visit {cost} tuples, "
-            f"over the budget of {budget}"
-        )
+    check_budget(len(units) ** k, budget, f"N_{k}({n}, {d}, {delta}) oracle")
     count = 0
     for tup in product(units, repeat=k):
         s = sum(tup)
@@ -197,6 +192,9 @@ class FunctionSpec:
     mu_fn: Callable[[int], ArithValue] | None = None
     source: Union[str, Mapping, None] = None  # re-parseable spec, for worker processes
 
+    def __str__(self) -> str:
+        return self.label
+
     def mobius_transform_at(self, d: int) -> ArithValue:
         if self.mu_fn is not None:
             return self.mu_fn(d)
@@ -213,14 +211,11 @@ def _int_value(raw, context: str) -> int:
     raise ValueError(f"{context}: values must be exact integers, got {raw!r}")
 
 
-def _table_lookup(table: Mapping[int, int], what: str) -> Callable[[int], int]:
-    def lookup(n: int) -> int:
-        try:
-            return table[n]
-        except KeyError:
-            raise ValueError(f"{what} has no entry for {n}") from None
-
-    return lookup
+def _table_fn(raw, what: str) -> Callable[[int], int]:
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{what} must map divisors to values, got {type(raw).__name__}")
+    table = {int(key): _int_value(v, f"{what}[{key}]") for key, v in raw.items()}
+    return table_lookup(table, what)
 
 
 def _parse_table(data: Mapping, label: str) -> FunctionSpec:
@@ -229,17 +224,9 @@ def _parse_table(data: Mapping, label: str) -> FunctionSpec:
         raw_mu = data.get("mu_f")
     else:
         raw_f, raw_mu = data, None
-    f_table = {int(key): _int_value(v, f"{label} f[{key}]") for key, v in raw_f.items()}
-    mu_fn = None
-    if raw_mu is not None:
-        mu_table = {
-            int(key): _int_value(v, f"{label} mu_f[{key}]") for key, v in raw_mu.items()
-        }
-        mu_fn = _table_lookup(mu_table, f"{label} mu_f table")
+    mu_fn = None if raw_mu is None else _table_fn(raw_mu, f"{label} mu_f")
     # a plain dict round-trips through pickle, so parallel workers re-parse it
-    return FunctionSpec(
-        label, _table_lookup(f_table, f"{label} f table"), mu_fn, source=dict(data)
-    )
+    return FunctionSpec(label, _table_fn(raw_f, f"{label} f"), mu_fn, source=dict(data))
 
 
 @lru_cache(maxsize=64)
@@ -320,14 +307,9 @@ def gcd_sum_lhs_oracle(
     Admissible: every entry in [1, n], product and sum both coprime to n.
     The gcd is taken with the sum reduced mod n, so gcd(0, n) = n.
     """
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    cost = n**k
-    if cost > budget:
-        raise BudgetExceededError(
-            f"gcd-sum oracle at k={k}, n={n} would visit {cost} tuples, "
-            f"over the budget of {budget}"
-        )
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    check_budget(n**k, budget, f"gcd-sum oracle at k={k}, n={n}")
     spec = parse_function_spec(f)
     return sum(spec.fn(g) * c for g, c in _admissible_gcd_histogram(k, n))
 
@@ -338,8 +320,8 @@ def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     Returns an int when the value is integral (always, for honest f); a
     Fraction survives only when a supplied mu_f table is inconsistent.
     """
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
     spec = parse_function_spec(f)
     total = Fraction(0)
     for d in divisors(n):
@@ -370,14 +352,9 @@ def nageswara_rao_lhs_oracle(
     k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> int:
     """Sum gcd(a_1-1, ..., a_k-1, n)**k over tuples with gcd(a_1,...,a_k,n)=1."""
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    cost = n**k
-    if cost > budget:
-        raise BudgetExceededError(
-            f"joint-gcd oracle at k={k}, n={n} would visit {cost} tuples, "
-            f"over the budget of {budget}"
-        )
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    check_budget(n**k, budget, f"joint-gcd oracle at k={k}, n={n}")
     total = 0
     for tup in product(range(1, n + 1), repeat=k):
         if reduce(gcd, tup, n) == 1:

@@ -18,7 +18,8 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .core import BudgetExceededError
+from .core import BudgetExceededError, positive_int
+from .totients import _phi_k_prime_power
 
 # SPF arrays are int32: 4 bytes per entry, so this caps a sieve near 128 MiB.
 DEFAULT_SIEVE_LIMIT = 1 << 25
@@ -74,13 +75,6 @@ class Enclosure:
         }
 
 
-def _check_kx(k: int, x: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if x < 1:
-        raise ValueError(f"cutoff x must be >= 1, got {x}")
-
-
 def _check_sieve_budget(x: int, limit: int) -> None:
     if x > limit:
         raise BudgetExceededError(
@@ -89,7 +83,7 @@ def _check_sieve_budget(x: int, limit: int) -> None:
         )
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _spf_sieve(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for 0..limit (spf[p] = p at primes)."""
     spf = np.zeros(limit + 1, dtype=np.int32)
@@ -112,13 +106,6 @@ def primes_up_to(limit: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
-def _phi_k_at_prime(k: int, p: int) -> int:
-    sign = -1 if k % 2 else 1
-    q, r = divmod((p - 1) * ((p - 1) ** k - sign), p)
-    assert r == 0
-    return q
-
-
 def _direct_range_sum(args: tuple) -> int:
     """Sum phi_k(n) for lo <= n <= hi using a sieve up to x (worker-safe)."""
     k, lo, hi, x = args
@@ -136,7 +123,7 @@ def _direct_range_sum(args: tuple) -> int:
                 e += 1
             c = at_prime.get(p)
             if c is None:
-                c = at_prime[p] = _phi_k_at_prime(k, p)
+                c = at_prime[p] = _phi_k_prime_power(k, p, 1)
             if c == 0:
                 value = 0
                 break
@@ -158,7 +145,8 @@ def sum_phi_k_direct(
     With workers > 1 the range is partitioned and reduced in range order,
     so the total is identical regardless of worker count.
     """
-    _check_kx(k, x)
+    k = positive_int(k, "tuple length k")
+    x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit)
     if workers > 1 and x > workers * 4:
         bounds = [1 + (x * i) // workers for i in range(workers + 1)]
@@ -180,7 +168,8 @@ def sum_phi_k_convolution(
     g_k vanishes off squarefree numbers; power sums are memoized per
     distinct quotient (only O(sqrt x) of them occur).
     """
-    _check_kx(k, x)
+    k = positive_int(k, "tuple length k")
+    x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit)
     spf = _spf_sieve(x)
     g_at_prime: dict[int, int] = {}
@@ -197,7 +186,7 @@ def sum_phi_k_convolution(
                 break
             gp = g_at_prime.get(p)
             if gp is None:
-                gp = g_at_prime[p] = _phi_k_at_prime(k, p) - p**k
+                gp = g_at_prime[p] = _phi_k_prime_power(k, p, 1) - p**k
             g *= gp
         if g == 0:
             continue
@@ -266,6 +255,8 @@ def average_order_constant(k: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> En
     lies in (0, 1).  lo: the downward-rounded finite product times the tail
     bound 1 - (k+1)/(prime_bound - 1).  The true constant lies in [lo, hi].
     """
+    k = positive_int(k, "tuple length k")
+    prime_bound = positive_int(prime_bound, "prime_bound")
     if k < 2:
         raise ValueError(
             f"the average-order constant is defined for k >= 2 only, got k={k}"
@@ -275,7 +266,7 @@ def average_order_constant(k: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> En
     lo, hi = 1.0, 1.0
     for p in primes_up_to(prime_bound):
         pk1 = p ** (k + 1)
-        factor = Fraction(pk1 + _phi_k_at_prime(k, p) - p**k, pk1)
+        factor = Fraction(pk1 + _phi_k_prime_power(k, p, 1) - p**k, pk1)
         lo = math.nextafter(lo * _float_below(factor), -math.inf)
         hi = math.nextafter(hi * _float_above(factor), math.inf)
     tail = Fraction(prime_bound - 1 - (k + 1), prime_bound - 1)
@@ -326,6 +317,7 @@ def error_term_rows(
     |delta| / (x**k (log x)**(k+1)) is reported for inspection, never
     asserted against an invented constant.  Grid points must be >= 2.
     """
+    k = positive_int(k, "tuple length k")
     if k < 2:
         raise ValueError(f"error monitoring needs k >= 2, got k={k}")
     if not xs:
@@ -341,12 +333,20 @@ def error_term_rows(
     for x in grid:
         running += _direct_range_sum((k, prev + 1, x, grid[-1]))
         prev = x
-        main_lo = enclosure.lo * x ** (k + 1) / (k + 1)
-        main_hi = enclosure.hi * x ** (k + 1) / (k + 1)
-        delta = running - enclosure.midpoint * x ** (k + 1) / (k + 1)
-        ratio = abs(delta) / (x**k * math.log(x) ** (k + 1))
-        rows.append(ErrorRow(x, running, main_lo, main_hi, delta, ratio))
+        rows.append(error_row(x, running, enclosure))
     return rows
+
+
+def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
+    """The exact sum `total` at x >= 2 against the main term enclosed by `enclosure`."""
+    if x < 2:
+        raise ValueError(f"grid points must be >= 2, got {x}")
+    k = enclosure.k
+    main_lo = enclosure.lo * x ** (k + 1) / (k + 1)
+    main_hi = enclosure.hi * x ** (k + 1) / (k + 1)
+    delta = total - enclosure.midpoint * x ** (k + 1) / (k + 1)
+    ratio = abs(delta) / (x**k * math.log(x) ** (k + 1))
+    return ErrorRow(x, total, main_lo, main_hi, delta, ratio)
 
 
 def error_table_csv(rows: list[ErrorRow]) -> str:

@@ -17,32 +17,16 @@ from math import gcd, prod
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
-    BudgetExceededError,
     MultiplicativeFunction,
+    check_budget,
     divisors,
     euler_phi,
     eval_mf,
     factorize,
     mobius,
+    positive_divisor,
+    positive_int,
 )
-
-
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"tuple length k must be a positive integer, got {k}")
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"modulus n must be a positive integer, got {n}")
-
-
-def _check_budget(cost: int, budget: int, what: str) -> None:
-    if cost > budget:
-        raise BudgetExceededError(
-            f"{what} would visit {cost} tuples, over the budget of {budget}; "
-            f"raise the budget explicitly to force the computation"
-        )
 
 
 def _phi_k_prime_power(k: int, p: int, e: int) -> int:
@@ -55,14 +39,14 @@ def _phi_k_prime_power(k: int, p: int, e: int) -> int:
 
 def phi_k_mf(k: int) -> MultiplicativeFunction:
     """phi_k as a registered multiplicative function."""
-    _check_k(k)
+    k = positive_int(k, "tuple length k")
     return MultiplicativeFunction(f"phi_{k}", lambda p, e: _phi_k_prime_power(k, p, e))
 
 
 def phi_k(k: int, n: int) -> int:
     """Closed form for phi_k(n).  Zero exactly when k and n are both even."""
-    _check_k(k)
-    _check_n(n)
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
     if k == 1:
         return euler_phi(n)
     val = 1
@@ -75,9 +59,9 @@ def phi_k(k: int, n: int) -> int:
 
 def phi_k_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """Count phi_k(n) by enumerating all n**k tuples.  Independent of phi_k."""
-    _check_k(k)
-    _check_n(n)
-    _check_budget(n**k, budget, f"phi_{k}({n}) oracle")
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    check_budget(n**k, budget, f"phi_{k}({n}) oracle")
     count = 0
     for tup in product(range(1, n + 1), repeat=k):
         if gcd(prod(tup), n) == 1 and gcd(sum(tup), n) == 1:
@@ -96,10 +80,9 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
     phi_k(n, m) = phi(n)**k * prod over primes p | m of
     (1 - 1/(p-1) + 1/(p-1)**2 - ... +- 1/(p-1)**(k-1)).
     """
-    _check_k(k)
-    _check_n(n)
-    if m < 1 or n % m != 0:
-        raise ValueError(f"m must be a positive divisor of n, got m={m}, n={n}")
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    m = positive_divisor(m, n, "m")
     if k == 1:
         # the sum condition is implied by the product condition when m | n
         return euler_phi(n)
@@ -115,10 +98,9 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
 
     Independent of the closed form; bottoms out at phi_1(n, d) = phi(n).
     """
-    _check_k(k)
-    _check_n(n)
-    if m < 1 or n % m != 0:
-        raise ValueError(f"m must be a positive divisor of n, got m={m}, n={n}")
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    m = positive_divisor(m, n, "m")
     if k == 1:
         return euler_phi(n)
     total = Fraction(0)
@@ -139,17 +121,16 @@ def phi_k_nm_oracle(
     m need not divide n here; that regime is experimental (no closed form is
     provided for it) and a warning is emitted.
     """
-    _check_k(k)
-    _check_n(n)
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
+    m = positive_int(m, "m")
     if n % m != 0:
         warnings.warn(
             f"m={m} does not divide n={n}: experimental regime, "
             f"only this brute-force count is available",
             stacklevel=2,
         )
-    _check_budget(n**k, budget, f"phi_{k}({n}, m={m}) oracle")
+    check_budget(n**k, budget, f"phi_{k}({n}, m={m}) oracle")
     count = 0
     for tup in product(range(1, n + 1), repeat=k):
         if gcd(prod(tup), n) == 1 and gcd(sum(tup), m) == 1:
@@ -164,13 +145,13 @@ def _g_k_prime(k: int, p: int) -> int:
 
 def g_k_mf(k: int) -> MultiplicativeFunction:
     """Convolution inverse factor: phi_k = id_k * g_k.  Vanishes off squarefree n."""
-    _check_k(k)
+    k = positive_int(k, "tuple length k")
     return MultiplicativeFunction(
         f"g_{k}", lambda p, e: _g_k_prime(k, p) if e == 1 else 0
     )
 
 
 def g_k(k: int, n: int) -> int:
-    _check_k(k)
-    _check_n(n)
+    k = positive_int(k, "tuple length k")
+    n = positive_int(n, "modulus n")
     return int(eval_mf(g_k_mf(k), n))

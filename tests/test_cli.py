@@ -207,3 +207,75 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "24"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [{"f": [1, 2, 3]}, {"f": {"1": 1, "2": 2}, "mu_f": [1]}],
+    ids=["f-list", "mu_f-list"],
+)
+def test_malformed_table_file_is_usage_error(tmp_path, capsys, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    code = run_cli("oracle", "menon-lhs", "--k", "1", "--n", "4", "--f", f"table:{path}")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "phi-k", "--k", "2", "--n", "15", "--budget", "5"),
+        ("eval", "jordan", "--k", "2", "--n", "2", "--workers", "2"),
+        ("oracle", "phi-k", "--k", "2", "--n", "15", "--workers", "2"),
+        ("verify", "lemmas", "--n-max", "4", "--workers", "2"),
+        ("sum", "phi-k", "--k", "2", "--x", "10", "--budget", "5"),
+        ("constant", "--k", "2", "--workers", "2"),
+        ("error-table", "--k", "2", "--x-grid", "10", "--budget", "5"),
+    ],
+)
+def test_unread_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (("oracle", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1"),
+         {"k": "2", "n": "15", "d": "3", "delta": "1", "value": "16"}),
+        (("oracle", "phi-k", "--k", "2", "--n", "15", "--m", "3"),
+         {"k": "2", "n": "15", "m": "3", "value": "32"}),
+        (("eval", "phi-k-nm", "--k", "2", "--n", "15", "--m", "3", "--method", "recursion"),
+         {"k": "2", "n": "15", "m": "3", "value": "32"}),
+        (("oracle", "menon-lhs", "--k", "2", "--n", "3", "--f", " tau "),
+         {"k": "2", "n": "3", "f": "tau", "value": "3"}),
+    ],
+)
+def test_value_commands_echo_parameters(capsys, argv, fields):
+    assert run_cli(*argv, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out) == fields
+
+
+def test_sum_csv_reuses_the_sum(monkeypatch, capsys):
+    from phik import summatory
+
+    calls = []
+    range_sum = summatory._direct_range_sum
+
+    def counted(args):
+        calls.append(args)
+        return range_sum(args)
+
+    monkeypatch.setattr(summatory, "_direct_range_sum", counted)
+    argv = ("sum", "phi-k", "--k", "2", "--x", "500", "--prime-bound", "10000")
+    assert run_cli(*argv, "--format", "json") == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    calls.clear()
+    assert run_cli(*argv, "--format", "csv") == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header.split(",")[1] == "sum" and row.split(",")[1] == value
+    assert len(calls) == 1

@@ -2,28 +2,44 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phik import (
     MultiplicativeFunction,
+    average_order_constant,
     dirichlet_convolve,
     divisors,
     epsilon_mf,
     eval_mf,
     factorize,
+    g_k,
+    gcd_sum_lhs_oracle,
+    gcd_sum_rhs,
     id_k_mf,
     id_mf,
     jordan_totient,
     mobius,
     mobius_mf,
     mobius_transform,
+    n_k,
+    n_k_oracle,
+    n_k_recursion,
+    nageswara_rao_lhs_oracle,
     one_mf,
+    phi_k,
+    phi_k_nm,
+    phi_k_nm_oracle,
+    phi_k_nm_recursion,
+    phi_k_oracle,
     phi_mf,
     piltz_mf,
     pointwise_eval,
     reduce_gcd,
+    sum_phi_k_convolution,
+    sum_phi_k_direct,
     tau,
     tau_mf,
 )
@@ -163,3 +179,38 @@ def test_registered_functions_multiplicative(m, n):
         return
     for f in _REGISTERED:
         assert eval_mf(f, m * n) == eval_mf(f, m) * eval_mf(f, n)
+
+
+# (function, valid arguments, positions of the integer arguments it validates)
+INTEGER_ENTRY_POINTS = [
+    (factorize, (12,), (0,)),
+    (divisors, (12,), (0,)),
+    (phi_k, (2, 15), (0, 1)),
+    (phi_k_oracle, (2, 15), (0, 1)),
+    (phi_k_nm, (2, 15, 3), (0, 1, 2)),
+    (phi_k_nm_recursion, (2, 15, 3), (0, 1, 2)),
+    (phi_k_nm_oracle, (2, 15, 3), (0, 1, 2)),
+    (g_k, (2, 6), (0, 1)),
+    (n_k, (2, 15, 3, 1), (0, 1, 2, 3)),
+    (n_k_recursion, (2, 15, 3, 1), (0, 1, 2, 3)),
+    (n_k_oracle, (2, 15, 3, 1), (0, 1, 2, 3)),
+    (gcd_sum_lhs_oracle, (2, 6), (0, 1)),
+    (gcd_sum_rhs, (2, 6), (0, 1)),
+    (nageswara_rao_lhs_oracle, (2, 6), (0, 1)),
+    (sum_phi_k_direct, (2, 30), (0, 1)),
+    (sum_phi_k_convolution, (2, 30), (0, 1)),
+    (average_order_constant, (2, 1000), (0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, positions", INTEGER_ENTRY_POINTS, ids=lambda v: getattr(v, "__name__", None)
+)
+def test_integer_arguments_one_validator(fn, args, positions):
+    # bool and integral floats are domain errors; numpy integers act as ints
+    expected = fn(*args)
+    for i in positions:
+        for bad in (True, float(args[i])):
+            with pytest.raises(ValueError):
+                fn(*args[:i], bad, *args[i + 1 :])
+        assert fn(*args[:i], np.int64(args[i]), *args[i + 1 :]) == expected
