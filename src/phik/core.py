@@ -6,6 +6,7 @@ Functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -47,6 +48,15 @@ def positive_divisor(d, n: int, name: str) -> int:
     return d
 
 
+def cap_workers(workers: int, tasks: int) -> int:
+    """Worker processes to start: no more than asked for, usable CPUs, or tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus, tasks))
+
+
 def check_budget(cost: int, budget: int, what: str) -> None:
     """Refuse an enumeration that would visit more than `budget` tuples."""
     if cost > budget:
@@ -73,8 +83,24 @@ class Factorization:
         return all(e == 1 for _, e in self.factors)
 
 
-@lru_cache(maxsize=1 << 16)
-def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+# Trial division stops at this prime bound; a cofactor left above its square
+# has no prime factor below it and goes to Miller-Rabin and Pollard-Brent rho.
+TRIAL_DIVISION_BOUND = 1 << 10
+
+# The first 13 primes as strong-probable-prime bases: no composite below
+# psi_13 passes all of them (Sorenson-Webster, Math. Comp. 86, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+# Cap on the rho steps (iterations of y -> y*y + c mod m) spent on one n.
+DEFAULT_FACTOR_BUDGET = 10**6
+
+
+def _strip_small_primes(n: int) -> tuple[list[tuple[int, int]], int]:
+    """Divide out primes up to TRIAL_DIVISION_BOUND; returns them and the cofactor.
+
+    A cofactor below the bound squared is 1 or prime.
+    """
     factors = []
     m = n
     for p in (2, 3):
@@ -85,7 +111,7 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             factors.append((p, e))
     d = 5
-    while d * d <= m:
+    while d * d <= m and d <= TRIAL_DIVISION_BOUND:
         for p in (d, d + 2):
             if m % p == 0:
                 e = 0
@@ -94,15 +120,115 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
                     e += 1
                 factors.append((p, e))
         d += 6
-    if m > 1:
-        factors.append((m, 1))
-    return tuple(factors)
+    return factors, m
+
+
+def _is_prime(m: int) -> bool:
+    """Primality of an odd m > 41 by Miller-Rabin, refused where it is no proof.
+
+    A witness of compositeness is always a proof; a pass of every base is a
+    proof only below PSI_13.
+    """
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= PSI_13:
+        raise BudgetExceededError(
+            f"cannot certify that the cofactor {m} is prime: it passes Miller-Rabin "
+            f"to bases 2..41, a proof only below psi_13 = {PSI_13}"
+        )
+    return True
+
+
+def _rho_divisor(m: int, budget: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite m by Pollard-Brent rho, and the steps spent.
+
+    Brent's cycle search with one gcd per batch of steps; the polynomial
+    y*y + c is retried with the next c when a batch overshoots to m.  No
+    step is taken past `budget` (retracing a counted batch is not counted
+    again), and the route is deterministic, so a refusal repeats.
+    """
+
+    def check(needed: int) -> None:
+        if steps + needed > budget:
+            raise BudgetExceededError(
+                f"Pollard rho would need over {DEFAULT_FACTOR_BUDGET} steps "
+                f"to split the cofactor {m}"
+            )
+
+    steps = 0
+    batch = 128
+    for c in range(1, m):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            check(r)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            steps += r
+            done = 0
+            while done < r and g == 1:
+                size = min(batch, r - done)
+                check(size)
+                ys = y
+                for _ in range(size):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                steps += size
+                done += size
+                g = gcd(q, m)
+            r *= 2
+        if g == m:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g, steps
+    raise AssertionError(f"no rho polynomial splits {m}")
+
+
+@lru_cache(maxsize=1 << 16)
+def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    factors, m = _strip_small_primes(n)
+    if m < TRIAL_DIVISION_BOUND**2:
+        if m > 1:
+            factors.append((m, 1))
+        return tuple(factors)
+    exponents: dict[int, int] = {}
+    budget = DEFAULT_FACTOR_BUDGET
+    pending = [m]
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+            continue
+        g, steps = _rho_divisor(m, budget)
+        budget -= steps
+        pending += [g, m // g]
+    return tuple(factors + sorted(exponents.items()))
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division; n < 1 is a domain error."""
+    """Factor a positive integer into certified primes; n < 1 is a domain error.
+
+    Trial division by primes up to TRIAL_DIVISION_BOUND, then Miller-Rabin
+    and Pollard-Brent rho for what is left.  Raises BudgetExceededError when
+    rho needs more than DEFAULT_FACTOR_BUDGET steps, or when a cofactor of at
+    least PSI_13 passes every Miller-Rabin base, so its primality is unproven.
+    """
     n = positive_int(n, "factorize: n")
-    return Factorization(n, _trial_division(n))
+    return Factorization(n, _prime_factors(n))
 
 
 def divisors(f: Factorization | int) -> list[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -23,6 +22,7 @@ from .core import (
     DEFAULT_ORACLE_BUDGET,
     ArithValue,
     MultiplicativeFunction,
+    cap_workers,
     check_budget,
     divisors,
     euler_phi,
@@ -488,10 +488,13 @@ def verify_sweep(
 
     Instances whose enumeration would exceed the budget are skipped and
     reported, making the report partial.  With workers > 1 the cells are
-    evaluated in parallel and merged back in parameter order.
+    evaluated in parallel, on no more processes than usable CPUs or cells,
+    and merged back in parameter order.
     """
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity {kind!r}, expected one of {IDENTITY_KINDS}")
+    k_max = positive_int(k_max, "k_max")
+    n_max = positive_int(n_max, "n_max")
     spec = parse_function_spec(f)
     ks = [2] if kind == "sita_ramaiah" else list(range(1, k_max + 1))
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
@@ -511,8 +514,11 @@ def verify_sweep(
         raise ValueError(
             "parallel sweeps need a re-parseable f spec (name, pow:j, or table:<path>)"
         )
-    if workers > 1 and cells:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = cap_workers(workers, len(cells))
+    if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:
         results = [_sweep_cell(cell) for cell in cells]
@@ -528,6 +534,7 @@ def lemma_sweep(n_max: int = 40) -> IdentityReport:
     0 <= s < e, including the e = 1 collapse onto the one-congruence count.
     Only failures are stored; the instance stream is too large to keep.
     """
+    n_max = positive_int(n_max, "n_max")
     report = IdentityReport("lemmas", {"n": f"1..{n_max}", "residues": "all"})
     for n in range(1, n_max + 1):
         divs = divisors(n)
@@ -570,6 +577,8 @@ def n_k_sweep(
     All divisor pairs (d, delta) are swept: coprime pairs must agree across
     all three routes, non-coprime pairs must give 0.
     """
+    k_max = positive_int(k_max, "k_max")
+    n_max = positive_int(n_max, "n_max")
     report = IdentityReport("n_k_machinery", {"k": f"1..{k_max}", "n": f"1..{n_max}"})
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):

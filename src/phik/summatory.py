@@ -10,16 +10,17 @@ sum_{p > P} 1/p**2 <= 1/(P - 1).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import BudgetExceededError, positive_int
+from .core import BudgetExceededError, cap_workers, positive_int
 from .totients import _phi_k_prime_power
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # SPF arrays are int32: 4 bytes per entry, so this caps a sieve near 128 MiB.
 DEFAULT_SIEVE_LIMIT = 1 << 25
@@ -86,6 +87,8 @@ def _check_sieve_budget(x: int, limit: int) -> None:
 @lru_cache(maxsize=1)
 def _spf_sieve(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for 0..limit (spf[p] = p at primes)."""
+    import numpy as np
+
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
@@ -98,6 +101,8 @@ def _spf_sieve(limit: int) -> np.ndarray:
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, as plain Python ints."""
+    import numpy as np
+
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -143,12 +148,16 @@ def sum_phi_k_direct(
     """Exact sum of phi_k(n) for n <= x, one closed-form evaluation per n.
 
     With workers > 1 the range is partitioned and reduced in range order,
-    so the total is identical regardless of worker count.
+    so the total is identical regardless of worker count.  Workers are
+    capped at the usable CPUs and so that each gets more than 4 numbers.
     """
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit)
-    if workers > 1 and x > workers * 4:
+    workers = cap_workers(workers, (x - 1) // 4)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [1 + (x * i) // workers for i in range(workers + 1)]
         chunks = [
             (k, bounds[i], bounds[i + 1] - 1, x) for i in range(workers)
@@ -342,10 +351,15 @@ def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
     if x < 2:
         raise ValueError(f"grid points must be >= 2, got {x}")
     k = enclosure.k
-    main_lo = enclosure.lo * x ** (k + 1) / (k + 1)
-    main_hi = enclosure.hi * x ** (k + 1) / (k + 1)
-    delta = total - enclosure.midpoint * x ** (k + 1) / (k + 1)
-    ratio = abs(delta) / (x**k * math.log(x) ** (k + 1))
+    try:
+        main_lo = enclosure.lo * x ** (k + 1) / (k + 1)
+        main_hi = enclosure.hi * x ** (k + 1) / (k + 1)
+        delta = total - enclosure.midpoint * x ** (k + 1) / (k + 1)
+        ratio = abs(delta) / (x**k * math.log(x) ** (k + 1))
+    except OverflowError:
+        raise ValueError(
+            f"the main term at k={k}, x={x} does not fit in a float"
+        ) from None
     return ErrorRow(x, total, main_lo, main_hi, delta, ratio)
 
 

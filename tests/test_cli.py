@@ -1,5 +1,7 @@
 """The command-line surface: values, formats, exit codes."""
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 
@@ -279,3 +281,72 @@ def test_sum_csv_reuses_the_sum(monkeypatch, capsys):
     header, row = capsys.readouterr().out.strip().split("\n")
     assert header.split(",")[1] == "sum" and row.split(",")[1] == value
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "sita-ramaiah", "--n-max", "0"),
+        ("verify", "menon", "--k-max", "0", "--n-max", "5"),
+        ("verify", "lemmas", "--n-max", "-3", "--k-max", "2"),
+    ],
+)
+def test_empty_sweep_is_usage_error(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("error-table", "--k", "130", "--x-grid", "1000", "--prime-bound", "1000"),
+        ("sum", "phi-k", "--k", "130", "--x", "1000", "--prime-bound", "1000", "--format", "csv"),
+    ],
+)
+def test_main_term_overflow_is_usage_error(capsys, argv):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "k=130" in err and "x=1000" in err
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "argv, env, pool_size",
+    [
+        (("sum", "phi-k", "--k", "2", "--x", "1000", "--workers", "8"), {}, 3),
+        (("sum", "phi-k", "--k", "2", "--x", "1000"), {"PHIK_WORKERS": "8"}, 3),
+        (("sum", "phi-k", "--k", "2", "--x", "9", "--workers", "8"), {}, 2),
+        (("verify", "sita-ramaiah", "--n-max", "2", "--workers", "8"), {}, 2),
+    ],
+)
+def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, env, pool_size):
+    # three usable CPUs; the fake pool starts no process, and 8 requested
+    # workers keep a regression that bypasses the fake small
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run_cli(*argv) == 0
+    parallel_out = capsys.readouterr().out
+    assert _SerialPool.sizes == [pool_size]
+    assert run_cli(*argv, "--workers", "1") == 0
+    assert capsys.readouterr().out == parallel_out

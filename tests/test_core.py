@@ -1,6 +1,9 @@
 """Factorization, divisors, and the multiplicative-function registry."""
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd
+from itertools import compress, takewhile
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phik import (
+    BudgetExceededError,
     MultiplicativeFunction,
     average_order_constant,
     dirichlet_convolve,
@@ -66,6 +70,93 @@ def test_factorize_roundtrip():
         for p, e in fac.factors:
             prod *= p**e
         assert prod == n
+
+
+def _primes_up_to(limit):
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))
+
+
+_PRIMES_TO_10_6 = _primes_up_to(10**6)
+
+
+def _is_prime_by_trial_division(p):
+    """Plain trial division, enough for p < 10**12."""
+    assert p < 10**12
+    return p > 1 and all(p % q for q in takewhile(lambda q: q * q <= p, _PRIMES_TO_10_6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12 - 1))
+def test_factorize_property_below_10_12(n):
+    factors = factorize(n).factors
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes))
+    assert prod(p**e for p, e in factors) == n
+    assert all(e >= 1 and _is_prime_by_trial_division(p) for p, e in factors)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((151, 1), (751, 1), (28351, 1)),  # strong pseudoprime to bases 2, 3, 5, 7
+        ((149491, 1), (747451, 1), (34233211, 1)),  # strong pseudoprime to bases 2..23
+        ((399165290221, 1), (798330580441, 1)),  # psi_12: passes bases 2..37, not 41
+        ((1031, 2),),  # the first prime past trial division, squared
+        ((1031, 1), (1033, 1)),
+        ((1000003, 2),),
+        ((1000003, 3),),
+        ((2, 3), (1021, 1), (1000003, 2)),
+        ((9999991, 1), (10000019, 1)),  # semiprimes like the closed-form benchmark's
+        ((10000079, 1), (10000103, 1)),
+    ],
+    ids=str,
+)
+def test_factorize_past_trial_division(factors):
+    assert factorize(prod(p**e for p, e in factors)).factors == factors
+
+
+REFUSED_FACTORIZATIONS = [
+    # psi_13 = 1287836182261 * 2575672364521 passes every base, so no pass is a proof
+    (3317044064679887385961981, "cannot certify"),
+    # a prime above psi_13
+    (10**30 + 57, "cannot certify"),
+    # two 20-digit primes: certainly composite, but out of reach of the step budget
+    (10000000000000000051 * 20000000000000000011, "Pollard rho"),
+]
+
+
+@pytest.mark.parametrize("n, reason", REFUSED_FACTORIZATIONS, ids=str)
+def test_factorize_refusals(n, reason):
+    with pytest.raises(BudgetExceededError, match=reason):
+        factorize(n)
+
+
+@pytest.mark.parametrize("n, reason", REFUSED_FACTORIZATIONS, ids=str)
+def test_eval_refuses_unfactorable_n(n, reason):
+    proc = subprocess.run(
+        [sys.executable, "-m", "phik.cli", "eval", "phi-k", "--k", "2", "--n", str(n)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget refused:") and reason in proc.stderr
+
+
+def test_cli_import_leaves_out_numpy_and_process_pools():
+    code = (
+        "import sys, phik.cli; "
+        "print([m for m in ('numpy', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_divisors():
