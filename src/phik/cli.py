@@ -57,14 +57,6 @@ class Command:
     fn: Union[str, Callable, None] = None
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("PHIK_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _flag_specs() -> dict[str, dict]:
     return {
         "k": dict(type=int, required=True),
@@ -79,7 +71,8 @@ def _flag_specs() -> dict[str, dict]:
         "n-max": dict(type=int, default=40),
         "x-grid": dict(required=True, help="comma-separated cutoffs, e.g. 100,1000"),
         "budget": dict(type=int, default=DEFAULT_ORACLE_BUDGET),
-        "workers": dict(type=int, default=_default_workers()),
+        # a string default goes through `type` too, so a bad PHIK_WORKERS is a usage error
+        "workers": dict(type=int, default=os.environ.get("PHIK_WORKERS", "1")),
         "prime-bound": dict(type=int, default=DEFAULT_PRIME_BOUND),
         "sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT),
     }
@@ -191,7 +184,7 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
         )
         return EXIT_FAILURE
     if args.format == "csv":
-        enclosure = summatory.average_order_constant(args.k, args.prime_bound)
+        enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
         row = summatory.error_row(args.x, results[0].value, enclosure)
         _emit(args, summatory.error_table_csv([row]))
     elif args.format == "json":

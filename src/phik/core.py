@@ -50,6 +50,7 @@ def positive_divisor(d, n: int, name: str) -> int:
 
 def cap_workers(workers: int, tasks: int) -> int:
     """Worker processes to start: no more than asked for, usable CPUs, or tasks."""
+    workers = positive_int(workers, "worker count")
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

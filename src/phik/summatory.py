@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .core import BudgetExceededError, cap_workers, positive_int
-from .totients import _phi_k_prime_power
+from .totients import _g_k_prime, _phi_k_prime_power
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,6 +26,10 @@ if TYPE_CHECKING:
 DEFAULT_SIEVE_LIMIT = 1 << 25
 
 DEFAULT_PRIME_BOUND = 10**6
+
+# Numbers per block of the vectorized sums; besides the sieve and the prime table,
+# their memory is one block, whatever x is.
+BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,18 +89,25 @@ def _check_sieve_budget(x: int, limit: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (spf[p] = p at primes)."""
+def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest prime factors of 0..limit, stored as indices into a prime table.
+
+    Returns (primes, spf): primes[1:] are the primes <= limit in order and
+    primes[0] = 1; primes[spf[n]] is the smallest prime factor of n >= 2,
+    and spf[1] = 0.
+    """
     import numpy as np
 
     spf = np.zeros(limit + 1, dtype=np.int32)
+    found = 0
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
+            found += 1  # the primes up to sqrt(limit) are found in order
             block = spf[p * p :: p]
-            block[block == 0] = p
-    untouched = np.flatnonzero(spf == 0)
-    spf[untouched] = untouched  # remaining entries are 1 and the large primes
-    return spf
+            block[block == 0] = found
+    untouched = np.flatnonzero(spf == 0)  # 0, 1 and every prime
+    spf[untouched] = np.arange(-1, untouched.size - 1)
+    return untouched[1:], spf
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -111,31 +122,66 @@ def primes_up_to(limit: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
+@lru_cache(maxsize=1)
+def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np.ndarray:
+    """at_prime(k, p), an exact int, at each entry p of the prime table up to limit."""
+    import numpy as np
+
+    primes, _ = _spf_sieve(limit)
+    return np.fromiter((at_prime(k, p) for p in map(int, primes)), dtype=object, count=primes.size)
+
+
+def _peeled_blocks(lo: int, hi: int, limit: int):
+    """Split lo..hi into blocks of at most BLOCK numbers and peel each one.
+
+    Yields (n, rounds) per block.  Each round divides every n not yet
+    reduced to 1 by its smallest prime factor p, found in the sieve up to
+    limit, and yields (idx, pos, repeated): positions in the block, the
+    index of p in the prime table, and whether the round before peeled the
+    same p (so p**2 divides n).
+    """
+    import numpy as np
+
+    primes, spf = _spf_sieve(limit)
+
+    def rounds(n):
+        idx = np.flatnonzero(n > 1)
+        m, last = n[idx], 0
+        while idx.size:
+            pos = spf[m]
+            yield idx, pos, pos == last
+            m //= primes[pos]
+            left = m > 1
+            idx, m, last = idx[left], m[left], pos[left]
+
+    for start in range(lo, hi + 1, BLOCK):
+        n = np.arange(start, min(start + BLOCK, hi + 1))
+        yield n, rounds(n)
+
+
 def _direct_range_sum(args: tuple) -> int:
-    """Sum phi_k(n) for lo <= n <= hi using a sieve up to x (worker-safe)."""
+    """Sum phi_k(n) for lo <= n <= hi using a sieve up to x (worker-safe).
+
+    The numbers are taken BLOCK at a time.  As each n is peeled, phi_k(n)
+    gains a factor phi_k(p) for each new prime p and p**k for each repeated
+    one.  Memory is the sieve and the prime table up to x plus one block,
+    whatever the range.
+    """
+    import numpy as np
+
     k, lo, hi, x = args
-    spf = _spf_sieve(x)
-    at_prime: dict[int, int] = {}
+    at_prime = _prime_values(_phi_k_prime_power, k, x)
+    primes, _ = _spf_sieve(x)
+    # a repeated prime is at most sqrt(x), and its index in the table is below it
+    prime_powers = primes[: isqrt(x) + 1].astype(object) ** k
     total = 0
-    for n in range(max(lo, 2), hi + 1):
-        m = n
-        value = 1
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            c = at_prime.get(p)
-            if c is None:
-                c = at_prime[p] = _phi_k_prime_power(k, p, 1)
-            if c == 0:
-                value = 0
-                break
-            value *= p ** ((e - 1) * k) * c
-        total += value
-    if lo <= 1 <= hi:
-        total += 1  # phi_k(1) = 1
+    for n, rounds in _peeled_blocks(lo, hi, x):
+        value = np.ones(n.size, dtype=object)  # phi_k(1) = 1
+        for idx, pos, repeated in rounds:
+            factor = at_prime[pos]
+            factor[repeated] = prime_powers[pos[repeated]]
+            value[idx] *= factor
+        total += value.sum()
     return total
 
 
@@ -145,7 +191,7 @@ def sum_phi_k_direct(
     sieve_limit: int = DEFAULT_SIEVE_LIMIT,
     workers: int = 1,
 ) -> PartialSum:
-    """Exact sum of phi_k(n) for n <= x, one closed-form evaluation per n.
+    """Exact sum of phi_k(n) for n <= x, evaluating phi_k(n) at every n.
 
     With workers > 1 the range is partitioned and reduced in range order,
     so the total is identical regardless of worker count.  Workers are
@@ -174,36 +220,31 @@ def sum_phi_k_convolution(
 ) -> PartialSum:
     """Exact sum of phi_k(n) for n <= x via sum_{d <= x} g_k(d) * S_k(x // d).
 
-    g_k vanishes off squarefree numbers; power sums are memoized per
-    distinct quotient (only O(sqrt x) of them occur).
+    g_k(d), the product of g_k(p) = phi_k(p) - p**k over the primes of a
+    squarefree d and 0 otherwise, is built as d is peeled, BLOCK numbers at
+    a time.  It is summed over each run of equal quotients x // d in a
+    block, and S_k is evaluated once per distinct quotient (O(sqrt x)).
     """
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit)
-    spf = _spf_sieve(x)
-    g_at_prime: dict[int, int] = {}
+    import numpy as np
+
+    g_at_prime = _prime_values(_g_k_prime, k, x)
     power_sums: dict[int, int] = {}
     total = 0
-    for d in range(1, x + 1):
-        m = d
-        g = 1
-        while m > 1:
-            p = int(spf[m])
-            m //= p
-            if m % p == 0:
-                g = 0  # squareful, g_k(d) = 0
-                break
-            gp = g_at_prime.get(p)
-            if gp is None:
-                gp = g_at_prime[p] = _phi_k_prime_power(k, p, 1) - p**k
-            g *= gp
-        if g == 0:
-            continue
+    for d, rounds in _peeled_blocks(1, x, x):
+        g = np.ones(d.size, dtype=object)  # g_k(1) = 1
+        for idx, pos, repeated in rounds:
+            g[idx] *= np.where(repeated, 0, g_at_prime[pos])  # squareful d: g_k(d) = 0
         q = x // d
-        s = power_sums.get(q)
-        if s is None:
-            s = power_sums[q] = faulhaber_sum(k, q)
-        total += g * s
+        starts = np.flatnonzero(np.diff(q, prepend=0))
+        for quotient, g_sum in zip(q[starts].tolist(), np.add.reduceat(g, starts).tolist()):
+            if g_sum:
+                s = power_sums.get(quotient)
+                if s is None:
+                    s = power_sums[quotient] = faulhaber_sum(k, quotient)
+                total += g_sum * s
     return PartialSum(k, x, total, "convolution")
 
 
@@ -256,13 +297,16 @@ def _float_above(r: Fraction) -> float:
     return x if x >= r else math.nextafter(x, math.inf)
 
 
-def average_order_constant(k: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Enclosure:
+def average_order_constant(
+    k: int, prime_bound: int = DEFAULT_PRIME_BOUND, sieve_limit: int = DEFAULT_SIEVE_LIMIT
+) -> Enclosure:
     """Enclose C_k = prod_p (1 + g_k(p)/p**(k+1)) with outward rounding.
 
     hi: the finite product over p <= prime_bound, each factor rounded up and
     each multiplication stepped one ulp up; sound because every tail factor
     lies in (0, 1).  lo: the downward-rounded finite product times the tail
     bound 1 - (k+1)/(prime_bound - 1).  The true constant lies in [lo, hi].
+    A prime bound above sieve_limit is refused before its sieve is allocated.
     """
     k = positive_int(k, "tuple length k")
     prime_bound = positive_int(prime_bound, "prime_bound")
@@ -272,6 +316,7 @@ def average_order_constant(k: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> En
         )
     if prime_bound < 1000:
         raise ValueError(f"prime_bound must be at least 1000, got {prime_bound}")
+    _check_sieve_budget(prime_bound, sieve_limit)
     lo, hi = 1.0, 1.0
     for p in primes_up_to(prime_bound):
         pk1 = p ** (k + 1)
@@ -335,11 +380,11 @@ def error_term_rows(
     if grid[0] < 2:
         raise ValueError(f"grid points must be >= 2, got {grid[0]}")
     _check_sieve_budget(grid[-1], sieve_limit)
-    enclosure = average_order_constant(k, prime_bound)
+    enclosure = average_order_constant(k, prime_bound, sieve_limit)
     rows = []
     running = 0
     prev = 0
-    for x in grid:
+    for x in grid:  # every range shares the sieve and prime table up to grid[-1]
         running += _direct_range_sum((k, prev + 1, x, grid[-1]))
         prev = x
         rows.append(error_row(x, running, enclosure))

@@ -29,7 +29,7 @@ from .core import (
 )
 
 
-def _phi_k_prime_power(k: int, p: int, e: int) -> int:
+def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
     # (p-1)**k == (-1)**k (mod p), so the division by p is exact.
     sign = -1 if k % 2 else 1
     q, r = divmod((p - 1) * ((p - 1) ** k - sign), p)

@@ -350,3 +350,52 @@ def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, env, pool_s
     assert _SerialPool.sizes == [pool_size]
     assert run_cli(*argv, "--workers", "1") == 0
     assert capsys.readouterr().out == parallel_out
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "-4"), {}),
+        (("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "0"), {}),
+        (("verify", "sita-ramaiah", "--n-max", "5", "--workers", "0"), {}),
+        (("sum", "phi-k", "--k", "2", "--x", "100"), {"PHIK_WORKERS": "abc"}),
+    ],
+)
+def test_bad_worker_counts_are_usage_errors(argv, env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "phik.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_prime_bound_over_budget_is_refused():
+    proc = subprocess.run(
+        [sys.executable, "-m", "phik.cli", "constant", "--k", "2", "--prime-bound", "100000000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget refused:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("error-table", "--k", "2", "--x-grid", "100", "--prime-bound", "5000"),
+        ("sum", "phi-k", "--k", "2", "--x", "100", "--prime-bound", "5000", "--format", "csv"),
+    ],
+)
+def test_prime_bound_respects_sieve_limit(capsys, argv):
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--sieve-limit", "4000") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget refused:")

@@ -1,5 +1,8 @@
 """Partial sums, exact power sums, and the average-order constant enclosure."""
 import math
+import tracemalloc
+from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from phik import (
     primes_up_to,
     sum_phi_k_convolution,
     sum_phi_k_direct,
+    summatory,
 )
 
 
@@ -150,3 +154,83 @@ def test_error_table_csv_columns():
     lines = text.strip().split("\n")
     assert lines[0] == "x,sum,main_term_lo,main_term_hi,delta,normalized_ratio"
     assert lines[1].startswith("10,63,")
+
+
+# -- the blocked routes ---------------------------------------------------------
+
+BLOCK = summatory.BLOCK
+
+
+@lru_cache(maxsize=None)
+def _running_sums(k):
+    """[sum of phi_k(n) for n <= x, x = 0 .. 3 * BLOCK], from the closed form one n at a time."""
+    return list(accumulate((phi_k(k, n) for n in range(1, 3 * BLOCK + 1)), initial=0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3 * BLOCK))
+def test_routes_match_running_sum(k, x):
+    expected = _running_sums(k)[x]
+    assert sum_phi_k_direct(k, x).value == expected
+    assert sum_phi_k_convolution(k, x).value == expected
+
+
+@pytest.mark.parametrize("x", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("k", [2, 3])
+def test_routes_at_block_boundaries(k, x):
+    expected = _running_sums(k)[x]
+    assert sum_phi_k_direct(k, x).value == expected
+    assert sum_phi_k_convolution(k, x).value == expected
+
+
+def test_routes_exact_above_64_bits():
+    x = BLOCK + 7
+    expected = _running_sums(6)[x]
+    assert expected > 2**64
+    assert sum_phi_k_direct(6, x).value == expected
+    assert sum_phi_k_convolution(6, x).value == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_direct_range_sums_add_up_over_partitions(data):
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    x = data.draw(st.integers(min_value=2, max_value=3 * BLOCK))
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=x - 1), max_size=6)))
+    bounds = [0, *cuts, x]
+    pieces = [
+        summatory._direct_range_sum((k, lo + 1, hi, x)) for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert sum(pieces) == summatory._direct_range_sum((k, 1, x, x)) == _running_sums(k)[x]
+
+
+def test_error_rows_match_direct_sums_across_blocks():
+    grid = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+    rows = error_term_rows(2, grid, prime_bound=10**4)
+    assert [row.total for row in rows] == [sum_phi_k_direct(2, x).value for x in grid]
+
+
+@pytest.mark.parametrize("route", [sum_phi_k_direct, sum_phi_k_convolution])
+def test_sum_memory_is_bounded_by_the_block(route):
+    # the SPF sieve is built untraced; the prime-value table is traced on both sides
+    peaks = []
+    for x in (2 * BLOCK, 16 * BLOCK):
+        summatory._spf_sieve(x)
+        summatory._prime_values.cache_clear()
+        tracemalloc.start()
+        try:
+            route(5, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_prime_bound_over_the_sieve_limit_is_refused():
+    with pytest.raises(BudgetExceededError):
+        average_order_constant(2, 10**11)
+    with pytest.raises(BudgetExceededError):
+        average_order_constant(2, 10**4, sieve_limit=5000)
+    with pytest.raises(BudgetExceededError):
+        error_term_rows(2, [100], prime_bound=10**4, sieve_limit=5000)
+    assert average_order_constant(2, 10**4, sieve_limit=10**4) == average_order_constant(2, 10**4)
