@@ -165,6 +165,8 @@ def _cmd_verify(cmd: Command, args) -> int:
 
 
 def _cmd_sum_phi_k(cmd: Command, args) -> int:
+    if args.format == "csv":  # the enclosure is cheap: refuse a bad prime bound before any sum
+        enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
     results = []
     if args.method in ("direct", "both"):
         results.append(
@@ -184,7 +186,6 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
         )
         return EXIT_FAILURE
     if args.format == "csv":
-        enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
         row = summatory.error_row(args.x, results[0].value, enclosure)
         _emit(args, summatory.error_table_csv([row]))
     elif args.format == "json":
@@ -309,7 +310,9 @@ def main(argv=None) -> int:
             raise ValueError(f"{args.format} output is not defined for this subcommand")
         return cmd.handler(cmd, args)
     except BudgetExceededError as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
+        # the only budget of a subcommand taking --sieve-limit is that limit
+        hint = "; pass a larger --sieve-limit to override" if "sieve-limit" in cmd.flags else ""
+        print(f"budget refused: {exc}{hint}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 Two independent summation routes (per-n sieve evaluation and Dirichlet
 convolution against exact power sums) must agree exactly.  The constant
-C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed with directed
-rounding: the truncated product over p <= P overestimates (every omitted
-factor is below 1), and the tail is bounded below via
-sum_{p > P} 1/p**2 <= 1/(P - 1).
+C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one float64 pass
+over p <= P, widened by a rounding bound proven in advance; the truncated product
+overestimates (every omitted factor is below 1), and the tail is bounded below
+via sum_{p > P} 1/p**2 <= 1/(P - 1).
 """
 from __future__ import annotations
 
@@ -80,12 +80,9 @@ class Enclosure:
         }
 
 
-def _check_sieve_budget(x: int, limit: int) -> None:
-    if x > limit:
-        raise BudgetExceededError(
-            f"sieve of {x} entries exceeds the memory budget of {limit}; "
-            f"pass a larger sieve_limit to override"
-        )
+def _check_sieve_budget(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise BudgetExceededError(f"{what} {n} is above the sieve limit of {limit}")
 
 
 @lru_cache(maxsize=1)
@@ -99,19 +96,16 @@ def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     spf = np.zeros(limit + 1, dtype=np.int32)
-    found = 0
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            found += 1  # the primes up to sqrt(limit) are found in order
-            block = spf[p * p :: p]
-            block[block == 0] = found
+    for found, p in enumerate(primes_up_to(isqrt(limit)), 1):
+        block = spf[p * p :: p]
+        block[block == 0] = found
     untouched = np.flatnonzero(spf == 0)  # 0, 1 and every prime
     spf[untouched] = np.arange(-1, untouched.size - 1)
     return untouched[1:], spf
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, as plain Python ints."""
+def _prime_array(limit: int) -> np.ndarray:
+    """All primes <= limit, as an int64 array."""
     import numpy as np
 
     sieve = np.ones(limit + 1, dtype=bool)
@@ -119,7 +113,12 @@ def primes_up_to(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
+    return np.flatnonzero(sieve)
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, as plain Python ints."""
+    return _prime_array(limit).tolist()
 
 
 @lru_cache(maxsize=1)
@@ -199,7 +198,7 @@ def sum_phi_k_direct(
     """
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
-    _check_sieve_budget(x, sieve_limit)
+    _check_sieve_budget(x, sieve_limit, "cutoff x")
     workers = cap_workers(workers, (x - 1) // 4)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -227,7 +226,7 @@ def sum_phi_k_convolution(
     """
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
-    _check_sieve_budget(x, sieve_limit)
+    _check_sieve_budget(x, sieve_limit, "cutoff x")
     import numpy as np
 
     g_at_prime = _prime_values(_g_k_prime, k, x)
@@ -297,37 +296,65 @@ def _float_above(r: Fraction) -> float:
     return x if x >= r else math.nextafter(x, math.inf)
 
 
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k elementwise by repeated squaring, with correctly rounded products only."""
+    if k == 1:
+        return x
+    half = _power(x * x, k // 2)
+    return half * x if k % 2 else half
+
+
+def _factors(k: int, t: np.ndarray) -> np.ndarray:
+    """r_p = 1 + g_k(p)/p**(k+1) = 1 - t*v, v = 1 - w*(w**k - (-t)**k), at t = 1/p, w = 1 - t.
+
+    With u = 2**-53 and x' the computed x, all values lie in [0, 1] (for odd k, w**k + t**k <=
+    w + t/2 <= 1): a rounding errs by <= u/2, underflow included, or u*z at a normal z, and
+    |a'b' - ab| <= |a' - a| + |b' - b|.  So t errs by u*t, w by e_w = u*t + u/2, v by (k+1)*e_w +
+    k*u*t + (2k+1)*u/2, t*v by u*t + t*e_v + u*t*(1+u) + 2**-1075, r_p by <= (3k+5)*u*t + u/2.
+    """
+    w = 1.0 - t
+    s = _power(w, k) - (-1) ** (k % 2) * _power(t, k)  # a sign flip is exact
+    return 1.0 - t * (1.0 - w * s)
+
+
+def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
+    """Floats lo <= prod_{p <= P} r_p <= hi, for P = prime_bound and N primes.
+
+    As 1/r_p <= 1 + 2t, r'_p = r_p*(1 + e_p), |e_p| <= (6k+11)*u*t + u/2.  A product of N floats
+    errs by a factor 1 + theta, |theta| <= gamma = (N-1)u/(1-(N-1)u), in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.1; prod (1 - 1/p) >= 1/P: no underflow).
+    With sum t <= ln P < 0.7*bits(P), slack = (6k+11)*u*0.7*bits(P) + N*u/2 + gamma: the product
+    is in [prod'*(1 - slack), prod'/(1 - slack)], or in [0, 1] if slack >= 1 (k near 10**14).
+    """
+    primes = _prime_array(prime_bound)
+    blocks = (primes[i : i + BLOCK] for i in range(0, primes.size, BLOCK))  # bounds memory
+    product = math.prod(float(_factors(k, 1.0 / block).prod()) for block in blocks)
+    slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
+    slack += Fraction(primes.size, 2**54) + Fraction(primes.size - 1, 2**53 - (primes.size - 1))
+    lo = max(0.0, math.nextafter(product * _float_below(1 - slack), -math.inf))
+    hi = math.nextafter(product * _float_above(1 / (1 - slack)), math.inf) if slack < 1 else 1.0
+    return lo, hi
+
+
 def average_order_constant(
     k: int, prime_bound: int = DEFAULT_PRIME_BOUND, sieve_limit: int = DEFAULT_SIEVE_LIMIT
 ) -> Enclosure:
     """Enclose C_k = prod_p (1 + g_k(p)/p**(k+1)) with outward rounding.
 
-    hi: the finite product over p <= prime_bound, each factor rounded up and
-    each multiplication stepped one ulp up; sound because every tail factor
-    lies in (0, 1).  lo: the downward-rounded finite product times the tail
-    bound 1 - (k+1)/(prime_bound - 1).  The true constant lies in [lo, hi].
+    [lo, hi] bounds the product over p <= prime_bound (`_truncated_product`), with lo
+    times the tail bound 1 - (k+1)/(prime_bound - 1), as each omitted factor is in (0, 1].
     A prime bound above sieve_limit is refused before its sieve is allocated.
     """
     k = positive_int(k, "tuple length k")
     prime_bound = positive_int(prime_bound, "prime_bound")
     if k < 2:
-        raise ValueError(
-            f"the average-order constant is defined for k >= 2 only, got k={k}"
-        )
+        raise ValueError(f"the average-order constant is defined for k >= 2 only, got k={k}")
     if prime_bound < 1000:
         raise ValueError(f"prime_bound must be at least 1000, got {prime_bound}")
-    _check_sieve_budget(prime_bound, sieve_limit)
-    lo, hi = 1.0, 1.0
-    for p in primes_up_to(prime_bound):
-        pk1 = p ** (k + 1)
-        factor = Fraction(pk1 + _phi_k_prime_power(k, p, 1) - p**k, pk1)
-        lo = math.nextafter(lo * _float_below(factor), -math.inf)
-        hi = math.nextafter(hi * _float_above(factor), math.inf)
-    tail = Fraction(prime_bound - 1 - (k + 1), prime_bound - 1)
-    if tail <= 0:
-        lo = 0.0
-    else:
-        lo = max(0.0, math.nextafter(lo * _float_below(tail), -math.inf))
+    _check_sieve_budget(prime_bound, sieve_limit, "prime bound")
+    lo, hi = _truncated_product(k, prime_bound)
+    tail = Fraction(prime_bound - 1 - (k + 1), prime_bound - 1)  # lo >= 0, so tail <= 0 gives 0
+    lo = max(0.0, math.nextafter(lo * _float_below(tail), -math.inf))
     return Enclosure(k, prime_bound, lo, hi)
 
 
@@ -379,7 +406,7 @@ def error_term_rows(
     grid = sorted(set(xs))
     if grid[0] < 2:
         raise ValueError(f"grid points must be >= 2, got {grid[0]}")
-    _check_sieve_budget(grid[-1], sieve_limit)
+    _check_sieve_budget(grid[-1], sieve_limit, "grid point")
     enclosure = average_order_constant(k, prime_bound, sieve_limit)
     rows = []
     running = 0
@@ -397,8 +424,8 @@ def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
         raise ValueError(f"grid points must be >= 2, got {x}")
     k = enclosure.k
     try:
-        main_lo = enclosure.lo * x ** (k + 1) / (k + 1)
-        main_hi = enclosure.hi * x ** (k + 1) / (k + 1)
+        main_lo = _float_below(Fraction(enclosure.lo) * x ** (k + 1) / (k + 1))
+        main_hi = _float_above(Fraction(enclosure.hi) * x ** (k + 1) / (k + 1))
         delta = total - enclosure.midpoint * x ** (k + 1) / (k + 1)
         ratio = abs(delta) / (x**k * math.log(x) ** (k + 1))
     except OverflowError:

@@ -399,3 +399,28 @@ def test_prime_bound_respects_sieve_limit(capsys, argv):
     assert run_cli(*argv, "--sieve-limit", "4000") == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("budget refused:")
+
+
+def test_csv_sum_refuses_its_prime_bound_before_summing(capsys, monkeypatch):
+    from phik import summatory
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("the sum ran before the prime bound was checked")
+
+    monkeypatch.setattr(summatory, "sum_phi_k_direct", no_sum)
+    monkeypatch.setattr(summatory, "sum_phi_k_convolution", no_sum)
+    argv = ("sum", "phi-k", "--k", "2", "--x", "3000000", "--prime-bound", "100000000000",
+            "--format", "csv", "--method", "both")
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget refused:")
+
+
+def test_sieve_refusal_advice_matches_the_subcommand(capsys):
+    assert run_cli("constant", "--k", "2", "--prime-bound", "100000000000") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget refused:") and "100000000000" in err
+    assert "sieve_limit" not in err and "--sieve-limit" not in err
+    assert run_cli("error-table", "--k", "2", "--x-grid", "100", "--prime-bound", "5000",
+                   "--sieve-limit", "4000") == 3
+    assert "--sieve-limit" in capsys.readouterr().err

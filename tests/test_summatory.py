@@ -1,6 +1,7 @@
 """Partial sums, exact power sums, and the average-order constant enclosure."""
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -15,6 +16,7 @@ from phik import (
     error_table_csv,
     error_term_rows,
     faulhaber_sum,
+    g_k,
     phi_k,
     primes_up_to,
     sum_phi_k_convolution,
@@ -234,3 +236,95 @@ def test_prime_bound_over_the_sieve_limit_is_refused():
     with pytest.raises(BudgetExceededError):
         error_term_rows(2, [100], prime_bound=10**4, sieve_limit=5000)
     assert average_order_constant(2, 10**4, sieve_limit=10**4) == average_order_constant(2, 10**4)
+
+
+@lru_cache(maxsize=None)
+def _exact_truncated_product(k, prime_bound):
+    num = den = 1
+    for p in primes_up_to(prime_bound):
+        num *= p ** (k + 1) + g_k(k, p)
+        den *= p ** (k + 1)
+    return Fraction(num, den)
+
+
+def _assert_truncated_product_enclosed(k, prime_bound):
+    lo, hi = summatory._truncated_product(k, prime_bound)
+    assert Fraction(lo) <= _exact_truncated_product(k, prime_bound) <= Fraction(hi), (k, prime_bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1000, max_value=5000))
+def test_float_product_encloses_the_exact_truncated_product(k, prime_bound):
+    _assert_truncated_product_enclosed(k, prime_bound)
+
+
+def test_float_product_encloses_the_exact_product_where_powers_underflow():
+    # (1/p)**130 is subnormal for p above about 230 and rounds to 0 above about 310
+    _assert_truncated_product_enclosed(130, 1000)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 12, 130, 1100])
+def test_each_float_factor_within_its_proven_error(k):
+    # the per-factor bound of summatory._factors, against exact rationals; at
+    # k = 1100, (1/p)**k rounds to 0 for every prime, and w**k does at p = 2
+    primes = summatory._prime_array(1000 if k > 100 else 3000)
+    factors = summatory._factors(k, 1.0 / primes)
+    u = Fraction(1, 2**53)
+    for p, factor in zip(primes.tolist(), factors.tolist()):
+        t, w = Fraction(1, p), Fraction(p - 1, p)
+        exact = 1 - t * (1 - w * (w**k - (-t) ** k))
+        if k <= 12:
+            assert exact == 1 + Fraction(g_k(k, p), p ** (k + 1))
+        assert abs(Fraction(factor) - exact) <= (3 * k + 5) * u * t + u / 2, (k, p)
+
+
+def test_enclosure_stays_sound_where_the_rounding_bound_exceeds_one():
+    # at k near 10**14 the proven slack passes 1; every factor is at most 1
+    enclosure = average_order_constant(10**15, 1000)
+    assert (enclosure.lo, enclosure.hi) == (0.0, 1.0)
+
+
+# C_k to 35 digits: the exact product over p <= 2000 and the log-series tail
+# over prime zeta values, at 50 digits (mpmath)
+C_K_35 = {
+    2: "0.28674742843447873410789271278983845",
+    3: "0.30710070302025899046139076204249197",
+    4: "0.24625973348912037140369997614624411",
+    5: "0.23820220350229579034273654725365301",
+    6: "0.21768344631826571338345444321109935",
+}
+
+
+@pytest.mark.parametrize("k", sorted(C_K_35))
+def test_enclosure_contains_35_digit_constant(k):
+    enclosure = average_order_constant(k, 10**5)
+    radius = Fraction(1, 10**35)
+    assert Fraction(enclosure.lo) <= Fraction(C_K_35[k]) - radius
+    assert Fraction(C_K_35[k]) + radius <= Fraction(enclosure.hi)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("prime_bound", [10**4, 10**5, 10**6])
+def test_rounding_share_of_the_width(k, prime_bound):
+    enclosure = average_order_constant(k, prime_bound)
+    n = len(primes_up_to(prime_bound))
+    tail = enclosure.hi * (k + 1) / (prime_bound - 1)
+    assert enclosure.width - tail <= 8 * n * 2.0**-53 * enclosure.hi
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_error_table_main_terms_are_certified_bounds(k):
+    enclosure = average_order_constant(k, 10**4)
+    for x in (2, 3, 10, 97, 1000, 12345, 10**6 + 3, 10**9 + 7):
+        row = summatory.error_row(x, 0, enclosure)
+        main = Fraction(x ** (k + 1), k + 1)
+        assert Fraction(row.main_lo) <= Fraction(enclosure.lo) * main
+        assert Fraction(enclosure.hi) * main <= Fraction(row.main_hi)
+        assert row.main_lo <= row.main_hi
+
+
+def test_sieve_refusals_name_the_quantity_and_the_limit():
+    with pytest.raises(BudgetExceededError, match="prime bound 10000 is above the sieve limit of 5000"):
+        average_order_constant(2, 10**4, sieve_limit=5000)
+    with pytest.raises(BudgetExceededError, match="cutoff x 2000 is above the sieve limit of 1000"):
+        sum_phi_k_convolution(2, 2000, sieve_limit=1000)
