@@ -15,7 +15,7 @@ from phik import (
     verify_sweep,
 )
 
-print("Brute-force lhs vs closed-form rhs at k = 2, n = 15:")
+print("Oracle lhs vs closed-form rhs at k = 2, n = 15:")
 for f in ("id", "one", "tau", "mu", "pow:2"):
     lhs = gcd_sum_lhs_oracle(2, 15, f)
     rhs = gcd_sum_rhs(2, 15, f)

@@ -2,7 +2,7 @@
 
 phi_k(n) counts k-tuples (a_1, ..., a_k) with 1 <= a_i <= n whose product
 and sum are both coprime to n. k = 1 recovers Euler's totient. Every value
-below is exact integer arithmetic, cross-checked against brute enumeration.
+below is exact integer arithmetic, cross-checked against an oracle counting from the definition.
 """
 from phik import euler_phi, g_k, phi_k, phi_k_nm, phi_k_oracle
 

@@ -30,12 +30,15 @@ MODULES = {"core": core, "menon": menon, "summatory": summatory, "totients": tot
 
 GROUPS = {
     "eval": "closed-form evaluation",
-    "oracle": "brute-force enumeration",
+    "oracle": "counts from the definitions",
     "verify": "identity sweeps against oracles",
     "sum": "exact partial sums",
 }
 
 M_ORACLE_HELP = "test the sum against m instead of n (m not dividing n is experimental)"
+
+# The longest integer printed, in decimal digits (about 0.15 s of conversion); longer is refused.
+MAX_PRINTED_DIGITS = 10**5
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,14 @@ def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(payload, indent=2))
 
 
+def _check_printable(value) -> None:
+    # an int below 2**332192 < 10**MAX_PRINTED_DIGITS needs no exact comparison
+    long = isinstance(value, int) and value.bit_length() > 332_192
+    if long and abs(value) >= 10**MAX_PRINTED_DIGITS:
+        raise BudgetExceededError(
+            f"the answer has more than {MAX_PRINTED_DIGITS} decimal digits, the most phik prints")
+
+
 # -- handlers -----------------------------------------------------------------
 
 
@@ -111,6 +122,7 @@ def _cmd_value(cmd: Command, args) -> int:
         if name != "method" and value is not None:
             params[name] = menon.parse_function_spec(value) if name == "f" else value
     value = _library(cmd.fn(args) if callable(cmd.fn) else cmd.fn)(**params)
+    _check_printable(value)
     if args.format == "json":
         payload = {key: str(v) for key, v in params.items() if key != "budget"}
         payload["value"] = str(value)
@@ -185,6 +197,7 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
             file=sys.stderr,
         )
         return EXIT_FAILURE
+    _check_printable(results[0].value)
     if args.format == "csv":
         row = summatory.error_row(args.x, results[0].value, enclosure)
         _emit(args, summatory.error_table_csv([row]))
@@ -240,10 +253,10 @@ COMMANDS = (
             ("k", "n", "d", "delta", "method"), fn=_by_method("menon.n_k", "menon.n_k_recursion")),
     Command(("eval", "jordan"), "Jordan totient J_k(n)", _cmd_value, ("k", "n"),
             fn="core.jordan_totient"),
-    Command(("oracle", "phi-k"), "phi_k(n) by full tuple enumeration", _cmd_value,
+    Command(("oracle", "phi-k"), "phi_k(n) counted from the definition", _cmd_value,
             ("k", "n", ("m", dict(required=False, help=M_ORACLE_HELP)), "budget"),
             fn=lambda a: "totients.phi_k_oracle" if a.m is None else "totients.phi_k_nm_oracle"),
-    Command(("oracle", "n-k"), "N_k(n, d, delta) by unit-tuple enumeration", _cmd_value,
+    Command(("oracle", "n-k"), "N_k(n, d, delta) counted over unit tuples", _cmd_value,
             ("k", "n", "d", "delta", "budget"), fn="menon.n_k_oracle"),
     Command(("oracle", "menon-lhs"), "gcd sum over admissible tuples", _cmd_value,
             ("k", "n", "f", "budget"), fn="menon.gcd_sum_lhs_oracle"),
@@ -261,7 +274,7 @@ COMMANDS = (
                                              budget=a.budget, workers=a.workers)]),
     Command(("verify", "lemmas"), "residue-class counts and N_k machinery", _cmd_verify,
             ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget"),
-            fn=lambda a: [menon.lemma_sweep(a.n_max),
+            fn=lambda a: [menon.lemma_sweep(a.n_max, a.budget),
                           menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
     Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_sum_phi_k,
             ("k", "x", "sieve-limit", "prime-bound", "workers",
@@ -303,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit exists from Python 3.10.7
+        sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     args = build_parser().parse_args(argv)
     cmd = args.command
     try:

@@ -9,7 +9,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Mapping, Union
 
@@ -21,7 +21,7 @@ class BudgetExceededError(Exception):
     """An exhaustive computation refused to run: it would exceed its budget."""
 
 
-# Default cap on brute-force work, measured in tuples visited (n**k per call).
+# Default cap on oracle work, priced in the tuples a definition ranges over (n**k per call).
 DEFAULT_ORACLE_BUDGET = 10**8
 
 
@@ -238,12 +238,7 @@ def divisors(f: Factorization | int) -> list[int]:
         f = factorize(f)
     divs = [1]
     for p, e in f.factors:
-        pk = 1
-        block = []
-        for _ in range(e):
-            pk *= p
-            block.extend(d * pk for d in divs)
-        divs.extend(block)
+        divs = [d * p**j for d in divs for j in range(e + 1)]
     return sorted(divs)
 
 
@@ -381,8 +376,3 @@ def mobius_transform(f: ArithFn, d: int) -> ArithValue:
         if m:
             total += m * fn(j)
     return total
-
-
-def reduce_gcd(values, n: int) -> int:
-    """gcd of values together with n, each value reduced mod n; gcd(0, n) = n."""
-    return reduce(gcd, (v % n for v in values), n)

@@ -5,7 +5,8 @@ phi_k(n) admissible tuples equals phi_k(n) * sum_{d | n} (mu*f)(d)/phi(d)
 for any arithmetic function f.  With f = id the divisor sum collapses to
 tau(n).  Supporting pieces: counts of units in one or two residue classes,
 and N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and
-0 mod delta.  Every closed form has a brute-force oracle next to it.
+0 mod delta.  Every closed form has an oracle next to it, counting from the
+definition with the kernel of `totients` (`fold_counts`, `unit_sum_counts`).
 """
 from __future__ import annotations
 
@@ -13,14 +14,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import product
-from math import gcd, prod
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Mapping, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
     ArithValue,
+    BudgetExceededError,
     MultiplicativeFunction,
     cap_workers,
     check_budget,
@@ -32,11 +33,10 @@ from .core import (
     mobius_transform,
     positive_divisor,
     positive_int,
-    reduce_gcd,
     table_lookup,
     tau,
 )
-from .totients import alternating_unit_sum, phi_k
+from .totients import alternating_unit_sum, fold_counts, phi_k, unit_sum_counts, units_mod
 
 IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
 
@@ -50,19 +50,13 @@ def _exact_div(a: int, b: int) -> int:
 # -- counting units in residue classes -------------------------------------
 
 
-@lru_cache(maxsize=2048)
-def units_mod(n: int) -> tuple[int, ...]:
-    """The reduced residues 1 <= a <= n with gcd(a, n) = 1."""
-    return tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
-
-
 def count_units_in_class(n: int, d: int, r: int) -> tuple[int, int]:
-    """Units a <= n with a = r (mod d), exhaustively, plus the prediction.
+    """Units a <= n with a = r (mod d), counted by residue, plus the prediction.
 
     Prediction: phi(n)/phi(d) when gcd(r, d) = 1, else 0.  d must divide n.
     """
     d = positive_divisor(d, n, "d")
-    count = sum(1 for a in units_mod(n) if a % d == r % d)
+    count = sum(c for t, c in unit_sum_counts(1, n, d) if t == r % d)
     predicted = _exact_div(euler_phi(n), euler_phi(d)) if gcd(r, d) == 1 else 0
     return count, predicted
 
@@ -77,15 +71,12 @@ def count_units_in_two_classes(
     """
     d = positive_divisor(d, n, "d")
     e = positive_divisor(e, n, "e")
-    count = sum(1 for a in units_mod(n) if a % d == r % d and a % e == s % e)
+    residues = unit_sum_counts(1, n, lcm(d, e))
+    count = sum(c for t, c in residues if t % d == r % d and t % e == s % e)
     g = gcd(d, e)
     if gcd(r, d) == 1 and gcd(s, e) == 1 and (r - s) % g == 0:
-        pred = Fraction(euler_phi(n) * g, euler_phi(d * e))
-        assert pred.denominator == 1
-        predicted = int(pred)
-    else:
-        predicted = 0
-    return count, predicted
+        return count, _exact_div(euler_phi(n) * g, euler_phi(d * e))
+    return count, 0
 
 
 # -- N_k(n, d, delta): unit tuples with sum = 1 mod d, = 0 mod delta -------
@@ -155,22 +146,14 @@ def _n_k_rec(k: int, n: int, d: int, delta: int) -> Fraction:
     return Fraction(euler_phi(n), euler_phi(d) * euler_phi(delta)) * total
 
 
-def n_k_oracle(
-    k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> int:
-    """Count N_k(n, d, delta) by enumerating all unit tuples."""
+def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """Count N_k(n, d, delta) from the unit tuples by sum; priced at their phi(n)**k."""
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     d = positive_divisor(d, n, "d")
     delta = positive_divisor(delta, n, "delta")
-    units = units_mod(n)
-    check_budget(len(units) ** k, budget, f"N_{k}({n}, {d}, {delta}) oracle")
-    count = 0
-    for tup in product(units, repeat=k):
-        s = sum(tup)
-        if s % d == 1 % d and s % delta == 0:
-            count += 1
-    return count
+    check_budget(len(units_mod(n)) ** k, budget, f"N_{k}({n}, {d}, {delta}) oracle")
+    return sum(c for r, c in unit_sum_counts(k, n, n) if r % d == 1 % d and r % delta == 0)
 
 
 # -- arbitrary f: parsing and tables ----------------------------------------
@@ -284,34 +267,24 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
 # -- the gcd-sum identity ---------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _admissible_gcd_histogram(k: int, n: int) -> tuple[tuple[int, int], ...]:
-    # histogram of gcd(a_1+...+a_k - 1, n) over admissible tuples; the literal
-    # enumeration is shared by every f swept at the same (k, n)
-    counts: Counter[int] = Counter()
-    for tup in product(range(1, n + 1), repeat=k):
-        if gcd(prod(tup), n) != 1:
-            continue
-        s = sum(tup)
-        if gcd(s, n) != 1:
-            continue
-        counts[gcd((s - 1) % n, n)] += 1
-    return tuple(sorted(counts.items()))
-
-
 def gcd_sum_lhs_oracle(
     k: int, n: int, f: FSpecInput = "id", budget: int = DEFAULT_ORACLE_BUDGET
 ) -> ArithValue:
-    """Sum f(gcd(a_1+...+a_k-1, n)) over admissible tuples, by enumeration.
+    """Sum f(gcd(a_1+...+a_k-1, n)) over admissible tuples, counted by their sum.
 
     Admissible: every entry in [1, n], product and sum both coprime to n.
-    The gcd is taken with the sum reduced mod n, so gcd(0, n) = n.
+    The gcd is taken with the sum reduced mod n, so gcd(0, n) = n.  f is
+    called only at gcds some tuple reaches.  Priced at n**k tuples.
     """
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     check_budget(n**k, budget, f"gcd-sum oracle at k={k}, n={n}")
     spec = parse_function_spec(f)
-    return sum(spec.fn(g) * c for g, c in _admissible_gcd_histogram(k, n))
+    gcds: Counter[int] = Counter()
+    for r, c in unit_sum_counts(k, n, n):
+        if gcd(r, n) == 1:
+            gcds[gcd((r - 1) % n, n)] += c
+    return sum(spec.fn(g) * c for g, c in sorted(gcds.items()))
 
 
 def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
@@ -348,18 +321,18 @@ def menon_expansion_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     return total
 
 
-def nageswara_rao_lhs_oracle(
-    k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> int:
-    """Sum gcd(a_1-1, ..., a_k-1, n)**k over tuples with gcd(a_1,...,a_k,n)=1."""
+def nageswara_rao_lhs_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """Sum gcd(a_1-1, ..., a_k-1, n)**k over tuples with gcd(a_1,...,a_k,n)=1.
+
+    The tuples of [1, n] are counted by the pair (gcd(a_1, ..., a_k, n),
+    gcd(a_1-1, ..., a_k-1, n)), folded entry by entry.  Priced at n**k tuples.
+    """
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     check_budget(n**k, budget, f"joint-gcd oracle at k={k}, n={n}")
-    total = 0
-    for tup in product(range(1, n + 1), repeat=k):
-        if reduce(gcd, tup, n) == 1:
-            total += reduce_gcd((a - 1 for a in tup), n) ** k
-    return total
+    pairs = fold_counts(range(1, n + 1), lambda a: (gcd(a, n), gcd(a - 1, n)),
+                        lambda u, v: (gcd(u[0], v[0]), gcd(u[1], v[1])), k)
+    return sum(c * h**k for (g, h), c in pairs.items() if g == 1)
 
 
 # -- identity verification and sweeps ---------------------------------------
@@ -471,9 +444,13 @@ def verify_identity(
     return Instance(params, lhs, rhs, ok, trivial, detail)
 
 
-def _sweep_cell(args: tuple) -> Instance:
+def _sweep_cell(args: tuple) -> Union[Instance, dict]:
+    """One checked instance, or the skip record of a cell its oracle refused."""
     kind, k, n, f_source, budget = args
-    return verify_identity(kind, k, n, f_source, budget)
+    try:
+        return verify_identity(kind, k, n, f_source, budget)
+    except BudgetExceededError:
+        return {"k": str(k), "n": str(n), "reason": f"n**k = {n ** k} over budget {budget}"}
 
 
 def verify_sweep(
@@ -486,10 +463,10 @@ def verify_sweep(
 ) -> IdentityReport:
     """Sweep an identity over 1 <= k <= k_max, 1 <= n <= n_max.
 
-    Instances whose enumeration would exceed the budget are skipped and
-    reported, making the report partial.  With workers > 1 the cells are
-    evaluated in parallel, on no more processes than usable CPUs or cells,
-    and merged back in parameter order.
+    Instances whose oracle refuses the budget are skipped and reported,
+    making the report partial.  With workers > 1 the cells are evaluated in
+    parallel, on no more processes than usable CPUs or cells, and merged
+    back in parameter order.
     """
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity {kind!r}, expected one of {IDENTITY_KINDS}")
@@ -501,16 +478,9 @@ def verify_sweep(
     if kind in ("menon_general", "menon_gcd"):
         swept["f"] = spec.label
     report = IdentityReport(kind, swept)
-    cells = []
-    for k in ks:
-        for n in range(1, n_max + 1):
-            if n**k > budget:
-                report.skipped.append(
-                    {"k": str(k), "n": str(n), "reason": f"n**k = {n ** k} over budget {budget}"}
-                )
-                continue
-            cells.append((kind, k, n, spec if workers == 1 else spec.source, budget))
-    if workers > 1 and any(cell[3] is None for cell in cells):
+    source = spec if workers == 1 else spec.source
+    cells = [(kind, k, n, source, budget) for k in ks for n in range(1, n_max + 1)]
+    if workers > 1 and source is None:
         raise ValueError(
             "parallel sweeps need a re-parseable f spec (name, pow:j, or table:<path>)"
         )
@@ -522,50 +492,46 @@ def verify_sweep(
             results = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:
         results = [_sweep_cell(cell) for cell in cells]
-    for inst in results:
-        report.record(inst)
+    for result in results:
+        if isinstance(result, dict):
+            report.skipped.append(result)
+        else:
+            report.record(result)
     return report
 
 
-def lemma_sweep(n_max: int = 40) -> IdentityReport:
+def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> IdentityReport:
     """Exhaustive residue-class count checks for all n <= n_max.
 
     Covers every divisor pair (d, e) of n and all residues 0 <= r < d,
-    0 <= s < e, including the e = 1 collapse onto the one-congruence count.
+    0 <= s < e, including the e = 1 collapse onto the one-congruence count:
+    sigma(n) + sigma(n)**2 checks at each n, all priced against the budget.
     Only failures are stored; the instance stream is too large to keep.
     """
     n_max = positive_int(n_max, "n_max")
+    cost = 0
+    for n in range(1, n_max + 1):  # the cost grows like n**3: stop once it is over
+        sigma = sum(divisors(n))
+        cost += sigma + sigma**2
+        if cost > budget:
+            break
+    check_budget(cost, budget, f"lemma sweep to n_max={n_max}: its checks up to n={n}")
     report = IdentityReport("lemmas", {"n": f"1..{n_max}", "residues": "all"})
+
+    def check(params: tuple, counts: tuple[int, int]) -> None:
+        report.record(Instance(params, *counts, counts[0] == counts[1]), keep_instances=False)
+
     for n in range(1, n_max + 1):
         divs = divisors(n)
         for d in divs:
             for r in range(d):
-                count, predicted = count_units_in_class(n, d, r)
-                inst = Instance(
-                    (("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)),
-                    count,
-                    predicted,
-                    count == predicted,
-                )
-                report.record(inst, keep_instances=False)
+                check((("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)),
+                      count_units_in_class(n, d, r))
             for e in divs:
                 for r in range(d):
                     for s in range(e):
-                        count, predicted = count_units_in_two_classes(n, d, e, r, s)
-                        inst = Instance(
-                            (
-                                ("lemma", "two_congruences"),
-                                ("n", n),
-                                ("d", d),
-                                ("e", e),
-                                ("r", r),
-                                ("s", s),
-                            ),
-                            count,
-                            predicted,
-                            count == predicted,
-                        )
-                        report.record(inst, keep_instances=False)
+                        check((("lemma", "two_congruences"), ("n", n), ("d", d), ("e", e),
+                               ("r", r), ("s", s)), count_units_in_two_classes(n, d, e, r, s))
     return report
 
 
@@ -582,31 +548,31 @@ def n_k_sweep(
     report = IdentityReport("n_k_machinery", {"k": f"1..{k_max}", "n": f"1..{n_max}"})
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
-            if len(units_mod(n)) ** k > budget:
-                report.skipped.append(
-                    {"k": str(k), "n": str(n), "reason": f"phi(n)**k over budget {budget}"}
-                )
-                continue
             divs = divisors(n)
-            for d in divs:
-                for delta in divs:
-                    brute = n_k_oracle(k, n, d, delta, budget)
-                    closed = n_k(k, n, d, delta)
-                    ok = brute == closed
-                    detail = None
-                    if gcd(d, delta) > 1:
-                        ok = ok and closed == 0
-                    elif k >= 2:
-                        rec = n_k_recursion(k, n, d, delta)
-                        ok = ok and rec == closed
-                        if rec != closed:
-                            detail = f"recursion = {rec}"
-                    inst = Instance(
-                        (("k", k), ("n", n), ("d", d), ("delta", delta)),
-                        brute,
-                        closed,
-                        ok,
-                        detail=detail,
-                    )
-                    report.record(inst, keep_instances=False)
+            pairs = [(d, delta) for d in divs for delta in divs]
+            try:
+                brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
+            except BudgetExceededError:
+                reason = f"phi(n)**k over budget {budget}"
+                report.skipped.append({"k": str(k), "n": str(n), "reason": reason})
+                continue
+            for (d, delta), brute in zip(pairs, brutes):
+                closed = n_k(k, n, d, delta)
+                ok = brute == closed
+                detail = None
+                if gcd(d, delta) > 1:
+                    ok = ok and closed == 0
+                elif k >= 2:
+                    rec = n_k_recursion(k, n, d, delta)
+                    ok = ok and rec == closed
+                    if rec != closed:
+                        detail = f"recursion = {rec}"
+                inst = Instance(
+                    (("k", k), ("n", n), ("d", d), ("delta", delta)),
+                    brute,
+                    closed,
+                    ok,
+                    detail=detail,
+                )
+                report.record(inst, keep_instances=False)
     return report

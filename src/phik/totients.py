@@ -7,13 +7,19 @@ phi_k(n, m) relaxes the sum condition to gcd(a_1 + ... + a_k, m) = 1 for a
 divisor m of n.  g_k is the multiplicative function with phi_k = id_k * g_k
 (Dirichlet convolution); it is supported on squarefree numbers and drives
 the partial-sum machinery in `summatory`.
+
+Every oracle in phik counts from the definitions with one kernel,
+`fold_counts`, which counts k-tuples by the value their entries fold to
+without visiting the tuples; here, unit tuples by their sum mod M.
 """
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import gcd, prod
+from functools import lru_cache
+from math import gcd
+from typing import Callable, Iterable
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
@@ -27,6 +33,39 @@ from .core import (
     positive_divisor,
     positive_int,
 )
+
+
+@lru_cache(maxsize=2048)
+def units_mod(n: int) -> tuple[int, ...]:
+    """The reduced residues 1 <= a <= n with gcd(a, n) = 1."""
+    return tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+def fold_counts(entries: Iterable, key: Callable, combine: Callable, k: int) -> Counter:
+    """How many k-tuples of entries reach each value of combine(key(a_1), ..., key(a_k)).
+
+    combine is associative and commutative.  Each of the k - 1 steps pairs the
+    distinct values reached so far with the distinct keys, weighted by counts.
+    """
+    keys = Counter(map(key, entries))
+    counts = keys
+    for _ in range(k - 1):
+        step: Counter = Counter()
+        for u, cu in counts.items():
+            for v, cv in keys.items():
+                step[combine(u, v)] += cu * cv
+        counts = step
+    return counts
+
+
+@lru_cache(maxsize=4096)
+def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (r, c): c k-tuples of units mod n sum to r mod `modulus`, c > 0.
+
+    Cached, so a sweep reading several quantities at one (k, n) counts once.
+    """
+    counts = fold_counts(units_mod(n), lambda a: a % modulus, lambda u, v: (u + v) % modulus, k)
+    return tuple(sorted(counts.items()))
 
 
 def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
@@ -58,15 +97,11 @@ def phi_k(k: int, n: int) -> int:
 
 
 def phi_k_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count phi_k(n) by enumerating all n**k tuples.  Independent of phi_k."""
+    """Count phi_k(n) from the definition, priced at its n**k tuples.  Independent of phi_k."""
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     check_budget(n**k, budget, f"phi_{k}({n}) oracle")
-    count = 0
-    for tup in product(range(1, n + 1), repeat=k):
-        if gcd(prod(tup), n) == 1 and gcd(sum(tup), n) == 1:
-            count += 1
-    return count
+    return sum(c for r, c in unit_sum_counts(k, n, n) if gcd(r, n) == 1)
 
 
 def alternating_unit_sum(length: int, p: int) -> Fraction:
@@ -113,10 +148,8 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
     return int(total)
 
 
-def phi_k_nm_oracle(
-    k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> int:
-    """Count tuples with product coprime to n and sum coprime to m, literally.
+def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """Count tuples with product coprime to n and sum coprime to m; priced at n**k.
 
     m need not divide n here; that regime is experimental (no closed form is
     provided for it) and a warning is emitted.
@@ -131,11 +164,7 @@ def phi_k_nm_oracle(
             stacklevel=2,
         )
     check_budget(n**k, budget, f"phi_{k}({n}, m={m}) oracle")
-    count = 0
-    for tup in product(range(1, n + 1), repeat=k):
-        if gcd(prod(tup), n) == 1 and gcd(sum(tup), m) == 1:
-            count += 1
-    return count
+    return sum(c for r, c in unit_sum_counts(k, n, m) if gcd(r, m) == 1)
 
 
 def _g_k_prime(k: int, p: int) -> int:

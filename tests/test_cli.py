@@ -424,3 +424,46 @@ def test_sieve_refusal_advice_matches_the_subcommand(capsys):
     assert run_cli("error-table", "--k", "2", "--x-grid", "100", "--prime-bound", "5000",
                    "--sieve-limit", "4000") == 3
     assert "--sieve-limit" in capsys.readouterr().err
+
+
+def test_lemma_sweep_over_budget_is_refused_quickly():
+    # sum over n <= 1000 of sigma(n) + sigma(n)**2 is about 10**9 checks
+    proc = subprocess.run(
+        [sys.executable, "-m", "phik.cli", "verify", "lemmas", "--n-max", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget refused:") and "Traceback" not in proc.stderr
+
+
+def test_lemma_sweep_reads_the_budget(capsys):
+    # at n = 12 the sweep makes exactly 2092 checks
+    argv = ("verify", "lemmas", "--n-max", "12", "--k-max", "2")
+    assert run_cli(*argv, "--budget", "2092") == 0
+    assert "identity=lemmas checked=2092 " in capsys.readouterr().out
+    assert run_cli(*argv, "--budget", "2091") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget refused:")
+
+
+def test_long_answers_print_up_to_the_cap(capsys):
+    # phi_15000(3) = 2 * (2**15000 - 1) / 3 has 4516 digits, past Python's default 4300
+    expected = str(2 * (2**15000 - 1) // 3)
+    assert run_cli("eval", "phi-k", "--k", "15000", "--n", "3") == 0
+    assert capsys.readouterr().out.strip() == expected
+    assert run_cli("eval", "phi-k", "--k", "15000", "--n", "3", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["value"] == expected
+
+
+@pytest.mark.parametrize("k, code", [(209590, 0), (209591, 3)])
+def test_answers_over_the_cap_are_refused(capsys, k, code):
+    # J_k(3) = 3**k - 1 has 100000 digits at k = 209590 and 100001 at k = 209591
+    assert run_cli("eval", "jordan", "--k", str(k), "--n", "3") == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("budget refused:")
+    else:
+        assert len(captured.out.strip()) == 100000

@@ -41,7 +41,6 @@ from phik import (
     phi_mf,
     piltz_mf,
     pointwise_eval,
-    reduce_gcd,
     sum_phi_k_convolution,
     sum_phi_k_direct,
     tau,
@@ -250,14 +249,6 @@ def test_eval_clears_fractions_to_int():
     val = eval_mf(half_scaled, 12)
     assert val == 3 and isinstance(val, int)
     assert eval_mf(half_scaled, 1) == 1
-
-
-def test_reduce_gcd_convention():
-    # values reduced mod n, gcd(0, n) = n
-    assert reduce_gcd([0], 4) == 4
-    assert reduce_gcd([2], 4) == 2
-    assert reduce_gcd([8, 4], 4) == 4
-    assert reduce_gcd([3, 5], 15) == 1
 
 
 _REGISTERED = [phi_mf, tau_mf, mobius_mf, one_mf, id_mf, piltz_mf(3)]

@@ -269,3 +269,28 @@ def test_verify_sweep_parallel_matches_serial():
     par = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=2)
     assert [i.params for i in seq.instances] == [i.params for i in par.instances]
     assert seq.as_dict() == par.as_dict()
+
+
+def test_verify_sweep_skips_the_cells_its_oracle_refuses():
+    for kind, k_max in (("menon_gcd", 3), ("nageswara_rao", 3), ("sita_ramaiah", 2)):
+        report = verify_sweep(kind, k_max=k_max, n_max=40, budget=1000)
+        ks = [2] if kind == "sita_ramaiah" else range(1, k_max + 1)
+        over = [(k, n) for k in ks for n in range(1, 41) if n**k > 1000]
+        assert [(int(s["k"]), int(s["n"])) for s in report.skipped] == over
+        assert report.skipped[0]["reason"] == f"n**k = {over[0][1] ** over[0][0]} over budget 1000"
+        assert report.checked == len(ks) * 40 - len(over) and report.ok
+
+
+def test_parallel_sweep_skips_as_serial():
+    seq = verify_sweep("menon_general", k_max=3, n_max=14, f="tau", budget=1000)
+    par = verify_sweep("menon_general", k_max=3, n_max=14, f="tau", budget=1000, workers=2)
+    assert seq.skipped and seq.as_dict() == par.as_dict()
+
+
+def test_n_k_sweep_skips_the_cells_its_oracle_refuses():
+    report = n_k_sweep(k_max=3, n_max=14, budget=100)
+    over = [(k, n) for k in range(1, 4) for n in range(1, 15) if euler_phi(n) ** k > 100]
+    assert [(int(s["k"]), int(s["n"])) for s in report.skipped] == over
+    assert all(s["reason"] == "phi(n)**k over budget 100" for s in report.skipped)
+    ran = [(k, n) for k in range(1, 4) for n in range(1, 15) if (k, n) not in over]
+    assert report.checked == sum(len(divisors(n)) ** 2 for _, n in ran) and report.ok
