@@ -1,0 +1,160 @@
+"""Multiplicative functions over a range, as rows of int64 residues rebuilt by CRT.
+
+The moduli are the largest primes below 2**31, so that the product of two
+residues stays below 2**62 and numpy multiplies them in int64 without loss.
+An integer known to lie in [0, 2**bits) is fixed by its residues modulo
+`moduli(bits)`, and `crt` rebuilds it.  Past MAX_MODULI moduli, one row of
+exact Python ints costs less than the residue rows, and `Rows` carries that
+instead.  `blocks` walks a range of n a block at a time and builds f(n) in
+rows for a multiplicative f, from a smallest-prime-factor sieve.  The exact
+sums of `summatory` run on both; numpy is imported only when this module is.
+"""
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Callable
+
+import numpy as np
+
+from .core import _is_prime
+
+MAX_MODULI = 8
+
+# Primes below this strike their multiples in a block through strided slices.
+STRIDED_BELOW = 64
+
+
+@lru_cache(maxsize=None)
+def moduli(bits: int) -> tuple[int, ...]:
+    """The fewest of the largest primes below 2**31 whose product exceeds 2**bits.
+
+    Empty when that takes more than MAX_MODULI primes.  Each is proven prime
+    by deterministic Miller-Rabin (`core._is_prime`).
+    """
+    found: list[int] = []
+    product, candidate = 1, 2**31 - 1
+    while product <= 1 << bits:
+        if len(found) == MAX_MODULI:
+            return ()
+        while not _is_prime(candidate):
+            candidate -= 2
+        found.append(candidate)
+        product *= candidate
+        candidate -= 2
+    return tuple(found)
+
+
+def crt(residues, moduli: tuple[int, ...]) -> int:
+    """The n in [0, prod(moduli)) with n = residues[j] mod moduli[j] (Garner's method)."""
+    n, product = 0, 1
+    for r, q in zip(map(int, residues), moduli):
+        n += product * ((r - n) * pow(product, -1, q) % q)
+        product *= q
+    return n
+
+
+class Rows:
+    """Values of a sum of phi_k or g_k up to x, as rows of int64 residues or one exact row.
+
+    Every such sum, and every partial range of it, lies in [0, x**(k+1)), as
+    0 <= phi_k(n) <= n**k; and x**(k+1) < 2**((k+1) * bits(x)).  So the residues
+    modulo `moduli` of that many bits fix it, and `exact` rebuilds it.  When that
+    takes more than MAX_MODULI moduli, there is one row of exact Python ints.
+    """
+
+    def __init__(self, k: int, x: int):
+        self.moduli = moduli((k + 1) * x.bit_length())
+        self.mod = np.array(self.moduli, dtype=np.int64)[:, None] if self.moduli else None
+
+    def of(self, values: list[int]) -> np.ndarray:
+        """Exact integers as one row of residues per modulus, or as one exact row."""
+        if self.mod is None:
+            return np.array(values, dtype=object)[None, :]
+        residues = [[v % q for v in values] for q in self.moduli]
+        return np.array(residues, dtype=np.int64).reshape(self.mod.size, len(values))
+
+    def ones(self, size: int) -> np.ndarray:
+        return np.ones((len(self.moduli) or 1, size), dtype=np.int64 if self.moduli else object)
+
+    def polynomial(self, f: Callable[[int], int], k: int, t: np.ndarray) -> np.ndarray:
+        """Rows of f(t) at each entry of t, for f an integer polynomial of degree <= k.
+
+        An exact row holds f(t) itself.  Residues need no exact value: with D_i the
+        i-th difference of f at 1 .. k+1, f(t) = sum_i D_i C(t-1, i) (Newton's
+        forward form), taken innermost first as D_i + (t-1-i)/(i+1) * (...), each
+        division a product with an inverse modulo the prime modulus.
+        """
+        if self.mod is None:
+            return np.fromiter(map(f, t.tolist()), dtype=object, count=t.size)[None, :]
+        diffs, heads = [f(s) for s in range(1, k + 2)], []
+        while diffs:
+            heads.append(diffs[0])
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        table = self.ones(t.size)
+        for row, q in zip(table, self.moduli):
+            row[:] = heads[k] % q
+            for i in range(k - 1, -1, -1):
+                row *= (t - (i + 1)) % q
+                row %= q
+                row *= pow(i + 1, -1, q)
+                row += heads[i] % q
+                row %= q
+        return table
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """a reduced in place modulo the moduli, row by row (an exact row stays as it is)."""
+        if self.mod is not None:
+            a %= self.mod
+        return a
+
+    def exact(self, total: np.ndarray) -> int:
+        """The exact integer whose rows are the column `total`."""
+        return crt(total[:, 0], self.moduli) if self.moduli else int(total[0, 0])
+
+
+def blocks(lo: int, hi: int, size: int, sieve: tuple, rows: Rows, first: np.ndarray, again: np.ndarray):
+    """Yield (n, value) for lo..hi, `size` numbers at a time, with value[:, i] the rows of f(n[i]).
+
+    sieve = (primes, spf) up to at least hi: primes[j] is the j-th prime,
+    primes[0] = 1, and spf[n] is the index of n's smallest prime factor (0 at
+    n = 1).  f is multiplicative: f(p) = first[:, j] and f(p**(e+1)) =
+    f(p**e) * again[:, j] at p = primes[j], with first[:, 0] = f(1) = 1; `again`
+    needs the primes up to sqrt(hi) only.  Each prime below STRIDED_BELOW, and
+    each of its powers, strikes its multiples in the block through one strided
+    slice.  What is left of n then has fewer than log(n)/log(STRIDED_BELOW) prime
+    factors; the smallest one is peeled off through the sieve, round after round,
+    on the numbers not yet at 1.  Memory is a few blocks of rows.
+    """
+    primes, spf = sieve
+    strided = [(j, int(primes[j])) for j in range(1, int(np.searchsorted(primes, STRIDED_BELOW)))]
+    for start in range(lo, hi + 1, size):
+        n = np.arange(start, min(start + size, hi + 1))
+        value = rows.ones(n.size)
+        rest = n.copy()
+        for j, p in strided:
+            power, factor = p, first[:, j : j + 1]
+            while power <= n[-1]:
+                hit = slice(-start % power, None, power)
+                rest[hit] //= p
+                value[:, hit] *= factor
+                rows.reduce(value[:, hit])
+                power, factor = power * p, again[:, j : j + 1]
+        pos = spf[rest]  # the first round takes the whole block: spf[1] = 0 and f(1) = 1
+        for row, at_p in zip(value, first):
+            row *= at_p.take(pos)
+        rows.reduce(value)
+        rest //= primes[pos]
+        idx = np.flatnonzero(rest > 1)
+        rest, last = rest[idx], pos[idx]
+        while idx.size:
+            pos = spf[rest]
+            repeated = np.flatnonzero(pos == last)  # the round before peeled the same p
+            for row, at_p, at_repeat, q in zip(value, first, again, rows.moduli or (None,)):
+                factor = at_p.take(pos)  # per-row 1-D gathers: far cheaper than 2-D indexing
+                factor[repeated] = at_repeat.take(pos[repeated])
+                factor *= row[idx]
+                row[idx] = factor if q is None else factor - factor // q * q  # faster than % q
+            rest //= primes[pos]
+            left = rest > 1
+            idx, rest, last = idx[left], rest[left], pos[left]
+        yield n, value

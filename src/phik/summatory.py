@@ -1,19 +1,27 @@
 """Exact partial sums of phi_k and a rigorous enclosure of its average-order constant.
 
-Two independent summation routes (per-n sieve evaluation and Dirichlet
-convolution against exact power sums) must agree exactly.  The constant
-C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one float64 pass
-over p <= P, widened by a rounding bound proven in advance; the truncated product
-overestimates (every omitted factor is below 1), and the tail is bounded below
-via sum_{p > P} 1/p**2 <= 1/(P - 1).
+Two independent summation routes must agree exactly: per-n evaluation of
+phi_k(n) (`sum_phi_k_direct`) and the Dirichlet convolution phi_k = id_k * g_k
+summed against exact power sums S_k (`sum_phi_k_convolution`).  They share only
+the smallest-prime-factor sieve and `phik.residues`, its block walker and its
+rows: each per-n value is carried modulo the fewest of the largest primes below
+2**31 whose product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on
+every such sum, and one CRT rebuilds each exact total.  Where that would take
+more than `residues.MAX_MODULI` moduli, the walker carries one exact object row
+instead.
+
+The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
+float64 pass over p <= P, widened by a rounding bound proven in advance; the
+truncated product overestimates (every omitted factor is below 1), and the tail
+is bounded below via sum_{p > P} 1/p**2 <= 1/(P - 1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, isqrt
+from functools import lru_cache, partial
+from math import comb, isqrt, lcm
 from typing import TYPE_CHECKING, Callable
 
 from .core import BudgetExceededError, cap_workers, positive_int
@@ -123,65 +131,41 @@ def primes_up_to(limit: int) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np.ndarray:
-    """at_prime(k, p), an exact int, at each entry p of the prime table up to limit."""
-    import numpy as np
+    """at_prime(k, p) at each prime p of the prime table up to limit, as `Rows(k, limit)` rows.
+
+    The formulas for phi_k(p) and g_k(p) are integer polynomials of degree <= k in
+    p, valid at every integer t >= 1 (`Rows.polynomial`).  Entry 0, for
+    primes[0] = 1, holds f(1) = 1.
+    """
+    from .residues import Rows
 
     primes, _ = _spf_sieve(limit)
-    return np.fromiter((at_prime(k, p) for p in map(int, primes)), dtype=object, count=primes.size)
-
-
-def _peeled_blocks(lo: int, hi: int, limit: int):
-    """Split lo..hi into blocks of at most BLOCK numbers and peel each one.
-
-    Yields (n, rounds) per block.  Each round divides every n not yet
-    reduced to 1 by its smallest prime factor p, found in the sieve up to
-    limit, and yields (idx, pos, repeated): positions in the block, the
-    index of p in the prime table, and whether the round before peeled the
-    same p (so p**2 divides n).
-    """
-    import numpy as np
-
-    primes, spf = _spf_sieve(limit)
-
-    def rounds(n):
-        idx = np.flatnonzero(n > 1)
-        m, last = n[idx], 0
-        while idx.size:
-            pos = spf[m]
-            yield idx, pos, pos == last
-            m //= primes[pos]
-            left = m > 1
-            idx, m, last = idx[left], m[left], pos[left]
-
-    for start in range(lo, hi + 1, BLOCK):
-        n = np.arange(start, min(start + BLOCK, hi + 1))
-        yield n, rounds(n)
+    table = Rows(k, limit).polynomial(partial(at_prime, k), k, primes)
+    table[:, 0] = 1
+    return table
 
 
 def _direct_range_sum(args: tuple) -> int:
     """Sum phi_k(n) for lo <= n <= hi using a sieve up to x (worker-safe).
 
-    The numbers are taken BLOCK at a time.  As each n is peeled, phi_k(n)
-    gains a factor phi_k(p) for each new prime p and p**k for each repeated
-    one.  Memory is the sieve and the prime table up to x plus one block,
-    whatever the range.
+    phi_k(n) is built in `Rows(k, x)` rows by `residues.blocks`, from phi_k(p)
+    at each prime and p**k for each repeated one, and the block sums are rebuilt
+    into the exact total by one CRT.  Memory is the sieve and the prime table up
+    to x plus a few blocks, whatever the range.
     """
-    import numpy as np
+    from .residues import Rows, blocks
 
     k, lo, hi, x = args
+    rows = Rows(k, x)
     at_prime = _prime_values(_phi_k_prime_power, k, x)
-    primes, _ = _spf_sieve(x)
+    sieve = _spf_sieve(x)
     # a repeated prime is at most sqrt(x), and its index in the table is below it
-    prime_powers = primes[: isqrt(x) + 1].astype(object) ** k
-    total = 0
-    for n, rounds in _peeled_blocks(lo, hi, x):
-        value = np.ones(n.size, dtype=object)  # phi_k(1) = 1
-        for idx, pos, repeated in rounds:
-            factor = at_prime[pos]
-            factor[repeated] = prime_powers[pos[repeated]]
-            value[idx] *= factor
-        total += value.sum()
-    return total
+    again = rows.of([p**k for p in sieve[0][: isqrt(x) + 1].tolist()])
+    total = rows.of([0])
+    for _, value in blocks(lo, hi, BLOCK, sieve, rows, at_prime, again):
+        total += value.sum(axis=1, keepdims=True)
+        rows.reduce(total)
+    return rows.exact(total)
 
 
 def sum_phi_k_direct(
@@ -192,9 +176,12 @@ def sum_phi_k_direct(
 ) -> PartialSum:
     """Exact sum of phi_k(n) for n <= x, evaluating phi_k(n) at every n.
 
-    With workers > 1 the range is partitioned and reduced in range order,
-    so the total is identical regardless of worker count.  Workers are
-    capped at the usable CPUs and so that each gets more than 4 numbers.
+    Each n's value is a column of residues (or one exact value at large k), see
+    `residues.Rows` and `_direct_range_sum`.  With workers > 1 the range is
+    partitioned, each worker rebuilds its exact range sum, and the sums are added
+    in range order, so the total is identical regardless of worker count.
+    Workers are capped at the usable CPUs and so that each gets more than 4
+    numbers.
     """
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
@@ -220,31 +207,32 @@ def sum_phi_k_convolution(
     """Exact sum of phi_k(n) for n <= x via sum_{d <= x} g_k(d) * S_k(x // d).
 
     g_k(d), the product of g_k(p) = phi_k(p) - p**k over the primes of a
-    squarefree d and 0 otherwise, is built as d is peeled, BLOCK numbers at
-    a time.  It is summed over each run of equal quotients x // d in a
-    block, and S_k is evaluated once per distinct quotient (O(sqrt x)).
+    squarefree d and 0 otherwise, is built in `Rows(k, x)` rows by
+    `residues.blocks`.  It is summed over each run of equal quotients x // d in
+    a block; each run whose sum is not 0 in every row is multiplied by the rows
+    of S_k(x // d), evaluated once per run (O(sqrt x) runs).  One CRT rebuilds
+    the exact total.
     """
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit, "cutoff x")
     import numpy as np
 
+    from .residues import Rows, blocks
+
+    rows = Rows(k, x)
     g_at_prime = _prime_values(_g_k_prime, k, x)
-    power_sums: dict[int, int] = {}
-    total = 0
-    for d, rounds in _peeled_blocks(1, x, x):
-        g = np.ones(d.size, dtype=object)  # g_k(1) = 1
-        for idx, pos, repeated in rounds:
-            g[idx] *= np.where(repeated, 0, g_at_prime[pos])  # squareful d: g_k(d) = 0
+    squareful = rows.of([0] * (isqrt(x) + 1))  # g_k(d) = 0 once p**2 divides d
+    total = rows.of([0])
+    for d, g in blocks(1, x, BLOCK, _spf_sieve(x), rows, g_at_prime, squareful):
         q = x // d
         starts = np.flatnonzero(np.diff(q, prepend=0))
-        for quotient, g_sum in zip(q[starts].tolist(), np.add.reduceat(g, starts).tolist()):
-            if g_sum:
-                s = power_sums.get(quotient)
-                if s is None:
-                    s = power_sums[quotient] = faulhaber_sum(k, quotient)
-                total += g_sum * s
-    return PartialSum(k, x, total, "convolution")
+        g_sums = rows.reduce(np.add.reduceat(g, starts, axis=1))
+        live = np.flatnonzero((g_sums != 0).any(axis=0))  # a run summing to 0 adds 0
+        power_sums = rows.of([faulhaber_sum(k, m) for m in q[starts[live]].tolist()])
+        total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
+        rows.reduce(total)
+    return PartialSum(k, x, rows.exact(total), "convolution")
 
 
 # -- exact power sums -------------------------------------------------------
@@ -255,32 +243,43 @@ def _bernoulli(j: int) -> Fraction:
     # B_1 = -1/2 convention; sum_{i <= j} C(j+1, i) B_i = 0 pins each value
     if j == 0:
         return Fraction(1)
-    acc = sum(comb(j + 1, i) * _bernoulli(i) for i in range(j))
+    if j % 2 and j > 1:
+        return Fraction(0)
+    acc = sum(comb(j + 1, i) * _bernoulli(i) for i in range(j) if i == 1 or i % 2 == 0)
     return -Fraction(acc, j + 1)
 
 
 @lru_cache(maxsize=None)
-def _faulhaber_coeffs(k: int) -> tuple[Fraction, ...]:
-    # S_k(m) = 1/(k+1) * sum_{j=0}^{k} (-1)**j C(k+1, j) B_j m**(k+1-j)
-    return tuple(
-        Fraction((-1) ** j * comb(k + 1, j)) * _bernoulli(j) / (k + 1)
-        for j in range(k + 1)
-    )
+def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, ...]]:
+    """(D, a) with D * S_k(m) = a[0] m**(k+1) + a[1] m**k + ... + a[k] m.
+
+    S_k(m) = 1/(k+1) * sum_{j=0}^{k} (-1)**j C(k+1, j) B_j m**(k+1-j); D is the
+    least common denominator of those coefficients.
+    """
+    coeffs = [Fraction((-1) ** j * comb(k + 1, j)) * _bernoulli(j) / (k + 1) for j in range(k + 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, tuple(int(c * den) for c in coeffs)
 
 
 def faulhaber_sum(k: int, m: int) -> int:
-    """Exact 1**k + 2**k + ... + m**k via the Bernoulli-number polynomial."""
+    """Exact 1**k + 2**k + ... + m**k.
+
+    Up to m = k + 1 the powers are added; above, the Bernoulli-number
+    polynomial is evaluated in integers over one common denominator.
+    """
     if k < 0:
         raise ValueError(f"exponent k must be >= 0, got {k}")
     if m < 0:
         raise ValueError(f"upper limit m must be >= 0, got {m}")
-    if m == 0:
-        return 0
-    val = sum(
-        coeff * m ** (k + 1 - j) for j, coeff in enumerate(_faulhaber_coeffs(k))
-    )
-    assert val.denominator == 1
-    return int(val)
+    if m <= k + 1:
+        return sum(i**k for i in range(1, m + 1))
+    den, coeffs = _faulhaber_coeffs(k)
+    acc = 0
+    for a in coeffs:
+        acc = acc * m + a
+    total, rem = divmod(acc * m, den)
+    assert rem == 0
+    return total
 
 
 # -- the average-order constant ---------------------------------------------

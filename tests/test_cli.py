@@ -467,3 +467,19 @@ def test_answers_over_the_cap_are_refused(capsys, k, code):
         assert captured.out == "" and captured.err.startswith("budget refused:")
     else:
         assert len(captured.out.strip()) == 100000
+
+
+def test_large_k_convolution_is_quick_and_agrees_with_direct():
+    # every quotient x // d is at most k + 1, so no Bernoulli number is built
+    values = {}
+    for method in ("convolution", "both", "direct"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "phik.cli", "sum", "phi-k", "--k", "1000", "--x", "10",
+             "--method", method, "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        values[method] = json.loads(proc.stdout)["value"]
+    assert values["convolution"] == values["both"] == values["direct"]

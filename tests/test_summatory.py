@@ -19,6 +19,7 @@ from phik import (
     g_k,
     phi_k,
     primes_up_to,
+    residues,
     sum_phi_k_convolution,
     sum_phi_k_direct,
     summatory,
@@ -328,3 +329,63 @@ def test_sieve_refusals_name_the_quantity_and_the_limit():
         average_order_constant(2, 10**4, sieve_limit=5000)
     with pytest.raises(BudgetExceededError, match="cutoff x 2000 is above the sieve limit of 1000"):
         sum_phi_k_convolution(2, 2000, sieve_limit=1000)
+
+
+# -- rows of residues -----------------------------------------------------------
+
+
+# (k, x, number of moduli; 0 for one exact row): (k+1)*bits(x) = 30, 32, 64, 96, 128, 160,
+# 192, 224, 240 and 256; at k = 30 it is 31*bits(x) and crosses 186, 217 and 248
+ROWS_CASES = [
+    (1, 2**15 - 1, 1), (1, 2**15, 2), (3, 40000, 3), (5, 40000, 4), (7, 40000, 5),
+    (9, 40000, 6), (11, 40000, 7), (13, 40000, 8), (14, 3 * BLOCK, 8), (15, 40000, 0),
+    (30, 63, 7), (30, 64, 8), (30, 127, 8), (30, 128, 0),
+]
+
+
+@pytest.mark.parametrize("k, x, moduli", ROWS_CASES)
+def test_routes_match_running_sum_in_every_number_of_rows(k, x, moduli):
+    assert len(residues.Rows(k, x).moduli) == moduli
+    expected = _running_sums(k)[x] if k < 30 else sum(phi_k(k, n) for n in range(1, x + 1))
+    assert sum_phi_k_direct(k, x).value == expected
+    assert sum_phi_k_convolution(k, x).value == expected
+
+
+@pytest.mark.parametrize("at_prime", [summatory._phi_k_prime_power, summatory._g_k_prime])
+@pytest.mark.parametrize("k, x", [(1, 1000), (2, 5000), (5, 5000), (13, 3000), (40, 300)])
+def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
+    summatory._prime_values.cache_clear()
+    table = summatory._prime_values(at_prime, k, x)
+    moduli = residues.Rows(k, x).moduli
+    primes = primes_up_to(x)
+    exact = [at_prime(k, p) for p in primes]
+    if moduli:
+        assert table[:, 1:].tolist() == [[v % q for v in exact] for q in moduli]
+    else:
+        assert table[0, 1:].tolist() == exact
+
+
+@pytest.mark.parametrize("k", [3, 15])
+def test_error_rows_match_direct_sums_in_rows_and_in_exact_row(k):
+    grid = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+    assert bool(residues.Rows(k, grid[-1]).moduli) == (k == 3)
+    rows = error_term_rows(k, grid, prime_bound=10**4)
+    assert [row.total for row in rows] == [sum_phi_k_direct(k, x).value for x in grid]
+
+
+def test_parallel_matches_serial_over_several_moduli():
+    assert len(residues.Rows(5, 40000).moduli) >= 3
+    assert sum_phi_k_direct(5, 40000, workers=2).value == sum_phi_k_direct(5, 40000).value
+
+
+@pytest.mark.parametrize("k", [5, 20, 64])
+def test_faulhaber_both_sides_of_the_direct_cutoff(k):
+    # up to m = k + 1 the powers are added; above, the Bernoulli polynomial is used
+    for m in range(k - 1, k + 5):
+        assert faulhaber_sum(k, m) == sum(i**k for i in range(1, m + 1)), (k, m)
+
+
+def test_faulhaber_needs_no_bernoulli_numbers_up_to_k_plus_one():
+    summatory._bernoulli.cache_clear()
+    assert faulhaber_sum(1000, 1001) == sum(i**1000 for i in range(1, 1002))
+    assert summatory._bernoulli.cache_info().currsize == 0
