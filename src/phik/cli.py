@@ -5,28 +5,32 @@ printed), 2 usage or domain error, 3 budget refusal.  JSON output encodes
 every exact integer as a decimal string, since values outgrow doubles.
 
 Every subcommand is one row of COMMANDS.  Rows name library functions as
-"module.function" and look them up when the command runs, so a function
-replaced on its module (for instance by a tracer) is the one that is called.
+"module.function", and a module is imported when a row that uses it runs, so
+a process loads only what its command needs, and a function replaced on its
+module (for instance by a tracer) is the one that is called.  The parser is
+built as far as argv reaches: every group and top-level row, but the leaves
+of one group only.  main() also keeps numpy's OpenBLAS from starting a thread
+pool (phik calls no BLAS routine) unless OPENBLAS_NUM_THREADS is already set.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Union
+from importlib import import_module
+from typing import Callable, NamedTuple, Sequence, Union
 
-from . import core, menon, summatory, totients
-from .core import DEFAULT_ORACLE_BUDGET, BudgetExceededError
-from .summatory import DEFAULT_PRIME_BOUND, DEFAULT_SIEVE_LIMIT
+from .core import (
+    DEFAULT_ORACLE_BUDGET,
+    DEFAULT_PRIME_BOUND,
+    DEFAULT_SIEVE_LIMIT,
+    BudgetExceededError,
+)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-MODULES = {"core": core, "menon": menon, "summatory": summatory, "totients": totients}
 
 GROUPS = {
     "eval": "closed-form evaluation",
@@ -41,15 +45,14 @@ M_ORACLE_HELP = "test the sum against m instead of n (m not dividing n is experi
 MAX_PRINTED_DIGITS = 10**5
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: where it sits, what it may print, the flags its handler reads.
 
     `flags` name entries of `_flag_specs()`, optionally as (name, overrides).
     `formats` are the allowed --format values, the first being the default.
     `fn` is the row's library call: for value rows a "module.function" name,
     or a callable picking one from the parsed arguments; for verify rows a
-    callable returning the reports.
+    callable of (the `menon` module, the arguments) returning the reports.
     """
 
     path: tuple[str, ...]
@@ -82,8 +85,9 @@ def _flag_specs() -> dict[str, dict]:
 
 
 def _library(name: str):
+    """The library function named "module.function", importing its module if need be."""
     module, attr = name.split(".")
-    return getattr(MODULES[module], attr)
+    return getattr(import_module(f"{__package__}.{module}"), attr)
 
 
 def _emit(args, text: str) -> None:
@@ -95,6 +99,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload) -> None:
+    import json
+
     _emit(args, json.dumps(payload, indent=2))
 
 
@@ -120,7 +126,7 @@ def _cmd_value(cmd: Command, args) -> int:
         name = flag if isinstance(flag, str) else flag[0]
         value = getattr(args, name)
         if name != "method" and value is not None:
-            params[name] = menon.parse_function_spec(value) if name == "f" else value
+            params[name] = _library("menon.parse_function_spec")(value) if name == "f" else value
     value = _library(cmd.fn(args) if callable(cmd.fn) else cmd.fn)(**params)
     _check_printable(value)
     if args.format == "json":
@@ -156,7 +162,9 @@ def _report_lines(report) -> list[str]:
 
 def _cmd_verify(cmd: Command, args) -> int:
     """Run the row's sweeps; exit 1 on any failure, else 3 when any sweep skipped."""
-    reports = cmd.fn(args)
+    from . import menon
+
+    reports = cmd.fn(menon, args)
     if args.format == "json":
         payload = [report.as_dict() for report in reports]
         _emit_json(args, payload if len(payload) > 1 else payload[0])
@@ -177,6 +185,8 @@ def _cmd_verify(cmd: Command, args) -> int:
 
 
 def _cmd_sum_phi_k(cmd: Command, args) -> int:
+    from . import summatory
+
     if args.format == "csv":  # the enclosure is cheap: refuse a bad prime bound before any sum
         enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
     results = []
@@ -212,6 +222,8 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
 
 
 def _cmd_constant(cmd: Command, args) -> int:
+    from . import summatory
+
     enclosure = summatory.average_order_constant(args.k, args.prime_bound)
     if args.format == "json":
         _emit_json(args, enclosure.as_dict())
@@ -225,6 +237,8 @@ def _cmd_constant(cmd: Command, args) -> int:
 
 
 def _cmd_error_table(cmd: Command, args) -> int:
+    from . import summatory
+
     try:
         grid = [int(part) for part in args.x_grid.split(",") if part.strip()]
     except ValueError:
@@ -262,20 +276,20 @@ COMMANDS = (
             ("k", "n", "f", "budget"), fn="menon.gcd_sum_lhs_oracle"),
     Command(("verify", "menon"), "gcd-sum identity, arbitrary f", _cmd_verify,
             ("k-max", "n-max", "f", "budget", "workers"),
-            fn=lambda a: [menon.verify_sweep("menon_general", a.k_max, a.n_max, a.f,
-                                             budget=a.budget, workers=a.workers)]),
+            fn=lambda menon, a: [menon.verify_sweep("menon_general", a.k_max, a.n_max, a.f,
+                                                    budget=a.budget, workers=a.workers)]),
     Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", _cmd_verify,
             (("n-max", dict(default=60)), "budget", "workers"),
-            fn=lambda a: [menon.verify_sweep("sita_ramaiah", n_max=a.n_max,
-                                             budget=a.budget, workers=a.workers)]),
+            fn=lambda menon, a: [menon.verify_sweep("sita_ramaiah", n_max=a.n_max,
+                                                    budget=a.budget, workers=a.workers)]),
     Command(("verify", "nageswara-rao"), "joint-gcd power identity", _cmd_verify,
             ("k-max", "n-max", "budget", "workers"),
-            fn=lambda a: [menon.verify_sweep("nageswara_rao", a.k_max, a.n_max,
-                                             budget=a.budget, workers=a.workers)]),
+            fn=lambda menon, a: [menon.verify_sweep("nageswara_rao", a.k_max, a.n_max,
+                                                    budget=a.budget, workers=a.workers)]),
     Command(("verify", "lemmas"), "residue-class counts and N_k machinery", _cmd_verify,
             ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget"),
-            fn=lambda a: [menon.lemma_sweep(a.n_max, a.budget),
-                          menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
+            fn=lambda menon, a: [menon.lemma_sweep(a.n_max, a.budget),
+                                 menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
     Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_sum_phi_k,
             ("k", "x", "sieve-limit", "prime-bound", "workers",
              ("method", dict(choices=("direct", "convolution", "both"), default="direct"))),
@@ -287,7 +301,14 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The phik parser: every group and top-level row, and the leaf rows of the group argv names.
+
+    Without argv, every group's leaves are built.  argparse reads the first word
+    of argv not starting with "-" as the group, so help and error texts are those
+    of the full parser.
+    """
+    reached = next((word for word in argv or () if not word.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="phik",
         description="Exact arithmetic for the k-dimensional totient, its "
@@ -303,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
             if group not in groups:
                 p_group = sub.add_parser(group, help=GROUPS[group])
                 groups[group] = p_group.add_subparsers(dest="target", required=True)
+            if argv is not None and group != reached:
+                continue
             parent = groups[group]
         p = parent.add_parser(cmd.path[-1], help=cmd.help)
         for flag in cmd.flags:
@@ -318,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # the limit exists from Python 3.10.7
         sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
-    args = build_parser().parse_args(argv)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler imports numpy
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     cmd = args.command
     try:
         if args.format not in cmd.formats:

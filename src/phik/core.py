@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 ArithValue = Union[int, Fraction]
 ArithFn = Union["MultiplicativeFunction", Callable[[int], ArithValue], Mapping[int, ArithValue]]
@@ -23,6 +22,11 @@ class BudgetExceededError(Exception):
 
 # Default cap on oracle work, priced in the tuples a definition ranges over (n**k per call).
 DEFAULT_ORACLE_BUDGET = 10**8
+
+# SPF arrays are int32: 4 bytes per entry, so this caps a sieve near 128 MiB.
+DEFAULT_SIEVE_LIMIT = 1 << 25
+
+DEFAULT_PRIME_BOUND = 10**6
 
 
 def positive_int(value, name: str) -> int:
@@ -67,8 +71,7 @@ def check_budget(cost: int, budget: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Canonical prime-power decomposition: n = prod p**e, primes increasing."""
 
     n: int
@@ -242,8 +245,7 @@ def divisors(f: Factorization | int) -> list[int]:
     return sorted(divs)
 
 
-@dataclass(frozen=True)
-class MultiplicativeFunction:
+class MultiplicativeFunction(NamedTuple):
     """Arithmetic function f with f(1) = 1, defined by its prime-power values.
 
     `prime_power_rule(p, e)` gives f(p**e) for e >= 1; the value at any n is

@@ -10,13 +10,11 @@ definition with the kernel of `totients` (`fold_counts`, `unit_sum_counts`).
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
@@ -161,8 +159,7 @@ def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_
 FSpecInput = Union[str, Mapping, MultiplicativeFunction, Callable[[int], ArithValue], "FunctionSpec"]
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     """An arithmetic function f, plus (optionally) precomputed (mu * f) values.
 
     When `mu_fn` is given, the closed-form side of the gcd-sum identity uses
@@ -214,6 +211,8 @@ def _parse_table(data: Mapping, label: str) -> FunctionSpec:
 
 @lru_cache(maxsize=64)
 def _load_table_file(path: str) -> FunctionSpec:
+    import json
+
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -338,8 +337,7 @@ def nageswara_rao_lhs_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET
 # -- identity verification and sweeps ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One verified identity instance: parameters and both exact sides."""
 
     params: tuple[tuple[str, object], ...]
@@ -361,8 +359,7 @@ class Instance:
         return out
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of an identity sweep; `failures` empty iff every lhs = rhs.
 
     A sweep that had to skip instances (budget) is `partial`, never silent.
@@ -370,11 +367,29 @@ class IdentityReport:
 
     identity: str
     swept: dict
-    checked: int = 0
-    trivial_zeros: int = 0
-    instances: list[Instance] = field(default_factory=list)
-    failures: list[Instance] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
+    checked: int
+    trivial_zeros: int
+    instances: list[Instance]
+    failures: list[Instance]
+    skipped: list[dict]
+
+    @classmethod
+    def of(cls, identity: str, swept: dict, results: Iterable[Union[Instance, dict]],
+           keep_instances: bool = True) -> IdentityReport:
+        """The report on a sweep's results: checked instances and skip records, in order."""
+        checked = trivial_zeros = 0
+        instances, failures, skipped = [], [], []
+        for result in results:
+            if isinstance(result, dict):
+                skipped.append(result)
+                continue
+            checked += 1
+            trivial_zeros += result.trivial_zero
+            if keep_instances:
+                instances.append(result)
+            if not result.ok:
+                failures.append(result)
+        return cls(identity, swept, checked, trivial_zeros, instances, failures, skipped)
 
     @property
     def partial(self) -> bool:
@@ -383,15 +398,6 @@ class IdentityReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def record(self, inst: Instance, keep_instances: bool = True) -> None:
-        self.checked += 1
-        if inst.trivial_zero:
-            self.trivial_zeros += 1
-        if keep_instances:
-            self.instances.append(inst)
-        if not inst.ok:
-            self.failures.append(inst)
 
     def as_dict(self) -> dict:
         return {
@@ -477,7 +483,6 @@ def verify_sweep(
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
     if kind in ("menon_general", "menon_gcd"):
         swept["f"] = spec.label
-    report = IdentityReport(kind, swept)
     source = spec if workers == 1 else spec.source
     cells = [(kind, k, n, source, budget) for k in ks for n in range(1, n_max + 1)]
     if workers > 1 and source is None:
@@ -492,12 +497,7 @@ def verify_sweep(
             results = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:
         results = [_sweep_cell(cell) for cell in cells]
-    for result in results:
-        if isinstance(result, dict):
-            report.skipped.append(result)
-        else:
-            report.record(result)
-    return report
+    return IdentityReport.of(kind, swept, results)
 
 
 def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> IdentityReport:
@@ -516,23 +516,23 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
         if cost > budget:
             break
     check_budget(cost, budget, f"lemma sweep to n_max={n_max}: its checks up to n={n}")
-    report = IdentityReport("lemmas", {"n": f"1..{n_max}", "residues": "all"})
 
-    def check(params: tuple, counts: tuple[int, int]) -> None:
-        report.record(Instance(params, *counts, counts[0] == counts[1]), keep_instances=False)
-
-    for n in range(1, n_max + 1):
-        divs = divisors(n)
-        for d in divs:
-            for r in range(d):
-                check((("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)),
-                      count_units_in_class(n, d, r))
-            for e in divs:
+    def counts():
+        for n in range(1, n_max + 1):
+            divs = divisors(n)
+            for d in divs:
                 for r in range(d):
-                    for s in range(e):
-                        check((("lemma", "two_congruences"), ("n", n), ("d", d), ("e", e),
-                               ("r", r), ("s", s)), count_units_in_two_classes(n, d, e, r, s))
-    return report
+                    yield ((("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)),
+                           count_units_in_class(n, d, r))
+                for e in divs:
+                    for r in range(d):
+                        for s in range(e):
+                            yield ((("lemma", "two_congruences"), ("n", n), ("d", d), ("e", e),
+                                    ("r", r), ("s", s)), count_units_in_two_classes(n, d, e, r, s))
+
+    checks = (Instance(params, *pair, pair[0] == pair[1]) for params, pair in counts())
+    swept = {"n": f"1..{n_max}", "residues": "all"}
+    return IdentityReport.of("lemmas", swept, checks, keep_instances=False)
 
 
 def n_k_sweep(
@@ -545,34 +545,30 @@ def n_k_sweep(
     """
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
-    report = IdentityReport("n_k_machinery", {"k": f"1..{k_max}", "n": f"1..{n_max}"})
-    for k in range(1, k_max + 1):
-        for n in range(1, n_max + 1):
-            divs = divisors(n)
-            pairs = [(d, delta) for d in divs for delta in divs]
-            try:
-                brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
-            except BudgetExceededError:
-                reason = f"phi(n)**k over budget {budget}"
-                report.skipped.append({"k": str(k), "n": str(n), "reason": reason})
-                continue
-            for (d, delta), brute in zip(pairs, brutes):
-                closed = n_k(k, n, d, delta)
-                ok = brute == closed
-                detail = None
-                if gcd(d, delta) > 1:
-                    ok = ok and closed == 0
-                elif k >= 2:
-                    rec = n_k_recursion(k, n, d, delta)
-                    ok = ok and rec == closed
-                    if rec != closed:
-                        detail = f"recursion = {rec}"
-                inst = Instance(
-                    (("k", k), ("n", n), ("d", d), ("delta", delta)),
-                    brute,
-                    closed,
-                    ok,
-                    detail=detail,
-                )
-                report.record(inst, keep_instances=False)
-    return report
+
+    def results():
+        for k in range(1, k_max + 1):
+            for n in range(1, n_max + 1):
+                divs = divisors(n)
+                pairs = [(d, delta) for d in divs for delta in divs]
+                try:
+                    brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
+                except BudgetExceededError:
+                    yield {"k": str(k), "n": str(n), "reason": f"phi(n)**k over budget {budget}"}
+                    continue
+                for (d, delta), brute in zip(pairs, brutes):
+                    closed = n_k(k, n, d, delta)
+                    ok = brute == closed
+                    detail = None
+                    if gcd(d, delta) > 1:
+                        ok = ok and closed == 0
+                    elif k >= 2:
+                        rec = n_k_recursion(k, n, d, delta)
+                        ok = ok and rec == closed
+                        if rec != closed:
+                            detail = f"recursion = {rec}"
+                    yield Instance((("k", k), ("n", n), ("d", d), ("delta", delta)),
+                                   brute, closed, ok, detail=detail)
+
+    swept = {"k": f"1..{k_max}", "n": f"1..{n_max}"}
+    return IdentityReport.of("n_k_machinery", swept, results(), keep_instances=False)

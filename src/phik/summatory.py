@@ -24,16 +24,17 @@ from functools import lru_cache, partial
 from math import comb, isqrt, lcm
 from typing import TYPE_CHECKING, Callable
 
-from .core import BudgetExceededError, cap_workers, positive_int
+from .core import (
+    DEFAULT_PRIME_BOUND,
+    DEFAULT_SIEVE_LIMIT,
+    BudgetExceededError,
+    cap_workers,
+    positive_int,
+)
 from .totients import _g_k_prime, _phi_k_prime_power
 
 if TYPE_CHECKING:
     import numpy as np
-
-# SPF arrays are int32: 4 bytes per entry, so this caps a sieve near 128 MiB.
-DEFAULT_SIEVE_LIMIT = 1 << 25
-
-DEFAULT_PRIME_BOUND = 10**6
 
 # Numbers per block of the vectorized sums; besides the sieve and the prime table,
 # their memory is one block, whatever x is.

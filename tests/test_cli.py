@@ -2,12 +2,13 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from phik.cli import main
+from phik.cli import COMMANDS, build_parser, main
 
 
 def run_cli(*argv):
@@ -483,3 +484,100 @@ def test_large_k_convolution_is_quick_and_agrees_with_direct():
         assert proc.returncode == 0, proc.stderr
         values[method] = json.loads(proc.stdout)["value"]
     assert values["convolution"] == values["both"] == values["direct"]
+
+
+# -- the parser surface: built along argv, the same texts as the full parser -----
+
+TOP_ROWS = {
+    "eval": "closed-form evaluation",
+    "oracle": "counts from the definitions",
+    "verify": "identity sweeps against oracles",
+    "sum": "exact partial sums",
+    "constant": "enclose the average-order constant C_k",
+    "error-table": "exact sums against the main term",
+}
+LEAVES = {
+    "eval": {"phi-k": "phi_k(n)", "phi-k-nm": "two-parameter phi_k(n, m)",
+             "g-k": "convolution factor g_k(n)", "n-k": "unit-tuple count N_k(n, d, delta)",
+             "jordan": "Jordan totient J_k(n)"},
+    "oracle": {"phi-k": "phi_k(n) counted from the definition",
+               "n-k": "N_k(n, d, delta) counted over unit tuples",
+               "menon-lhs": "gcd sum over admissible tuples"},
+    "verify": {"menon": "gcd-sum identity, arbitrary f",
+               "sita-ramaiah": "k = 2 gcd-sum specialization",
+               "nageswara-rao": "joint-gcd power identity",
+               "lemmas": "residue-class counts and N_k machinery"},
+    "sum": {"phi-k": "sum of phi_k(n) for n <= x"},
+}
+
+
+def cli_exit(capsys, *argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def lists_rows(text: str, rows: dict) -> bool:
+    return all(re.search(rf"^ +{re.escape(name)} +{re.escape(help)}$", text, re.M)
+               for name, help in rows.items())
+
+
+def test_top_level_help_lists_every_group_and_row(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = cli_exit(capsys, "--help")
+    assert code == 0 and lists_rows(out, TOP_ROWS)
+    assert "{eval,oracle,verify,sum,constant,error-table}" in out
+
+
+@pytest.mark.parametrize("group", sorted(LEAVES))
+def test_group_help_lists_every_leaf(capsys, monkeypatch, group):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = cli_exit(capsys, group, "--help")
+    assert code == 0 and lists_rows(out, LEAVES[group])
+    assert out.startswith(f"usage: phik {group} [-h] {{{','.join(LEAVES[group])}}} ...")
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: " ".join(cmd.path))
+def test_leaf_help_lists_its_flags_and_formats(capsys, monkeypatch, cmd):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = cli_exit(capsys, *cmd.path, "--help")
+    assert code == 0 and out.startswith(f"usage: phik {' '.join(cmd.path)} [-h]")
+    for flag in cmd.flags:
+        assert f"--{flag if isinstance(flag, str) else flag[0]}" in out
+    assert "--format {plain,json,csv}" in out and "--out OUT" in out
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (("bogus",), TOP_ROWS),
+    (("eval", "bogus"), LEAVES["eval"]),
+    (("verify", "bogus", "--n-max", "3"), LEAVES["verify"]),
+    (("sum", "bogus"), LEAVES["sum"]),
+])
+def test_invalid_choices_exit_2_naming_every_choice(capsys, argv, choices):
+    code, out, err = cli_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    message = err.split("invalid choice: 'bogus'", 1)[1]
+    assert all(name in message for name in choices)
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (("eval", "phi-k", "--k", "2"), "--n"),
+    (("constant",), "--k"),
+    (("error-table", "--k", "2"), "--x-grid"),
+    (("eval",), "target"),
+    ((), "cmd"),
+])
+def test_missing_arguments_exit_2(capsys, argv, missing):
+    code, out, err = cli_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"the following arguments are required: {missing}" in err
+
+
+def test_full_parser_holds_every_leaf():
+    parser = build_parser()
+    for cmd in COMMANDS:
+        required = [token for flag in cmd.flags if isinstance(flag, str)
+                    and flag in ("k", "n", "m", "d", "delta", "x", "x-grid")
+                    for token in (f"--{flag}", "1")]
+        assert parser.parse_args([*cmd.path, *required]).command is cmd
