@@ -20,10 +20,10 @@ _EXPORTS = {
         "DEFAULT_SIEVE_LIMIT", "Factorization", "MultiplicativeFunction", "dirichlet_convolve",
         "divisors", "epsilon_mf", "euler_phi", "eval_mf", "factorize", "id_k_mf", "id_mf",
         "jordan_mf", "jordan_totient", "mobius", "mobius_mf", "mobius_transform", "one_mf",
-        "phi_mf", "piltz_mf", "pointwise_eval", "tau", "tau_mf",
+        "phi_mf", "piltz_mf", "tau", "tau_mf",
     ),
     "totients": (
-        "alternating_unit_sum", "g_k", "g_k_mf", "phi_k", "phi_k_mf", "phi_k_nm",
+        "g_k", "g_k_mf", "phi_k", "phi_k_mf", "phi_k_nm",
         "phi_k_nm_oracle", "phi_k_nm_recursion", "phi_k_oracle",
     ),
     "menon": (

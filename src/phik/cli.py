@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from importlib import import_module
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -102,6 +103,10 @@ def _emit_json(args, payload) -> None:
     import json
 
     _emit(args, json.dumps(payload, indent=2))
+
+
+def _warning_line(message, *_) -> None:  # replaces warnings.showwarning
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _check_printable(value) -> None:
@@ -348,7 +353,9 @@ def main(argv=None) -> int:
     try:
         if args.format not in cmd.formats:
             raise ValueError(f"{args.format} output is not defined for this subcommand")
-        return cmd.handler(cmd, args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return cmd.handler(cmd, args)
     except BudgetExceededError as exc:
         # the only budget of a subcommand taking --sieve-limit is that limit
         hint = "; pass a larger --sieve-limit to override" if "sieve-limit" in cmd.flags else ""

@@ -1,18 +1,20 @@
 """Integer factorization, divisors, and multiplicative arithmetic functions.
 
-All values are exact: integers or `fractions.Fraction`, never floats.
-Functions here are pure and safe to call concurrently.
+All values are exact: integers, or the `Fraction`s a caller's function
+returns, never floats.  Functions here are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
 import operator
 import os
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Union
 
-ArithValue = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+ArithValue = Union[int, "Fraction"]
 ArithFn = Union["MultiplicativeFunction", Callable[[int], ArithValue], Mapping[int, ArithValue]]
 
 
@@ -62,13 +64,20 @@ def cap_workers(workers: int, tasks: int) -> int:
     return max(1, min(workers, cpus, tasks))
 
 
-def check_budget(cost: int, budget: int, what: str) -> None:
-    """Refuse an enumeration that would visit more than `budget` tuples."""
+def check_budget(cost: int, budget: int, what: str, unit: str = "tuples") -> None:
+    """Refuse an enumeration that would visit more than `budget` tuples (or other units)."""
     if cost > budget:
         raise BudgetExceededError(
-            f"{what} would visit {cost} tuples, over the budget of {budget}; "
+            f"{what} would visit {cost} {unit}, over the budget of {budget}; "
             f"raise the budget explicitly to force the computation"
         )
+
+
+def exact_div(a: int, b: int) -> int:
+    """a / b where b is known to divide a."""
+    q, r = divmod(a, b)
+    assert r == 0
+    return q
 
 
 class Factorization(NamedTuple):
@@ -264,9 +273,8 @@ def eval_mf(f: MultiplicativeFunction, n: int) -> ArithValue:
     val: ArithValue = 1
     for p, e in fac.factors:
         val *= f.prime_power_rule(p, e)
-    if isinstance(val, Fraction) and val.denominator == 1:
-        return int(val)
-    return val
+    # an integral Fraction comes back as an int; ints pass through unchanged
+    return int(val) if getattr(val, "denominator", None) == 1 else val
 
 
 def dirichlet_convolve(
@@ -316,38 +324,23 @@ def piltz_mf(j: int) -> MultiplicativeFunction:
 
 @lru_cache(maxsize=1 << 16)
 def euler_phi(n: int) -> int:
-    return int(eval_mf(phi_mf, n))
+    return eval_mf(phi_mf, n)
 
 
 @lru_cache(maxsize=1 << 16)
 def mobius(n: int) -> int:
-    return int(eval_mf(mobius_mf, n))
+    return eval_mf(mobius_mf, n)
 
 
 def jordan_totient(k: int, n: int) -> int:
-    return int(eval_mf(jordan_mf(k), n))
+    return eval_mf(jordan_mf(k), n)
 
 
 def tau(n: int) -> int:
-    return int(eval_mf(tau_mf, n))
+    return eval_mf(tau_mf, n)
 
 
 # -- arbitrary (possibly non-multiplicative) functions --------------------
-
-
-def as_arith_fn(f: ArithFn) -> Callable[[int], ArithValue]:
-    """Normalize a function spec (callable, registry instance, or value table).
-
-    Tables are divisor-indexed maps; a lookup outside the table is a domain
-    error, never a silent default.
-    """
-    if isinstance(f, MultiplicativeFunction):
-        return f
-    if isinstance(f, Mapping):
-        return table_lookup({int(k): v for k, v in f.items()})
-    if callable(f):
-        return f
-    raise ValueError(f"cannot interpret {f!r} as an arithmetic function")
 
 
 def table_lookup(
@@ -364,14 +357,9 @@ def table_lookup(
     return lookup
 
 
-def pointwise_eval(f: ArithFn, n: int) -> ArithValue:
-    """Evaluate an arbitrary arithmetic function at n."""
-    return as_arith_fn(f)(n)
-
-
 def mobius_transform(f: ArithFn, d: int) -> ArithValue:
-    """(mu * f)(d) = sum over j | d of mu(d/j) f(j); f need not be multiplicative."""
-    fn = as_arith_fn(f)
+    """(mu * f)(d) = sum over j | d of mu(d/j) f(j), f a callable or a divisor-indexed table."""
+    fn = table_lookup({int(j): v for j, v in f.items()}) if isinstance(f, Mapping) else f
     total: ArithValue = 0
     for j in divisors(d):
         m = mobius(d // j)

@@ -5,15 +5,16 @@ phi_k(n) admissible tuples equals phi_k(n) * sum_{d | n} (mu*f)(d)/phi(d)
 for any arithmetic function f.  With f = id the divisor sum collapses to
 tau(n).  Supporting pieces: counts of units in one or two residue classes,
 and N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and
-0 mod delta.  Every closed form has an oracle next to it, counting from the
-definition with the kernel of `totients` (`fold_counts`, `unit_sum_counts`).
+0 mod delta; `n_k` divides the two-parameter totients exactly, and
+`n_k_recursion` never calls them.  Every closed form has an oracle next to it,
+counting from the definition with the kernel of `totients` (`fold_counts`,
+`unit_sum_counts`).
 """
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .core import (
@@ -25,6 +26,7 @@ from .core import (
     check_budget,
     divisors,
     euler_phi,
+    exact_div,
     factorize,
     jordan_totient,
     mobius,
@@ -34,15 +36,9 @@ from .core import (
     table_lookup,
     tau,
 )
-from .totients import alternating_unit_sum, fold_counts, phi_k, unit_sum_counts, units_mod
+from .totients import fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
 
 IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
-
-
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    assert r == 0
-    return q
 
 
 # -- counting units in residue classes -------------------------------------
@@ -55,7 +51,7 @@ def count_units_in_class(n: int, d: int, r: int) -> tuple[int, int]:
     """
     d = positive_divisor(d, n, "d")
     count = sum(c for t, c in unit_sum_counts(1, n, d) if t == r % d)
-    predicted = _exact_div(euler_phi(n), euler_phi(d)) if gcd(r, d) == 1 else 0
+    predicted = exact_div(euler_phi(n), euler_phi(d)) if gcd(r, d) == 1 else 0
     return count, predicted
 
 
@@ -73,7 +69,7 @@ def count_units_in_two_classes(
     count = sum(c for t, c in residues if t % d == r % d and t % e == s % e)
     g = gcd(d, e)
     if gcd(r, d) == 1 and gcd(s, e) == 1 and (r - s) % g == 0:
-        return count, _exact_div(euler_phi(n) * g, euler_phi(d * e))
+        return count, exact_div(euler_phi(n) * g, euler_phi(d * e))
     return count, 0
 
 
@@ -83,9 +79,8 @@ def count_units_in_two_classes(
 def n_k(k: int, n: int, d: int, delta: int) -> int:
     """Closed form for N_k(n, d, delta); returns 0 when gcd(d, delta) > 1.
 
-    For k >= 2 and gcd(d, delta) = 1:
-    phi(n)**k / (phi(d) phi(delta)) times alternating unit sums of length k
-    over primes dividing d and length k-1 over primes dividing delta.
+    For k >= 2 and gcd(d, delta) = 1 it is one exact division:
+    phi_k(n, d) phi_{k-1}(n, delta) / (phi(n)**(k-1) phi(d) phi(delta)).
     """
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
@@ -96,20 +91,19 @@ def n_k(k: int, n: int, d: int, delta: int) -> int:
     if k == 1:
         # a single unit sums to itself: a = 1 (mod d) picks one class,
         # a = 0 (mod delta) is impossible for a unit unless delta = 1
-        return _exact_div(euler_phi(n), euler_phi(d)) if delta == 1 else 0
-    val = Fraction(euler_phi(n)) ** k / (euler_phi(d) * euler_phi(delta))
-    for p in factorize(d).primes():
-        val *= alternating_unit_sum(k, p)
-    for p in factorize(delta).primes():
-        val *= alternating_unit_sum(k - 1, p)
-    assert val.denominator == 1
-    return int(val)
+        return exact_div(euler_phi(n), euler_phi(d)) if delta == 1 else 0
+    return exact_div(phi_k_nm(k, n, d) * phi_k_nm(k - 1, n, delta),
+                     euler_phi(n) ** (k - 1) * euler_phi(d) * euler_phi(delta))
 
 
-def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
+def n_k_recursion(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """N_k by the literal recursion over Moebius-weighted divisor pairs.
 
-    Requires k >= 2 and gcd(d, delta) = 1; bottoms out at the k = 1 count.
+    N_k(n, d, delta) = phi(n) / (phi(d) phi(delta)) * sum over j | d, t | delta of
+    mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  Requires k >= 2 and
+    gcd(d, delta) = 1, so a pair is one squarefree s = j t: mu(j) mu(t) = mu(s), and
+    phi(j) phi(t) = phi(s).  Levels are built upwards over all s, priced at
+    k * 3**omega(d delta) steps.
     """
     k = positive_int(k, "tuple length k")
     if k < 2:
@@ -121,27 +115,19 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
         raise ValueError(
             f"recursion path requires gcd(d, delta) = 1, got d={d}, delta={delta}"
         )
-    val = _n_k_rec(k, n, d, delta)
-    assert val.denominator == 1
-    return int(val)
+    primes = factorize(d).primes() + factorize(delta).primes()
+    check_budget(k * 3 ** len(primes), budget, f"N_{k}(n, {d}, {delta}) recursion", "divisor steps")
+    phi_n = euler_phi(n)
+    rad = prod(primes)
+    # N_1(n, j, t): a unit is 1 mod j, and 0 mod t only when t = 1
+    level = {s: exact_div(phi_n, euler_phi(s)) if gcd(s, delta) == 1 else 0 for s in divisors(rad)}
 
+    def step(s: int) -> int:  # phi(s) N_i(n, j, t), from level i - 1
+        return phi_n * sum(mobius(e) * level[e] for e in divisors(s))
 
-def _n_k_rec(k: int, n: int, d: int, delta: int) -> Fraction:
-    if k == 1:
-        if delta != 1:
-            return Fraction(0)
-        return Fraction(euler_phi(n), euler_phi(d))
-    total = Fraction(0)
-    for j in divisors(d):
-        mu_j = mobius(j)
-        if not mu_j:
-            continue
-        for t in divisors(delta):
-            mu_t = mobius(t)
-            if not mu_t:
-                continue
-            total += mu_j * mu_t * _n_k_rec(k - 1, n, j, t)
-    return Fraction(euler_phi(n), euler_phi(d) * euler_phi(delta)) * total
+    for _ in range(k - 2):
+        level = {s: exact_div(step(s), euler_phi(s)) for s in level}
+    return exact_div(step(rad), euler_phi(d) * euler_phi(delta))
 
 
 def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
@@ -292,6 +278,8 @@ def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     Returns an int when the value is integral (always, for honest f); a
     Fraction survives only when a supplied mu_f table is inconsistent.
     """
+    from fractions import Fraction  # a ratio only where a mu_f table is inconsistent
+
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     spec = parse_function_spec(f)

@@ -29,6 +29,7 @@ from .core import (
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
     cap_workers,
+    exact_div,
     positive_int,
 )
 from .totients import _g_k_prime, _phi_k_prime_power
@@ -278,9 +279,7 @@ def faulhaber_sum(k: int, m: int) -> int:
     acc = 0
     for a in coeffs:
         acc = acc * m + a
-    total, rem = divmod(acc * m, den)
-    assert rem == 0
-    return total
+    return exact_div(acc * m, den)
 
 
 # -- the average-order constant ---------------------------------------------

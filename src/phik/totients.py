@@ -8,6 +8,10 @@ divisor m of n.  g_k is the multiplicative function with phi_k = id_k * g_k
 (Dirichlet convolution); it is supported on squarefree numbers and drives
 the partial-sum machinery in `summatory`.
 
+Every closed form is built in integers from phi_k(p) = (p-1)((p-1)**k -
+(-1)**k)/p: phi_k(n, m) = (phi(n) / prod (p-1))**k * prod phi_k(p) over the
+primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k.
+
 Every oracle in phik counts from the definitions with one kernel,
 `fold_counts`, which counts k-tuples by the value their entries fold to
 without visiting the tuples; here, unit tuples by their sum mod M.
@@ -16,9 +20,8 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable
 
 from .core import (
@@ -28,6 +31,7 @@ from .core import (
     divisors,
     euler_phi,
     eval_mf,
+    exact_div,
     factorize,
     mobius,
     positive_divisor,
@@ -71,9 +75,7 @@ def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]
 def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
     # (p-1)**k == (-1)**k (mod p), so the division by p is exact.
     sign = -1 if k % 2 else 1
-    q, r = divmod((p - 1) * ((p - 1) ** k - sign), p)
-    assert r == 0
-    return p ** ((e - 1) * k) * q
+    return p ** ((e - 1) * k) * exact_div((p - 1) * ((p - 1) ** k - sign), p)
 
 
 def phi_k_mf(k: int) -> MultiplicativeFunction:
@@ -83,17 +85,8 @@ def phi_k_mf(k: int) -> MultiplicativeFunction:
 
 
 def phi_k(k: int, n: int) -> int:
-    """Closed form for phi_k(n).  Zero exactly when k and n are both even."""
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
-    if k == 1:
-        return euler_phi(n)
-    val = 1
-    for p, e in factorize(n).factors:
-        val *= _phi_k_prime_power(k, p, e)
-        if val == 0:
-            return 0
-    return val
+    """Closed form for phi_k(n) = phi_k(n, n).  Zero exactly when k and n are both even."""
+    return phi_k_nm(k, n, n)
 
 
 def phi_k_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
@@ -104,48 +97,41 @@ def phi_k_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     return sum(c for r, c in unit_sum_counts(k, n, n) if gcd(r, n) == 1)
 
 
-def alternating_unit_sum(length: int, p: int) -> Fraction:
-    """sum of (-1/(p-1))**j for j = 0 .. length-1, exactly."""
-    return sum((Fraction(-1, p - 1) ** j for j in range(length)), Fraction(0))
-
-
 def phi_k_nm(k: int, n: int, m: int) -> int:
     """Closed form for the two-parameter totient phi_k(n, m); requires m | n.
 
-    phi_k(n, m) = phi(n)**k * prod over primes p | m of
-    (1 - 1/(p-1) + 1/(p-1)**2 - ... +- 1/(p-1)**(k-1)).
+    phi_k(n, m) = (phi(n) / prod (p-1))**k * prod phi_k(p), both products over
+    the primes p | m; prod (p-1) divides phi(n), and phi_1(p) = p - 1.
     """
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     m = positive_divisor(m, n, "m")
-    if k == 1:
-        # the sum condition is implied by the product condition when m | n
-        return euler_phi(n)
-    val = Fraction(euler_phi(n)) ** k
-    for p in factorize(m).primes():
-        val *= alternating_unit_sum(k, p)
-    assert val.denominator == 1
-    return int(val)
+    primes = factorize(m).primes()
+    free = exact_div(euler_phi(n), prod(p - 1 for p in primes))
+    return free**k * prod(_phi_k_prime_power(k, p) for p in primes)
 
 
-def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
+def phi_k_nm_recursion(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """phi_k(n, m) via phi_k(n, m) = phi(n) * sum_{d | m} mu(d)/phi(d) * phi_{k-1}(n, d).
 
-    Independent of the closed form; bottoms out at phi_1(n, d) = phi(n).
+    Independent of the closed form; bottoms out at phi_1(n, d) = phi(n).  Levels
+    are built upwards over the squarefree d | m, priced at k * 3**omega(m) steps;
+    each phi_{i-1}(n, d) / phi(d) is an integer, as p - 1 divides phi_{i-1}(p).
     """
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     m = positive_divisor(m, n, "m")
     if k == 1:
         return euler_phi(n)
-    total = Fraction(0)
-    for d in divisors(m):
-        mu_d = mobius(d)
-        if mu_d:
-            total += Fraction(mu_d, euler_phi(d)) * phi_k_nm_recursion(k - 1, n, d)
-    total *= euler_phi(n)
-    assert total.denominator == 1
-    return int(total)
+    primes = factorize(m).primes()
+    check_budget(k * 3 ** len(primes), budget, f"phi_{k}(n, m={m}) recursion", "divisor steps")
+    phi_n = euler_phi(n)
+    rad = prod(primes)
+    level = dict.fromkeys(divisors(rad), phi_n)  # phi_1(n, t) at each squarefree t | m
+    for _ in range(k - 1):
+        level = {t: phi_n * sum(mobius(d) * exact_div(level[d], euler_phi(d)) for d in divisors(t))
+                 for t in level}
+    return level[rad]
 
 
 def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
@@ -183,4 +169,4 @@ def g_k_mf(k: int) -> MultiplicativeFunction:
 def g_k(k: int, n: int) -> int:
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
-    return int(eval_mf(g_k_mf(k), n))
+    return eval_mf(g_k_mf(k), n)

@@ -3,8 +3,10 @@ import concurrent.futures
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -50,6 +52,66 @@ def test_eval_n_k_and_recursion(capsys):
         == 0
     )
     assert capsys.readouterr().out.strip() == "16"
+
+
+def phik_process(*argv, timeout=60):
+    return subprocess.run([sys.executable, "-m", "phik.cli", *argv], capture_output=True,
+                          text=True, timeout=timeout)
+
+
+# the product of the first 20 primes: 2**20 squarefree divisors
+PRIMORIAL_20 = "557940830126698960967415390"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "phi-k-nm", "--k", "14", "--n", "30030", "--m", "30030"),
+    ("eval", "n-k", "--k", "14", "--n", "30030", "--d", "30", "--delta", "1001"),
+])
+def test_recursions_are_quick_and_agree_with_closed_forms(argv):
+    start = time.perf_counter()
+    recursion = phik_process(*argv, "--method", "recursion")
+    assert time.perf_counter() - start < 5
+    assert recursion.returncode == 0, recursion.stderr
+    assert recursion.stdout == phik_process(*argv).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "phi-k-nm", "--k", "2", "--n", PRIMORIAL_20, "--m", PRIMORIAL_20),
+    ("eval", "n-k", "--k", "2", "--n", PRIMORIAL_20, "--d", PRIMORIAL_20, "--delta", "1"),
+])
+def test_recursions_refuse_many_prime_factors(argv):
+    proc = phik_process(*argv, "--method", "recursion", timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget refused:") and "divisor steps" in proc.stderr
+
+
+def test_experimental_regime_warns_in_one_line():
+    proc = phik_process("oracle", "phi-k", "--k", "2", "--n", "10", "--m", "3")
+    assert proc.returncode == 0
+    assert proc.stdout == "12\n"
+    assert proc.stderr == (
+        "warning: m=3 does not divide n=10: experimental regime, "
+        "only this brute-force count is available\n"
+    )
+
+
+def readme_commands():
+    """The `phik ...` lines of the README's "Command line" block, with their comments."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.partition("#") for line in block.splitlines() if line.startswith("phik "))
+    return [(command.strip(), comment.strip()) for command, _, comment in lines]
+
+
+@pytest.mark.parametrize("command, comment", readme_commands())
+def test_readme_command_examples_run(command, comment, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)[1:]) == 0
+    out = capsys.readouterr().out
+    if command == "phik eval phi-k --k 2 --n 15":
+        assert out == comment + "\n" == "24\n"
 
 
 def test_eval_jordan(capsys):

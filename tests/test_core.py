@@ -40,7 +40,6 @@ from phik import (
     phi_k_oracle,
     phi_mf,
     piltz_mf,
-    pointwise_eval,
     sum_phi_k_convolution,
     sum_phi_k_direct,
     tau,
@@ -217,12 +216,6 @@ def test_mobius_transform_table_missing_entry():
     assert mobius_transform(table, 2) == 4
     with pytest.raises(ValueError):
         mobius_transform(table, 4)
-
-
-def test_pointwise_eval_forms():
-    assert pointwise_eval({6: 42, 1: 1}, 6) == 42
-    assert pointwise_eval(lambda x: x * x, 9) == 81
-    assert pointwise_eval(tau_mf, 12) == 6
 
 
 def test_piltz_lower_bound():

@@ -11,17 +11,17 @@ from phik.cli import main
 PUBLIC = """
     BudgetExceededError DEFAULT_ORACLE_BUDGET DEFAULT_PRIME_BOUND DEFAULT_SIEVE_LIMIT Enclosure
     ErrorRow Factorization FunctionSpec IdentityReport Instance MultiplicativeFunction PartialSum
-    alternating_unit_sum average_order_constant count_units_in_class count_units_in_two_classes
+    average_order_constant count_units_in_class count_units_in_two_classes
     dirichlet_convolve divisors epsilon_mf error_table_csv error_term_rows euler_phi eval_mf
     factorize faulhaber_sum g_k g_k_mf gcd_sum_lhs_oracle gcd_sum_rhs id_k_mf id_mf jordan_mf
     jordan_totient lemma_sweep menon_expansion_rhs mobius mobius_mf mobius_transform n_k
     n_k_oracle n_k_recursion n_k_sweep nageswara_rao_lhs_oracle one_mf parse_function_spec phi_k
     phi_k_mf phi_k_nm phi_k_nm_oracle phi_k_nm_recursion phi_k_oracle phi_mf piltz_mf
-    pointwise_eval primes_up_to sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
+    primes_up_to sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
     verify_identity verify_sweep
 """.split()
 
-HEAVY = ("phik.menon", "phik.summatory", "phik.residues", "numpy", "dataclasses")
+HEAVY = ("phik.menon", "phik.summatory", "phik.residues", "numpy", "dataclasses", "fractions")
 
 
 def python(code: str, env: dict | None = None) -> str:
@@ -58,7 +58,12 @@ def test_eval_imports_only_core_and_totients():
 
 def test_verify_imports_neither_summatory_nor_numpy():
     argv = ["verify", "nageswara-rao", "--k-max", "2", "--n-max", "10"]
-    assert loaded_after(argv, ("phik.summatory", "phik.residues", "numpy")) == []
+    assert loaded_after(argv, ("phik.summatory", "phik.residues", "numpy", "fractions")) == []
+
+
+def test_eval_n_k_imports_no_fractions():
+    argv = ["eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1"]
+    assert loaded_after(argv, ("phik.summatory", "numpy", "fractions")) == []
 
 
 def test_star_import_binds_each_name_to_its_home_object():

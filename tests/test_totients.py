@@ -1,5 +1,7 @@
 """phi_k, the two-parameter phi_k(n, m), and the convolution factor g_k."""
+import time
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -15,6 +17,8 @@ from phik import (
     g_k_mf,
     id_k_mf,
     mobius,
+    n_k,
+    n_k_recursion,
     phi_k,
     phi_k_mf,
     phi_k_nm,
@@ -119,6 +123,64 @@ def test_phi_k_nm_three_routes_agree():
                 closed = phi_k_nm(k, n, m)
                 assert closed == phi_k_nm_recursion(k, n, m), (k, n, m)
                 assert closed == phi_k_nm_oracle(k, n, m), (k, n, m)
+
+
+@lru_cache(maxsize=None)
+def alternating_unit_sum(length, p):
+    """sum of (-1/(p-1))**j for j = 0 .. length-1: phi_length(p) / (p-1)**length."""
+    return sum((Fraction(-1, p - 1) ** j for j in range(length)), Fraction(0))
+
+
+def reference_phi_k_nm(k, n, m):
+    """phi(n)**k times the alternating unit sum of length k at each prime p | m."""
+    val = Fraction(euler_phi(n)) ** k
+    for p in factorize(m).primes():
+        val *= alternating_unit_sum(k, p)
+    return val
+
+
+def reference_n_k(k, n, d, delta):
+    """phi(n)**k / (phi(d) phi(delta)) times the sums of length k at p | d, k-1 at p | delta."""
+    val = Fraction(euler_phi(n)) ** k / (euler_phi(d) * euler_phi(delta))
+    for p in factorize(d).primes():
+        val *= alternating_unit_sum(k, p)
+    for p in factorize(delta).primes():
+        val *= alternating_unit_sum(k - 1, p)
+    return val
+
+
+def test_phi_k_nm_and_its_recursion_match_the_fraction_formula():
+    for n in range(1, 301):
+        for k in range(1, 13):
+            for m in divisors(n):
+                want = reference_phi_k_nm(k, n, m)
+                for got in (phi_k_nm(k, n, m), phi_k_nm_recursion(k, n, m)):
+                    assert type(got) is int and got == want, (k, n, m)
+
+
+def test_n_k_and_its_recursion_match_the_fraction_formula():
+    for n in range(1, 301):
+        pairs = [(d, delta) for d in divisors(n) for delta in divisors(n) if gcd(d, delta) == 1]
+        for k in range(1, 13):
+            for d, delta in pairs:
+                want = reference_n_k(k, n, d, delta)
+                routes = [n_k(k, n, d, delta)]
+                if k >= 2:
+                    routes.append(n_k_recursion(k, n, d, delta))
+                for got in routes:
+                    assert type(got) is int and got == want, (k, n, d, delta)
+
+
+def test_closed_forms_at_large_k_are_quick():
+    k = 60000
+    start = time.perf_counter()
+    phi, count = phi_k_nm(k, 15, 15), n_k(k, 15, 3, 5)
+    assert time.perf_counter() - start < 2
+    # phi_k(p) = (p-1)((p-1)**k - (-1)**k)/p, and with phi(15) = 2 * 4 the
+    # formula gives N_k(15, 3, 5) = phi_k(3) phi_{k-1}(5) / 2
+    phi_3, phi_5 = 2 * (2**k - 1) // 3, 4 * (4**k - 1) // 5
+    assert phi == phi_3 * phi_5
+    assert count == phi_3 * (4 * (4 ** (k - 1) + 1) // 5) // 2
 
 
 def test_phi_k_nm_rejects_non_divisor():
