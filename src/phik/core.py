@@ -64,11 +64,11 @@ def cap_workers(workers: int, tasks: int) -> int:
     return max(1, min(workers, cpus, tasks))
 
 
-def check_budget(cost: int, budget: int, what: str, unit: str = "tuples") -> None:
-    """Refuse an enumeration that would visit more than `budget` tuples (or other units)."""
+def check_budget(cost: int, budget: int, what: str) -> None:
+    """Refuse an enumeration that would visit more than `budget` tuples."""
     if cost > budget:
         raise BudgetExceededError(
-            f"{what} would visit {cost} {unit}, over the budget of {budget}; "
+            f"{what} would visit {cost} tuples, over the budget of {budget}; "
             f"raise the budget explicitly to force the computation"
         )
 

@@ -36,7 +36,7 @@ from .core import (
     table_lookup,
     tau,
 )
-from .totients import fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
+from .totients import check_recursion_budget, fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
 
 IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
 
@@ -92,18 +92,20 @@ def n_k(k: int, n: int, d: int, delta: int) -> int:
         # a single unit sums to itself: a = 1 (mod d) picks one class,
         # a = 0 (mod delta) is impossible for a unit unless delta = 1
         return exact_div(euler_phi(n), euler_phi(d)) if delta == 1 else 0
+    if (d if k % 2 == 0 else delta) % 2 == 0:
+        return 0  # phi_k(n, d) or phi_{k-1}(n, delta) has an even index and modulus
     return exact_div(phi_k_nm(k, n, d) * phi_k_nm(k - 1, n, delta),
                      euler_phi(n) ** (k - 1) * euler_phi(d) * euler_phi(delta))
 
 
-def n_k_recursion(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
     """N_k by the literal recursion over Moebius-weighted divisor pairs.
 
     N_k(n, d, delta) = phi(n) / (phi(d) phi(delta)) * sum over j | d, t | delta of
     mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  Requires k >= 2 and
     gcd(d, delta) = 1, so a pair is one squarefree s = j t: mu(j) mu(t) = mu(s), and
-    phi(j) phi(t) = phi(s).  Levels are built upwards over all s, priced at
-    k * 3**omega(d delta) steps.
+    phi(j) phi(t) = phi(s).  Levels are built upwards over all s, priced by
+    `check_recursion_budget` at omega(d delta).
     """
     k = positive_int(k, "tuple length k")
     if k < 2:
@@ -116,8 +118,8 @@ def n_k_recursion(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORAC
             f"recursion path requires gcd(d, delta) = 1, got d={d}, delta={delta}"
         )
     primes = factorize(d).primes() + factorize(delta).primes()
-    check_budget(k * 3 ** len(primes), budget, f"N_{k}(n, {d}, {delta}) recursion", "divisor steps")
     phi_n = euler_phi(n)
+    check_recursion_budget(k, len(primes), phi_n, f"N_{k}(n, {d}, {delta}) recursion")
     rad = prod(primes)
     # N_1(n, j, t): a unit is 1 mod j, and 0 mod t only when t = 1
     level = {s: exact_div(phi_n, euler_phi(s)) if gcd(s, delta) == 1 else 0 for s in divisors(rad)}

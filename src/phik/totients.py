@@ -101,21 +101,30 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
     """Closed form for the two-parameter totient phi_k(n, m); requires m | n.
 
     phi_k(n, m) = (phi(n) / prod (p-1))**k * prod phi_k(p), both products over
-    the primes p | m; prod (p-1) divides phi(n), and phi_1(p) = p - 1.
+    the primes p | m; prod (p-1) divides phi(n), and phi_1(p) = p - 1.  Zero
+    exactly when k and m are both even, as phi_k(2) = 0 for even k.
     """
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     m = positive_divisor(m, n, "m")
+    if k % 2 == 0 and m % 2 == 0:
+        return 0
     primes = factorize(m).primes()
     free = exact_div(euler_phi(n), prod(p - 1 for p in primes))
     return free**k * prod(_phi_k_prime_power(k, p) for p in primes)
 
 
-def phi_k_nm_recursion(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+def check_recursion_budget(k: int, omega: int, phi_n: int, what: str) -> None:
+    """Price k levels of 3**omega divisor pairs, on numbers of up to k * bits(phi(n)) bits."""
+    cost = k * 3**omega * max(1, k * phi_n.bit_length() // 64)  # in 64-bit words
+    check_budget(cost, DEFAULT_ORACLE_BUDGET, f"{what}, counting word-sized divisor steps as tuples,")
+
+
+def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
     """phi_k(n, m) via phi_k(n, m) = phi(n) * sum_{d | m} mu(d)/phi(d) * phi_{k-1}(n, d).
 
     Independent of the closed form; bottoms out at phi_1(n, d) = phi(n).  Levels
-    are built upwards over the squarefree d | m, priced at k * 3**omega(m) steps;
+    are built upwards over the squarefree d | m, priced by `check_recursion_budget`;
     each phi_{i-1}(n, d) / phi(d) is an integer, as p - 1 divides phi_{i-1}(p).
     """
     k = positive_int(k, "tuple length k")
@@ -124,8 +133,8 @@ def phi_k_nm_recursion(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDG
     if k == 1:
         return euler_phi(n)
     primes = factorize(m).primes()
-    check_budget(k * 3 ** len(primes), budget, f"phi_{k}(n, m={m}) recursion", "divisor steps")
     phi_n = euler_phi(n)
+    check_recursion_budget(k, len(primes), phi_n, f"phi_{k}(n, m={m}) recursion")
     rad = prod(primes)
     level = dict.fromkeys(divisors(rad), phi_n)  # phi_1(n, t) at each squarefree t | m
     for _ in range(k - 1):

@@ -78,12 +78,22 @@ def test_recursions_are_quick_and_agree_with_closed_forms(argv):
 @pytest.mark.parametrize("argv", [
     ("eval", "phi-k-nm", "--k", "2", "--n", PRIMORIAL_20, "--m", PRIMORIAL_20),
     ("eval", "n-k", "--k", "2", "--n", PRIMORIAL_20, "--d", PRIMORIAL_20, "--delta", "1"),
+    # few primes, but a million levels of numbers up to 3 Mbit long
+    ("eval", "phi-k-nm", "--k", "1000000", "--n", "15", "--m", "15"),
+    ("eval", "n-k", "--k", "1000000", "--n", "15", "--d", "3", "--delta", "5"),
 ])
-def test_recursions_refuse_many_prime_factors(argv):
+def test_recursions_refuse_many_prime_factors_or_long_numbers(argv):
     proc = phik_process(*argv, "--method", "recursion", timeout=10)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("budget refused:") and "divisor steps" in proc.stderr
+
+
+def test_phi_k_at_even_k_and_even_n_is_zero_at_once():
+    start = time.perf_counter()
+    proc = phik_process("eval", "phi-k", "--k", "1000000000", "--n", "14", timeout=10)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_experimental_regime_warns_in_one_line():

@@ -183,6 +183,16 @@ def test_closed_forms_at_large_k_are_quick():
     assert count == phi_3 * (4 * (4 ** (k - 1) + 1) // 5) // 2
 
 
+def test_even_k_with_even_modulus_is_zero_at_once():
+    # phi_k(2) = 0 for even k, so no power of the other primes is built
+    start = time.perf_counter()
+    assert phi_k(10**9, 14) == 0
+    assert phi_k_nm(10**9, 14, 2) == 0
+    assert n_k(10**9, 14, 2, 7) == 0  # phi_k(n, d) vanishes
+    assert n_k(10**9 + 1, 14, 7, 2) == 0  # phi_{k-1}(n, delta) vanishes
+    assert time.perf_counter() - start < 1
+
+
 def test_phi_k_nm_rejects_non_divisor():
     with pytest.raises(ValueError):
         phi_k_nm(2, 15, 4)
