@@ -85,6 +85,10 @@ def _flag_specs() -> dict[str, dict]:
     }
 
 
+def _flag_names(cmd: Command) -> list[str]:
+    return [flag if isinstance(flag, str) else flag[0] for flag in cmd.flags]
+
+
 def _library(name: str):
     """The library function named "module.function", importing its module if need be."""
     module, attr = name.split(".")
@@ -127,8 +131,7 @@ def _cmd_value(cmd: Command, args) -> int:
     JSON echoes every parameter but the budget.
     """
     params = {}
-    for flag in cmd.flags:
-        name = flag if isinstance(flag, str) else flag[0]
+    for name in _flag_names(cmd):
         value = getattr(args, name)
         if name != "method" and value is not None:
             params[name] = _library("menon.parse_function_spec")(value) if name == "f" else value
@@ -357,8 +360,9 @@ def main(argv=None) -> int:
             warnings.showwarning = _warning_line
             return cmd.handler(cmd, args)
     except BudgetExceededError as exc:
-        # the only budget of a subcommand taking --sieve-limit is that limit
-        hint = "; pass a larger --sieve-limit to override" if "sieve-limit" in cmd.flags else ""
+        # advise a flag only where this row has the one that sets the refused limit
+        flag = (exc.limit or "").replace("_", "-")
+        hint = f"; pass a larger --{flag} to override" if flag in _flag_names(cmd) else ""
         print(f"budget refused: {exc}{hint}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

@@ -19,7 +19,15 @@ ArithFn = Union["MultiplicativeFunction", Callable[[int], ArithValue], Mapping[i
 
 
 class BudgetExceededError(Exception):
-    """An exhaustive computation refused to run: it would exceed its budget."""
+    """An exhaustive computation refused to run: it would exceed its budget.
+
+    `limit` names the parameter that sets the refused budget ("budget",
+    "sieve_limit"), or is None where no caller can raise it.
+    """
+
+    def __init__(self, message: str, limit: str | None = None):
+        super().__init__(message)
+        self.limit = limit
 
 
 # Default cap on oracle work, priced in the tuples a definition ranges over (n**k per call).
@@ -64,13 +72,20 @@ def cap_workers(workers: int, tasks: int) -> int:
     return max(1, min(workers, cpus, tasks))
 
 
-def check_budget(cost: int, budget: int, what: str) -> None:
+def check_budget(cost: int, budget: int, what: str, limit: str | None = "budget") -> None:
     """Refuse an enumeration that would visit more than `budget` tuples."""
     if cost > budget:
-        raise BudgetExceededError(
-            f"{what} would visit {cost} tuples, over the budget of {budget}; "
-            f"raise the budget explicitly to force the computation"
-        )
+        raise BudgetExceededError(f"{what} would visit {cost} tuples, over the budget of {budget}",
+                                  limit)
+
+
+def check_word_budget(steps: int, bits: int, what: str) -> None:
+    """Refuse `steps` exact steps on numbers of up to `bits` bits, priced in 64-bit words.
+
+    The budget is DEFAULT_ORACLE_BUDGET, which no caller sets.
+    """
+    cost = steps * max(1, bits // 64)
+    check_budget(cost, DEFAULT_ORACLE_BUDGET, f"{what}, counting word operations as tuples,", None)
 
 
 def exact_div(a: int, b: int) -> int:

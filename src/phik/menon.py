@@ -4,11 +4,12 @@ The central identity: summing f(gcd(a_1 + ... + a_k - 1, n)) over the
 phi_k(n) admissible tuples equals phi_k(n) * sum_{d | n} (mu*f)(d)/phi(d)
 for any arithmetic function f.  With f = id the divisor sum collapses to
 tau(n).  Supporting pieces: counts of units in one or two residue classes,
-and N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and
-0 mod delta; `n_k` divides the two-parameter totients exactly, and
-`n_k_recursion` never calls them.  Every closed form has an oracle next to it,
-counting from the definition with the kernel of `totients` (`fold_counts`,
-`unit_sum_counts`).
+read off one table of the units by (a mod d, a mod e) per (n, d, e), and
+N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and 0 mod
+delta; `n_k` divides the two-parameter totients exactly, and `n_k_recursion`
+never calls them.  Every closed form has an oracle next to it, counting from
+the definition with the kernels of `totients`: `unit_sum_counts` for sums of
+units, `fold_counts` for the joint-gcd pairs.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .core import (
     MultiplicativeFunction,
     cap_workers,
     check_budget,
+    check_word_budget,
     divisors,
     euler_phi,
     exact_div,
@@ -36,7 +38,7 @@ from .core import (
     table_lookup,
     tau,
 )
-from .totients import check_recursion_budget, fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
+from .totients import fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
 
 IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
 
@@ -44,20 +46,31 @@ IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
 # -- counting units in residue classes -------------------------------------
 
 
+def _class_table(n: int, d: int, e: int) -> Counter:
+    """Units a <= n counted by (a mod d, a mod e), read off their residues mod lcm(d, e)."""
+    table: Counter = Counter()
+    for t, c in unit_sum_counts(1, n, lcm(d, e)):
+        table[t % d, t % e] += c
+    return table
+
+
+def _predicted(n: int, d: int, e: int, r: int, s: int) -> int:
+    """phi(n) gcd(d,e) / phi(de) when gcd(r,d) = gcd(s,e) = 1 and gcd(d,e) | r - s, else 0."""
+    g = gcd(d, e)
+    if gcd(r, d) == 1 and gcd(s, e) == 1 and (r - s) % g == 0:
+        return exact_div(euler_phi(n) * g, euler_phi(d * e))
+    return 0
+
+
 def count_units_in_class(n: int, d: int, r: int) -> tuple[int, int]:
     """Units a <= n with a = r (mod d), counted by residue, plus the prediction.
 
     Prediction: phi(n)/phi(d) when gcd(r, d) = 1, else 0.  d must divide n.
     """
-    d = positive_divisor(d, n, "d")
-    count = sum(c for t, c in unit_sum_counts(1, n, d) if t == r % d)
-    predicted = exact_div(euler_phi(n), euler_phi(d)) if gcd(r, d) == 1 else 0
-    return count, predicted
+    return count_units_in_two_classes(n, d, 1, r, 0)
 
 
-def count_units_in_two_classes(
-    n: int, d: int, e: int, r: int, s: int
-) -> tuple[int, int]:
+def count_units_in_two_classes(n: int, d: int, e: int, r: int, s: int) -> tuple[int, int]:
     """Units a <= n with a = r (mod d) and a = s (mod e), plus the prediction.
 
     Prediction: phi(n) gcd(d,e) / phi(de) when gcd(r,d) = gcd(s,e) = 1 and
@@ -65,12 +78,7 @@ def count_units_in_two_classes(
     """
     d = positive_divisor(d, n, "d")
     e = positive_divisor(e, n, "e")
-    residues = unit_sum_counts(1, n, lcm(d, e))
-    count = sum(c for t, c in residues if t % d == r % d and t % e == s % e)
-    g = gcd(d, e)
-    if gcd(r, d) == 1 and gcd(s, e) == 1 and (r - s) % g == 0:
-        return count, exact_div(euler_phi(n) * g, euler_phi(d * e))
-    return count, 0
+    return _class_table(n, d, e)[r % d, s % e], _predicted(n, d, e, r, s)
 
 
 # -- N_k(n, d, delta): unit tuples with sum = 1 mod d, = 0 mod delta -------
@@ -104,8 +112,8 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
     N_k(n, d, delta) = phi(n) / (phi(d) phi(delta)) * sum over j | d, t | delta of
     mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  Requires k >= 2 and
     gcd(d, delta) = 1, so a pair is one squarefree s = j t: mu(j) mu(t) = mu(s), and
-    phi(j) phi(t) = phi(s).  Levels are built upwards over all s, priced by
-    `check_recursion_budget` at omega(d delta).
+    phi(j) phi(t) = phi(s).  Levels are built upwards over all s, priced as in
+    `phi_k_nm_recursion`, at omega(d delta).
     """
     k = positive_int(k, "tuple length k")
     if k < 2:
@@ -119,7 +127,8 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
         )
     primes = factorize(d).primes() + factorize(delta).primes()
     phi_n = euler_phi(n)
-    check_recursion_budget(k, len(primes), phi_n, f"N_{k}(n, {d}, {delta}) recursion")
+    check_word_budget(k * 3 ** len(primes), k * phi_n.bit_length(),
+                      f"N_{k}(n, {d}, {delta}) recursion over divisor steps")
     rad = prod(primes)
     # N_1(n, j, t): a unit is 1 mod j, and 0 mod t only when t = 1
     level = {s: exact_div(phi_n, euler_phi(s)) if gcd(s, delta) == 1 else 0 for s in divisors(rad)}
@@ -187,11 +196,7 @@ def _table_fn(raw, what: str) -> Callable[[int], int]:
 
 
 def _parse_table(data: Mapping, label: str) -> FunctionSpec:
-    if "f" in data:
-        raw_f = data["f"]
-        raw_mu = data.get("mu_f")
-    else:
-        raw_f, raw_mu = data, None
+    raw_f, raw_mu = (data["f"], data.get("mu_f")) if "f" in data else (data, None)
     mu_fn = None if raw_mu is None else _table_fn(raw_mu, f"{label} mu_f")
     # a plain dict round-trips through pickle, so parallel workers re-parse it
     return FunctionSpec(label, _table_fn(raw_f, f"{label} f"), mu_fn, source=dict(data))
@@ -223,8 +228,7 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
     if isinstance(spec, Mapping):
         return _parse_table(spec, "table")
     if callable(spec):
-        label = getattr(spec, "__name__", "callable")
-        return FunctionSpec(label, spec)
+        return FunctionSpec(getattr(spec, "__name__", "callable"), spec)
     if not isinstance(spec, str):
         raise ValueError(f"cannot interpret {spec!r} as a function spec")
     text = spec.strip()
@@ -275,21 +279,18 @@ def gcd_sum_lhs_oracle(
 
 
 def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
-    """Closed form phi_k(n) * sum_{d | n} (mu*f)(d) / phi(d), exactly.
+    """Closed form phi_k(n) * sum_{d | n} (mu*f)(d) / phi(d), exactly, in integers.
 
-    Returns an int when the value is integral (always, for honest f); a
-    Fraction survives only when a supplied mu_f table is inconsistent.
+    phi(d) | phi(n) | phi_k(n), so each phi_k(n) / phi(d) is an exact integer:
+    the value is an int for every integer-valued f and mu_f table, consistent
+    or not, and a Fraction only where f itself takes Fraction values.
     """
-    from fractions import Fraction  # a ratio only where a mu_f table is inconsistent
-
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     spec = parse_function_spec(f)
-    total = Fraction(0)
-    for d in divisors(n):
-        total += Fraction(spec.mobius_transform_at(d)) / euler_phi(d)
-    val = phi_k(k, n) * total
-    return int(val) if val.denominator == 1 else val
+    phi_kn = phi_k(k, n)
+    val = sum(spec.mobius_transform_at(d) * exact_div(phi_kn, euler_phi(d)) for d in divisors(n))
+    return int(val) if getattr(val, "denominator", None) == 1 else val
 
 
 def menon_expansion_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
@@ -299,15 +300,9 @@ def menon_expansion_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     a third route to the identity, independent of the admissible-tuple loop.
     """
     spec = parse_function_spec(f)
-    total: ArithValue = 0
-    for d in divisors(n):
-        inner = 0
-        for delta in divisors(n):
-            mu_delta = mobius(delta)
-            if mu_delta:
-                inner += mu_delta * n_k(k, n, d, delta)
-        total += spec.mobius_transform_at(d) * inner
-    return total
+    divs = divisors(n)
+    return sum(sum(mobius(delta) * n_k(k, n, d, delta) for delta in divs if mobius(delta))
+               * spec.mobius_transform_at(d) for d in divs)
 
 
 def nageswara_rao_lhs_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
@@ -496,7 +491,8 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
     Covers every divisor pair (d, e) of n and all residues 0 <= r < d,
     0 <= s < e, including the e = 1 collapse onto the one-congruence count:
     sigma(n) + sigma(n)**2 checks at each n, all priced against the budget.
-    Only failures are stored; the instance stream is too large to keep.
+    Each (n, d, e) is counted once into a class table; only failures become
+    Instances.
     """
     n_max = positive_int(n_max, "n_max")
     cost = 0
@@ -507,22 +503,26 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
             break
     check_budget(cost, budget, f"lemma sweep to n_max={n_max}: its checks up to n={n}")
 
-    def counts():
-        for n in range(1, n_max + 1):
-            divs = divisors(n)
-            for d in divs:
-                for r in range(d):
-                    yield ((("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)),
-                           count_units_in_class(n, d, r))
-                for e in divs:
-                    for r in range(d):
-                        for s in range(e):
-                            yield ((("lemma", "two_congruences"), ("n", n), ("d", d), ("e", e),
-                                    ("r", r), ("s", s)), count_units_in_two_classes(n, d, e, r, s))
+    def check(n, d, e, table, params):  # the table of (d, e) at every residue pair (r, s)
+        for r in range(d):
+            for s in range(e):
+                count, predicted = table.get((r, s), 0), _predicted(n, d, e, r, s)
+                if count != predicted:
+                    yield Instance(params(r, s), count, predicted, False)
 
-    checks = (Instance(params, *pair, pair[0] == pair[1]) for params, pair in counts())
-    swept = {"n": f"1..{n_max}", "residues": "all"}
-    return IdentityReport.of("lemmas", swept, checks, keep_instances=False)
+    checked, failures = 0, []
+    for n in range(1, n_max + 1):
+        divs = divisors(n)
+        for d in divs:
+            tables = {e: _class_table(n, d, e) for e in divs}  # e = 1: the one-congruence table
+            failures += check(n, d, 1, tables[1], lambda r, s: (
+                ("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)))
+            for e in divs:
+                failures += check(n, d, e, tables[e], lambda r, s: (
+                    ("lemma", "two_congruences"), ("n", n), ("d", d), ("e", e), ("r", r), ("s", s)))
+            checked += d + d * sum(divs)
+    return IdentityReport("lemmas", {"n": f"1..{n_max}", "residues": "all"}, checked, 0, [],
+                          failures, [])
 
 
 def n_k_sweep(

@@ -29,6 +29,7 @@ from .core import (
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
     cap_workers,
+    check_word_budget,
     exact_div,
     positive_int,
 )
@@ -92,7 +93,7 @@ class Enclosure:
 
 def _check_sieve_budget(n: int, limit: int, what: str) -> None:
     if n > limit:
-        raise BudgetExceededError(f"{what} {n} is above the sieve limit of {limit}")
+        raise BudgetExceededError(f"{what} {n} is above the sieve limit of {limit}", "sieve_limit")
 
 
 @lru_cache(maxsize=1)
@@ -218,6 +219,8 @@ def sum_phi_k_convolution(
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit, "cutoff x")
+    if x > k + 1:  # S_k(x), for the run at d = 1, needs B_0 ... B_k: price them up front
+        _faulhaber_coeffs(k)
     import numpy as np
 
     from .residues import Rows, blocks
@@ -256,8 +259,10 @@ def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, ...]]:
     """(D, a) with D * S_k(m) = a[0] m**(k+1) + a[1] m**k + ... + a[k] m.
 
     S_k(m) = 1/(k+1) * sum_{j=0}^{k} (-1)**j C(k+1, j) B_j m**(k+1-j); D is the
-    least common denominator of those coefficients.
+    least common denominator of those coefficients.  B_0 ... B_k take about
+    k**2/8 Fraction steps on numbers of up to k bits(k) bits, priced first.
     """
+    check_word_budget(k * k // 8, k * k.bit_length(), f"the Bernoulli numbers B_0 ... B_{k}")
     coeffs = [Fraction((-1) ** j * comb(k + 1, j)) * _bernoulli(j) / (k + 1) for j in range(k + 1)]
     den = lcm(*(c.denominator for c in coeffs))
     return den, tuple(int(c * den) for c in coeffs)

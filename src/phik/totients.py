@@ -12,9 +12,9 @@ Every closed form is built in integers from phi_k(p) = (p-1)((p-1)**k -
 (-1)**k)/p: phi_k(n, m) = (phi(n) / prod (p-1))**k * prod phi_k(p) over the
 primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k.
 
-Every oracle in phik counts from the definitions with one kernel,
-`fold_counts`, which counts k-tuples by the value their entries fold to
-without visiting the tuples; here, unit tuples by their sum mod M.
+The oracles count from the definitions, never visiting tuples one by one:
+unit tuples by their sum mod M in one big-integer power (`unit_sum_counts`),
+other keys by k - 1 pairing steps (`fold_counts`).
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .core import (
     DEFAULT_ORACLE_BUDGET,
     MultiplicativeFunction,
     check_budget,
+    check_word_budget,
     divisors,
     euler_phi,
     eval_mf,
@@ -64,12 +65,23 @@ def fold_counts(entries: Iterable, key: Callable, combine: Callable, k: int) -> 
 
 @lru_cache(maxsize=4096)
 def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (r, c): c k-tuples of units mod n sum to r mod `modulus`, c > 0.
+    """Pairs (r, c): c k-tuples of units mod n sum to r mod `modulus`, c > 0.  Cached.
 
-    Cached, so a sweep reading several quantities at one (k, n) counts once.
+    Kronecker substitution: the unit counts by a % modulus (at most n + 1) are the
+    width-byte digits of one integer, whose k-th power holds their k-fold convolution.
     """
-    counts = fold_counts(units_mod(n), lambda a: a % modulus, lambda u, v: (u + v) % modulus, k)
-    return tuple(sorted(counts.items()))
+    units = units_mod(n)
+    width = k * len(units).bit_length() // 8 + 1  # 2**(8 width) > phi(n)**k, the digit sum
+    hist = [0] * min(modulus, n + 1)
+    for a in units:
+        hist[a % modulus] += 1
+    power = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in hist), "little") ** k
+    shift = 8 * width * modulus
+    while high := power >> shift:  # x**modulus = 1: fold back, no digit carries
+        power += high - (high << shift)
+    digits = power.to_bytes(width * (power.bit_length() // (8 * width) + 1), "little")
+    return tuple((r, c) for r in range(len(digits) // width)
+                 if (c := int.from_bytes(digits[r * width:(r + 1) * width], "little")))
 
 
 def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
@@ -90,11 +102,8 @@ def phi_k(k: int, n: int) -> int:
 
 
 def phi_k_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count phi_k(n) from the definition, priced at its n**k tuples.  Independent of phi_k."""
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
-    check_budget(n**k, budget, f"phi_{k}({n}) oracle")
-    return sum(c for r, c in unit_sum_counts(k, n, n) if gcd(r, n) == 1)
+    """Count phi_k(n) = phi_k(n, n) from the definition, priced at n**k.  Independent of phi_k."""
+    return phi_k_nm_oracle(k, n, n, budget)
 
 
 def phi_k_nm(k: int, n: int, m: int) -> int:
@@ -114,17 +123,11 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
     return free**k * prod(_phi_k_prime_power(k, p) for p in primes)
 
 
-def check_recursion_budget(k: int, omega: int, phi_n: int, what: str) -> None:
-    """Price k levels of 3**omega divisor pairs, on numbers of up to k * bits(phi(n)) bits."""
-    cost = k * 3**omega * max(1, k * phi_n.bit_length() // 64)  # in 64-bit words
-    check_budget(cost, DEFAULT_ORACLE_BUDGET, f"{what}, counting word-sized divisor steps as tuples,")
-
-
 def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
     """phi_k(n, m) via phi_k(n, m) = phi(n) * sum_{d | m} mu(d)/phi(d) * phi_{k-1}(n, d).
 
     Independent of the closed form; bottoms out at phi_1(n, d) = phi(n).  Levels
-    are built upwards over the squarefree d | m, priced by `check_recursion_budget`;
+    are built upwards over the squarefree d | m, priced by `core.check_word_budget`;
     each phi_{i-1}(n, d) / phi(d) is an integer, as p - 1 divides phi_{i-1}(p).
     """
     k = positive_int(k, "tuple length k")
@@ -134,7 +137,8 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
         return euler_phi(n)
     primes = factorize(m).primes()
     phi_n = euler_phi(n)
-    check_recursion_budget(k, len(primes), phi_n, f"phi_{k}(n, m={m}) recursion")
+    check_word_budget(k * 3 ** len(primes), k * phi_n.bit_length(),
+                      f"phi_{k}(n, m={m}) recursion over divisor steps")
     rad = prod(primes)
     level = dict.fromkeys(divisors(rad), phi_n)  # phi_1(n, t) at each squarefree t | m
     for _ in range(k - 1):
@@ -170,12 +174,8 @@ def _g_k_prime(k: int, p: int) -> int:
 def g_k_mf(k: int) -> MultiplicativeFunction:
     """Convolution inverse factor: phi_k = id_k * g_k.  Vanishes off squarefree n."""
     k = positive_int(k, "tuple length k")
-    return MultiplicativeFunction(
-        f"g_{k}", lambda p, e: _g_k_prime(k, p) if e == 1 else 0
-    )
+    return MultiplicativeFunction(f"g_{k}", lambda p, e: _g_k_prime(k, p) if e == 1 else 0)
 
 
 def g_k(k: int, n: int) -> int:
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
-    return eval_mf(g_k_mf(k), n)
+    return eval_mf(g_k_mf(k), positive_int(n, "modulus n"))

@@ -653,3 +653,40 @@ def test_full_parser_holds_every_leaf():
                     and flag in ("k", "n", "m", "d", "delta", "x", "x-grid")
                     for token in (f"--{flag}", "1")]
         assert parser.parse_args([*cmd.path, *required]).command is cmd
+
+
+def test_recursion_refusal_names_no_flag():
+    # the recursion price has no flag on eval rows: the refusal advises none
+    proc = phik_process("eval", "phi-k-nm", "--k", "2", "--n", PRIMORIAL_20, "--m", PRIMORIAL_20,
+                        "--method", "recursion", timeout=10)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("budget refused:") and "--" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "phi-k", "--k", "9", "--n", "100"], "--budget"),
+    (["oracle", "menon-lhs", "--k", "9", "--n", "100"], "--budget"),
+    (["verify", "lemmas", "--n-max", "1000"], "--budget"),
+    (["sum", "phi-k", "--k", "2", "--x", "2000", "--sieve-limit", "1000"], "--sieve-limit"),
+    (["error-table", "--k", "2", "--x-grid", "10,2000", "--sieve-limit", "1000"], "--sieve-limit"),
+    (["eval", "phi-k", "--k", "2", "--n", "1000000000000000000000000000057"], None),
+    (["sum", "phi-k", "--k", "5000", "--x", "10000", "--method", "convolution"], None),
+])
+def test_refusal_advises_the_flag_that_sets_its_limit(argv, flag, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget refused:") and "raise the budget" not in err
+    if flag is None:
+        assert "--" not in err
+    else:
+        assert err.rstrip().endswith(f"; pass a larger {flag} to override")
+
+
+def test_large_k_bernoulli_build_is_refused_at_once():
+    # x > k + 1 needs B_0 ... B_k: priced in word operations before any block is summed
+    start = time.perf_counter()
+    proc = phik_process("sum", "phi-k", "--k", "5000", "--x", "10000", "--method", "convolution",
+                        timeout=5)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("budget refused:") and "Bernoulli" in proc.stderr

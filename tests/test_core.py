@@ -289,3 +289,19 @@ def test_integer_arguments_one_validator(fn, args, positions):
             with pytest.raises(ValueError):
                 fn(*args[:i], bad, *args[i + 1 :])
         assert fn(*args[:i], np.int64(args[i]), *args[i + 1 :]) == expected
+
+
+def test_budget_errors_name_the_limit_a_caller_can_raise():
+    import pickle
+
+    from phik.core import check_budget, check_word_budget
+
+    with pytest.raises(BudgetExceededError) as exc:
+        check_budget(11, 10, "ten tuples")
+    assert exc.value.limit == "budget" and str(exc.value).endswith("over the budget of 10")
+    with pytest.raises(BudgetExceededError) as exc:
+        check_word_budget(10**8, 128, "two-word steps")
+    assert exc.value.limit is None and "200000000 tuples" in str(exc.value)
+    check_word_budget(10**8, 127, "one-word steps")  # under a word: priced as one
+    copy = pickle.loads(pickle.dumps(BudgetExceededError("refused", "sieve_limit")))
+    assert str(copy) == "refused" and copy.limit == "sieve_limit"

@@ -4,6 +4,8 @@
 kernel-backed oracle, and both residue-class counts, must equal the sum of
 its defining weight over that walk.
 """
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from functools import reduce
@@ -14,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phik import menon, totients
+from phik.cli import main
+from phik.core import euler_phi
 from phik.menon import (
     count_units_in_class,
     count_units_in_two_classes,
@@ -114,3 +118,81 @@ def test_gcd_sum_calls_f_only_at_reached_gcds():
     assert gcd_sum_lhs_oracle(1, 9, f) == 9 + 3 + 1 + 1 + 3 + 1
     assert calls == [1, 3, 9]
     assert gcd_sum_lhs_oracle(1, 9, {1: 1, 3: 3, 9: 9}) == 18
+
+
+def test_unit_sum_counts_equals_the_generic_fold():
+    # the Kronecker power against k - 1 pairing steps, below, at and far above n
+    for k in range(1, 7):
+        for n in range(1, 61):
+            divs = [m for m in range(1, n + 1) if n % m == 0]
+            for m in divs + [7, n + 1, k * n + 1, 10**12]:
+                folded = fold_counts(totients.units_mod(n), lambda a: a % m,
+                                     lambda u, v: (u + v) % m, k)
+                assert unit_sum_counts.__wrapped__(k, n, m) == tuple(sorted(folded.items())), (k, n, m)
+
+
+def test_oracle_with_a_huge_m_answers_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "phik.cli", "oracle", "phi-k", "--k", "2", "--n", "10", "--m",
+         "1000000000"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 0 and proc.stdout == "0\n"  # two odd units never sum to an odd
+
+
+def old_lemma_witnesses(n_max, units):
+    """The failures of the per-check lemma sweep, in its order, for the units `units(n)`."""
+    failures = []
+    for n in range(1, n_max + 1):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        phi_n = euler_phi(n)
+        for d in divs:
+            for r in range(d):
+                count = sum(1 for a in units(n) if a % d == r)
+                predicted = phi_n // euler_phi(d) if gcd(r, d) == 1 else 0
+                if count != predicted:
+                    failures.append(((("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)),
+                                     count, predicted))
+            for e in divs:
+                g = gcd(d, e)
+                for r in range(d):
+                    for s in range(e):
+                        count = sum(1 for a in units(n) if a % d == r and a % e == s)
+                        coprime = gcd(r, d) == 1 and gcd(s, e) == 1 and (r - s) % g == 0
+                        predicted = phi_n * g // euler_phi(d * e) if coprime else 0
+                        if count != predicted:
+                            failures.append(((("lemma", "two_congruences"), ("n", n), ("d", d),
+                                              ("e", e), ("r", r), ("s", s)), count, predicted))
+    return failures
+
+
+def test_lemma_sweep_reports_the_per_check_witnesses(monkeypatch, capsys):
+    # drop the unit 5 of n = 12 from the kernel: the class counts of 12 break, the predictions hold
+    real = totients.unit_sum_counts
+
+    def dropped(k, n, modulus):
+        counts = dict(real(k, n, modulus))
+        if (k, n) == (1, 12):
+            counts[5 % modulus] -= 1
+        return tuple((r, c) for r, c in sorted(counts.items()) if c)
+
+    monkeypatch.setattr(menon, "unit_sum_counts", dropped)
+    expected = old_lemma_witnesses(14, lambda n: [a for a in totients.units_mod(n)
+                                                  if (n, a) != (12, 5)])
+    assert expected  # n = 12 alone has failures
+    report = menon.lemma_sweep(14)
+    assert [(inst.params, inst.lhs, inst.rhs) for inst in report.failures] == expected
+    assert not any(inst.ok for inst in report.failures) and report.checked == 2902
+
+    assert main(["verify", "lemmas", "--n-max", "14"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = [" ".join(f"{key}={val}" for key, val in params) + f" lhs={lhs} rhs={rhs}"
+                 for params, lhs, rhs in expected]
+    assert [line for line in lines if line.startswith("FAIL lemma=")] == [
+        f"FAIL {text}" for text in witnesses]
+    assert lines[-1] == "FAIL"
+
+
+def test_lemma_sweep_checks_count_unchanged():
+    report = menon.lemma_sweep(28)
+    assert report.checked == 22900 and report.ok and not report.instances

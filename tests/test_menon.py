@@ -1,5 +1,6 @@
 """Counting lemmas, N_k machinery, and the gcd-sum identities."""
 import json
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -294,3 +295,25 @@ def test_n_k_sweep_skips_the_cells_its_oracle_refuses():
     assert all(s["reason"] == "phi(n)**k over budget 100" for s in report.skipped)
     ran = [(k, n) for k in range(1, 4) for n in range(1, 15) if (k, n) not in over]
     assert report.checked == sum(len(divisors(n)) ** 2 for _, n in ran) and report.ok
+
+
+def test_gcd_sum_rhs_in_integers_matches_fractions():
+    # the integer sum against the plain Fraction sum, honest and inconsistent tables alike
+    tables = [
+        {d: d for d in range(1, 31)},  # mu_f is computed from f
+        {"f": {d: d for d in range(1, 31)}, "mu_f": {d: d % 3 for d in range(1, 31)}},
+        {"f": {d: 1 for d in range(1, 31)}, "mu_f": {d: 1 for d in range(1, 31)}},
+    ]
+    for table in tables:
+        spec = parse_function_spec(table)
+        for k in (1, 2, 3):
+            for n in range(1, 31):
+                total = sum(Fraction(spec.mobius_transform_at(d), euler_phi(d)) for d in divisors(n))
+                got = gcd_sum_rhs(k, n, spec)
+                assert got == phi_k(k, n) * total and type(got) is int, (table, k, n)
+
+
+def test_gcd_sum_rhs_keeps_the_ratio_of_a_fraction_valued_f():
+    assert gcd_sum_rhs(1, 5, lambda x: Fraction(1, 3)) == Fraction(4, 3)  # (mu*f)(1) = 1/3 only
+    halved = gcd_sum_rhs(2, 15, lambda x: Fraction(x, 2))
+    assert halved == gcd_sum_rhs(2, 15, "id") // 2 and type(halved) is int

@@ -66,6 +66,15 @@ def test_eval_n_k_imports_no_fractions():
     assert loaded_after(argv, ("phik.summatory", "numpy", "fractions")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "menon", "--k-max", "2", "--n-max", "12", "--f", "tau"],
+    ["verify", "sita-ramaiah", "--n-max", "12"],
+])
+def test_divisor_sum_side_imports_no_fractions(argv):
+    # phi(d) divides phi_k(n) for every d | n: the divisor sum stays in integers
+    assert loaded_after(argv, ("phik.summatory", "numpy", "fractions")) == []
+
+
 def test_star_import_binds_each_name_to_its_home_object():
     code = (
         "import phik\n"

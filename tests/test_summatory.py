@@ -389,3 +389,20 @@ def test_faulhaber_needs_no_bernoulli_numbers_up_to_k_plus_one():
     summatory._bernoulli.cache_clear()
     assert faulhaber_sum(1000, 1001) == sum(i**1000 for i in range(1, 1002))
     assert summatory._bernoulli.cache_info().currsize == 0
+
+
+def test_bernoulli_build_is_priced_before_it_starts():
+    summatory._bernoulli.cache_clear()
+    with pytest.raises(BudgetExceededError, match="Bernoulli numbers B_0 ... B_5000") as exc:
+        faulhaber_sum(5000, 5002)
+    assert exc.value.limit is None  # no caller can raise this budget
+    assert summatory._bernoulli.cache_info().currsize == 0
+    with pytest.raises(BudgetExceededError):
+        sum_phi_k_convolution(5000, 10**4)
+    assert faulhaber_sum(60, 100) == sum(i**60 for i in range(1, 101))  # priced far below 10**8
+
+
+def test_sieve_refusal_names_its_limit():
+    with pytest.raises(BudgetExceededError) as exc:
+        sum_phi_k_direct(2, 2000, sieve_limit=1000)
+    assert exc.value.limit == "sieve_limit"
