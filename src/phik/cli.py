@@ -177,9 +177,7 @@ def _cmd_verify(cmd: Command, args) -> int:
         payload = [report.as_dict() for report in reports]
         _emit_json(args, payload if len(payload) > 1 else payload[0])
     else:
-        lines = []
-        for report in reports:
-            lines.extend(_report_lines(report))
+        lines = [line for report in reports for line in _report_lines(report)]
         verdict = "PASS" if all(r.ok for r in reports) else "FAIL"
         if any(r.partial for r in reports):
             verdict += " (partial: some instances skipped over budget)"
@@ -197,23 +195,16 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
 
     if args.format == "csv":  # the enclosure is cheap: refuse a bad prime bound before any sum
         enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
+    if args.method == "both":  # refuse what the convolution route refuses before the direct sum
+        summatory._convolution_checks(args.k, args.x, args.sieve_limit)
     results = []
-    if args.method in ("direct", "both"):
-        results.append(
-            summatory.sum_phi_k_direct(
-                args.k, args.x, sieve_limit=args.sieve_limit, workers=args.workers
-            )
-        )
-    if args.method in ("convolution", "both"):
-        results.append(
-            summatory.sum_phi_k_convolution(args.k, args.x, sieve_limit=args.sieve_limit)
-        )
+    if args.method != "convolution":
+        results.append(summatory.sum_phi_k_direct(args.k, args.x, args.sieve_limit, args.workers))
+    if args.method != "direct":
+        results.append(summatory.sum_phi_k_convolution(args.k, args.x, args.sieve_limit))
     if len(results) == 2 and results[0].value != results[1].value:
-        print(
-            "METHOD MISMATCH (implementation bug): "
-            f"direct_sieve={results[0].value} convolution={results[1].value}",
-            file=sys.stderr,
-        )
+        print(f"METHOD MISMATCH (implementation bug): direct_sieve={results[0].value} "
+              f"convolution={results[1].value}", file=sys.stderr)
         return EXIT_FAILURE
     _check_printable(results[0].value)
     if args.format == "csv":

@@ -72,6 +72,17 @@ def cap_workers(workers: int, tasks: int) -> int:
     return max(1, min(workers, cpus, tasks))
 
 
+def parallel_map(fn: Callable, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], on `cap_workers` processes (about 4 chunks each) if over 1."""
+    pool_size = cap_workers(workers, len(tasks))
+    if pool_size == 1:
+        return [fn(task) for task in tasks]
+    import concurrent.futures  # looked up per call, so a stand-in pool can be patched in
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
+        return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // (4 * pool_size))))
+
+
 def check_budget(cost: int, budget: int, what: str, limit: str | None = "budget") -> None:
     """Refuse an enumeration that would visit more than `budget` tuples."""
     if cost > budget:

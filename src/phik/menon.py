@@ -9,13 +9,14 @@ N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and 0 mod
 delta; `n_k` divides the two-parameter totients exactly, and `n_k_recursion`
 never calls them.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
-units, `fold_counts` for the joint-gcd pairs.
+units, `fold_counts` for the joint-gcd pairs.  Sweeps report through
+`IdentityReport.of` and spread their cells with `core.parallel_map`.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .core import (
@@ -23,9 +24,7 @@ from .core import (
     ArithValue,
     BudgetExceededError,
     MultiplicativeFunction,
-    cap_workers,
     check_budget,
-    check_word_budget,
     divisors,
     euler_phi,
     exact_div,
@@ -33,12 +32,13 @@ from .core import (
     jordan_totient,
     mobius,
     mobius_transform,
+    parallel_map,
     positive_divisor,
     positive_int,
     table_lookup,
     tau,
 )
-from .totients import fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
+from .totients import _divisor_levels, fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
 
 IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
 
@@ -112,8 +112,8 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
     N_k(n, d, delta) = phi(n) / (phi(d) phi(delta)) * sum over j | d, t | delta of
     mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  Requires k >= 2 and
     gcd(d, delta) = 1, so a pair is one squarefree s = j t: mu(j) mu(t) = mu(s), and
-    phi(j) phi(t) = phi(s).  Levels are built upwards over all s, priced as in
-    `phi_k_nm_recursion`, at omega(d delta).
+    phi(j) phi(t) = phi(s).  N_i(n, j, t) is level i at s of `totients._divisor_levels`,
+    priced at omega(d delta).
     """
     k = positive_int(k, "tuple length k")
     if k < 2:
@@ -125,20 +125,12 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
         raise ValueError(
             f"recursion path requires gcd(d, delta) = 1, got d={d}, delta={delta}"
         )
-    primes = factorize(d).primes() + factorize(delta).primes()
     phi_n = euler_phi(n)
-    check_word_budget(k * 3 ** len(primes), k * phi_n.bit_length(),
-                      f"N_{k}(n, {d}, {delta}) recursion over divisor steps")
-    rad = prod(primes)
     # N_1(n, j, t): a unit is 1 mod j, and 0 mod t only when t = 1
-    level = {s: exact_div(phi_n, euler_phi(s)) if gcd(s, delta) == 1 else 0 for s in divisors(rad)}
-
-    def step(s: int) -> int:  # phi(s) N_i(n, j, t), from level i - 1
-        return phi_n * sum(mobius(e) * level[e] for e in divisors(s))
-
-    for _ in range(k - 2):
-        level = {s: exact_div(step(s), euler_phi(s)) for s in level}
-    return exact_div(step(rad), euler_phi(d) * euler_phi(delta))
+    total = _divisor_levels(k, n, factorize(d).primes() + factorize(delta).primes(),
+                            lambda s: exact_div(phi_n, euler_phi(s)) if gcd(s, delta) == 1 else 0,
+                            f"N_{k}(n, {d}, {delta})")
+    return exact_div(total, euler_phi(d) * euler_phi(delta))
 
 
 def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
@@ -354,27 +346,24 @@ class IdentityReport(NamedTuple):
     swept: dict
     checked: int
     trivial_zeros: int
-    instances: list[Instance]
     failures: list[Instance]
     skipped: list[dict]
 
     @classmethod
-    def of(cls, identity: str, swept: dict, results: Iterable[Union[Instance, dict]],
-           keep_instances: bool = True) -> IdentityReport:
-        """The report on a sweep's results: checked instances and skip records, in order."""
+    def of(cls, identity: str, swept: dict, cells: Iterable[Union[tuple, dict]]) -> IdentityReport:
+        """The report on a sweep's cells, in order.
+
+        A cell is a skip record (a dict) or a triple (checks, trivial zeros, failures).
+        """
         checked = trivial_zeros = 0
-        instances, failures, skipped = [], [], []
-        for result in results:
-            if isinstance(result, dict):
-                skipped.append(result)
-                continue
-            checked += 1
-            trivial_zeros += result.trivial_zero
-            if keep_instances:
-                instances.append(result)
-            if not result.ok:
-                failures.append(result)
-        return cls(identity, swept, checked, trivial_zeros, instances, failures, skipped)
+        failures, skipped = [], []
+        for cell in cells:
+            if isinstance(cell, dict):
+                skipped.append(cell)
+            else:
+                checked, trivial_zeros = checked + cell[0], trivial_zeros + cell[1]
+                failures += cell[2]
+        return cls(identity, swept, checked, trivial_zeros, failures, skipped)
 
     @property
     def partial(self) -> bool:
@@ -435,13 +424,14 @@ def verify_identity(
     return Instance(params, lhs, rhs, ok, trivial, detail)
 
 
-def _sweep_cell(args: tuple) -> Union[Instance, dict]:
-    """One checked instance, or the skip record of a cell its oracle refused."""
+def _sweep_cell(args: tuple) -> Union[tuple[int, int, list[Instance]], dict]:
+    """One checked instance as a report cell, or the skip record of a cell its oracle refused."""
     kind, k, n, f_source, budget = args
     try:
-        return verify_identity(kind, k, n, f_source, budget)
+        inst = verify_identity(kind, k, n, f_source, budget)
     except BudgetExceededError:
         return {"k": str(k), "n": str(n), "reason": f"n**k = {n ** k} over budget {budget}"}
+    return 1, inst.trivial_zero, [] if inst.ok else [inst]
 
 
 def verify_sweep(
@@ -455,9 +445,8 @@ def verify_sweep(
     """Sweep an identity over 1 <= k <= k_max, 1 <= n <= n_max.
 
     Instances whose oracle refuses the budget are skipped and reported,
-    making the report partial.  With workers > 1 the cells are evaluated in
-    parallel, on no more processes than usable CPUs or cells, and merged
-    back in parameter order.
+    making the report partial.  With workers > 1 the cells are evaluated by
+    `core.parallel_map` and merged back in parameter order.
     """
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity {kind!r}, expected one of {IDENTITY_KINDS}")
@@ -471,18 +460,9 @@ def verify_sweep(
     source = spec if workers == 1 else spec.source
     cells = [(kind, k, n, source, budget) for k in ks for n in range(1, n_max + 1)]
     if workers > 1 and source is None:
-        raise ValueError(
-            "parallel sweeps need a re-parseable f spec (name, pow:j, or table:<path>)"
-        )
-    pool_size = cap_workers(workers, len(cells))
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_sweep_cell, cells, chunksize=8))
-    else:
-        results = [_sweep_cell(cell) for cell in cells]
-    return IdentityReport.of(kind, swept, results)
+        raise ValueError("parallel sweeps need a re-parseable f spec "
+                         "(name, pow:j, or table:<path>)")
+    return IdentityReport.of(kind, swept, parallel_map(_sweep_cell, cells, workers))
 
 
 def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> IdentityReport:
@@ -510,19 +490,17 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
                 if count != predicted:
                     yield Instance(params(r, s), count, predicted, False)
 
-    checked, failures = 0, []
-    for n in range(1, n_max + 1):
-        divs = divisors(n)
-        for d in divs:
-            tables = {e: _class_table(n, d, e) for e in divs}  # e = 1: the one-congruence table
-            failures += check(n, d, 1, tables[1], lambda r, s: (
-                ("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)))
-            for e in divs:
-                failures += check(n, d, e, tables[e], lambda r, s: (
-                    ("lemma", "two_congruences"), ("n", n), ("d", d), ("e", e), ("r", r), ("s", s)))
-            checked += d + d * sum(divs)
-    return IdentityReport("lemmas", {"n": f"1..{n_max}", "residues": "all"}, checked, 0, [],
-                          failures, [])
+    def cell(n, divs, d):  # the checks of one (n, d), and the failures among them
+        tables = {e: _class_table(n, d, e) for e in divs}  # e = 1: the one-congruence table
+        failures = list(check(n, d, 1, tables[1], lambda r, s: (
+            ("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r))))
+        for e in divs:
+            failures += check(n, d, e, tables[e], lambda r, s: (
+                ("lemma", "two_congruences"), ("n", n), ("d", d), ("e", e), ("r", r), ("s", s)))
+        return d + d * sum(divs), 0, failures
+
+    cells = (cell(n, divs, d) for n in range(1, n_max + 1) for divs in [divisors(n)] for d in divs)
+    return IdentityReport.of("lemmas", {"n": f"1..{n_max}", "residues": "all"}, cells)
 
 
 def n_k_sweep(
@@ -536,29 +514,24 @@ def n_k_sweep(
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
 
-    def results():
-        for k in range(1, k_max + 1):
-            for n in range(1, n_max + 1):
-                divs = divisors(n)
-                pairs = [(d, delta) for d in divs for delta in divs]
-                try:
-                    brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
-                except BudgetExceededError:
-                    yield {"k": str(k), "n": str(n), "reason": f"phi(n)**k over budget {budget}"}
-                    continue
-                for (d, delta), brute in zip(pairs, brutes):
-                    closed = n_k(k, n, d, delta)
-                    ok = brute == closed
-                    detail = None
-                    if gcd(d, delta) > 1:
-                        ok = ok and closed == 0
-                    elif k >= 2:
-                        rec = n_k_recursion(k, n, d, delta)
-                        ok = ok and rec == closed
-                        if rec != closed:
-                            detail = f"recursion = {rec}"
-                    yield Instance((("k", k), ("n", n), ("d", d), ("delta", delta)),
-                                   brute, closed, ok, detail=detail)
+    def cell(k, n):  # the checks of one (k, n) and the failures among them, or its skip record
+        divs = divisors(n)
+        pairs = [(d, delta) for d in divs for delta in divs]
+        try:
+            brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
+        except BudgetExceededError:
+            return {"k": str(k), "n": str(n), "reason": f"phi(n)**k over budget {budget}"}
+        failures = []
+        for (d, delta), brute in zip(pairs, brutes):
+            closed = n_k(k, n, d, delta)
+            coprime = gcd(d, delta) == 1  # else the oracle and closed form must give 0
+            rec = n_k_recursion(k, n, d, delta) if coprime and k >= 2 else closed
+            if brute != closed or rec != closed or not (coprime or closed == 0):
+                failures.append(Instance((("k", k), ("n", n), ("d", d), ("delta", delta)), brute,
+                                         closed, False,
+                                         detail=f"recursion = {rec}" if rec != closed else None))
+        return len(pairs), 0, failures
 
+    cells = (cell(k, n) for k in range(1, k_max + 1) for n in range(1, n_max + 1))
     swept = {"k": f"1..{k_max}", "n": f"1..{n_max}"}
-    return IdentityReport.of("n_k_machinery", swept, results(), keep_instances=False)
+    return IdentityReport.of("n_k_machinery", swept, cells)

@@ -31,6 +31,7 @@ from .core import (
     cap_workers,
     check_word_budget,
     exact_div,
+    parallel_map,
     positive_int,
 )
 from .totients import _g_k_prime, _phi_k_prime_power
@@ -180,9 +181,9 @@ def sum_phi_k_direct(
     """Exact sum of phi_k(n) for n <= x, evaluating phi_k(n) at every n.
 
     Each n's value is a column of residues (or one exact value at large k), see
-    `residues.Rows` and `_direct_range_sum`.  With workers > 1 the range is
-    partitioned, each worker rebuilds its exact range sum, and the sums are added
-    in range order, so the total is identical regardless of worker count.
+    `residues.Rows` and `_direct_range_sum`.  With workers > 1 the range is split
+    into one range per worker for `core.parallel_map`, and the exact range sums are
+    added in range order, so the total is identical regardless of worker count.
     Workers are capped at the usable CPUs and so that each gets more than 4
     numbers.
     """
@@ -190,18 +191,8 @@ def sum_phi_k_direct(
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit, "cutoff x")
     workers = cap_workers(workers, (x - 1) // 4)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [1 + (x * i) // workers for i in range(workers + 1)]
-        chunks = [
-            (k, bounds[i], bounds[i + 1] - 1, x) for i in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_direct_range_sum, chunks))
-    else:
-        total = _direct_range_sum((k, 1, x, x))
-    return PartialSum(k, x, total, "direct_sieve")
+    ranges = [(k, 1 + x * i // workers, x * (i + 1) // workers, x) for i in range(workers)]
+    return PartialSum(k, x, sum(parallel_map(_direct_range_sum, ranges, workers)), "direct_sieve")
 
 
 def sum_phi_k_convolution(
@@ -216,11 +207,7 @@ def sum_phi_k_convolution(
     of S_k(x // d), evaluated once per run (O(sqrt x) runs).  One CRT rebuilds
     the exact total.
     """
-    k = positive_int(k, "tuple length k")
-    x = positive_int(x, "cutoff x")
-    _check_sieve_budget(x, sieve_limit, "cutoff x")
-    if x > k + 1:  # S_k(x), for the run at d = 1, needs B_0 ... B_k: price them up front
-        _faulhaber_coeffs(k)
+    k, x = _convolution_checks(k, x, sieve_limit)
     import numpy as np
 
     from .residues import Rows, blocks
@@ -238,6 +225,16 @@ def sum_phi_k_convolution(
         total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
         rows.reduce(total)
     return PartialSum(k, x, rows.exact(total), "convolution")
+
+
+def _convolution_checks(k: int, x: int, sieve_limit: int) -> tuple[int, int]:
+    """Validate k and x, and refuse what `sum_phi_k_convolution` would refuse, before any sum."""
+    k = positive_int(k, "tuple length k")
+    x = positive_int(x, "cutoff x")
+    _check_sieve_budget(x, sieve_limit, "cutoff x")
+    if x > k + 1:  # S_k(x), for the run at d = 1, needs B_0 ... B_k: price them up front
+        _faulhaber_coeffs(k)
+    return k, x
 
 
 # -- exact power sums -------------------------------------------------------

@@ -13,8 +13,9 @@ Every closed form is built in integers from phi_k(p) = (p-1)((p-1)**k -
 primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k.
 
 The oracles count from the definitions, never visiting tuples one by one:
-unit tuples by their sum mod M in one big-integer power (`unit_sum_counts`),
-other keys by k - 1 pairing steps (`fold_counts`).
+unit tuples by their sum mod M in one big-integer power, folded after each
+product (`unit_sum_counts`), other keys by k - 1 pairing steps (`fold_counts`).
+`_divisor_levels` builds and prices the recursions of phi_k(n, m) and N_k.
 """
 from __future__ import annotations
 
@@ -29,12 +30,10 @@ from .core import (
     MultiplicativeFunction,
     check_budget,
     check_word_budget,
-    divisors,
     euler_phi,
     eval_mf,
     exact_div,
     factorize,
-    mobius,
     positive_divisor,
     positive_int,
 )
@@ -68,17 +67,26 @@ def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]
     """Pairs (r, c): c k-tuples of units mod n sum to r mod `modulus`, c > 0.  Cached.
 
     Kronecker substitution: the unit counts by a % modulus (at most n + 1) are the
-    width-byte digits of one integer, whose k-th power holds their k-fold convolution.
+    width-byte digits of one integer, raised to the k-th power from the left with
+    each product folded back at once (x**modulus = 1), so no operand passes
+    `modulus` digits; a digit after the step to exponent j is at most phi(n)**j.
     """
     units = units_mod(n)
     width = k * len(units).bit_length() // 8 + 1  # 2**(8 width) > phi(n)**k, the digit sum
     hist = [0] * min(modulus, n + 1)
     for a in units:
         hist[a % modulus] += 1
-    power = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in hist), "little") ** k
+    base = power = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in hist), "little")
     shift = 8 * width * modulus
-    while high := power >> shift:  # x**modulus = 1: fold back, no digit carries
-        power += high - (high << shift)
+
+    def fold(v: int) -> int:  # v has under 2 modulus digits: one fold leaves under modulus
+        high = v >> shift
+        return v + high - (high << shift)
+
+    for bit in bin(k)[3:]:
+        power = fold(power * power)
+        if bit == "1":
+            power = fold(power * base)
     digits = power.to_bytes(width * (power.bit_length() // (8 * width) + 1), "little")
     return tuple((r, c) for r in range(len(digits) // width)
                  if (c := int.from_bytes(digits[r * width:(r + 1) * width], "little")))
@@ -123,28 +131,46 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
     return free**k * prod(_phi_k_prime_power(k, p) for p in primes)
 
 
+def _divisor_levels(k: int, n: int, primes: tuple[int, ...], first: Callable[[int], int],
+                    what: str) -> int:
+    """phi(rad) level_k(rad), rad = prod(primes), k >= 2; priced before any divisor is listed.
+
+    level_1(s) = first(s), level_i(s) = phi(n)/phi(s) sum_{e | s} mu(e) level_{i-1}(e) (exact)
+    over the squarefree s | rad, priced at 3**omega divisor pairs per level, on numbers of up
+    to k bits(phi(n)) bits.  The divisor sums of a level take omega 2**(omega-1) subtractions.
+    """
+    phi_n = euler_phi(n)
+    check_word_budget(k * 3 ** len(primes), k * phi_n.bit_length(),
+                      f"{what} recursion over divisor steps")
+    divs, phis = [1], [1]  # divs[b] is the product of the primes at the set bits of b
+    for p in primes:
+        divs += [d * p for d in divs]
+        phis += [f * (p - 1) for f in phis]
+    level = [first(s) for s in divs]
+    for _ in range(k - 1):
+        for bit in (1 << i for i in range(len(primes))):  # one prime at a time: the sum over e | s
+            for b in range(bit, len(level)):
+                if b & bit:
+                    level[b] = level[b ^ bit] - level[b]
+        level = [exact_div(phi_n * v, f) for v, f in zip(level, phis)]
+    return phis[-1] * level[-1]
+
+
 def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
     """phi_k(n, m) via phi_k(n, m) = phi(n) * sum_{d | m} mu(d)/phi(d) * phi_{k-1}(n, d).
 
-    Independent of the closed form; bottoms out at phi_1(n, d) = phi(n).  Levels
-    are built upwards over the squarefree d | m, priced by `core.check_word_budget`;
-    each phi_{i-1}(n, d) / phi(d) is an integer, as p - 1 divides phi_{i-1}(p).
+    Independent of the closed form; bottoms out at phi_1(n, d) = phi(n).  The
+    levels phi_i(n, t) / phi(t) over the squarefree t | m are integers, as p - 1
+    divides phi_i(p), and are built by `_divisor_levels`.
     """
     k = positive_int(k, "tuple length k")
     n = positive_int(n, "modulus n")
     m = positive_divisor(m, n, "m")
     if k == 1:
         return euler_phi(n)
-    primes = factorize(m).primes()
     phi_n = euler_phi(n)
-    check_word_budget(k * 3 ** len(primes), k * phi_n.bit_length(),
-                      f"phi_{k}(n, m={m}) recursion over divisor steps")
-    rad = prod(primes)
-    level = dict.fromkeys(divisors(rad), phi_n)  # phi_1(n, t) at each squarefree t | m
-    for _ in range(k - 1):
-        level = {t: phi_n * sum(mobius(d) * exact_div(level[d], euler_phi(d)) for d in divisors(t))
-                 for t in level}
-    return level[rad]
+    return _divisor_levels(k, n, factorize(m).primes(), lambda t: exact_div(phi_n, euler_phi(t)),
+                           f"phi_{k}(n, m={m})")
 
 
 def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:

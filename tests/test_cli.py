@@ -690,3 +690,13 @@ def test_large_k_bernoulli_build_is_refused_at_once():
     assert time.perf_counter() - start < 5
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("budget refused:") and "Bernoulli" in proc.stderr
+
+
+def test_both_methods_price_the_bernoulli_build_before_the_direct_sum():
+    argv = ("sum", "phi-k", "--k", "5000", "--x", "10000")
+    start = time.perf_counter()
+    both = phik_process(*argv, "--method", "both", timeout=10)
+    assert time.perf_counter() - start < 2
+    convolution = phik_process(*argv, "--method", "convolution", timeout=10)
+    assert both.returncode == convolution.returncode == 3 and both.stdout == ""
+    assert both.stderr == convolution.stderr and "Bernoulli" in both.stderr

@@ -1,4 +1,5 @@
 """Factorization, divisors, and the multiplicative-function registry."""
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -305,3 +306,32 @@ def test_budget_errors_name_the_limit_a_caller_can_raise():
     check_word_budget(10**8, 127, "one-word steps")  # under a word: priced as one
     copy = pickle.loads(pickle.dumps(BudgetExceededError("refused", "sieve_limit")))
     assert str(copy) == "refused" and copy.limit == "sieve_limit"
+
+
+def test_parallel_map_keeps_task_order_and_derives_its_chunks(monkeypatch):
+    import concurrent.futures
+
+    from phik.core import parallel_map
+
+    pools = []
+
+    class StandIn:  # maps in-process, recording its size and chunk size
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            pools[-1].append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+    assert parallel_map(abs, list(range(-20, 0)), 8) == list(range(20, 0, -1))
+    assert pools == [[2, 3]]  # two CPUs; 20 tasks in about four chunks per worker
+    assert parallel_map(abs, [-1], 8) == [1] and parallel_map(abs, [-1, -2], 1) == [1, 2]
+    assert len(pools) == 1  # one task, or one worker asked for: no pool

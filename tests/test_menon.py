@@ -7,6 +7,8 @@ import pytest
 
 from phik import (
     BudgetExceededError,
+    IdentityReport,
+    Instance,
     count_units_in_class,
     count_units_in_two_classes,
     divisors,
@@ -268,7 +270,6 @@ def test_verify_sweep_partial_on_budget():
 def test_verify_sweep_parallel_matches_serial():
     seq = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=1)
     par = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=2)
-    assert [i.params for i in seq.instances] == [i.params for i in par.instances]
     assert seq.as_dict() == par.as_dict()
 
 
@@ -317,3 +318,13 @@ def test_gcd_sum_rhs_keeps_the_ratio_of_a_fraction_valued_f():
     assert gcd_sum_rhs(1, 5, lambda x: Fraction(1, 3)) == Fraction(4, 3)  # (mu*f)(1) = 1/3 only
     halved = gcd_sum_rhs(2, 15, lambda x: Fraction(x, 2))
     assert halved == gcd_sum_rhs(2, 15, "id") // 2 and type(halved) is int
+
+
+def test_identity_report_tallies_cells_in_order():
+    fail = Instance((("n", 1),), 1, 2, False)
+    skip = {"k": "2", "n": "3", "reason": "over budget"}
+    cells = [(4, 1, []), skip, (2, 0, [fail]), (1, 1, [])]
+    report = IdentityReport.of("demo", {"n": "1..3"}, cells)
+    assert report == ("demo", {"n": "1..3"}, 7, 2, [fail], [skip])
+    assert report.partial and not report.ok
+    assert IdentityReport.of("demo", {}, []).ok

@@ -2,7 +2,7 @@
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -261,3 +261,26 @@ def test_g_k_from_mobius_convolution_of_phi_k():
                 phi_k(k, d) * mobius(n // d) * (n // d) ** k for d in divisors(n)
             )
             assert total == g_k(k, n), (k, n)
+
+
+def test_both_recursions_are_priced_once_by_the_level_builder(monkeypatch):
+    from phik import menon, totients
+
+    priced = []
+    monkeypatch.setattr(totients, "check_word_budget", lambda *args: priced.append(args))
+    assert phi_k_nm_recursion(5, 30, 30) == phi_k_nm(5, 30, 30)
+    assert menon.n_k_recursion(5, 30, 3, 5) == n_k(5, 30, 3, 5)
+    assert priced == [(5 * 27, 5 * 4, "phi_5(n, m=30) recursion over divisor steps"),
+                      (5 * 9, 5 * 4, "N_5(n, 3, 5) recursion over divisor steps")]
+
+
+def test_recursions_at_many_primes_take_each_prime_once():
+    # 16 primes at k = 2 are priced under the budget; pairing every divisor with its
+    # divisors (3**16 steps) took two minutes
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    n, d = prod(primes), prod(primes[1:9])
+    start = time.perf_counter()
+    assert phi_k_nm_recursion(2, n, n) == phi_k_nm(2, n, n)
+    assert phi_k_nm_recursion(3, n // 53, n // 53) == phi_k_nm(3, n // 53, n // 53)
+    assert n_k_recursion(2, n, d, n // d) == n_k(2, n, d, n // d)
+    assert time.perf_counter() - start < 10
