@@ -26,6 +26,7 @@ from .core import (
     DEFAULT_PRIME_BOUND,
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
+    positive_int,
 )
 
 EXIT_OK = 0
@@ -195,8 +196,9 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
 
     if args.format == "csv":  # the enclosure is cheap: refuse a bad prime bound before any sum
         enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
-    if args.method == "both":  # refuse what the convolution route refuses before the direct sum
+    if args.method != "direct":  # refuse what the convolution route refuses before any sum
         summatory._convolution_checks(args.k, args.x, args.sieve_limit)
+        positive_int(args.workers, "worker count")  # as the direct route does, for every method
     results = []
     if args.method != "convolution":
         results.append(summatory.sum_phi_k_direct(args.k, args.x, args.sieve_limit, args.workers))

@@ -1,13 +1,13 @@
-"""Multiplicative functions over a range, as rows of int64 residues rebuilt by CRT.
+"""Multiplicative functions over a range, as int64 rows rebuilt by CRT.
 
-The moduli are the largest primes below 2**31, so that the product of two
-residues stays below 2**62 and numpy multiplies them in int64 without loss.
-An integer known to lie in [0, 2**bits) is fixed by its residues modulo
-`moduli(bits)`, and `crt` rebuilds it.  Past MAX_MODULI moduli, one row of
-exact Python ints costs less than the residue rows, and `Rows` carries that
-instead.  `blocks` walks a range of n a block at a time and builds f(n) in
-rows for a multiplicative f, from a smallest-prime-factor sieve.  The exact
-sums of `summatory` run on both; numpy is imported only when this module is.
+Row 0, the word row, holds each value modulo 2**64 and is never reduced: numpy's
+int64 `+` and `*` on arrays wrap.  The other rows hold residues modulo the largest
+primes below 2**31, so that a product of two stays below 2**62.  An integer known
+to lie in [0, 2**bits) is fixed by its rows modulo `moduli(bits)`, and `crt`
+rebuilds it.  Past MAX_MODULI rows, one row of exact Python ints costs less, and
+`Rows` carries that instead.  `blocks` walks a range of n a block at a time and
+builds f(n) in rows for a multiplicative f, from a smallest-prime-factor sieve.
+The exact sums of `summatory` run on both; numpy is imported only with this module.
 """
 from __future__ import annotations
 
@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _is_prime
+from .core import _is_prime, exact_div
 
 MAX_MODULI = 8
+WORD = 1 << 64
 
 # Primes below this strike their multiples in a block through strided slices.
 STRIDED_BELOW = 64
@@ -26,13 +27,13 @@ STRIDED_BELOW = 64
 
 @lru_cache(maxsize=None)
 def moduli(bits: int) -> tuple[int, ...]:
-    """The fewest of the largest primes below 2**31 whose product exceeds 2**bits.
+    """2**64, then the fewest of the largest primes below 2**31, whose product exceeds 2**bits.
 
-    Empty when that takes more than MAX_MODULI primes.  Each is proven prime
-    by deterministic Miller-Rabin (`core._is_prime`).
+    Empty when that takes more than MAX_MODULI moduli.  Each prime is proven
+    prime by deterministic Miller-Rabin (`core._is_prime`).
     """
-    found: list[int] = []
-    product, candidate = 1, 2**31 - 1
+    found = [WORD]
+    product, candidate = WORD, 2**31 - 1
     while product <= 1 << bits:
         if len(found) == MAX_MODULI:
             return ()
@@ -53,25 +54,43 @@ def crt(residues, moduli: tuple[int, ...]) -> int:
     return n
 
 
+def monomials(f: Callable[[int], int], k: int) -> list[int]:
+    """The integers c with f(t) = sum_i c[i] t**i, for f of degree <= k, from f(1 .. k+1).
+
+    With D_i the i-th difference of f at 1, f(t) = sum_i D_i C(t-1, i) (Newton's forward
+    form); scaled by k!, it is M_0 = k! f with M_i = k!/i! D_i + (t-1-i) M_(i+1), in integers.
+    """
+    diffs, heads = [f(s) for s in range(1, k + 2)], []
+    while diffs:
+        heads.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    scaled, scale = [0] * (k + 1), 1  # scale = k!/i!
+    for i in range(k, -1, -1):
+        scaled = [low - (i + 1) * c for low, c in zip([0, *scaled], scaled)]  # (t-1-i) M_(i+1)
+        scaled[0] += scale * heads[i]
+        scale *= max(i, 1)
+    return [exact_div(c, scale) for c in scaled]
+
+
 class Rows:
-    """Values of a sum of phi_k or g_k up to x, as rows of int64 residues or one exact row.
+    """Values of a sum of phi_k or g_k up to x, as one word row and prime rows, or one exact row.
 
     Every such sum, and every partial range of it, lies in [0, x**(k+1)), as
-    0 <= phi_k(n) <= n**k; and x**(k+1) < 2**((k+1) * bits(x)).  So the residues
+    0 <= phi_k(n) <= n**k; and x**(k+1) < 2**((k+1) * bits(x)).  So the rows
     modulo `moduli` of that many bits fix it, and `exact` rebuilds it.  When that
-    takes more than MAX_MODULI moduli, there is one row of exact Python ints.
+    takes more than MAX_MODULI rows, there is one row of exact Python ints.
     """
 
     def __init__(self, k: int, x: int):
         self.moduli = moduli((k + 1) * x.bit_length())
-        self.mod = np.array(self.moduli, dtype=np.int64)[:, None] if self.moduli else None
+        self.mod = np.array(self.moduli[1:], dtype=np.int64)[:, None]
 
     def of(self, values: list[int]) -> np.ndarray:
-        """Exact integers as one row of residues per modulus, or as one exact row."""
-        if self.mod is None:
+        """Exact integers as least absolute residues (signed in the word row), or one exact row."""
+        if not self.moduli:
             return np.array(values, dtype=object)[None, :]
-        residues = [[v % q for v in values] for q in self.moduli]
-        return np.array(residues, dtype=np.int64).reshape(self.mod.size, len(values))
+        residues = [[(v + q // 2) % q - q // 2 for v in values] for q in self.moduli]
+        return np.array(residues, dtype=np.int64).reshape(len(self.moduli), len(values))
 
     def ones(self, size: int) -> np.ndarray:
         return np.ones((len(self.moduli) or 1, size), dtype=np.int64 if self.moduli else object)
@@ -79,32 +98,25 @@ class Rows:
     def polynomial(self, f: Callable[[int], int], k: int, t: np.ndarray) -> np.ndarray:
         """Rows of f(t) at each entry of t, for f an integer polynomial of degree <= k.
 
-        An exact row holds f(t) itself.  Residues need no exact value: with D_i the
-        i-th difference of f at 1 .. k+1, f(t) = sum_i D_i C(t-1, i) (Newton's
-        forward form), taken innermost first as D_i + (t-1-i)/(i+1) * (...), each
-        division a product with an inverse modulo the prime modulus.
+        An exact row holds f(t) itself.  Otherwise every row evaluates the monomial
+        form (`monomials`) by Horner's rule: the word row wraps, and a prime row
+        is reduced after each step.
         """
-        if self.mod is None:
+        if not self.moduli:
             return np.fromiter(map(f, t.tolist()), dtype=object, count=t.size)[None, :]
-        diffs, heads = [f(s) for s in range(1, k + 2)], []
-        while diffs:
-            heads.append(diffs[0])
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        table = self.ones(t.size)
-        for row, q in zip(table, self.moduli):
-            row[:] = heads[k] % q
-            for i in range(k - 1, -1, -1):
-                row *= (t - (i + 1)) % q
-                row %= q
-                row *= pow(i + 1, -1, q)
-                row += heads[i] % q
-                row %= q
+        *rest, top = self.of(monomials(f, k)).T
+        table = np.repeat(top[:, None], t.size, axis=1)
+        at = np.vstack([t, t % self.mod])
+        for c in reversed(rest):
+            table *= at
+            table += c[:, None]
+            self.reduce(table)
         return table
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        """a reduced in place modulo the moduli, row by row (an exact row stays as it is)."""
-        if self.mod is not None:
-            a %= self.mod
+        """The prime rows of a reduced in place (the word row and an exact row stay as they are)."""
+        if self.mod.size:
+            a[1:] %= self.mod
         return a
 
     def exact(self, total: np.ndarray) -> int:
@@ -149,7 +161,7 @@ def blocks(lo: int, hi: int, size: int, sieve: tuple, rows: Rows, first: np.ndar
         while idx.size:
             pos = spf[rest]
             repeated = np.flatnonzero(pos == last)  # the round before peeled the same p
-            for row, at_p, at_repeat, q in zip(value, first, again, rows.moduli or (None,)):
+            for row, at_p, at_repeat, q in zip(value, first, again, (None, *rows.moduli[1:])):
                 factor = at_p.take(pos)  # per-row 1-D gathers: far cheaper than 2-D indexing
                 factor[repeated] = at_repeat.take(pos[repeated])
                 factor *= row[idx]

@@ -4,11 +4,11 @@ Two independent summation routes must agree exactly: per-n evaluation of
 phi_k(n) (`sum_phi_k_direct`) and the Dirichlet convolution phi_k = id_k * g_k
 summed against exact power sums S_k (`sum_phi_k_convolution`).  They share only
 the smallest-prime-factor sieve and `phik.residues`, its block walker and its
-rows: each per-n value is carried modulo the fewest of the largest primes below
-2**31 whose product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on
-every such sum, and one CRT rebuilds each exact total.  Where that would take
-more than `residues.MAX_MODULI` moduli, the walker carries one exact object row
-instead.
+rows: each per-n value is carried modulo 2**64 in a wrapping int64 word row, and
+modulo just enough of the largest primes below 2**31 that 2**64 times their
+product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on every such
+sum; one CRT rebuilds each exact total.  Where that would take more than
+`residues.MAX_MODULI` rows, the walker carries one exact object row instead.
 
 The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
 float64 pass over p <= P, widened by a rounding bound proven in advance; the
@@ -108,9 +108,8 @@ def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for found, p in enumerate(primes_up_to(isqrt(limit)), 1):
-        block = spf[p * p :: p]
-        block[block == 0] = found
+    for found, p in reversed(list(enumerate(primes_up_to(isqrt(limit)), 1))):
+        spf[p * p :: p] = found  # descending, so the smallest prime writes last
     untouched = np.flatnonzero(spf == 0)  # 0, 1 and every prime
     spf[untouched] = np.arange(-1, untouched.size - 1)
     return untouched[1:], spf
@@ -180,7 +179,7 @@ def sum_phi_k_direct(
 ) -> PartialSum:
     """Exact sum of phi_k(n) for n <= x, evaluating phi_k(n) at every n.
 
-    Each n's value is a column of residues (or one exact value at large k), see
+    Each n's value is a column of int64 rows (or one exact value at large k), see
     `residues.Rows` and `_direct_range_sum`.  With workers > 1 the range is split
     into one range per worker for `core.parallel_map`, and the exact range sums are
     added in range order, so the total is identical regardless of worker count.
@@ -191,6 +190,8 @@ def sum_phi_k_direct(
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit, "cutoff x")
     workers = cap_workers(workers, (x - 1) // 4)
+    _spf_sieve(x)  # built once here, so that forked workers inherit them
+    _prime_values(_phi_k_prime_power, k, x)
     ranges = [(k, 1 + x * i // workers, x * (i + 1) // workers, x) for i in range(workers)]
     return PartialSum(k, x, sum(parallel_map(_direct_range_sum, ranges, workers)), "direct_sieve")
 

@@ -447,6 +447,16 @@ def test_bad_worker_counts_are_usage_errors(argv, env):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("method", ["convolution", "both"])
+def test_every_sum_method_refuses_a_bad_worker_count(capsys, method, workers):
+    assert run_cli("sum", "phi-k", "--k", "2", "--x", "100", "--method", method,
+                   "--workers", workers) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: worker count must be a positive integer, got {workers}\n"
+
+
 def test_prime_bound_over_budget_is_refused():
     proc = subprocess.run(
         [sys.executable, "-m", "phik.cli", "constant", "--k", "2", "--prime-bound", "100000000000"],

@@ -229,6 +229,41 @@ def test_sum_memory_is_bounded_by_the_block(route):
     assert peaks[1] < 2 * peaks[0], peaks
 
 
+@lru_cache(maxsize=1)
+def _smallest_factors(limit):
+    """[0, 0, then the smallest prime factor of each n = 2 .. limit], by trial division."""
+    return [0, 0, *(next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+                    for n in range(2, limit + 1))]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 25, 26, 97, 1000, 9973, 10**4])
+def test_spf_sieve_matches_trial_division(limit):
+    primes, spf = summatory._spf_sieve(limit)
+    smallest = _smallest_factors(10**4)[: limit + 1]
+    assert primes.tolist() == [1, *(n for n in range(2, limit + 1) if smallest[n] == n)]
+    assert spf[1] == 0
+    assert primes[spf[2:]].tolist() == smallest[2:]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_direct_sum_builds_the_sieve_and_prime_table_before_the_workers(monkeypatch, workers):
+    # forked workers inherit what the parent built: each lookup in the pool must be a hit
+    k, x = 3, 5000
+    summatory._spf_sieve.cache_clear()
+    summatory._prime_values.cache_clear()
+
+    def inline_pool(fn, tasks, pool_workers):
+        for cached, args in ((summatory._spf_sieve, (x,)),
+                             (summatory._prime_values, (summatory._phi_k_prime_power, k, x))):
+            hits = cached.cache_info().hits
+            cached(*args)
+            assert cached.cache_info().hits == hits + 1, cached
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(summatory, "parallel_map", inline_pool)
+    assert sum_phi_k_direct(k, x, workers=workers).value == _running_sums(k)[x]
+
+
 def test_prime_bound_over_the_sieve_limit_is_refused():
     with pytest.raises(BudgetExceededError):
         average_order_constant(2, 10**11)
@@ -334,18 +369,19 @@ def test_sieve_refusals_name_the_quantity_and_the_limit():
 # -- rows of residues -----------------------------------------------------------
 
 
-# (k, x, number of moduli; 0 for one exact row): (k+1)*bits(x) = 30, 32, 64, 96, 128, 160,
-# 192, 224, 240 and 256; at k = 30 it is 31*bits(x) and crosses 186, 217 and 248
+# (k, x, number of rows; 0 for one exact row): a word row covers (k+1)*bits(x) < 64, and each
+# prime row 31 bits more, up to 8 rows.  (k+1)*bits(x) = 30, 60, 64, 96, 128, 160, 192, 224,
+# 240, 256 and 288; at k = 30 it is 31*bits(x) and crosses 250 and 281
 ROWS_CASES = [
-    (1, 2**15 - 1, 1), (1, 2**15, 2), (3, 40000, 3), (5, 40000, 4), (7, 40000, 5),
-    (9, 40000, 6), (11, 40000, 7), (13, 40000, 8), (14, 3 * BLOCK, 8), (15, 40000, 0),
-    (30, 63, 7), (30, 64, 8), (30, 127, 8), (30, 128, 0),
+    (1, 2**15 - 1, 1), (3, 2**15 - 1, 1), (3, 2**15, 2), (5, 40000, 3), (7, 40000, 4),
+    (9, 40000, 5), (11, 40000, 6), (13, 40000, 7), (14, 3 * BLOCK, 7), (15, 40000, 8),
+    (17, 40000, 0), (30, 255, 7), (30, 256, 8), (30, 511, 8), (30, 512, 0),
 ]
 
 
-@pytest.mark.parametrize("k, x, moduli", ROWS_CASES)
-def test_routes_match_running_sum_in_every_number_of_rows(k, x, moduli):
-    assert len(residues.Rows(k, x).moduli) == moduli
+@pytest.mark.parametrize("k, x, rows", ROWS_CASES)
+def test_routes_match_running_sum_in_every_number_of_rows(k, x, rows):
+    assert len(residues.Rows(k, x).moduli) == rows
     expected = _running_sums(k)[x] if k < 30 else sum(phi_k(k, n) for n in range(1, x + 1))
     assert sum_phi_k_direct(k, x).value == expected
     assert sum_phi_k_convolution(k, x).value == expected
@@ -359,13 +395,15 @@ def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
     moduli = residues.Rows(k, x).moduli
     primes = primes_up_to(x)
     exact = [at_prime(k, p) for p in primes]
-    if moduli:
-        assert table[:, 1:].tolist() == [[v % q for v in exact] for q in moduli]
+    if moduli:  # the word row holds each value mod 2**64, as a signed int64
+        assert moduli[0] == 2**64
+        assert table[0, 1:].tolist() == [(v + 2**63) % 2**64 - 2**63 for v in exact]
+        assert table[1:, 1:].tolist() == [[v % q for v in exact] for q in moduli[1:]]
     else:
         assert table[0, 1:].tolist() == exact
 
 
-@pytest.mark.parametrize("k", [3, 15])
+@pytest.mark.parametrize("k", [3, 17])
 def test_error_rows_match_direct_sums_in_rows_and_in_exact_row(k):
     grid = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
     assert bool(residues.Rows(k, grid[-1]).moduli) == (k == 3)
