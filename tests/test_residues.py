@@ -28,9 +28,11 @@ def test_moduli_are_the_fewest_large_primes_that_cover_the_bits(bits):
     assert math.prod(moduli) > 2**bits >= math.prod(moduli[:-1])
 
 
-@pytest.mark.parametrize("bits", [281, 300, 10**4])
+@pytest.mark.parametrize("bits", [248, 281, 300, 10**4])
 def test_moduli_give_way_to_exact_rows_past_the_maximum(bits):
-    assert residues.moduli(bits) == ()
+    # 64 bits in the word row and 31 in each prime row: 280 bits at most, where 31-bit
+    # primes alone held 247; 248 bits now take 7 rows
+    assert len(residues.moduli(bits)) == (7 if bits == 248 else 0)
 
 
 def _signed_word(n):

@@ -372,15 +372,43 @@ def test_sieve_refusals_name_the_quantity_and_the_limit():
 # (k, x, number of rows; 0 for one exact row): a word row covers (k+1)*bits(x) < 64, and each
 # prime row 31 bits more, up to 8 rows.  (k+1)*bits(x) = 30, 60, 64, 96, 128, 160, 192, 224,
 # 240, 256 and 288; at k = 30 it is 31*bits(x) and crosses 250 and 281
-ROWS_CASES = [
+FEWEST_ROWS_CASES = [
     (1, 2**15 - 1, 1), (3, 2**15 - 1, 1), (3, 2**15, 2), (5, 40000, 3), (7, 40000, 4),
     (9, 40000, 5), (11, 40000, 6), (13, 40000, 7), (14, 3 * BLOCK, 7), (15, 40000, 8),
     (17, 40000, 0), (30, 255, 7), (30, 256, 8), (30, 511, 8), (30, 512, 0),
 ]
 
 
+@pytest.mark.parametrize("k, x, rows", FEWEST_ROWS_CASES)
+def test_routes_match_running_sum_in_the_fewest_rows(k, x, rows):
+    assert len(residues.Rows(k, x).moduli) == rows
+    expected = _running_sums(k)[x] if k < 30 else sum(phi_k(k, n) for n in range(1, x + 1))
+    assert sum_phi_k_direct(k, x).value == expected
+    assert sum_phi_k_convolution(k, x).value == expected
+
+
+@pytest.fixture
+def forced_rows(monkeypatch):
+    """Set the number of rows every walk carries (0: one exact row), whatever its bits."""
+    summatory._prime_values.cache_clear()
+    every = residues.moduli(280)
+    yield lambda rows: monkeypatch.setattr(residues, "moduli", lambda bits: every[:rows])
+    summatory._prime_values.cache_clear()
+
+
+# (k, x, number of rows; 0 for one exact row), at least as many rows as the sum needs:
+# more rows than that leave every sum the same
+ROWS_CASES = [
+    (1, 2**15 - 1, 1), (1, 2**15, 2), (3, 40000, 3), (5, 40000, 4), (7, 40000, 5),
+    (9, 40000, 6), (11, 40000, 7), (13, 40000, 8), (14, 3 * BLOCK, 8), (15, 40000, 0),
+    (30, 63, 7), (30, 64, 8), (30, 127, 8), (30, 128, 0),
+]
+
+
 @pytest.mark.parametrize("k, x, rows", ROWS_CASES)
-def test_routes_match_running_sum_in_every_number_of_rows(k, x, rows):
+def test_routes_match_running_sum_in_every_number_of_rows(forced_rows, k, x, rows):
+    assert len(residues.Rows(k, x).moduli) <= (rows or residues.MAX_MODULI)
+    forced_rows(rows)
     assert len(residues.Rows(k, x).moduli) == rows
     expected = _running_sums(k)[x] if k < 30 else sum(phi_k(k, n) for n in range(1, x + 1))
     assert sum_phi_k_direct(k, x).value == expected
@@ -403,10 +431,11 @@ def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
         assert table[0, 1:].tolist() == exact
 
 
-@pytest.mark.parametrize("k", [3, 17])
+@pytest.mark.parametrize("k", [3, 15, 17])
 def test_error_rows_match_direct_sums_in_rows_and_in_exact_row(k):
     grid = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
-    assert bool(residues.Rows(k, grid[-1]).moduli) == (k == 3)
+    # k = 15 takes all MAX_MODULI rows on this grid, and k = 17 the exact row
+    assert len(residues.Rows(k, grid[-1]).moduli) == {3: 2, 15: residues.MAX_MODULI, 17: 0}[k]
     rows = error_term_rows(k, grid, prime_bound=10**4)
     assert [row.total for row in rows] == [sum_phi_k_direct(k, x).value for x in grid]
 
