@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 identity failure or method mismatch (witnesses
 printed), 2 usage or domain error, 3 budget refusal.  JSON output encodes
-every exact integer as a decimal string, since values outgrow doubles.
+every exact integer as a decimal string (`_json_value`), since values outgrow
+doubles.
 
 Every subcommand is one row of COMMANDS.  Rows name library functions as
 "module.function", and a module is imported when a row that uses it runs, so
@@ -100,14 +101,31 @@ def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left: the output ends, and the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _json_value(value):
+    """A payload in JSON terms: every exact value (an int, a Fraction, a FunctionSpec) as its str.
+
+    Dicts and lists are walked; str, float, bool and None pass through.
+    """
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if value is None or isinstance(value, (str, float, bool)):
+        return value
+    return str(value)
 
 
 def _emit_json(args, payload) -> None:
     import json
 
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, json.dumps(_json_value(payload), indent=2))
 
 
 def _warning_line(message, *_) -> None:  # replaces warnings.showwarning
@@ -139,9 +157,8 @@ def _cmd_value(cmd: Command, args) -> int:
     value = _library(cmd.fn(args) if callable(cmd.fn) else cmd.fn)(**params)
     _check_printable(value)
     if args.format == "json":
-        payload = {key: str(v) for key, v in params.items() if key != "budget"}
-        payload["value"] = str(value)
-        _emit_json(args, payload)
+        payload = {key: v for key, v in params.items() if key != "budget"}
+        _emit_json(args, {**payload, "value": value})
     else:
         _emit(args, str(value))
     return EXIT_OK
@@ -165,7 +182,7 @@ def _report_lines(report) -> list[str]:
             line += f" ({inst.detail})"
         lines.append(line)
     for skip in report.skipped:
-        lines.append(f"SKIP {skip}")
+        lines.append(f"SKIP {_json_value(skip)}")
     return lines
 
 
@@ -213,7 +230,7 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
         row = summatory.error_row(args.x, results[0].value, enclosure)
         _emit(args, summatory.error_table_csv([row]))
     elif args.format == "json":
-        payload = results[0].as_dict()
+        payload = results[0]._asdict()
         if args.method == "both":
             payload["method"] = "both"
         _emit_json(args, payload)

@@ -118,9 +118,6 @@ class Factorization(NamedTuple):
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
 
 # Trial division stops at this prime bound; a cofactor left above its square
 # has no prime factor below it and goes to Miller-Rabin and Pollard-Brent rho.

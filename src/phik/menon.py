@@ -325,10 +325,7 @@ class Instance(NamedTuple):
     detail: str | None = None
 
     def as_dict(self) -> dict:
-        out = dict(self.params)
-        out["lhs"] = str(self.lhs)
-        out["rhs"] = str(self.rhs)
-        out["ok"] = self.ok
+        out = {**dict(self.params), "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
         if self.trivial_zero:
             out["trivial_zero"] = True
         if self.detail:
@@ -377,8 +374,8 @@ class IdentityReport(NamedTuple):
         return {
             "identity": self.identity,
             "swept": self.swept,
-            "checked": str(self.checked),
-            "trivial_zeros": str(self.trivial_zeros),
+            "checked": self.checked,
+            "trivial_zeros": self.trivial_zeros,
             "failures": [inst.as_dict() for inst in self.failures],
             "skipped": self.skipped,
             "partial": self.partial,
@@ -430,7 +427,7 @@ def _sweep_cell(args: tuple) -> Union[tuple[int, int, list[Instance]], dict]:
     try:
         inst = verify_identity(kind, k, n, f_source, budget)
     except BudgetExceededError:
-        return {"k": str(k), "n": str(n), "reason": f"n**k = {n ** k} over budget {budget}"}
+        return {"k": k, "n": n, "reason": f"n**k = {n ** k} over budget {budget}"}
     return 1, inst.trivial_zero, [] if inst.ok else [inst]
 
 
@@ -520,7 +517,7 @@ def n_k_sweep(
         try:
             brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
         except BudgetExceededError:
-            return {"k": str(k), "n": str(n), "reason": f"phi(n)**k over budget {budget}"}
+            return {"k": k, "n": n, "reason": f"phi(n)**k over budget {budget}"}
         failures = []
         for (d, delta), brute in zip(pairs, brutes):
             closed = n_k(k, n, d, delta)

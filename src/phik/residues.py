@@ -7,7 +7,8 @@ to lie in [0, 2**bits) is fixed by its rows modulo `moduli(bits)`, and `crt`
 rebuilds it.  Past MAX_MODULI rows, one row of exact Python ints costs less, and
 `Rows` carries that instead.  `blocks` walks a range of n a block at a time and
 builds f(n) in rows for a multiplicative f, from a smallest-prime-factor sieve.
-The exact sums of `summatory` run on both; numpy is imported only with this module.
+The exact sums of `summatory` run on both, and its power sums S_k take their
+coefficients from `scaled_monomials`; numpy is imported only with this module.
 """
 from __future__ import annotations
 
@@ -54,13 +55,13 @@ def crt(residues, moduli: tuple[int, ...]) -> int:
     return n
 
 
-def monomials(f: Callable[[int], int], k: int) -> list[int]:
-    """The integers c with f(t) = sum_i c[i] t**i, for f of degree <= k, from f(1 .. k+1).
+def scaled_monomials(values: list[int]) -> tuple[list[int], int]:
+    """(c, k!) with k! f(t) = sum_i c[i] t**i, for the f of degree <= k with f(1 .. k+1) = values.
 
     With D_i the i-th difference of f at 1, f(t) = sum_i D_i C(t-1, i) (Newton's forward
     form); scaled by k!, it is M_0 = k! f with M_i = k!/i! D_i + (t-1-i) M_(i+1), in integers.
     """
-    diffs, heads = [f(s) for s in range(1, k + 2)], []
+    k, diffs, heads = len(values) - 1, values, []
     while diffs:
         heads.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -69,6 +70,12 @@ def monomials(f: Callable[[int], int], k: int) -> list[int]:
         scaled = [low - (i + 1) * c for low, c in zip([0, *scaled], scaled)]  # (t-1-i) M_(i+1)
         scaled[0] += scale * heads[i]
         scale *= max(i, 1)
+    return scaled, scale
+
+
+def monomials(f: Callable[[int], int], k: int) -> list[int]:
+    """The integers c with f(t) = sum_i c[i] t**i, for f of degree <= k, from f(1 .. k+1)."""
+    scaled, scale = scaled_monomials([f(t) for t in range(1, k + 2)])
     return [exact_div(c, scale) for c in scaled]
 
 

@@ -9,6 +9,8 @@ modulo just enough of the largest primes below 2**31 that 2**64 times their
 product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on every such
 sum; one CRT rebuilds each exact total.  Where that would take more than
 `residues.MAX_MODULI` rows, the walker carries one exact object row instead.
+The coefficients of S_k come from its values at m = 1 ... k+2, by the Newton
+interpolation that also gives `residues.Rows.polynomial` its coefficients.
 
 The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
 float64 pass over p <= P, widened by a rounding bound proven in advance; the
@@ -18,11 +20,11 @@ is bounded below via sum_{p > P} 1/p**2 <= 1/(P - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, isqrt, lcm
-from typing import TYPE_CHECKING, Callable
+from itertools import accumulate
+from math import isqrt
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import (
     DEFAULT_PRIME_BOUND,
@@ -44,8 +46,7 @@ if TYPE_CHECKING:
 BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class PartialSum:
+class PartialSum(NamedTuple):
     """Exact value of sum_{n <= x} phi_k(n) and the route that produced it."""
 
     k: int
@@ -53,17 +54,8 @@ class PartialSum:
     value: int
     method: str  # "direct_sieve" or "convolution"
 
-    def as_dict(self) -> dict:
-        return {
-            "k": str(self.k),
-            "x": str(self.x),
-            "value": str(self.value),
-            "method": self.method,
-        }
 
-
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(NamedTuple):
     """Directed-rounding interval [lo, hi] certified to contain the constant."""
 
     k: int
@@ -79,17 +71,8 @@ class Enclosure:
     def midpoint(self) -> float:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
     def as_dict(self) -> dict:
-        return {
-            "k": str(self.k),
-            "prime_bound": str(self.prime_bound),
-            "lo": self.lo,
-            "hi": self.hi,
-            "width": self.width,
-        }
+        return {**self._asdict(), "width": self.width}
 
 
 def _check_sieve_budget(n: int, limit: int, what: str) -> None:
@@ -233,7 +216,7 @@ def _convolution_checks(k: int, x: int, sieve_limit: int) -> tuple[int, int]:
     k = positive_int(k, "tuple length k")
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit, "cutoff x")
-    if x > k + 1:  # S_k(x), for the run at d = 1, needs B_0 ... B_k: price them up front
+    if x > k + 1:  # S_k(x), for the run at d = 1, needs the polynomial: price it up front
         _faulhaber_coeffs(k)
     return k, x
 
@@ -242,35 +225,27 @@ def _convolution_checks(k: int, x: int, sieve_limit: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(j: int) -> Fraction:
-    # B_1 = -1/2 convention; sum_{i <= j} C(j+1, i) B_i = 0 pins each value
-    if j == 0:
-        return Fraction(1)
-    if j % 2 and j > 1:
-        return Fraction(0)
-    acc = sum(comb(j + 1, i) * _bernoulli(i) for i in range(j) if i == 1 or i % 2 == 0)
-    return -Fraction(acc, j + 1)
-
-
-@lru_cache(maxsize=None)
 def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, ...]]:
-    """(D, a) with D * S_k(m) = a[0] m**(k+1) + a[1] m**k + ... + a[k] m.
+    """(D, a) with D * S_k(m) = a[0] m**(k+1) + a[1] m**k + ... + a[k] m, for the least D >= 1.
 
-    S_k(m) = 1/(k+1) * sum_{j=0}^{k} (-1)**j C(k+1, j) B_j m**(k+1-j); D is the
-    least common denominator of those coefficients.  B_0 ... B_k take about
-    k**2/8 Fraction steps on numbers of up to k bits(k) bits, priced first.
+    S_k is interpolated at m = 1 ... k+2 (`residues.scaled_monomials`), and its
+    (k+1)!-scaled coefficients are divided by their gcd with (k+1)!.  The build keeps
+    the price of the Bernoulli numbers B_0 ... B_k that it replaced, about k**2/8
+    steps on numbers of up to k bits(k) bits, so the same k are refused.
     """
     check_word_budget(k * k // 8, k * k.bit_length(), f"the Bernoulli numbers B_0 ... B_{k}")
-    coeffs = [Fraction((-1) ** j * comb(k + 1, j)) * _bernoulli(j) / (k + 1) for j in range(k + 1)]
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, tuple(int(c * den) for c in coeffs)
+    from .residues import scaled_monomials
+
+    scaled, scale = scaled_monomials(list(accumulate(i**k for i in range(1, k + 3))))
+    den = math.gcd(scale, *scaled)
+    return scale // den, tuple(c // den for c in reversed(scaled[1:]))  # S_k(0) = 0
 
 
 def faulhaber_sum(k: int, m: int) -> int:
     """Exact 1**k + 2**k + ... + m**k.
 
-    Up to m = k + 1 the powers are added; above, the Bernoulli-number
-    polynomial is evaluated in integers over one common denominator.
+    Up to m = k + 1 the powers are added; above, the interpolated polynomial
+    (`_faulhaber_coeffs`) is evaluated in integers over one common denominator.
     """
     if k < 0:
         raise ValueError(f"exponent k must be >= 0, got {k}")
@@ -363,8 +338,10 @@ def average_order_constant(
 # -- empirical error-term monitoring ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorRow:
+ERROR_TABLE_COLUMNS = ("x", "sum", "main_term_lo", "main_term_hi", "delta", "normalized_ratio")
+
+
+class ErrorRow(NamedTuple):
     """One x on the monitoring grid: exact sum against the main term."""
 
     x: int
@@ -375,17 +352,7 @@ class ErrorRow:
     ratio: float
 
     def as_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "sum": str(self.total),
-            "main_term_lo": self.main_lo,
-            "main_term_hi": self.main_hi,
-            "delta": self.delta,
-            "normalized_ratio": self.ratio,
-        }
-
-
-ERROR_TABLE_COLUMNS = ("x", "sum", "main_term_lo", "main_term_hi", "delta", "normalized_ratio")
+        return dict(zip(ERROR_TABLE_COLUMNS, self))
 
 
 def error_term_rows(
@@ -439,8 +406,5 @@ def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
 
 def error_table_csv(rows: list[ErrorRow]) -> str:
     """Render monitoring rows as CSV in the documented column order."""
-    lines = [",".join(ERROR_TABLE_COLUMNS)]
-    for row in rows:
-        rec = row.as_dict()
-        lines.append(",".join(str(rec[col]) for col in ERROR_TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines = [ERROR_TABLE_COLUMNS, *rows]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)

@@ -270,6 +270,86 @@ def test_csv_rejected_where_undefined(capsys):
     assert run_cli("eval", "phi-k", "--k", "2", "--n", "15", "--format", "csv") == 2
 
 
+def _bad_table(tmp_path) -> str:
+    """A table spec whose mu_f disagrees with its f at 2 and 3: verify menon fails at k = 1."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"f": {"1": 1, "2": 2, "3": 3}, "mu_f": {"1": 1, "2": 7, "3": 2}}))
+    return f"table:{path}"
+
+
+# every row that allows --format json, at a small size (verify menon: partial, with skip records)
+JSON_ROWS = [
+    ("eval", "phi-k", "--k", "2", "--n", "12"),
+    ("eval", "phi-k-nm", "--k", "2", "--n", "12", "--m", "6", "--method", "recursion"),
+    ("eval", "g-k", "--k", "2", "--n", "6"),
+    ("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1"),
+    ("eval", "jordan", "--k", "2", "--n", "12"),
+    ("oracle", "phi-k", "--k", "2", "--n", "12"),
+    ("oracle", "phi-k", "--k", "2", "--n", "12", "--m", "6"),
+    ("oracle", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1"),
+    ("oracle", "menon-lhs", "--k", "2", "--n", "12", "--f", "tau"),
+    ("verify", "menon", "--k-max", "2", "--n-max", "12", "--budget", "100"),
+    ("verify", "sita-ramaiah", "--n-max", "8"),
+    ("verify", "nageswara-rao", "--k-max", "2", "--n-max", "8"),
+    ("verify", "lemmas", "--n-max", "6", "--k-max", "2"),
+    ("sum", "phi-k", "--k", "2", "--x", "100", "--method", "both"),
+    ("constant", "--k", "2", "--prime-bound", "1000"),
+    ("error-table", "--k", "2", "--x-grid", "10,100", "--prime-bound", "1000"),
+]
+
+
+def _integers(value) -> list:
+    """Every JSON number that is an integer, anywhere in a decoded document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [i for v in value for i in _integers(v)]
+    return [value] if isinstance(value, int) and not isinstance(value, bool) else []
+
+
+def test_json_rows_cover_every_row_with_json():
+    for cmd in COMMANDS:
+        if "json" in cmd.formats:
+            assert any(argv[: len(cmd.path)] == cmd.path for argv in JSON_ROWS), cmd.path
+
+
+@pytest.mark.parametrize("argv", JSON_ROWS, ids=" ".join)
+def test_json_carries_every_integer_as_a_string(argv, capsys):
+    assert run_cli(*argv, "--format", "json") in (0, 3)
+    assert _integers(json.loads(capsys.readouterr().out)) == []
+
+
+def test_json_of_a_verify_failure_carries_every_integer_as_a_string(tmp_path, capsys):
+    argv = ("verify", "menon", "--k-max", "1", "--n-max", "3", "--f", _bad_table(tmp_path))
+    assert run_cli(*argv, "--format", "json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"][0]["k"] == "1" and payload["failures"][0]["n"] == "2"
+    assert _integers(payload) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("sum", "phi-k", "--k", "2", "--x", "200000", "--format", "json"), 0),
+    (("verify", "menon", "--k-max", "1", "--n-max", "3", "--f", "{table}"), 1),
+    (("verify", "menon", "--k-max", "3", "--n-max", "12", "--budget", "1000"), 3),
+])
+def test_a_closed_stdout_ends_the_output_and_keeps_the_exit_code(argv, code, tmp_path):
+    argv = [word.format(table=_bad_table(tmp_path)) for word in argv]
+    read, write = os.pipe()
+    os.close(read)  # no reader, before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "phik.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def test_an_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "value.txt"
+    assert run_cli("eval", "phi-k", "--k", "2", "--n", "15", "--out", str(target)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_table_file(capsys):
     assert run_cli("oracle", "menon-lhs", "--k", "1", "--n", "4", "--f", "table:/nonexistent.json") == 2
 
@@ -553,7 +633,7 @@ def test_answers_over_the_cap_are_refused(capsys, k, code):
 
 
 def test_large_k_convolution_is_quick_and_agrees_with_direct():
-    # every quotient x // d is at most k + 1, so no Bernoulli number is built
+    # every quotient x // d is at most k + 1, so S_k's polynomial is not built
     values = {}
     for method in ("convolution", "both", "direct"):
         proc = subprocess.run(
@@ -693,7 +773,7 @@ def test_refusal_advises_the_flag_that_sets_its_limit(argv, flag, capsys):
 
 
 def test_large_k_bernoulli_build_is_refused_at_once():
-    # x > k + 1 needs B_0 ... B_k: priced in word operations before any block is summed
+    # x > k + 1 needs S_k's polynomial: priced in word operations before any block is summed
     start = time.perf_counter()
     proc = phik_process("sum", "phi-k", "--k", "5000", "--x", "10000", "--method", "convolution",
                         timeout=5)

@@ -75,6 +75,15 @@ def test_divisor_sum_side_imports_no_fractions(argv):
     assert loaded_after(argv, ("phik.summatory", "numpy", "fractions")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum", "phi-k", "--k", "2", "--x", "100", "--method", "both", "--format", "json"],
+    ["constant", "--k", "2", "--prime-bound", "1000", "--format", "json"],
+    ["error-table", "--k", "2", "--x-grid", "10,100", "--prime-bound", "1000"],
+])
+def test_sums_and_the_constant_import_no_dataclasses(argv):
+    assert loaded_after(argv, ("dataclasses",)) == []
+
+
 def test_star_import_binds_each_name_to_its_home_object():
     code = (
         "import phik\n"

@@ -447,23 +447,43 @@ def test_parallel_matches_serial_over_several_moduli():
 
 @pytest.mark.parametrize("k", [5, 20, 64])
 def test_faulhaber_both_sides_of_the_direct_cutoff(k):
-    # up to m = k + 1 the powers are added; above, the Bernoulli polynomial is used
+    # up to m = k + 1 the powers are added; above, the interpolated polynomial is used
     for m in range(k - 1, k + 5):
         assert faulhaber_sum(k, m) == sum(i**k for i in range(1, m + 1)), (k, m)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli(j: int) -> Fraction:
+    # B_1 = -1/2 convention; sum_{i <= j} C(j+1, i) B_i = 0 pins each value
+    if j == 0:
+        return Fraction(1)
+    if j % 2 and j > 1:
+        return Fraction(0)
+    acc = sum(math.comb(j + 1, i) * _bernoulli(i) for i in range(j) if i == 1 or i % 2 == 0)
+    return -Fraction(acc, j + 1)
+
+
+@pytest.mark.parametrize("k", [*range(61), 300])
+def test_faulhaber_coefficients_match_the_bernoulli_formula(k):
+    # S_k(m) = 1/(k+1) sum_{j <= k} (-1)**j C(k+1, j) B_j m**(k+1-j), over the least denominator
+    coeffs = [Fraction((-1) ** j * math.comb(k + 1, j)) * _bernoulli(j) / (k + 1)
+              for j in range(k + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    assert summatory._faulhaber_coeffs(k) == (den, tuple(int(c * den) for c in coeffs))
+
+
 def test_faulhaber_needs_no_bernoulli_numbers_up_to_k_plus_one():
-    summatory._bernoulli.cache_clear()
+    summatory._faulhaber_coeffs.cache_clear()
     assert faulhaber_sum(1000, 1001) == sum(i**1000 for i in range(1, 1002))
-    assert summatory._bernoulli.cache_info().currsize == 0
+    assert summatory._faulhaber_coeffs.cache_info().currsize == 0
 
 
 def test_bernoulli_build_is_priced_before_it_starts():
-    summatory._bernoulli.cache_clear()
+    summatory._faulhaber_coeffs.cache_clear()
     with pytest.raises(BudgetExceededError, match="Bernoulli numbers B_0 ... B_5000") as exc:
         faulhaber_sum(5000, 5002)
     assert exc.value.limit is None  # no caller can raise this budget
-    assert summatory._bernoulli.cache_info().currsize == 0
+    assert summatory._faulhaber_coeffs.cache_info().currsize == 0
     with pytest.raises(BudgetExceededError):
         sum_phi_k_convolution(5000, 10**4)
     assert faulhaber_sum(60, 100) == sum(i**60 for i in range(1, 101))  # priced far below 10**8
