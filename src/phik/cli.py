@@ -214,7 +214,7 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
     if args.format == "csv":  # the enclosure is cheap: refuse a bad prime bound before any sum
         enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
     if args.method != "direct":  # refuse what the convolution route refuses before any sum
-        summatory._convolution_checks(args.k, args.x, args.sieve_limit)
+        summatory._sum_checks(args.k, args.x, args.sieve_limit, convolution=True)
         positive_int(args.workers, "worker count")  # as the direct route does, for every method
     results = []
     if args.method != "convolution":

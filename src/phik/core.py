@@ -2,12 +2,14 @@
 
 All values are exact: integers, or the `Fraction`s a caller's function
 returns, never floats.  Functions here are pure and safe to call concurrently.
+`tuple_args` is the one argument gate of every tuple count, and `table_lookup`
+the one table reader; it pickles, so worker processes share one parsed table.
 """
 from __future__ import annotations
 
 import operator
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Union
 
@@ -39,8 +41,8 @@ DEFAULT_SIEVE_LIMIT = 1 << 25
 DEFAULT_PRIME_BOUND = 10**6
 
 
-def positive_int(value, name: str) -> int:
-    """value as a Python int when it is a positive integer, else a domain error.
+def positive_int(value, name: str, least: int = 1) -> int:
+    """value as a Python int when it is an integer >= least (1 by default), else a domain error.
 
     Any integer type is accepted (numpy integers included); bool, floats and
     everything else are rejected.
@@ -48,18 +50,28 @@ def positive_int(value, name: str) -> int:
     try:
         n = operator.index(value)
     except TypeError:
-        n = 0
-    if n < 1 or isinstance(value, bool):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        n = least - 1
+    if n < least or isinstance(value, bool):
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return n
 
 
-def positive_divisor(d, n: int, name: str) -> int:
-    """d as a Python int when it is a positive divisor of n, else a domain error."""
-    d = positive_int(d, name)
-    if n % d != 0:
-        raise ValueError(f"{name}={d} must be a positive divisor of n={n}")
-    return d
+def tuple_args(k, n=None, **divisors) -> tuple[int, ...]:
+    """(k, n, *divisors) as Python ints, checked in that order, else a domain error.
+
+    k and n are positive; each keyword names a positive divisor of n.  A None k or n is skipped.
+    """
+    checked = [] if k is None else [positive_int(k, "tuple length k")]
+    if n is not None:
+        n = positive_int(n, "modulus n")
+        checked.append(n)
+        for name, d in divisors.items():
+            d = positive_int(d, name)
+            if n % d != 0:
+                raise ValueError(f"{name}={d} must be a positive divisor of n={n}")
+            checked.append(d)
+    return tuple(checked)
 
 
 def cap_workers(workers: int, tasks: int) -> int:
@@ -366,18 +378,18 @@ def tau(n: int) -> int:
 # -- arbitrary (possibly non-multiplicative) functions --------------------
 
 
+def _table_entry(table: Mapping[int, ArithValue], what: str, n: int) -> ArithValue:
+    try:
+        return table[n]
+    except KeyError:
+        raise ValueError(f"{what} has no entry for {n}") from None
+
+
 def table_lookup(
     table: Mapping[int, ArithValue], what: str = "value table"
 ) -> Callable[[int], ArithValue]:
-    """Read an arithmetic function off a divisor-indexed table."""
-
-    def lookup(n: int) -> ArithValue:
-        try:
-            return table[n]
-        except KeyError:
-            raise ValueError(f"{what} has no entry for {n}") from None
-
-    return lookup
+    """Read an arithmetic function off a divisor-indexed table; the reader pickles with it."""
+    return partial(_table_entry, table, what)
 
 
 def mobius_transform(f: ArithFn, d: int) -> ArithValue:

@@ -9,13 +9,14 @@ N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and 0 mod
 delta; `n_k` divides the two-parameter totients exactly, and `n_k_recursion`
 never calls them.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
-units, `fold_counts` for the joint-gcd pairs.  Sweeps report through
-`IdentityReport.of` and spread their cells with `core.parallel_map`.
+units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`.
+Sweeps report through `IdentityReport.of` and spread their cells, each carrying
+the one parsed f, with `core.parallel_map`.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -33,10 +34,10 @@ from .core import (
     mobius,
     mobius_transform,
     parallel_map,
-    positive_divisor,
     positive_int,
     table_lookup,
     tau,
+    tuple_args,
 )
 from .totients import _divisor_levels, fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
 
@@ -76,8 +77,7 @@ def count_units_in_two_classes(n: int, d: int, e: int, r: int, s: int) -> tuple[
     Prediction: phi(n) gcd(d,e) / phi(de) when gcd(r,d) = gcd(s,e) = 1 and
     gcd(d,e) divides r - s, else 0.  Both d and e must divide n.
     """
-    d = positive_divisor(d, n, "d")
-    e = positive_divisor(e, n, "e")
+    n, d, e = tuple_args(None, n, d=d, e=e)
     return _class_table(n, d, e)[r % d, s % e], _predicted(n, d, e, r, s)
 
 
@@ -90,10 +90,7 @@ def n_k(k: int, n: int, d: int, delta: int) -> int:
     For k >= 2 and gcd(d, delta) = 1 it is one exact division:
     phi_k(n, d) phi_{k-1}(n, delta) / (phi(n)**(k-1) phi(d) phi(delta)).
     """
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
-    d = positive_divisor(d, n, "d")
-    delta = positive_divisor(delta, n, "delta")
+    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
     if gcd(d, delta) > 1:
         return 0
     if k == 1:
@@ -115,12 +112,9 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
     phi(j) phi(t) = phi(s).  N_i(n, j, t) is level i at s of `totients._divisor_levels`,
     priced at omega(d delta).
     """
-    k = positive_int(k, "tuple length k")
-    if k < 2:
+    if tuple_args(k)[0] < 2:
         raise ValueError(f"recursion path requires k >= 2, got k={k}")
-    n = positive_int(n, "modulus n")
-    d = positive_divisor(d, n, "d")
-    delta = positive_divisor(delta, n, "delta")
+    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
     if gcd(d, delta) != 1:
         raise ValueError(
             f"recursion path requires gcd(d, delta) = 1, got d={d}, delta={delta}"
@@ -135,10 +129,7 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
 
 def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """Count N_k(n, d, delta) from the unit tuples by sum; priced at their phi(n)**k."""
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
-    d = positive_divisor(d, n, "d")
-    delta = positive_divisor(delta, n, "delta")
+    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
     check_budget(len(units_mod(n)) ** k, budget, f"N_{k}({n}, {d}, {delta}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, n) if r % d == 1 % d and r % delta == 0)
 
@@ -154,12 +145,12 @@ class FunctionSpec(NamedTuple):
     When `mu_fn` is given, the closed-form side of the gcd-sum identity uses
     it instead of computing the Moebius transform of `fn`; a table whose
     mu_fn disagrees with fn therefore yields genuine identity failures.
+    Every spec parsed from a name, pow:j or a table pickles.
     """
 
     label: str
     fn: Callable[[int], ArithValue]
     mu_fn: Callable[[int], ArithValue] | None = None
-    source: Union[str, Mapping, None] = None  # re-parseable spec, for worker processes
 
     def __str__(self) -> str:
         return self.label
@@ -170,28 +161,29 @@ class FunctionSpec(NamedTuple):
         return mobius_transform(self.fn, d)
 
 
-def _int_value(raw, context: str) -> int:
-    if isinstance(raw, bool):
-        raise ValueError(f"{context}: boolean is not a valid value")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, float) and raw.is_integer():
-        return int(raw)
-    raise ValueError(f"{context}: values must be exact integers, got {raw!r}")
-
-
 def _table_fn(raw, what: str) -> Callable[[int], int]:
     if not isinstance(raw, Mapping):
         raise ValueError(f"{what} must map divisors to values, got {type(raw).__name__}")
-    table = {int(key): _int_value(v, f"{what}[{key}]") for key, v in raw.items()}
+    table = {}
+    for key, value in raw.items():
+        try:
+            n = int(key)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} has a key {key!r} that is not an integer") from None
+        if isinstance(value, bool):
+            raise ValueError(f"{what}[{key}]: boolean is not a valid value")
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, int):
+            raise ValueError(f"{what}[{key}]: values must be exact integers, got {value!r}")
+        table[n] = value
     return table_lookup(table, what)
 
 
 def _parse_table(data: Mapping, label: str) -> FunctionSpec:
     raw_f, raw_mu = (data["f"], data.get("mu_f")) if "f" in data else (data, None)
     mu_fn = None if raw_mu is None else _table_fn(raw_mu, f"{label} mu_f")
-    # a plain dict round-trips through pickle, so parallel workers re-parse it
-    return FunctionSpec(label, _table_fn(raw_f, f"{label} f"), mu_fn, source=dict(data))
+    return FunctionSpec(label, _table_fn(raw_f, f"{label} f"), mu_fn)
 
 
 @lru_cache(maxsize=64)
@@ -202,8 +194,7 @@ def _load_table_file(path: str) -> FunctionSpec:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"table file {path} must hold a JSON object")
-    spec = _parse_table(data, f"table:{path}")
-    return FunctionSpec(spec.label, spec.fn, spec.mu_fn, source=f"table:{path}")
+    return _parse_table(data, f"table:{path}")
 
 
 def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
@@ -211,7 +202,7 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
 
     Also accepts a divisor-indexed mapping (optionally {"f": ..., "mu_f": ...}),
     a registered multiplicative function, a plain callable, or an already
-    parsed FunctionSpec.
+    parsed FunctionSpec.  id, one and pow:j are x**1, x**0 and x**j.
     """
     if isinstance(spec, FunctionSpec):
         return spec
@@ -224,14 +215,12 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
     if not isinstance(spec, str):
         raise ValueError(f"cannot interpret {spec!r} as a function spec")
     text = spec.strip()
-    if text == "id":
-        return FunctionSpec("id", lambda x: x, source="id")
-    if text == "one":
-        return FunctionSpec("one", lambda x: 1, source="one")
+    if text in ("id", "one"):  # x**1 and x**0
+        return FunctionSpec(text, partial(pow, exp=1 if text == "id" else 0))
     if text == "tau":
-        return FunctionSpec("tau", tau, source="tau")
+        return FunctionSpec("tau", tau)
     if text == "mu":
-        return FunctionSpec("mu", mobius, source="mu")
+        return FunctionSpec("mu", mobius)
     if text.startswith("pow:"):
         try:
             j = int(text.split(":", 1)[1])
@@ -239,7 +228,7 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
             raise ValueError(f"bad power spec {text!r}, expected pow:<integer>") from None
         if j < 0:
             raise ValueError(f"pow:{j} rejected, exponent must be >= 0")
-        return FunctionSpec(text, lambda x: x**j, source=text)
+        return FunctionSpec(text, partial(pow, exp=j))
     if text.startswith("table:"):
         return _load_table_file(text.split(":", 1)[1])
     raise ValueError(
@@ -259,8 +248,7 @@ def gcd_sum_lhs_oracle(
     The gcd is taken with the sum reduced mod n, so gcd(0, n) = n.  f is
     called only at gcds some tuple reaches.  Priced at n**k tuples.
     """
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
+    k, n = tuple_args(k, n)
     check_budget(n**k, budget, f"gcd-sum oracle at k={k}, n={n}")
     spec = parse_function_spec(f)
     gcds: Counter[int] = Counter()
@@ -277,8 +265,7 @@ def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     the value is an int for every integer-valued f and mu_f table, consistent
     or not, and a Fraction only where f itself takes Fraction values.
     """
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
+    k, n = tuple_args(k, n)
     spec = parse_function_spec(f)
     phi_kn = phi_k(k, n)
     val = sum(spec.mobius_transform_at(d) * exact_div(phi_kn, euler_phi(d)) for d in divisors(n))
@@ -291,6 +278,7 @@ def menon_expansion_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     sum_{d | n} (mu*f)(d) * sum_{delta | n} mu(delta) * N_k(n, d, delta);
     a third route to the identity, independent of the admissible-tuple loop.
     """
+    k, n = tuple_args(k, n)
     spec = parse_function_spec(f)
     divs = divisors(n)
     return sum(sum(mobius(delta) * n_k(k, n, d, delta) for delta in divs if mobius(delta))
@@ -303,8 +291,7 @@ def nageswara_rao_lhs_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET
     The tuples of [1, n] are counted by the pair (gcd(a_1, ..., a_k, n),
     gcd(a_1-1, ..., a_k-1, n)), folded entry by entry.  Priced at n**k tuples.
     """
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
+    k, n = tuple_args(k, n)
     check_budget(n**k, budget, f"joint-gcd oracle at k={k}, n={n}")
     pairs = fold_counts(range(1, n + 1), lambda a: (gcd(a, n), gcd(a - 1, n)),
                         lambda u, v: (gcd(u[0], v[0]), gcd(u[1], v[1])), k)
@@ -371,16 +358,14 @@ class IdentityReport(NamedTuple):
         return not self.failures
 
     def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "swept": self.swept,
-            "checked": self.checked,
-            "trivial_zeros": self.trivial_zeros,
-            "failures": [inst.as_dict() for inst in self.failures],
-            "skipped": self.skipped,
-            "partial": self.partial,
-            "ok": self.ok,
-        }
+        return {**self._asdict(), "failures": [inst.as_dict() for inst in self.failures],
+                "partial": self.partial, "ok": self.ok}
+
+
+def _identity_kind(kind: str) -> str:
+    if kind not in IDENTITY_KINDS:
+        raise ValueError(f"unknown identity {kind!r}, expected one of {IDENTITY_KINDS}")
+    return kind
 
 
 def verify_identity(
@@ -391,41 +376,28 @@ def verify_identity(
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> Instance:
     """Check one instance of a named identity; returns both exact sides."""
-    if kind not in IDENTITY_KINDS:
-        raise ValueError(f"unknown identity {kind!r}, expected one of {IDENTITY_KINDS}")
-    if kind == "sita_ramaiah" and k != 2:
+    if _identity_kind(kind) == "sita_ramaiah" and k != 2:
         raise ValueError("the k = 2 specialization requires k = 2")
-    detail = None
-    trivial = False
+    params = (("identity", kind), ("k", k), ("n", n))
     if kind == "nageswara_rao":
         lhs = nageswara_rao_lhs_oracle(k, n, budget)
         rhs = jordan_totient(k, n) * tau(n)
-        ok = lhs == rhs
-        params = (("identity", kind), ("k", k), ("n", n))
-    elif kind == "menon_general":
-        spec = parse_function_spec(f)
-        lhs = gcd_sum_lhs_oracle(k, n, spec, budget)
-        rhs = gcd_sum_rhs(k, n, spec)
-        ok = lhs == rhs
-        trivial = phi_k(k, n) == 0
-        params = (("identity", kind), ("k", k), ("n", n), ("f", spec.label))
-    else:  # menon_gcd, sita_ramaiah: f = id, rhs collapses to phi_k(n) tau(n)
-        lhs = gcd_sum_lhs_oracle(k, n, "id", budget)
-        rhs = phi_k(k, n) * tau(n)
-        divisor_form = gcd_sum_rhs(k, n, "id")
-        ok = lhs == rhs == divisor_form
-        if divisor_form != rhs:
-            detail = f"divisor-sum rhs = {divisor_form}"
-        trivial = phi_k(k, n) == 0
-        params = (("identity", kind), ("k", k), ("n", n), ("f", "id"))
-    return Instance(params, lhs, rhs, ok, trivial, detail)
+        return Instance(params, lhs, rhs, lhs == rhs)
+    spec = parse_function_spec(f if kind == "menon_general" else "id")
+    lhs = gcd_sum_lhs_oracle(k, n, spec, budget)
+    divisor_form = gcd_sum_rhs(k, n, spec)
+    # menon_gcd, sita_ramaiah: f = id, and the rhs collapses to phi_k(n) tau(n)
+    rhs = divisor_form if kind == "menon_general" else phi_k(k, n) * tau(n)
+    detail = None if divisor_form == rhs else f"divisor-sum rhs = {divisor_form}"
+    return Instance(params + (("f", spec.label),), lhs, rhs, lhs == rhs == divisor_form,
+                    phi_k(k, n) == 0, detail)
 
 
 def _sweep_cell(args: tuple) -> Union[tuple[int, int, list[Instance]], dict]:
     """One checked instance as a report cell, or the skip record of a cell its oracle refused."""
-    kind, k, n, f_source, budget = args
+    kind, k, n, spec, budget = args
     try:
-        inst = verify_identity(kind, k, n, f_source, budget)
+        inst = verify_identity(kind, k, n, spec, budget)
     except BudgetExceededError:
         return {"k": k, "n": n, "reason": f"n**k = {n ** k} over budget {budget}"}
     return 1, inst.trivial_zero, [] if inst.ok else [inst]
@@ -442,11 +414,11 @@ def verify_sweep(
     """Sweep an identity over 1 <= k <= k_max, 1 <= n <= n_max.
 
     Instances whose oracle refuses the budget are skipped and reported,
-    making the report partial.  With workers > 1 the cells are evaluated by
-    `core.parallel_map` and merged back in parameter order.
+    making the report partial.  With workers > 1 the cells, each carrying the
+    one parsed f, are evaluated by `core.parallel_map` and merged back in
+    parameter order; an f that does not pickle is refused before any cell runs.
     """
-    if kind not in IDENTITY_KINDS:
-        raise ValueError(f"unknown identity {kind!r}, expected one of {IDENTITY_KINDS}")
+    _identity_kind(kind)
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
     spec = parse_function_spec(f)
@@ -454,11 +426,15 @@ def verify_sweep(
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
     if kind in ("menon_general", "menon_gcd"):
         swept["f"] = spec.label
-    source = spec if workers == 1 else spec.source
-    cells = [(kind, k, n, source, budget) for k in ks for n in range(1, n_max + 1)]
-    if workers > 1 and source is None:
-        raise ValueError("parallel sweeps need a re-parseable f spec "
-                         "(name, pow:j, or table:<path>)")
+    if workers > 1:
+        import pickle
+
+        try:
+            pickle.dumps(spec)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            raise ValueError(f"parallel sweeps need an f that pickles (a name, pow:j, a table, "
+                             f"or a module-level function), got {spec.label}") from None
+    cells = [(kind, k, n, spec, budget) for k in ks for n in range(1, n_max + 1)]
     return IdentityReport.of(kind, swept, parallel_map(_sweep_cell, cells, workers))
 
 

@@ -35,6 +35,7 @@ from .core import (
     exact_div,
     parallel_map,
     positive_int,
+    tuple_args,
 )
 from .totients import _g_k_prime, _phi_k_prime_power
 
@@ -169,9 +170,7 @@ def sum_phi_k_direct(
     Workers are capped at the usable CPUs and so that each gets more than 4
     numbers.
     """
-    k = positive_int(k, "tuple length k")
-    x = positive_int(x, "cutoff x")
-    _check_sieve_budget(x, sieve_limit, "cutoff x")
+    k, x = _sum_checks(k, x, sieve_limit)
     workers = cap_workers(workers, (x - 1) // 4)
     _spf_sieve(x)  # built once here, so that forked workers inherit them
     _prime_values(_phi_k_prime_power, k, x)
@@ -191,7 +190,7 @@ def sum_phi_k_convolution(
     of S_k(x // d), evaluated once per run (O(sqrt x) runs).  One CRT rebuilds
     the exact total.
     """
-    k, x = _convolution_checks(k, x, sieve_limit)
+    k, x = _sum_checks(k, x, sieve_limit, convolution=True)
     import numpy as np
 
     from .residues import Rows, blocks
@@ -211,12 +210,12 @@ def sum_phi_k_convolution(
     return PartialSum(k, x, rows.exact(total), "convolution")
 
 
-def _convolution_checks(k: int, x: int, sieve_limit: int) -> tuple[int, int]:
-    """Validate k and x, and refuse what `sum_phi_k_convolution` would refuse, before any sum."""
-    k = positive_int(k, "tuple length k")
+def _sum_checks(k: int, x: int, sieve_limit: int, convolution: bool = False) -> tuple[int, int]:
+    """Check k and x, and refuse what a sum would before it starts; S_k's price if `convolution`."""
+    (k,) = tuple_args(k)
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit, "cutoff x")
-    if x > k + 1:  # S_k(x), for the run at d = 1, needs the polynomial: price it up front
+    if convolution and x > k + 1:  # S_k(x), for the run at d = 1, needs the polynomial
         _faulhaber_coeffs(k)
     return k, x
 
@@ -229,11 +228,11 @@ def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, ...]]:
     """(D, a) with D * S_k(m) = a[0] m**(k+1) + a[1] m**k + ... + a[k] m, for the least D >= 1.
 
     S_k is interpolated at m = 1 ... k+2 (`residues.scaled_monomials`), and its
-    (k+1)!-scaled coefficients are divided by their gcd with (k+1)!.  The build keeps
-    the price of the Bernoulli numbers B_0 ... B_k that it replaced, about k**2/8
-    steps on numbers of up to k bits(k) bits, so the same k are refused.
+    (k+1)!-scaled coefficients are divided by their gcd with (k+1)!.  The build is priced
+    at k**2/8 steps on numbers of up to k bits(k) bits (the price of the Bernoulli numbers
+    B_0 ... B_k it replaced, so the same k are refused).
     """
-    check_word_budget(k * k // 8, k * k.bit_length(), f"the Bernoulli numbers B_0 ... B_{k}")
+    check_word_budget(k * k // 8, k * k.bit_length(), f"the power-sum polynomial S_{k}")
     from .residues import scaled_monomials
 
     scaled, scale = scaled_monomials(list(accumulate(i**k for i in range(1, k + 3))))
@@ -247,10 +246,8 @@ def faulhaber_sum(k: int, m: int) -> int:
     Up to m = k + 1 the powers are added; above, the interpolated polynomial
     (`_faulhaber_coeffs`) is evaluated in integers over one common denominator.
     """
-    if k < 0:
-        raise ValueError(f"exponent k must be >= 0, got {k}")
-    if m < 0:
-        raise ValueError(f"upper limit m must be >= 0, got {m}")
+    k = positive_int(k, "exponent k", least=0)
+    m = positive_int(m, "upper limit m", least=0)
     if m <= k + 1:
         return sum(i**k for i in range(1, m + 1))
     den, coeffs = _faulhaber_coeffs(k)
@@ -322,7 +319,7 @@ def average_order_constant(
     times the tail bound 1 - (k+1)/(prime_bound - 1), as each omitted factor is in (0, 1].
     A prime bound above sieve_limit is refused before its sieve is allocated.
     """
-    k = positive_int(k, "tuple length k")
+    (k,) = tuple_args(k)
     prime_bound = positive_int(prime_bound, "prime_bound")
     if k < 2:
         raise ValueError(f"the average-order constant is defined for k >= 2 only, got k={k}")
@@ -367,7 +364,7 @@ def error_term_rows(
     |delta| / (x**k (log x)**(k+1)) is reported for inspection, never
     asserted against an invented constant.  Grid points must be >= 2.
     """
-    k = positive_int(k, "tuple length k")
+    (k,) = tuple_args(k)
     if k < 2:
         raise ValueError(f"error monitoring needs k >= 2, got k={k}")
     if not xs:

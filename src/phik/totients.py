@@ -15,7 +15,8 @@ primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k.
 The oracles count from the definitions, never visiting tuples one by one:
 unit tuples by their sum mod M in one big-integer power, folded after each
 product (`unit_sum_counts`), other keys by k - 1 pairing steps (`fold_counts`).
-`_divisor_levels` builds and prices the recursions of phi_k(n, m) and N_k.
+`_divisor_levels` builds and prices the recursions of phi_k(n, m) and N_k.  k, n
+and m pass the one argument gate, `core.tuple_args`.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from .core import (
     eval_mf,
     exact_div,
     factorize,
-    positive_divisor,
     positive_int,
+    tuple_args,
 )
 
 
@@ -100,7 +101,7 @@ def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
 
 def phi_k_mf(k: int) -> MultiplicativeFunction:
     """phi_k as a registered multiplicative function."""
-    k = positive_int(k, "tuple length k")
+    (k,) = tuple_args(k)
     return MultiplicativeFunction(f"phi_{k}", lambda p, e: _phi_k_prime_power(k, p, e))
 
 
@@ -121,9 +122,7 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
     the primes p | m; prod (p-1) divides phi(n), and phi_1(p) = p - 1.  Zero
     exactly when k and m are both even, as phi_k(2) = 0 for even k.
     """
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
-    m = positive_divisor(m, n, "m")
+    k, n, m = tuple_args(k, n, m=m)
     if k % 2 == 0 and m % 2 == 0:
         return 0
     primes = factorize(m).primes()
@@ -163,9 +162,7 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
     levels phi_i(n, t) / phi(t) over the squarefree t | m are integers, as p - 1
     divides phi_i(p), and are built by `_divisor_levels`.
     """
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
-    m = positive_divisor(m, n, "m")
+    k, n, m = tuple_args(k, n, m=m)
     if k == 1:
         return euler_phi(n)
     phi_n = euler_phi(n)
@@ -179,8 +176,7 @@ def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET)
     m need not divide n here; that regime is experimental (no closed form is
     provided for it) and a warning is emitted.
     """
-    k = positive_int(k, "tuple length k")
-    n = positive_int(n, "modulus n")
+    k, n = tuple_args(k, n)
     m = positive_int(m, "m")
     if n % m != 0:
         warnings.warn(
@@ -199,9 +195,10 @@ def _g_k_prime(k: int, p: int) -> int:
 
 def g_k_mf(k: int) -> MultiplicativeFunction:
     """Convolution inverse factor: phi_k = id_k * g_k.  Vanishes off squarefree n."""
-    k = positive_int(k, "tuple length k")
+    (k,) = tuple_args(k)
     return MultiplicativeFunction(f"g_{k}", lambda p, e: _g_k_prime(k, p) if e == 1 else 0)
 
 
 def g_k(k: int, n: int) -> int:
-    return eval_mf(g_k_mf(k), positive_int(n, "modulus n"))
+    k, n = tuple_args(k, n)
+    return eval_mf(g_k_mf(k), n)

@@ -15,17 +15,23 @@ from phik import (
     BudgetExceededError,
     MultiplicativeFunction,
     average_order_constant,
+    count_units_in_class,
+    count_units_in_two_classes,
     dirichlet_convolve,
     divisors,
     epsilon_mf,
+    error_term_rows,
     eval_mf,
     factorize,
+    faulhaber_sum,
     g_k,
+    g_k_mf,
     gcd_sum_lhs_oracle,
     gcd_sum_rhs,
     id_k_mf,
     id_mf,
     jordan_totient,
+    menon_expansion_rhs,
     mobius,
     mobius_mf,
     mobius_transform,
@@ -38,6 +44,7 @@ from phik import (
     phi_k_nm,
     phi_k_nm_oracle,
     phi_k_nm_recursion,
+    phi_k_mf,
     phi_k_oracle,
     phi_mf,
     piltz_mf,
@@ -335,3 +342,40 @@ def test_parallel_map_keeps_task_order_and_derives_its_chunks(monkeypatch):
     assert pools == [[2, 3]]  # two CPUs; 20 tasks in about four chunks per worker
     assert parallel_map(abs, [-1], 8) == [1] and parallel_map(abs, [-1, -2], 1) == [1, 2]
     assert len(pools) == 1  # one task, or one worker asked for: no pool
+
+
+# Entry points behind the argument gate, each with a valid call; k is argument 0, n argument 1.
+TUPLE_COUNTS = [
+    (phi_k, (2, 6)), (phi_k_oracle, (2, 6)), (g_k, (2, 6)), (phi_k_nm, (2, 6, 3)),
+    (phi_k_nm_recursion, (2, 6, 3)), (phi_k_nm_oracle, (2, 6, 3)), (n_k, (2, 6, 3, 1)),
+    (n_k_recursion, (2, 6, 3, 1)), (n_k_oracle, (2, 6, 3, 1)), (gcd_sum_lhs_oracle, (2, 6)),
+    (gcd_sum_rhs, (2, 6)), (menon_expansion_rhs, (2, 6)), (nageswara_rao_lhs_oracle, (2, 6)),
+]
+K_ONLY = [
+    (phi_k_mf, (2,)), (g_k_mf, (2,)), (sum_phi_k_direct, (2, 10)),
+    (sum_phi_k_convolution, (2, 10)), (average_order_constant, (2, 1000)),
+    (error_term_rows, (2, [10], 1000)),
+]
+GATE_CASES = [
+    *[(fn, args, 0, "tuple length k") for fn, args in TUPLE_COUNTS + K_ONLY],
+    *[(fn, args, 1, "modulus n") for fn, args in TUPLE_COUNTS],
+    (count_units_in_class, (6, 3, 1), 0, "modulus n"),
+    (count_units_in_two_classes, (6, 3, 2, 1, 1), 0, "modulus n"),
+    (faulhaber_sum, (2, 3), 0, "exponent k"),
+    (faulhaber_sum, (2, 3), 1, "upper limit m"),
+]
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.0])
+@pytest.mark.parametrize("fn, args, position, name", GATE_CASES,
+                         ids=[f"{case[0].__name__}-{case[3]}" for case in GATE_CASES])
+def test_the_argument_gate_names_the_bad_argument(fn, args, position, name, value):
+    fn(*args)
+    if fn is faulhaber_sum and value == 0:
+        return  # 0**k and the empty sum: valid
+    bad = list(args)
+    bad[position] = value
+    with pytest.raises(ValueError) as exc:
+        fn(*bad)
+    assert str(exc.value).startswith(f"{name} must be ")
+    assert "factorize:" not in str(exc.value)

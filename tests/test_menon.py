@@ -26,10 +26,12 @@ from phik import (
     parse_function_spec,
     phi_k,
     tau,
+    tau_mf,
     units_mod,
     verify_identity,
     verify_sweep,
 )
+from phik import menon
 
 
 def test_count_units_one_congruence_examples():
@@ -271,6 +273,25 @@ def test_verify_sweep_parallel_matches_serial():
     seq = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=1)
     par = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=2)
     assert seq.as_dict() == par.as_dict()
+
+
+@pytest.mark.parametrize("f", ["mapping", "table file", "module-level function"])
+def test_parallel_sweeps_run_the_one_parsed_f_as_serial_ones_do(tmp_path, f):
+    values = {d: (d * d + 3 * d + 7) % 11 for d in range(1, 17)}  # not multiplicative
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"f": values}))
+    f = {"mapping": values, "table file": f"table:{path}", "module-level function": euler_phi}[f]
+    serial = verify_sweep("menon_general", k_max=2, n_max=16, f=f)
+    assert serial.ok and serial.checked == 32
+    assert verify_sweep("menon_general", k_max=2, n_max=16, f=f, workers=2).as_dict() == \
+        serial.as_dict()
+
+
+@pytest.mark.parametrize("f", [lambda x: x, tau_mf], ids=["lambda", "tau_mf"])
+def test_a_parallel_sweep_refuses_an_f_that_does_not_pickle_before_any_cell(monkeypatch, f):
+    monkeypatch.setattr(menon, "parallel_map", lambda *args: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match="parallel sweeps need an f that pickles"):
+        verify_sweep("menon_general", k_max=2, n_max=6, f=f, workers=2)
 
 
 def test_verify_sweep_skips_the_cells_its_oracle_refuses():
