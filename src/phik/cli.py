@@ -213,14 +213,12 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
 
     if args.format == "csv":  # the enclosure is cheap: refuse a bad prime bound before any sum
         enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
-    if args.method != "direct":  # refuse what the convolution route refuses before any sum
-        summatory._sum_checks(args.k, args.x, args.sieve_limit, convolution=True)
-        positive_int(args.workers, "worker count")  # as the direct route does, for every method
     results = []
-    if args.method != "convolution":
-        results.append(summatory.sum_phi_k_direct(args.k, args.x, args.sieve_limit, args.workers))
-    if args.method != "direct":
+    if args.method != "direct":  # first, so that its refusals come before any direct sum
+        positive_int(args.workers, "worker count")  # as the direct route does, for every method
         results.append(summatory.sum_phi_k_convolution(args.k, args.x, args.sieve_limit))
+    if args.method != "convolution":
+        results.insert(0, summatory.sum_phi_k_direct(args.k, args.x, args.sieve_limit, args.workers))
     if len(results) == 2 and results[0].value != results[1].value:
         print(f"METHOD MISMATCH (implementation bug): direct_sieve={results[0].value} "
               f"convolution={results[1].value}", file=sys.stderr)

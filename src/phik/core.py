@@ -2,8 +2,8 @@
 
 All values are exact: integers, or the `Fraction`s a caller's function
 returns, never floats.  Functions here are pure and safe to call concurrently.
-`tuple_args` is the one argument gate of every tuple count, and `table_lookup`
-the one table reader; it pickles, so worker processes share one parsed table.
+`tuple_args` is the one argument gate of every tuple count, and `table_lookup` the
+one table rule, for `table:` files and Mappings alike; its reader pickles to workers.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 ArithValue = Union[int, "Fraction"]
-ArithFn = Union["MultiplicativeFunction", Callable[[int], ArithValue], Mapping[int, ArithValue]]
+ArithFn = Union["MultiplicativeFunction", Callable[[int], ArithValue], Mapping[int, int]]
 
 
 class BudgetExceededError(Exception):
@@ -112,9 +112,10 @@ def check_word_budget(steps: int, bits: int, what: str) -> None:
 
 
 def exact_div(a: int, b: int) -> int:
-    """a / b where b is known to divide a."""
+    """a / b where b is known to divide a; a remainder is an ArithmeticError, even under -O."""
     q, r = divmod(a, b)
-    assert r == 0
+    if r:
+        raise ArithmeticError("exact_div: the divisor leaves a nonzero remainder")
     return q
 
 
@@ -134,6 +135,8 @@ class Factorization(NamedTuple):
 # Trial division stops at this prime bound; a cofactor left above its square
 # has no prime factor below it and goes to Miller-Rabin and Pollard-Brent rho.
 TRIAL_DIVISION_BOUND = 1 << 10
+# 2, 3, then 6j - 1 and 6j + 1: every prime up to the bound, and some composites.
+TRIAL_DIVISORS = (2, 3, *(q for d in range(5, TRIAL_DIVISION_BOUND + 1, 6) for q in (d, d + 2)))
 
 # The first 13 primes as strong-probable-prime bases: no composite below
 # psi_13 passes all of them (Sorenson-Webster, Math. Comp. 86, 2017).
@@ -151,23 +154,15 @@ def _strip_small_primes(n: int) -> tuple[list[tuple[int, int]], int]:
     """
     factors = []
     m = n
-    for p in (2, 3):
+    for p in TRIAL_DIVISORS:
+        if p * p > m:  # m is 1 or prime
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-    d = 5
-    while d * d <= m and d <= TRIAL_DIVISION_BOUND:
-        for p in (d, d + 2):
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors.append((p, e))
-        d += 6
     return factors, m
 
 
@@ -279,12 +274,10 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, _prime_factors(n))
 
 
-def divisors(f: Factorization | int) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order."""
-    if not isinstance(f, Factorization):
-        f = factorize(f)
     divs = [1]
-    for p, e in f.factors:
+    for p, e in factorize(n).factors:
         divs = [d * p**j for d in divs for j in range(e + 1)]
     return sorted(divs)
 
@@ -368,6 +361,7 @@ def mobius(n: int) -> int:
 
 
 def jordan_totient(k: int, n: int) -> int:
+    k, n = tuple_args(k, n)
     return eval_mf(jordan_mf(k), n)
 
 
@@ -385,16 +379,33 @@ def _table_entry(table: Mapping[int, ArithValue], what: str, n: int) -> ArithVal
         raise ValueError(f"{what} has no entry for {n}") from None
 
 
-def table_lookup(
-    table: Mapping[int, ArithValue], what: str = "value table"
-) -> Callable[[int], ArithValue]:
-    """Read an arithmetic function off a divisor-indexed table; the reader pickles with it."""
-    return partial(_table_entry, table, what)
+def table_lookup(table: Mapping, what: str = "value table") -> Callable[[int], int]:
+    """Read an arithmetic function off a divisor-indexed table; the reader pickles with it.
+
+    The one table rule: a Mapping, keys read by `int`, values exact integers (no bool;
+    an integral float reads as its int), each refusal naming `what` and the key.
+    """
+    if not isinstance(table, Mapping):
+        raise ValueError(f"{what} must map divisors to values, got {type(table).__name__}")
+    checked = {}
+    for key, value in table.items():
+        try:
+            n = int(key)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} has a key {key!r} that is not an integer") from None
+        if isinstance(value, bool):
+            raise ValueError(f"{what}[{key}]: boolean is not a valid value")
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, int):
+            raise ValueError(f"{what}[{key}]: values must be exact integers, got {value!r}")
+        checked[n] = value
+    return partial(_table_entry, checked, what)
 
 
 def mobius_transform(f: ArithFn, d: int) -> ArithValue:
-    """(mu * f)(d) = sum over j | d of mu(d/j) f(j), f a callable or a divisor-indexed table."""
-    fn = table_lookup({int(j): v for j, v in f.items()}) if isinstance(f, Mapping) else f
+    """(mu * f)(d) = sum over j | d of mu(d/j) f(j), f a callable or a table (`table_lookup`)."""
+    fn = table_lookup(f) if isinstance(f, Mapping) else f
     total: ArithValue = 0
     for j in divisors(d):
         m = mobius(d // j)

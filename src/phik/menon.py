@@ -9,9 +9,9 @@ N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and 0 mod
 delta; `n_k` divides the two-parameter totients exactly, and `n_k_recursion`
 never calls them.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
-units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`.
-Sweeps report through `IdentityReport.of` and spread their cells, each carrying
-the one parsed f, with `core.parallel_map`.
+units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
+of f `core.table_lookup`.  Sweeps report through `IdentityReport.of`, a skipped cell by
+its oracle's own refusal, and spread their cells with `core.parallel_map`.
 """
 from __future__ import annotations
 
@@ -161,29 +161,10 @@ class FunctionSpec(NamedTuple):
         return mobius_transform(self.fn, d)
 
 
-def _table_fn(raw, what: str) -> Callable[[int], int]:
-    if not isinstance(raw, Mapping):
-        raise ValueError(f"{what} must map divisors to values, got {type(raw).__name__}")
-    table = {}
-    for key, value in raw.items():
-        try:
-            n = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"{what} has a key {key!r} that is not an integer") from None
-        if isinstance(value, bool):
-            raise ValueError(f"{what}[{key}]: boolean is not a valid value")
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if not isinstance(value, int):
-            raise ValueError(f"{what}[{key}]: values must be exact integers, got {value!r}")
-        table[n] = value
-    return table_lookup(table, what)
-
-
 def _parse_table(data: Mapping, label: str) -> FunctionSpec:
     raw_f, raw_mu = (data["f"], data.get("mu_f")) if "f" in data else (data, None)
-    mu_fn = None if raw_mu is None else _table_fn(raw_mu, f"{label} mu_f")
-    return FunctionSpec(label, _table_fn(raw_f, f"{label} f"), mu_fn)
+    mu_fn = None if raw_mu is None else table_lookup(raw_mu, f"{label} mu_f")
+    return FunctionSpec(label, table_lookup(raw_f, f"{label} f"), mu_fn)
 
 
 @lru_cache(maxsize=64)
@@ -191,7 +172,10 @@ def _load_table_file(path: str) -> FunctionSpec:
     import json
 
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # a JSON or UTF-8 decoding error
+            raise ValueError(f"table file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"table file {path} must hold a JSON object")
     return _parse_table(data, f"table:{path}")
@@ -386,11 +370,12 @@ def verify_identity(
     spec = parse_function_spec(f if kind == "menon_general" else "id")
     lhs = gcd_sum_lhs_oracle(k, n, spec, budget)
     divisor_form = gcd_sum_rhs(k, n, spec)
+    phi_kn = phi_k(k, n)
     # menon_gcd, sita_ramaiah: f = id, and the rhs collapses to phi_k(n) tau(n)
-    rhs = divisor_form if kind == "menon_general" else phi_k(k, n) * tau(n)
+    rhs = divisor_form if kind == "menon_general" else phi_kn * tau(n)
     detail = None if divisor_form == rhs else f"divisor-sum rhs = {divisor_form}"
     return Instance(params + (("f", spec.label),), lhs, rhs, lhs == rhs == divisor_form,
-                    phi_k(k, n) == 0, detail)
+                    phi_kn == 0, detail)
 
 
 def _sweep_cell(args: tuple) -> Union[tuple[int, int, list[Instance]], dict]:
@@ -398,8 +383,8 @@ def _sweep_cell(args: tuple) -> Union[tuple[int, int, list[Instance]], dict]:
     kind, k, n, spec, budget = args
     try:
         inst = verify_identity(kind, k, n, spec, budget)
-    except BudgetExceededError:
-        return {"k": k, "n": n, "reason": f"n**k = {n ** k} over budget {budget}"}
+    except BudgetExceededError as exc:
+        return {"k": k, "n": n, "reason": str(exc)}
     return 1, inst.trivial_zero, [] if inst.ok else [inst]
 
 
@@ -492,8 +477,8 @@ def n_k_sweep(
         pairs = [(d, delta) for d in divs for delta in divs]
         try:
             brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
-        except BudgetExceededError:
-            return {"k": k, "n": n, "reason": f"phi(n)**k over budget {budget}"}
+        except BudgetExceededError as exc:
+            return {"k": k, "n": n, "reason": str(exc)}
         failures = []
         for (d, delta), brute in zip(pairs, brutes):
             closed = n_k(k, n, d, delta)

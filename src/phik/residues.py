@@ -1,8 +1,9 @@
 """Multiplicative functions over a range, as int64 rows rebuilt by CRT.
 
 Row 0, the word row, holds each value modulo 2**64 and is never reduced: numpy's
-int64 `+` and `*` on arrays wrap.  The other rows hold residues modulo the largest
-primes below 2**31, so that a product of two stays below 2**62.  An integer known
+int64 `+` and `*` on arrays wrap.  The other rows hold residues modulo `PRIMES`, the
+seven largest primes below 2**31 (the tests prove each by trial division), so that
+a product of two stays below 2**62.  An integer known
 to lie in [0, 2**bits) is fixed by its rows modulo `moduli(bits)`, and `crt`
 rebuilds it.  Past MAX_MODULI rows, one row of exact Python ints costs less, and
 `Rows` carries that instead.  `blocks` walks a range of n a block at a time and
@@ -13,14 +14,16 @@ coefficients from `scaled_monomials`; numpy is imported only with this module.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Callable
 
 import numpy as np
 
-from .core import _is_prime, exact_div
+from .core import exact_div
 
-MAX_MODULI = 8
 WORD = 1 << 64
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543)
+MAX_MODULI = 1 + len(PRIMES)
 
 # Primes below this strike their multiples in a block through strided slices.
 STRIDED_BELOW = 64
@@ -28,22 +31,11 @@ STRIDED_BELOW = 64
 
 @lru_cache(maxsize=None)
 def moduli(bits: int) -> tuple[int, ...]:
-    """2**64, then the fewest of the largest primes below 2**31, whose product exceeds 2**bits.
-
-    Empty when that takes more than MAX_MODULI moduli.  Each prime is proven
-    prime by deterministic Miller-Rabin (`core._is_prime`).
-    """
-    found = [WORD]
-    product, candidate = WORD, 2**31 - 1
-    while product <= 1 << bits:
-        if len(found) == MAX_MODULI:
-            return ()
-        while not _is_prime(candidate):
-            candidate -= 2
-        found.append(candidate)
-        product *= candidate
-        candidate -= 2
-    return tuple(found)
+    """2**64, then the fewest of PRIMES, in order, whose product exceeds 2**bits; else ()."""
+    for chosen in ((WORD, *PRIMES[:count]) for count in range(MAX_MODULI)):
+        if prod(chosen) > 1 << bits:
+            return chosen
+    return ()
 
 
 def crt(residues, moduli: tuple[int, ...]) -> int:

@@ -190,7 +190,9 @@ def sum_phi_k_convolution(
     of S_k(x // d), evaluated once per run (O(sqrt x) runs).  One CRT rebuilds
     the exact total.
     """
-    k, x = _sum_checks(k, x, sieve_limit, convolution=True)
+    k, x = _sum_checks(k, x, sieve_limit)
+    if x > k + 1:  # S_k(x), for the run at d = 1, needs the polynomial: priced before any sieve
+        _faulhaber_coeffs(k)
     import numpy as np
 
     from .residues import Rows, blocks
@@ -210,13 +212,11 @@ def sum_phi_k_convolution(
     return PartialSum(k, x, rows.exact(total), "convolution")
 
 
-def _sum_checks(k: int, x: int, sieve_limit: int, convolution: bool = False) -> tuple[int, int]:
-    """Check k and x, and refuse what a sum would before it starts; S_k's price if `convolution`."""
+def _sum_checks(k: int, x: int, sieve_limit: int) -> tuple[int, int]:
+    """Check k and x, and refuse a cutoff over the sieve limit before a sum starts."""
     (k,) = tuple_args(k)
     x = positive_int(x, "cutoff x")
     _check_sieve_budget(x, sieve_limit, "cutoff x")
-    if convolution and x > k + 1:  # S_k(x), for the run at d = 1, needs the polynomial
-        _faulhaber_coeffs(k)
     return k, x
 
 

@@ -378,6 +378,25 @@ def test_a_table_key_that_is_not_an_integer_is_named(tmp_path, capsys, table, pa
     assert err == f"error: table:{path} {part} has a key {key!r} that is not an integer\n"
 
 
+def test_a_table_file_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{1: 2}")
+    assert run_cli("verify", "menon", "--k-max", "2", "--n-max", "4", "--f", f"table:{path}") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: table file {path} is not valid JSON: Expecting property name "
+                   f"enclosed in double quotes: line 1 column 2 (char 1)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "2", "--n", "0"), "modulus n must be a positive integer, got 0"),
+    (("--k", "0", "--n", "6"), "tuple length k must be a positive integer, got 0"),
+])
+def test_eval_jordan_passes_the_argument_gate(capsys, argv, message):
+    assert run_cli("eval", "jordan", *argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "table",
     [{"f": [1, 2, 3]}, {"f": {"1": 1, "2": 2}, "mu_f": [1]}],
@@ -591,6 +610,21 @@ def test_csv_sum_refuses_its_prime_bound_before_summing(capsys, monkeypatch):
     assert run_cli(*argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("budget refused:")
+
+
+def test_both_methods_stop_at_a_convolution_refusal_before_the_direct_sum(capsys, monkeypatch):
+    from phik import BudgetExceededError, summatory
+
+    def refuse(*args, **kwargs):
+        raise BudgetExceededError("the convolution route refused")
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("the direct sum ran after the convolution route refused")
+
+    monkeypatch.setattr(summatory, "sum_phi_k_convolution", refuse)
+    monkeypatch.setattr(summatory, "sum_phi_k_direct", no_sum)
+    assert run_cli("sum", "phi-k", "--k", "2", "--x", "100", "--method", "both") == 3
+    assert capsys.readouterr() == ("", "budget refused: the convolution route refused\n")
 
 
 def test_sieve_refusal_advice_matches_the_subcommand(capsys):

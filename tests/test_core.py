@@ -53,6 +53,7 @@ from phik import (
     tau,
     tau_mf,
 )
+from phik.core import table_lookup
 
 
 def test_factorize_basic():
@@ -226,6 +227,32 @@ def test_mobius_transform_table_missing_entry():
         mobius_transform(table, 4)
 
 
+@pytest.mark.parametrize("table, message", [
+    ({1: 1, "x": 2}, "value table has a key 'x' that is not an integer"),
+    ({"1": True}, "value table[1]: boolean is not a valid value"),
+    ({1: Fraction(1, 2)}, "value table[1]: values must be exact integers, got Fraction(1, 2)"),
+    ([1, 2], "value table must map divisors to values, got list"),
+], ids=["key", "bool", "fraction", "list"])
+def test_mobius_transform_reads_a_table_by_the_one_table_rule(table, message):
+    if isinstance(table, dict):
+        with pytest.raises(ValueError) as exc:
+            mobius_transform(table, 1)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        table_lookup(table)
+    assert str(exc.value) == message
+    assert mobius_transform({"1": 1.0, 2: 3}, 2) == 2  # string keys, integral floats
+
+
+def test_exact_div_refuses_a_remainder_under_python_O():
+    code = "from phik.core import exact_div\nprint(exact_div(21, 7))\nexact_div(7, 2)"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout == "3\n"
+    assert proc.returncode == 1
+    assert "ArithmeticError: exact_div: the divisor leaves a nonzero remainder" in proc.stderr
+
+
 def test_piltz_lower_bound():
     # tau_{k+1}(n) >= (k+1)**omega(n)
     for k in range(1, 7):
@@ -350,6 +377,7 @@ TUPLE_COUNTS = [
     (phi_k_nm_recursion, (2, 6, 3)), (phi_k_nm_oracle, (2, 6, 3)), (n_k, (2, 6, 3, 1)),
     (n_k_recursion, (2, 6, 3, 1)), (n_k_oracle, (2, 6, 3, 1)), (gcd_sum_lhs_oracle, (2, 6)),
     (gcd_sum_rhs, (2, 6)), (menon_expansion_rhs, (2, 6)), (nageswara_rao_lhs_oracle, (2, 6)),
+    (jordan_totient, (2, 6)),
 ]
 K_ONLY = [
     (phi_k_mf, (2,)), (g_k_mf, (2,)), (sum_phi_k_direct, (2, 10)),

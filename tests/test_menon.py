@@ -264,7 +264,7 @@ def test_verify_sweep_reports():
 def test_verify_sweep_partial_on_budget():
     report = verify_sweep("menon_gcd", k_max=3, n_max=12, budget=1000)
     assert report.partial
-    assert report.skipped and all("over budget" in s["reason"] for s in report.skipped)
+    assert report.skipped and all("over the budget of 1000" in s["reason"] for s in report.skipped)
     # everything that did run is still checked honestly
     assert report.ok
 
@@ -300,7 +300,10 @@ def test_verify_sweep_skips_the_cells_its_oracle_refuses():
         ks = [2] if kind == "sita_ramaiah" else range(1, k_max + 1)
         over = [(k, n) for k in ks for n in range(1, 41) if n**k > 1000]
         assert [(int(s["k"]), int(s["n"])) for s in report.skipped] == over
-        assert report.skipped[0]["reason"] == f"n**k = {over[0][1] ** over[0][0]} over budget 1000"
+        k, n = over[0]
+        oracle = "joint-gcd" if kind == "nageswara_rao" else "gcd-sum"
+        assert report.skipped[0]["reason"] == (
+            f"{oracle} oracle at k={k}, n={n} would visit {n**k} tuples, over the budget of 1000")
         assert report.checked == len(ks) * 40 - len(over) and report.ok
 
 
@@ -314,7 +317,9 @@ def test_n_k_sweep_skips_the_cells_its_oracle_refuses():
     report = n_k_sweep(k_max=3, n_max=14, budget=100)
     over = [(k, n) for k in range(1, 4) for n in range(1, 15) if euler_phi(n) ** k > 100]
     assert [(int(s["k"]), int(s["n"])) for s in report.skipped] == over
-    assert all(s["reason"] == "phi(n)**k over budget 100" for s in report.skipped)
+    assert all(s["reason"] == f"N_{s['k']}({s['n']}, 1, 1) oracle would visit "
+               f"{euler_phi(s['n']) ** s['k']} tuples, over the budget of 100"
+               for s in report.skipped)
     ran = [(k, n) for k in range(1, 4) for n in range(1, 15) if (k, n) not in over]
     assert report.checked == sum(len(divisors(n)) ** 2 for _, n in ran) and report.ok
 
