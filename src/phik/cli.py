@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from importlib import import_module
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
@@ -51,11 +51,11 @@ MAX_PRINTED_DIGITS = 10**5
 class Command(NamedTuple):
     """One subcommand: where it sits, what it may print, the flags its handler reads.
 
-    `flags` name entries of `_flag_specs()`, optionally as (name, overrides).
-    `formats` are the allowed --format values, the first being the default.
-    `fn` is the row's library call: for value rows a "module.function" name,
-    or a callable picking one from the parsed arguments; for verify rows a
-    callable of (the `menon` module, the arguments) returning the reports.
+    `flags` name entries of `_flag_specs()`, optionally as (name, overrides); `formats` are
+    the --format choices, the first being the default.
+    `fn` is what the row calls: a "module.function" name, a route map from each --method
+    choice (the first the default) to a name, a verify row's `menon.verify_sweep` kind, or
+    (for `verify lemmas`) a callable of (`menon`, the arguments) returning the reports.
     """
 
     path: tuple[str, ...]
@@ -63,7 +63,7 @@ class Command(NamedTuple):
     handler: Callable[["Command", argparse.Namespace], int]
     flags: tuple[Union[str, tuple[str, dict]], ...]
     formats: tuple[str, ...] = ("plain", "json")
-    fn: Union[str, Callable, None] = None
+    fn: Union[str, Mapping[str, str], Callable, None] = None
 
 
 def _flag_specs() -> dict[str, dict]:
@@ -75,7 +75,7 @@ def _flag_specs() -> dict[str, dict]:
         "delta": dict(type=int, required=True),
         "x": dict(type=int, required=True),
         "f": dict(default="id", help="id | one | tau | mu | pow:j | table:<path>"),
-        "method": dict(choices=("closed", "recursion"), default="closed"),
+        "method": {},  # a route map's keys, or the row's own choices
         "k-max": dict(type=int, default=3),
         "n-max": dict(type=int, default=40),
         "x-grid": dict(required=True, help="comma-separated cutoffs, e.g. 100,1000"),
@@ -143,18 +143,20 @@ def _check_printable(value) -> None:
 # -- handlers -----------------------------------------------------------------
 
 
-def _cmd_value(cmd: Command, args) -> int:
-    """Call the row's function with its flags as keywords and print the value.
-
-    --method only picks the function, and an unset optional flag is left out;
-    JSON echoes every parameter but the budget.
-    """
+def _params(cmd: Command, args) -> dict:
+    """The row's flags as keywords ("-" read as "_"), f parsed once, no unset flag nor method."""
     params = {}
-    for name in _flag_names(cmd):
-        value = getattr(args, name)
-        if name != "method" and value is not None:
-            params[name] = _library("menon.parse_function_spec")(value) if name == "f" else value
-    value = _library(cmd.fn(args) if callable(cmd.fn) else cmd.fn)(**params)
+    for key in (name.replace("-", "_") for name in _flag_names(cmd)):
+        value = getattr(args, key)
+        if key != "method" and value is not None:
+            params[key] = _library("menon.parse_function_spec")(value) if key == "f" else value
+    return params
+
+
+def _cmd_value(cmd: Command, args) -> int:
+    """Call the row's function, or its route map's --method entry; JSON echoes all but budget."""
+    params = _params(cmd, args)
+    value = _library(cmd.fn if isinstance(cmd.fn, str) else cmd.fn[args.method])(**params)
     _check_printable(value)
     if args.format == "json":
         payload = {key: v for key, v in params.items() if key != "budget"}
@@ -162,11 +164,6 @@ def _cmd_value(cmd: Command, args) -> int:
     else:
         _emit(args, str(value))
     return EXIT_OK
-
-
-def _by_method(closed: str, recursion: str) -> Callable:
-    """Pick a value row's function by --method."""
-    return lambda args: recursion if args.method == "recursion" else closed
 
 
 def _report_lines(report) -> list[str]:
@@ -190,7 +187,8 @@ def _cmd_verify(cmd: Command, args) -> int:
     """Run the row's sweeps; exit 1 on any failure, else 3 when any sweep skipped."""
     from . import menon
 
-    reports = cmd.fn(menon, args)
+    reports = (cmd.fn(menon, args) if callable(cmd.fn)
+               else [menon.verify_sweep(cmd.fn, **_params(cmd, args))])
     if args.format == "json":
         payload = [report.as_dict() for report in reports]
         _emit_json(args, payload if len(payload) > 1 else payload[0])
@@ -276,32 +274,27 @@ COMMANDS = (
     Command(("eval", "phi-k"), "phi_k(n)", _cmd_value, ("k", "n"), fn="totients.phi_k"),
     Command(("eval", "phi-k-nm"), "two-parameter phi_k(n, m)", _cmd_value,
             ("k", "n", "m", "method"),
-            fn=_by_method("totients.phi_k_nm", "totients.phi_k_nm_recursion")),
+            fn={"closed": "totients.phi_k_nm", "recursion": "totients.phi_k_nm_recursion"}),
     Command(("eval", "g-k"), "convolution factor g_k(n)", _cmd_value, ("k", "n"),
             fn="totients.g_k"),
     Command(("eval", "n-k"), "unit-tuple count N_k(n, d, delta)", _cmd_value,
-            ("k", "n", "d", "delta", "method"), fn=_by_method("menon.n_k", "menon.n_k_recursion")),
+            ("k", "n", "d", "delta", "method"),
+            fn={"closed": "menon.n_k", "recursion": "menon.n_k_recursion"}),
     Command(("eval", "jordan"), "Jordan totient J_k(n)", _cmd_value, ("k", "n"),
             fn="core.jordan_totient"),
     Command(("oracle", "phi-k"), "phi_k(n) counted from the definition", _cmd_value,
             ("k", "n", ("m", dict(required=False, help=M_ORACLE_HELP)), "budget"),
-            fn=lambda a: "totients.phi_k_oracle" if a.m is None else "totients.phi_k_nm_oracle"),
+            fn="totients.phi_k_nm_oracle"),
     Command(("oracle", "n-k"), "N_k(n, d, delta) counted over unit tuples", _cmd_value,
             ("k", "n", "d", "delta", "budget"), fn="menon.n_k_oracle"),
     Command(("oracle", "menon-lhs"), "gcd sum over admissible tuples", _cmd_value,
             ("k", "n", "f", "budget"), fn="menon.gcd_sum_lhs_oracle"),
     Command(("verify", "menon"), "gcd-sum identity, arbitrary f", _cmd_verify,
-            ("k-max", "n-max", "f", "budget", "workers"),
-            fn=lambda menon, a: [menon.verify_sweep("menon_general", a.k_max, a.n_max, a.f,
-                                                    budget=a.budget, workers=a.workers)]),
+            ("k-max", "n-max", "f", "budget", "workers"), fn="menon_general"),
     Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", _cmd_verify,
-            (("n-max", dict(default=60)), "budget", "workers"),
-            fn=lambda menon, a: [menon.verify_sweep("sita_ramaiah", n_max=a.n_max,
-                                                    budget=a.budget, workers=a.workers)]),
+            (("n-max", dict(default=60)), "budget", "workers"), fn="sita_ramaiah"),
     Command(("verify", "nageswara-rao"), "joint-gcd power identity", _cmd_verify,
-            ("k-max", "n-max", "budget", "workers"),
-            fn=lambda menon, a: [menon.verify_sweep("nageswara_rao", a.k_max, a.n_max,
-                                                    budget=a.budget, workers=a.workers)]),
+            ("k-max", "n-max", "budget", "workers"), fn="nageswara_rao"),
     Command(("verify", "lemmas"), "residue-class counts and N_k machinery", _cmd_verify,
             ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget"),
             fn=lambda menon, a: [menon.lemma_sweep(a.n_max, a.budget),
@@ -346,9 +339,10 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         p = parent.add_parser(cmd.path[-1], help=cmd.help)
         for flag in cmd.flags:
             name, overrides = (flag, {}) if isinstance(flag, str) else flag
+            if name == "method" and isinstance(cmd.fn, Mapping):
+                overrides = dict(choices=tuple(cmd.fn), default=next(iter(cmd.fn)))
             p.add_argument(f"--{name}", **{**specs[name], **overrides})
-        # every format is parseable; main() rejects one the row does not allow
-        p.add_argument("--format", choices=("plain", "json", "csv"), default=cmd.formats[0])
+        p.add_argument("--format", choices=cmd.formats, default=cmd.formats[0])
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.set_defaults(command=cmd)
     return parser
@@ -362,8 +356,6 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     cmd = args.command
     try:
-        if args.format not in cmd.formats:
-            raise ValueError(f"{args.format} output is not defined for this subcommand")
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
             return cmd.handler(cmd, args)

@@ -95,11 +95,19 @@ def parallel_map(fn: Callable, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // (4 * pool_size))))
 
 
-def check_budget(cost: int, budget: int, what: str, limit: str | None = "budget") -> None:
-    """Refuse an enumeration that would visit more than `budget` tuples."""
-    if cost > budget:
-        raise BudgetExceededError(f"{what} would visit {cost} tuples, over the budget of {budget}",
-                                  limit)
+def check_budget(cost: int | tuple, budget: int, what: str, limit: str | None = "budget") -> None:
+    """Refuse an enumeration that would visit more than `budget` tuples.
+
+    `cost` is a count, or (choices, k) for choices**k tuples.  With b = bits(choices), a power with
+    b k > 4,096 is printed "choices**k", and not built when (b - 1) k >= bits(budget) shows it over.
+    """
+    base, k = cost if isinstance(cost, tuple) else (cost, 1)
+    short = base.bit_length() * k <= 4096
+    if (short or (base.bit_length() - 1) * k < budget.bit_length()) and base**k <= budget:
+        return
+    price = base**k if short else f"{base}**{k}"
+    raise BudgetExceededError(f"{what} would visit {price} tuples, over the budget of {budget}",
+                              limit)
 
 
 def check_word_budget(steps: int, bits: int, what: str) -> None:
@@ -382,15 +390,17 @@ def _table_entry(table: Mapping[int, ArithValue], what: str, n: int) -> ArithVal
 def table_lookup(table: Mapping, what: str = "value table") -> Callable[[int], int]:
     """Read an arithmetic function off a divisor-indexed table; the reader pickles with it.
 
-    The one table rule: a Mapping, keys read by `int`, values exact integers (no bool;
-    an integral float reads as its int), each refusal naming `what` and the key.
+    The one table rule: a Mapping, keys integers (no bool) or strings `int` reads, values exact
+    integers (no bool; an integral float reads as its int), each refusal naming `what` and the key.
     """
     if not isinstance(table, Mapping):
         raise ValueError(f"{what} must map divisors to values, got {type(table).__name__}")
     checked = {}
     for key, value in table.items():
         try:
-            n = int(key)
+            if isinstance(key, bool):
+                raise TypeError  # int(True) reads 1
+            n = int(key) if isinstance(key, str) else operator.index(key)  # int(2.5) truncates
         except (TypeError, ValueError):
             raise ValueError(f"{what} has a key {key!r} that is not an integer") from None
         if isinstance(value, bool):

@@ -69,11 +69,11 @@ def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]
 
     Kronecker substitution: the unit counts by a % modulus (at most n + 1) are the
     width-byte digits of one integer, raised to the k-th power from the left with
-    each product folded back at once (x**modulus = 1), so no operand passes
-    `modulus` digits; a digit after the step to exponent j is at most phi(n)**j.
+    each product folded back at once (x**modulus = 1), so no operand passes `modulus`
+    digits; a digit after the step to exponent j is at most phi(n)**j (one byte at phi(n) = 1).
     """
     units = units_mod(n)
-    width = k * len(units).bit_length() // 8 + 1  # 2**(8 width) > phi(n)**k, the digit sum
+    width = k * (len(units) - 1).bit_length() // 8 + 1  # 2**(8 width) > phi(n)**k, the digit sum
     hist = [0] * min(modulus, n + 1)
     for a in units:
         hist[a % modulus] += 1
@@ -170,21 +170,22 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
                            f"phi_{k}(n, m={m})")
 
 
-def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count tuples with product coprime to n and sum coprime to m; priced at n**k.
+def phi_k_nm_oracle(k: int, n: int, m: int | None = None,
+                    budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """Count tuples with product coprime to n and sum coprime to m (None: m = n); priced at n**k.
 
     m need not divide n here; that regime is experimental (no closed form is
     provided for it) and a warning is emitted.
     """
     k, n = tuple_args(k, n)
-    m = positive_int(m, "m")
+    m = n if m is None else positive_int(m, "m")
     if n % m != 0:
         warnings.warn(
             f"m={m} does not divide n={n}: experimental regime, "
             f"only this brute-force count is available",
             stacklevel=2,
         )
-    check_budget(n**k, budget, f"phi_{k}({n}, m={m}) oracle")
+    check_budget((n, k), budget, f"phi_{k}({n}, m={m}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, m) if gcd(r, m) == 1)
 
 

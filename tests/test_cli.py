@@ -96,6 +96,34 @@ def test_phi_k_at_even_k_and_even_n_is_zero_at_once():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+HUGE_K = "99999999999999999999"
+
+
+# each hung, raised a traceback or misreported its exit: a price built before it was compared,
+# a kernel digit k bits wide at phi(n) = 1, or a sweep grid listed before it was priced
+@pytest.mark.parametrize("argv, code", [
+    (f"oracle phi-k --k {HUGE_K} --n 3", 3),
+    (f"oracle menon-lhs --k {HUGE_K} --n 3", 3),
+    (f"oracle n-k --k {HUGE_K} --n 3 --d 1 --delta 1", 3),
+    ("oracle phi-k --k 1000000000 --n 2", 3),
+    (f"oracle phi-k --k {HUGE_K} --n 1", 0),
+    (f"oracle n-k --k {HUGE_K} --n 2 --d 1 --delta 1", 0),
+    ("oracle n-k --k 1000000000 --n 2 --d 1 --delta 1", 0),
+    (f"verify menon --k-max {HUGE_K} --n-max 2", 3),
+    (f"verify nageswara-rao --k-max {HUGE_K} --n-max 2", 3),
+    (f"verify sita-ramaiah --n-max {HUGE_K}", 3),
+    (f"verify lemmas --n-max 5 --k-max {HUGE_K}", 3),
+])
+def test_huge_arguments_end_at_once(argv, code):
+    proc = phik_process(*argv.split(), timeout=10)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code == 3:
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("budget refused:")
+    else:
+        assert (proc.stdout, proc.stderr) == ("1\n", "")
+
+
 def test_experimental_regime_warns_in_one_line():
     proc = phik_process("oracle", "phi-k", "--k", "2", "--n", "10", "--m", "3")
     assert proc.returncode == 0
@@ -267,7 +295,9 @@ def test_error_table_out_file(tmp_path, capsys):
 
 
 def test_csv_rejected_where_undefined(capsys):
-    assert run_cli("eval", "phi-k", "--k", "2", "--n", "15", "--format", "csv") == 2
+    code, out, err = cli_exit(capsys, "eval", "phi-k", "--k", "2", "--n", "15", "--format", "csv")
+    assert code == 2 and out == "" and err.startswith("usage: phik eval phi-k")
+    assert "argument --format: invalid choice: 'csv' (choose from 'plain', 'json')" in err
 
 
 def _bad_table(tmp_path) -> str:
@@ -755,7 +785,7 @@ def test_leaf_help_lists_its_flags_and_formats(capsys, monkeypatch, cmd):
     assert code == 0 and out.startswith(f"usage: phik {' '.join(cmd.path)} [-h]")
     for flag in cmd.flags:
         assert f"--{flag if isinstance(flag, str) else flag[0]}" in out
-    assert "--format {plain,json,csv}" in out and "--out OUT" in out
+    assert f"--format {{{','.join(cmd.formats)}}}" in out and "--out OUT" in out
 
 
 @pytest.mark.parametrize("argv, choices", [

@@ -229,10 +229,16 @@ def test_mobius_transform_table_missing_entry():
 
 @pytest.mark.parametrize("table, message", [
     ({1: 1, "x": 2}, "value table has a key 'x' that is not an integer"),
+    # int() would read these keys as 2, 2, 1 and 2
+    ({1: 1, 2.5: 3}, "value table has a key 2.5 that is not an integer"),
+    ({1: 1, 2.0: 3}, "value table has a key 2.0 that is not an integer"),
+    ({True: 1, 2: 3}, "value table has a key True that is not an integer"),
+    ({1: 1, Fraction(2): 3}, "value table has a key Fraction(2, 1) that is not an integer"),
     ({"1": True}, "value table[1]: boolean is not a valid value"),
     ({1: Fraction(1, 2)}, "value table[1]: values must be exact integers, got Fraction(1, 2)"),
     ([1, 2], "value table must map divisors to values, got list"),
-], ids=["key", "bool", "fraction", "list"])
+], ids=["key", "float-key", "integral-float-key", "bool-key", "fraction-key", "bool", "fraction",
+        "list"])
 def test_mobius_transform_reads_a_table_by_the_one_table_rule(table, message):
     if isinstance(table, dict):
         with pytest.raises(ValueError) as exc:
@@ -242,6 +248,7 @@ def test_mobius_transform_reads_a_table_by_the_one_table_rule(table, message):
         table_lookup(table)
     assert str(exc.value) == message
     assert mobius_transform({"1": 1.0, 2: 3}, 2) == 2  # string keys, integral floats
+    assert mobius_transform({np.int64(1): 1, " 2 ": 3}, 2) == 2  # any integer type
 
 
 def test_exact_div_refuses_a_remainder_under_python_O():
@@ -340,6 +347,29 @@ def test_budget_errors_name_the_limit_a_caller_can_raise():
     check_word_budget(10**8, 127, "one-word steps")  # under a word: priced as one
     copy = pickle.loads(pickle.dumps(BudgetExceededError("refused", "sieve_limit")))
     assert str(copy) == "refused" and copy.limit == "sieve_limit"
+
+
+def test_a_price_is_compared_from_its_factors_and_printed_as_a_power_when_long():
+    from phik.core import check_budget
+
+    def refusal(cost, budget) -> str:
+        with pytest.raises(BudgetExceededError) as exc:
+            check_budget(cost, budget, "it")
+        return str(exc.value)
+
+    # never built: 3**(10**20) has over 10**20 bits
+    assert refusal((3, 10**20), 10**8) == (
+        "it would visit 3**100000000000000000000 tuples, over the budget of 100000000")
+    check_budget((1, 10**20), 1, "it")
+    check_budget((0, 10**20), 0, "it")
+    check_budget((2, 26), 2**26, "it")
+    assert refusal((2, 27), 2**27 - 1) == "it would visit 134217728 tuples, over the budget of 134217727"
+    # a bound of 2 * 2048 = 4096 bits is printed in full, one of 2 * 2049 as a power
+    assert refusal((2, 2048), 1).startswith(f"it would visit {2**2048} tuples")
+    assert refusal((2, 2049), 1).startswith("it would visit 2**2049 tuples")
+    # near a large budget the power is built, and compared exactly
+    check_budget((3, 3000), 3**3000, "it")
+    assert refusal((3, 3000), 3**3000 - 1).startswith("it would visit 3**3000 tuples")
 
 
 def test_parallel_map_keeps_task_order_and_derives_its_chunks(monkeypatch):

@@ -121,6 +121,17 @@ def test_gcd_sum_calls_f_only_at_reached_gcds():
     assert gcd_sum_lhs_oracle(1, 9, {1: 1, 3: 3, 9: 9}) == 18
 
 
+def test_a_kernel_digit_holds_every_tuple():
+    # modulus 1: all phi(n)**k tuples in one digit, at the width k * bits(phi(n) - 1) / 8 + 1 bytes
+    for n in range(1, 13):
+        for k in range(1, 20):
+            assert unit_sum_counts.__wrapped__(k, n, 1) == ((0, euler_phi(n) ** k),), (k, n)
+    # phi(n) = 1: one byte per digit at any k
+    assert unit_sum_counts.__wrapped__(10**20, 1, 1) == ((0, 1),)
+    assert unit_sum_counts.__wrapped__(10**20, 2, 2) == ((0, 1),)
+    assert unit_sum_counts.__wrapped__(10**20 + 1, 2, 2) == ((1, 1),)
+
+
 def test_unit_sum_counts_equals_the_generic_fold():
     # the Kronecker power against k - 1 pairing steps, below, at and far above n
     for k in range(1, 7):

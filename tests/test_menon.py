@@ -313,6 +313,21 @@ def test_parallel_sweep_skips_as_serial():
     assert seq.skipped and seq.as_dict() == par.as_dict()
 
 
+@pytest.mark.parametrize("sweep, what", [
+    (lambda: verify_sweep("menon_general", k_max=10**20, n_max=2), "menon_general sweep of "
+     "100000000000000000000 x 2 cells, one each, would visit 200000000000000000000 tuples"),
+    (lambda: verify_sweep("nageswara_rao", k_max=10**20, n_max=2), "nageswara_rao sweep"),
+    (lambda: verify_sweep("sita_ramaiah", n_max=10**20), "sita_ramaiah sweep of 1 x "),
+    (lambda: n_k_sweep(k_max=10**20, n_max=5), "N_k sweep of 100000000000000000000 x 5 cells"),
+    (lambda: n_k_sweep(k_max=3, n_max=14, budget=41), "N_k sweep of 3 x 14 cells, one each, "
+     "would visit 42 tuples, over the budget of 41"),
+], ids=["menon", "nageswara-rao", "sita-ramaiah", "n-k", "n-k-at-the-budget"])
+def test_a_sweep_prices_its_grid_before_any_cell(sweep, what):
+    with pytest.raises(BudgetExceededError) as exc:
+        sweep()
+    assert str(exc.value).startswith(what) and exc.value.limit == "budget"
+
+
 def test_n_k_sweep_skips_the_cells_its_oracle_refuses():
     report = n_k_sweep(k_max=3, n_max=14, budget=100)
     over = [(k, n) for k in range(1, 4) for n in range(1, 15) if euler_phi(n) ** k > 100]

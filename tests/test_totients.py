@@ -107,6 +107,7 @@ def test_phi_k_nm_frozen_values():
 
 def test_phi_k_nm_oracle_frozen():
     assert phi_k_nm_oracle(2, 15, 3) == 32
+    assert phi_k_nm_oracle(2, 15) == phi_k_oracle(2, 15) == 24  # no m: m = n
 
 
 def test_phi_k_nm_reduces_to_phi_k_and_phi():
