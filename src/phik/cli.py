@@ -209,8 +209,6 @@ def _cmd_verify(cmd: Command, args) -> int:
 def _cmd_sum_phi_k(cmd: Command, args) -> int:
     from . import summatory
 
-    if args.format == "csv":  # the enclosure is cheap: refuse a bad prime bound before any sum
-        enclosure = summatory.average_order_constant(args.k, args.prime_bound, args.sieve_limit)
     results = []
     if args.method != "direct":  # first, so that its refusals come before any direct sum
         positive_int(args.workers, "worker count")  # as the direct route does, for every method
@@ -222,10 +220,7 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
               f"convolution={results[1].value}", file=sys.stderr)
         return EXIT_FAILURE
     _check_printable(results[0].value)
-    if args.format == "csv":
-        row = summatory.error_row(args.x, results[0].value, enclosure)
-        _emit(args, summatory.error_table_csv([row]))
-    elif args.format == "json":
+    if args.format == "json":
         payload = results[0]._asdict()
         if args.method == "both":
             payload["method"] = "both"
@@ -300,13 +295,12 @@ COMMANDS = (
             fn=lambda menon, a: [menon.lemma_sweep(a.n_max, a.budget),
                                  menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
     Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_sum_phi_k,
-            ("k", "x", "sieve-limit", "prime-bound", "workers",
-             ("method", dict(choices=("direct", "convolution", "both"), default="direct"))),
-            formats=("plain", "json", "csv")),
+            ("k", "x", "sieve-limit", "workers",
+             ("method", dict(choices=("direct", "convolution", "both"), default="direct")))),
     Command(("constant",), "enclose the average-order constant C_k", _cmd_constant,
             ("k", "prime-bound")),
     Command(("error-table",), "exact sums against the main term", _cmd_error_table,
-            ("k", "x-grid", "prime-bound", "sieve-limit"), formats=("csv", "json", "plain")),
+            ("k", "x-grid", "prime-bound", "sieve-limit"), formats=("csv", "json")),
 )
 
 

@@ -273,7 +273,7 @@ def nageswara_rao_lhs_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET
     """Sum gcd(a_1-1, ..., a_k-1, n)**k over tuples with gcd(a_1,...,a_k,n)=1.
 
     The tuples of [1, n] are counted by the pair (gcd(a_1, ..., a_k, n),
-    gcd(a_1-1, ..., a_k-1, n)), folded entry by entry.  Priced at n**k tuples.
+    gcd(a_1-1, ..., a_k-1, n)), folded by squaring.  Priced at n**k tuples.
     """
     k, n = tuple_args(k, n)
     check_budget((n, k), budget, f"joint-gcd oracle at k={k}, n={n}")

@@ -33,7 +33,7 @@ STRIDED_BELOW = 64
 def moduli(bits: int) -> tuple[int, ...]:
     """2**64, then the fewest of PRIMES, in order, whose product exceeds 2**bits; else ()."""
     for chosen in ((WORD, *PRIMES[:count]) for count in range(MAX_MODULI)):
-        if prod(chosen) > 1 << bits:
+        if (prod(chosen) - 1).bit_length() > bits:  # without building 2**bits
             return chosen
     return ()
 

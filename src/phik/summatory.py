@@ -122,12 +122,16 @@ def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np
 
     The formulas for phi_k(p) and g_k(p) are integer polynomials of degree <= k in
     p, valid at every integer t >= 1 (`Rows.polynomial`).  Entry 0, for
-    primes[0] = 1, holds f(1) = 1.
+    primes[0] = 1, holds f(1) = 1.  An exact row is priced first, for every route that
+    builds one: `limit` numbers of (k+1) bits(limit - 1) bits.
     """
     from .residues import Rows
 
+    if not (rows := Rows(k, limit)).moduli:
+        bits = (k + 1) * (limit - 1).bit_length()
+        check_word_budget(limit, bits, f"the exact sums to x={limit} at k={k}")
     primes, _ = _spf_sieve(limit)
-    table = Rows(k, limit).polynomial(partial(at_prime, k), k, primes)
+    table = rows.polynomial(partial(at_prime, k), k, primes)
     table[:, 0] = 1
     return table
 
@@ -386,8 +390,6 @@ def error_term_rows(
 
 def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
     """The exact sum `total` at x >= 2 against the main term enclosed by `enclosure`."""
-    if x < 2:
-        raise ValueError(f"grid points must be >= 2, got {x}")
     k = enclosure.k
     try:
         main_lo = _float_below(Fraction(enclosure.lo) * x ** (k + 1) / (k + 1))

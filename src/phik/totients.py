@@ -14,7 +14,7 @@ primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k.
 
 The oracles count from the definitions, never visiting tuples one by one:
 unit tuples by their sum mod M in one big-integer power, folded after each
-product (`unit_sum_counts`), other keys by k - 1 pairing steps (`fold_counts`).
+product (`unit_sum_counts`), other keys by squaring count tables (`fold_counts`).
 `_divisor_levels` builds and prices the recursions of phi_k(n, m) and N_k.  k, n
 and m pass the one argument gate, `core.tuple_args`.
 """
@@ -46,21 +46,27 @@ def units_mod(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
 
 
+def _power(base, k: int, times: Callable):
+    """base**k for an associative `times`: bits(k) - 1 squarings, popcount(k) - 1 products."""
+    power = base
+    for bit in bin(k)[3:]:  # from the left: square, and multiply by base at a 1 bit
+        power = times(times(power, power), base) if bit == "1" else times(power, power)
+    return power
+
+
 def fold_counts(entries: Iterable, key: Callable, combine: Callable, k: int) -> Counter:
     """How many k-tuples of entries reach each value of combine(key(a_1), ..., key(a_k)).
 
-    combine is associative and commutative.  Each of the k - 1 steps pairs the
-    distinct values reached so far with the distinct keys, weighted by counts.
+    combine is associative and commutative: these are the key counts to the k-th `_power`.
     """
-    keys = Counter(map(key, entries))
-    counts = keys
-    for _ in range(k - 1):
-        step: Counter = Counter()
-        for u, cu in counts.items():
-            for v, cv in keys.items():
-                step[combine(u, v)] += cu * cv
-        counts = step
-    return counts
+    def pair(left: Counter, right: Counter) -> Counter:
+        counts: Counter = Counter()
+        for u, cu in left.items():
+            for v, cv in right.items():
+                counts[combine(u, v)] += cu * cv
+        return counts
+
+    return _power(Counter(map(key, entries)), k, pair)
 
 
 @lru_cache(maxsize=4096)
@@ -77,17 +83,14 @@ def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]
     hist = [0] * min(modulus, n + 1)
     for a in units:
         hist[a % modulus] += 1
-    base = power = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in hist), "little")
+    base = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in hist), "little")
     shift = 8 * width * modulus
 
     def fold(v: int) -> int:  # v has under 2 modulus digits: one fold leaves under modulus
         high = v >> shift
         return v + high - (high << shift)
 
-    for bit in bin(k)[3:]:
-        power = fold(power * power)
-        if bit == "1":
-            power = fold(power * base)
+    power = _power(base, k, lambda u, v: fold(u * v))
     digits = power.to_bytes(width * (power.bit_length() // (8 * width) + 1), "little")
     return tuple((r, c) for r in range(len(digits) // width)
                  if (c := int.from_bytes(digits[r * width:(r + 1) * width], "little")))

@@ -100,7 +100,8 @@ HUGE_K = "99999999999999999999"
 
 
 # each hung, raised a traceback or misreported its exit: a price built before it was compared,
-# a kernel digit k bits wide at phi(n) = 1, or a sweep grid listed before it was priced
+# a kernel digit k bits wide at phi(n) = 1, a sweep grid listed before it was priced, or a
+# sum's modulus 2**((k+1) bits(x)) built, and its exact row left unpriced
 @pytest.mark.parametrize("argv, code", [
     (f"oracle phi-k --k {HUGE_K} --n 3", 3),
     (f"oracle menon-lhs --k {HUGE_K} --n 3", 3),
@@ -113,6 +114,10 @@ HUGE_K = "99999999999999999999"
     (f"verify nageswara-rao --k-max {HUGE_K} --n-max 2", 3),
     (f"verify sita-ramaiah --n-max {HUGE_K}", 3),
     (f"verify lemmas --n-max 5 --k-max {HUGE_K}", 3),
+    (f"sum phi-k --k {HUGE_K} --x 3", 3),
+    (f"sum phi-k --k {HUGE_K} --x 3 --method convolution", 3),
+    (f"sum phi-k --k {HUGE_K} --x 1", 0),
+    (f"error-table --k {HUGE_K} --x-grid 3", 3),
 ])
 def test_huge_arguments_end_at_once(argv, code):
     proc = phik_process(*argv.split(), timeout=10)
@@ -122,6 +127,12 @@ def test_huge_arguments_end_at_once(argv, code):
         assert proc.stderr.startswith("budget refused:")
     else:
         assert (proc.stdout, proc.stderr) == ("1\n", "")
+
+
+def test_a_long_nageswara_rao_sweep_at_n_1_passes_at_once():
+    # each of the 20,000 cells folds its one entry in bits(k) + popcount(k) - 2 products
+    proc = phik_process("verify", "nageswara-rao", "--k-max", "20000", "--n-max", "1", timeout=10)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "PASS"
 
 
 def test_experimental_regime_warns_in_one_line():
@@ -298,6 +309,17 @@ def test_csv_rejected_where_undefined(capsys):
     code, out, err = cli_exit(capsys, "eval", "phi-k", "--k", "2", "--n", "15", "--format", "csv")
     assert code == 2 and out == "" and err.startswith("usage: phik eval phi-k")
     assert "argument --format: invalid choice: 'csv' (choose from 'plain', 'json')" in err
+    # error rows are printed by error-table only, and in csv or json only
+    for argv, usage, refusal in [
+        (("sum", "phi-k", "--k", "2", "--x", "10", "--format", "csv"), "usage: phik sum phi-k",
+         "invalid choice: 'csv'"),
+        (("sum", "phi-k", "--k", "2", "--x", "10", "--prime-bound", "1000"), "usage: phik [-h]",
+         "phik: error: unrecognized arguments: --prime-bound 1000"),
+        (("error-table", "--k", "2", "--x-grid", "10", "--format", "plain"),
+         "usage: phik error-table", "invalid choice: 'plain'"),
+    ]:
+        code, out, err = cli_exit(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(usage) and refusal in err, argv
 
 
 def _bad_table(tmp_path) -> str:
@@ -478,27 +500,6 @@ def test_value_commands_echo_parameters(capsys, argv, fields):
     assert json.loads(capsys.readouterr().out) == fields
 
 
-def test_sum_csv_reuses_the_sum(monkeypatch, capsys):
-    from phik import summatory
-
-    calls = []
-    range_sum = summatory._direct_range_sum
-
-    def counted(args):
-        calls.append(args)
-        return range_sum(args)
-
-    monkeypatch.setattr(summatory, "_direct_range_sum", counted)
-    argv = ("sum", "phi-k", "--k", "2", "--x", "500", "--prime-bound", "10000")
-    assert run_cli(*argv, "--format", "json") == 0
-    value = json.loads(capsys.readouterr().out)["value"]
-    calls.clear()
-    assert run_cli(*argv, "--format", "csv") == 0
-    header, row = capsys.readouterr().out.strip().split("\n")
-    assert header.split(",")[1] == "sum" and row.split(",")[1] == value
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -517,7 +518,6 @@ def test_empty_sweep_is_usage_error(capsys, argv):
     "argv",
     [
         ("error-table", "--k", "130", "--x-grid", "1000", "--prime-bound", "1000"),
-        ("sum", "phi-k", "--k", "130", "--x", "1000", "--prime-bound", "1000", "--format", "csv"),
     ],
 )
 def test_main_term_overflow_is_usage_error(capsys, argv):
@@ -616,28 +616,12 @@ def test_prime_bound_over_budget_is_refused():
     "argv",
     [
         ("error-table", "--k", "2", "--x-grid", "100", "--prime-bound", "5000"),
-        ("sum", "phi-k", "--k", "2", "--x", "100", "--prime-bound", "5000", "--format", "csv"),
     ],
 )
 def test_prime_bound_respects_sieve_limit(capsys, argv):
     assert run_cli(*argv) == 0
     capsys.readouterr()
     assert run_cli(*argv, "--sieve-limit", "4000") == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("budget refused:")
-
-
-def test_csv_sum_refuses_its_prime_bound_before_summing(capsys, monkeypatch):
-    from phik import summatory
-
-    def no_sum(*args, **kwargs):
-        raise AssertionError("the sum ran before the prime bound was checked")
-
-    monkeypatch.setattr(summatory, "sum_phi_k_direct", no_sum)
-    monkeypatch.setattr(summatory, "sum_phi_k_convolution", no_sum)
-    argv = ("sum", "phi-k", "--k", "2", "--x", "3000000", "--prime-bound", "100000000000",
-            "--format", "csv", "--method", "both")
-    assert run_cli(*argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("budget refused:")
 

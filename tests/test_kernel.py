@@ -95,6 +95,13 @@ def test_fold_counts_counts_every_tuple():
     assert fold_counts("ab", str.upper, lambda u, v: u + v, 1) == Counter({"A": 1, "B": 1})
 
 
+def test_fold_counts_at_a_huge_k_answers_at_once():
+    # bits(k) - 1 squarings and popcount(k) - 1 products, at any size of k
+    start = time.perf_counter()
+    assert fold_counts([1], lambda a: a, gcd, 10**20) == Counter({1: 1})
+    assert time.perf_counter() - start < 1
+
+
 def test_unit_sum_counts_shape():
     # units mod 5 are 1..4; their pairs hit every residue, 0 most often
     assert unit_sum_counts(2, 5, 5) == ((0, 4), (1, 3), (2, 3), (3, 3), (4, 3))
@@ -133,7 +140,7 @@ def test_a_kernel_digit_holds_every_tuple():
 
 
 def test_unit_sum_counts_equals_the_generic_fold():
-    # the Kronecker power against k - 1 pairing steps, below, at and far above n
+    # the Kronecker power against the generic fold's pairings, below, at and far above n
     for k in range(1, 7):
         for n in range(1, 61):
             divs = [m for m in range(1, n + 1) if n % m == 0]
