@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from importlib import import_module
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -41,8 +40,6 @@ GROUPS = {
     "verify": "identity sweeps against oracles",
     "sum": "exact partial sums",
 }
-
-M_ORACLE_HELP = "test the sum against m instead of n (m not dividing n is experimental)"
 
 # The longest integer printed, in decimal digits (about 0.15 s of conversion); longer is refused.
 MAX_PRINTED_DIGITS = 10**5
@@ -126,10 +123,6 @@ def _emit_json(args, payload) -> None:
     import json
 
     _emit(args, json.dumps(_json_value(payload), indent=2))
-
-
-def _warning_line(message, *_) -> None:  # replaces warnings.showwarning
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _check_printable(value) -> None:
@@ -278,7 +271,7 @@ COMMANDS = (
     Command(("eval", "jordan"), "Jordan totient J_k(n)", _cmd_value, ("k", "n"),
             fn="core.jordan_totient"),
     Command(("oracle", "phi-k"), "phi_k(n) counted from the definition", _cmd_value,
-            ("k", "n", ("m", dict(required=False, help=M_ORACLE_HELP)), "budget"),
+            ("k", "n", ("m", dict(required=False, help="a divisor of n (default n)")), "budget"),
             fn="totients.phi_k_nm_oracle"),
     Command(("oracle", "n-k"), "N_k(n, d, delta) counted over unit tuples", _cmd_value,
             ("k", "n", "d", "delta", "budget"), fn="menon.n_k_oracle"),
@@ -338,7 +331,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", **{**specs[name], **overrides})
         p.add_argument("--format", choices=cmd.formats, default=cmd.formats[0])
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.set_defaults(command=cmd)
+        p.set_defaults(command=cmd, parser=p)
     return parser
 
 
@@ -347,12 +340,12 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler imports numpy
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args, extra = build_parser(argv).parse_known_args(argv)
+    if extra:  # reported by the leaf, whose usage names the flags it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     cmd = args.command
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _warning_line
-            return cmd.handler(cmd, args)
+        return cmd.handler(cmd, args)
     except BudgetExceededError as exc:
         # advise a flag only where this row has the one that sets the refused limit
         flag = (exc.limit or "").replace("_", "-")

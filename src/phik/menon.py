@@ -108,18 +108,14 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
     """N_k by the literal recursion over Moebius-weighted divisor pairs.
 
     N_k(n, d, delta) = phi(n) / (phi(d) phi(delta)) * sum over j | d, t | delta of
-    mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  Requires k >= 2 and
-    gcd(d, delta) = 1, so a pair is one squarefree s = j t: mu(j) mu(t) = mu(s), and
-    phi(j) phi(t) = phi(s).  N_i(n, j, t) is level i at s of `totients._divisor_levels`,
-    priced at omega(d delta).
+    mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  It is 0 when gcd(d, delta) > 1,
+    as no sum is both 1 and 0 mod a common factor; else a pair is one squarefree s = j t:
+    mu(j) mu(t) = mu(s), and phi(j) phi(t) = phi(s).  N_i(n, j, t) is level i at s of
+    `totients._divisor_levels` (at k = 1 no step is taken), priced at omega(d delta).
     """
-    if tuple_args(k)[0] < 2:
-        raise ValueError(f"recursion path requires k >= 2, got k={k}")
     k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
-    if gcd(d, delta) != 1:
-        raise ValueError(
-            f"recursion path requires gcd(d, delta) = 1, got d={d}, delta={delta}"
-        )
+    if gcd(d, delta) > 1:
+        return 0
     phi_n = euler_phi(n)
     # N_1(n, j, t): a unit is 1 mod j, and 0 mod t only when t = 1
     total = _divisor_levels(k, n, factorize(d).primes() + factorize(delta).primes(),
@@ -467,8 +463,8 @@ def n_k_sweep(
 ) -> IdentityReport:
     """Cross-check N_k oracle, closed form, and recursion over a full grid.
 
-    All divisor pairs (d, delta) are swept: coprime pairs must agree across
-    all three routes, non-coprime pairs must give 0.  Priced first at a tuple per cell.
+    All divisor pairs (d, delta) are swept: every pair must agree across all
+    three routes, and non-coprime pairs must give 0.  Priced first at a tuple per cell.
     """
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
@@ -485,7 +481,7 @@ def n_k_sweep(
         for (d, delta), brute in zip(pairs, brutes):
             closed = n_k(k, n, d, delta)
             coprime = gcd(d, delta) == 1  # else the oracle and closed form must give 0
-            rec = n_k_recursion(k, n, d, delta) if coprime and k >= 2 else closed
+            rec = n_k_recursion(k, n, d, delta)
             if brute != closed or rec != closed or not (coprime or closed == 0):
                 failures.append(Instance((("k", k), ("n", n), ("d", d), ("delta", delta)), brute,
                                          closed, False,

@@ -20,7 +20,6 @@ and m pass the one argument gate, `core.tuple_args`.
 """
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from functools import lru_cache
 from math import gcd, prod
@@ -35,7 +34,6 @@ from .core import (
     eval_mf,
     exact_div,
     factorize,
-    positive_int,
     tuple_args,
 )
 
@@ -135,7 +133,7 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
 
 def _divisor_levels(k: int, n: int, primes: tuple[int, ...], first: Callable[[int], int],
                     what: str) -> int:
-    """phi(rad) level_k(rad), rad = prod(primes), k >= 2; priced before any divisor is listed.
+    """phi(rad) level_k(rad), rad = prod(primes), k >= 1; priced before any divisor is listed.
 
     level_1(s) = first(s), level_i(s) = phi(n)/phi(s) sum_{e | s} mu(e) level_{i-1}(e) (exact)
     over the squarefree s | rad, priced at 3**omega divisor pairs per level, on numbers of up
@@ -175,19 +173,8 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
 
 def phi_k_nm_oracle(k: int, n: int, m: int | None = None,
                     budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count tuples with product coprime to n and sum coprime to m (None: m = n); priced at n**k.
-
-    m need not divide n here; that regime is experimental (no closed form is
-    provided for it) and a warning is emitted.
-    """
-    k, n = tuple_args(k, n)
-    m = n if m is None else positive_int(m, "m")
-    if n % m != 0:
-        warnings.warn(
-            f"m={m} does not divide n={n}: experimental regime, "
-            f"only this brute-force count is available",
-            stacklevel=2,
-        )
+    """Count tuples with product coprime to n and sum coprime to m | n (None: n); priced at n**k."""
+    k, n, m = tuple_args(k, n, m=n if m is None else m)
     check_budget((n, k), budget, f"phi_{k}({n}, m={m}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, m) if gcd(r, m) == 1)
 

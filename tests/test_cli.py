@@ -135,14 +135,10 @@ def test_a_long_nageswara_rao_sweep_at_n_1_passes_at_once():
     assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "PASS"
 
 
-def test_experimental_regime_warns_in_one_line():
+def test_oracle_refuses_a_non_divisor_m_in_one_line():
     proc = phik_process("oracle", "phi-k", "--k", "2", "--n", "10", "--m", "3")
-    assert proc.returncode == 0
-    assert proc.stdout == "12\n"
-    assert proc.stderr == (
-        "warning: m=3 does not divide n=10: experimental regime, "
-        "only this brute-force count is available\n"
-    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: m=3 must be a positive divisor of n=10\n"
 
 
 def readme_commands():
@@ -313,8 +309,9 @@ def test_csv_rejected_where_undefined(capsys):
     for argv, usage, refusal in [
         (("sum", "phi-k", "--k", "2", "--x", "10", "--format", "csv"), "usage: phik sum phi-k",
          "invalid choice: 'csv'"),
-        (("sum", "phi-k", "--k", "2", "--x", "10", "--prime-bound", "1000"), "usage: phik [-h]",
-         "phik: error: unrecognized arguments: --prime-bound 1000"),
+        (("sum", "phi-k", "--k", "2", "--x", "10", "--prime-bound", "1000"),
+         "usage: phik sum phi-k [-h] --k K --x X",
+         "phik sum phi-k: error: unrecognized arguments: --prime-bound 1000"),
         (("error-table", "--k", "2", "--x-grid", "10", "--format", "plain"),
          "usage: phik error-table", "invalid choice: 'plain'"),
     ]:

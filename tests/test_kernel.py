@@ -7,7 +7,6 @@ its defining weight over that walk.
 import subprocess
 import sys
 import time
-import warnings
 from collections import Counter
 from functools import reduce
 from itertools import product
@@ -48,7 +47,7 @@ def cases(draw):
     n = draw(st.integers(1, 20).filter(lambda n: n**k <= 10**5))
     divs = [d for d in range(1, n + 1) if n % d == 0]
     d, delta, e = (draw(st.sampled_from(divs)) for _ in range(3))
-    m = draw(st.integers(1, n + 2))
+    m = draw(st.sampled_from(divs))
     f = {g: draw(st.integers(-99, 99)) for g in divs}
     r, s = draw(st.integers(0, d - 1)), draw(st.integers(0, e - 1))
     return k, n, m, d, delta, e, f, r, s
@@ -71,11 +70,8 @@ def test_kernel_matches_literal_enumeration(case):
             reduce(gcd, (a - 1 for a in t), n) ** k if reduce(gcd, t, n) == 1 else 0
         ),
     })
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # m not dividing n is the experimental regime
-        nm = phi_k_nm_oracle(k, n, m)
     assert phi_k_oracle(k, n) == expected["phi_k"]
-    assert nm == expected["phi_k_nm"]
+    assert phi_k_nm_oracle(k, n, m) == expected["phi_k_nm"]
     assert n_k_oracle(k, n, d, delta) == expected["n_k"]
     assert gcd_sum_lhs_oracle(k, n, f) == expected["gcd_sum"]
     assert nageswara_rao_lhs_oracle(k, n) == expected["nageswara"]
@@ -150,13 +146,14 @@ def test_unit_sum_counts_equals_the_generic_fold():
                 assert unit_sum_counts.__wrapped__(k, n, m) == tuple(sorted(folded.items())), (k, n, m)
 
 
-def test_oracle_with_a_huge_m_answers_at_once():
+def test_oracle_with_a_huge_m_is_refused_at_once():
     proc = subprocess.run(
         [sys.executable, "-m", "phik.cli", "oracle", "phi-k", "--k", "2", "--n", "10", "--m",
          "1000000000"],
         capture_output=True, text=True, timeout=5,
     )
-    assert proc.returncode == 0 and proc.stdout == "0\n"  # two odd units never sum to an odd
+    assert proc.returncode == 2 and proc.stdout == ""  # m must divide n, as in the closed form
+    assert proc.stderr == "error: m=1000000000 must be a positive divisor of n=10\n"
 
 
 def test_oracle_at_a_large_k_folds_each_product():

@@ -93,10 +93,10 @@ def test_n_k_frozen_values():
 
 
 def test_n_k_recursion_domain():
-    with pytest.raises(ValueError):
-        n_k_recursion(1, 15, 3, 1)  # recursion defined for k >= 2 only
-    with pytest.raises(ValueError):
-        n_k_recursion(2, 12, 2, 2)  # needs coprime (d, delta)
+    # the recursion answers wherever the closed form does, k = 1 and gcd(d, delta) > 1 included
+    assert n_k_recursion(1, 15, 3, 1) == n_k(1, 15, 3, 1) == 4
+    assert n_k_recursion(1, 15, 3, 5) == n_k(1, 15, 3, 5) == 0
+    assert n_k_recursion(2, 12, 2, 2) == n_k(2, 12, 2, 2) == 0
     with pytest.raises(ValueError):
         n_k(2, 15, 4, 1)  # d must divide n
 
@@ -115,10 +115,9 @@ def test_n_k_three_routes_agree():
                     brute = n_k_oracle(k, n, d, delta)
                     closed = n_k(k, n, d, delta)
                     assert brute == closed, (k, n, d, delta)
+                    assert n_k_recursion(k, n, d, delta) == closed
                     if gcd(d, delta) > 1:
                         assert closed == 0
-                    elif k >= 2:
-                        assert n_k_recursion(k, n, d, delta) == closed
 
 
 def test_n_k_sweep_clean():

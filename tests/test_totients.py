@@ -165,10 +165,7 @@ def test_n_k_and_its_recursion_match_the_fraction_formula():
         for k in range(1, 13):
             for d, delta in pairs:
                 want = reference_n_k(k, n, d, delta)
-                routes = [n_k(k, n, d, delta)]
-                if k >= 2:
-                    routes.append(n_k_recursion(k, n, d, delta))
-                for got in routes:
+                for got in (n_k(k, n, d, delta), n_k_recursion(k, n, d, delta)):
                     assert type(got) is int and got == want, (k, n, d, delta)
 
 
@@ -195,22 +192,13 @@ def test_even_k_with_even_modulus_is_zero_at_once():
 
 
 def test_phi_k_nm_rejects_non_divisor():
+    # all three routes take the closed form's domain: m a divisor of n
     with pytest.raises(ValueError):
         phi_k_nm(2, 15, 4)
     with pytest.raises(ValueError):
         phi_k_nm_recursion(2, 15, 4)
-
-
-def test_phi_k_nm_oracle_non_divisor_is_experimental():
-    # m not dividing n: only the brute-force count exists, and it warns
-    with pytest.warns(UserWarning, match="experimental"):
-        value = phi_k_nm_oracle(2, 10, 3)
-    count = 0
-    for a in range(1, 11):
-        for b in range(1, 11):
-            if gcd(a * b, 10) == 1 and gcd(a + b, 3) == 1:
-                count += 1
-    assert value == count == 12
+    with pytest.raises(ValueError, match="m=3 must be a positive divisor of n=10"):
+        phi_k_nm_oracle(2, 10, 3)
 
 
 def test_g_k_frozen_values():
