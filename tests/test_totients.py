@@ -197,8 +197,19 @@ def test_phi_k_nm_rejects_non_divisor():
         phi_k_nm(2, 15, 4)
     with pytest.raises(ValueError):
         phi_k_nm_recursion(2, 15, 4)
+
+
+def test_phi_k_nm_oracle_refuses_non_divisor():
+    # the brute-force count takes the same domain: an m off the divisors of n
+    # is refused, while a divisor m still gets the hand count
     with pytest.raises(ValueError, match="m=3 must be a positive divisor of n=10"):
         phi_k_nm_oracle(2, 10, 3)
+    count = 0
+    for a in range(1, 11):
+        for b in range(1, 11):
+            if gcd(a * b, 10) == 1 and gcd(a + b, 5) == 1:
+                count += 1
+    assert phi_k_nm_oracle(2, 10, 5) == count
 
 
 def test_g_k_frozen_values():
