@@ -42,9 +42,19 @@ from .totients import _g_k_prime, _phi_k_prime_power
 if TYPE_CHECKING:
     import numpy as np
 
-# Numbers per block of the vectorized sums; besides the sieve and the prime table,
-# their memory is one block, whatever x is.
-BLOCK = 1 << 14
+# Primes per chunk of the float product that encloses C_k, which bounds its memory.  The
+# product's rounding, and so the printed enclosure, depends on the chunking: this stays fixed
+# whatever block size the walks use (`residues.Rows.block`).
+PRODUCT_CHUNK = 1 << 14
+
+# Numbers per worker below which the direct sum starts no pool.  A 2-way split saves at most
+# half of the walk, and at x = 500,000, k = 2 the walk takes about 40 ms in process, while
+# starting the pool costs 0.06-0.10 s as a process.  The break-even depends on the host: as
+# processes (2 vCPUs, Python 3.11), `--workers 2` first beat `--workers 1` between x = 2.5 and
+# 3.2 * 10**6 on one host (0.46 s against 0.54 s, then 0.53 s against 0.45 s), and between
+# 4 and 8 * 10**6 on another (0.75 s against 0.80 s, then 1.41 s against 0.98 s).  At 2**21
+# per worker, a 2-way pool starts at x = 4,194,304.
+POOL_FLOOR = 1 << 21
 
 
 class PartialSum(NamedTuple):
@@ -153,7 +163,7 @@ def _direct_range_sum(args: tuple) -> int:
     # a repeated prime is at most sqrt(x), and its index in the table is below it
     again = rows.of([p**k for p in sieve[0][: isqrt(x) + 1].tolist()])
     total = rows.of([0])
-    for _, value in blocks(lo, hi, BLOCK, sieve, rows, at_prime, again):
+    for _, value in blocks(lo, hi, sieve, rows, at_prime, again):
         total += value.sum(axis=1, keepdims=True)
         rows.reduce(total)
     return rows.exact(total)
@@ -171,11 +181,11 @@ def sum_phi_k_direct(
     `residues.Rows` and `_direct_range_sum`.  With workers > 1 the range is split
     into one range per worker for `core.parallel_map`, and the exact range sums are
     added in range order, so the total is identical regardless of worker count.
-    Workers are capped at the usable CPUs and so that each gets more than 4
-    numbers.
+    Workers are capped at the usable CPUs and so that each gets at least
+    POOL_FLOOR numbers; below that, the one range runs in process.
     """
     k, x = _sum_checks(k, x, sieve_limit)
-    workers = cap_workers(workers, (x - 1) // 4)
+    workers = cap_workers(workers, x // POOL_FLOOR)
     _spf_sieve(x)  # built once here, so that forked workers inherit them
     _prime_values(_phi_k_prime_power, k, x)
     ranges = [(k, 1 + x * i // workers, x * (i + 1) // workers, x) for i in range(workers)]
@@ -205,12 +215,12 @@ def sum_phi_k_convolution(
     g_at_prime = _prime_values(_g_k_prime, k, x)
     squareful = rows.of([0] * (isqrt(x) + 1))  # g_k(d) = 0 once p**2 divides d
     total = rows.of([0])
-    for d, g in blocks(1, x, BLOCK, _spf_sieve(x), rows, g_at_prime, squareful):
+    for d, g in blocks(1, x, _spf_sieve(x), rows, g_at_prime, squareful):
         q = x // d
         starts = np.flatnonzero(np.diff(q, prepend=0))
         g_sums = rows.reduce(np.add.reduceat(g, starts, axis=1))
         live = np.flatnonzero((g_sums != 0).any(axis=0))  # a run summing to 0 adds 0
-        power_sums = rows.of([faulhaber_sum(k, m) for m in q[starts[live]].tolist()])
+        power_sums = rows.of([_power_sum(k, m) for m in q[starts[live]].tolist()])
         total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
         rows.reduce(total)
     return PartialSum(k, x, rows.exact(total), "convolution")
@@ -252,6 +262,11 @@ def faulhaber_sum(k: int, m: int) -> int:
     """
     k = positive_int(k, "exponent k", least=0)
     m = positive_int(m, "upper limit m", least=0)
+    return _power_sum(k, m)
+
+
+def _power_sum(k: int, m: int) -> int:
+    """`faulhaber_sum` for Python ints k, m >= 0 already checked."""
     if m <= k + 1:
         return sum(i**k for i in range(1, m + 1))
     den, coeffs = _faulhaber_coeffs(k)
@@ -305,7 +320,7 @@ def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
     is in [prod'*(1 - slack), prod'/(1 - slack)], or in [0, 1] if slack >= 1 (k near 10**14).
     """
     primes = _prime_array(prime_bound)
-    blocks = (primes[i : i + BLOCK] for i in range(0, primes.size, BLOCK))  # bounds memory
+    blocks = (primes[i : i + PRODUCT_CHUNK] for i in range(0, primes.size, PRODUCT_CHUNK))
     product = math.prod(float(_factors(k, 1.0 / block).prod()) for block in blocks)
     slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
     slack += Fraction(primes.size, 2**54) + Fraction(primes.size - 1, 2**53 - (primes.size - 1))

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from phik import sum_phi_k_direct, summatory
 from phik.cli import COMMANDS, build_parser, main
 
 
@@ -276,6 +277,18 @@ def test_constant_json(capsys):
     assert payload["k"] == "2" and payload["prime_bound"] == "10000"
     assert payload["lo"] <= 0.286747 <= payload["hi"]
     assert payload["width"] == payload["hi"] - payload["lo"]
+
+
+@pytest.mark.parametrize("k, prime_bound, lo, hi", [
+    (2, 1000000, 0.2867466264908128, 0.286747486741651),
+    (4, 500000, 0.24625744591139972, 0.2462599085188426),
+])
+def test_constant_prints_the_pinned_enclosure(capsys, k, prime_bound, lo, hi):
+    # the float product's rounding depends on how its primes are chunked
+    argv = ("constant", "--k", str(k), "--prime-bound", str(prime_bound), "--format", "json")
+    assert run_cli(*argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lo"], payload["hi"]) == (lo, hi)
 
 
 def test_constant_rejects_k1(capsys):
@@ -552,10 +565,12 @@ class _SerialPool:
 )
 def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, env, pool_size):
     # three usable CPUs; the fake pool starts no process, and 8 requested
-    # workers keep a regression that bypasses the fake small
+    # workers keep a regression that bypasses the fake small; a direct sum
+    # splits at 4 numbers per worker
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(summatory, "POOL_FLOOR", 4)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert run_cli(*argv) == 0
@@ -563,6 +578,25 @@ def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, env, pool_s
     assert _SerialPool.sizes == [pool_size]
     assert run_cli(*argv, "--workers", "1") == 0
     assert capsys.readouterr().out == parallel_out
+
+
+def test_a_direct_sum_below_the_pool_floor_starts_no_pool(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    assert sum_phi_k_direct(2, 4000, workers=3) == sum_phi_k_direct(2, 4000)
+    argv = ("sum", "phi-k", "--k", "2", "--x", "1000")
+    assert run_cli(*argv, "--workers", "8") == 0
+    parallel_out = capsys.readouterr().out
+    assert run_cli(*argv, "--workers", "1") == 0
+    assert capsys.readouterr().out == parallel_out
+    assert _SerialPool.sizes == []
+    # each worker gets at least POOL_FLOOR numbers
+    monkeypatch.setattr(summatory, "POOL_FLOOR", 100)
+    assert sum_phi_k_direct(2, 199, workers=3) == sum_phi_k_direct(2, 199)
+    assert _SerialPool.sizes == []
+    assert sum_phi_k_direct(2, 200, workers=3) == sum_phi_k_direct(2, 200)
+    assert _SerialPool.sizes == [2]
 
 
 @pytest.mark.parametrize(

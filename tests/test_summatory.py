@@ -1,10 +1,12 @@
 """Partial sums, exact power sums, and the average-order constant enclosure."""
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +57,8 @@ def test_sum_methods_agree():
             assert direct.method == "direct_sieve" and conv.method == "convolution"
 
 
-def test_sum_parallel_matches_serial():
+def test_sum_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(summatory, "POOL_FLOOR", 4)  # a real split at a small x
     assert sum_phi_k_direct(2, 4000, workers=3).value == sum_phi_k_direct(2, 4000).value
 
 
@@ -161,33 +164,66 @@ def test_error_table_csv_columns():
 
 # -- the blocked routes ---------------------------------------------------------
 
-BLOCK = summatory.BLOCK
+# numbers per block of a walk on int64 rows, and on the exact row (`residues.Rows.block`)
+WORD_BLOCK = residues.WORD_BLOCK
+EXACT_BLOCK = residues.EXACT_BLOCK
 
 
 @lru_cache(maxsize=None)
 def _running_sums(k):
-    """[sum of phi_k(n) for n <= x, x = 0 .. 3 * BLOCK], from the closed form one n at a time."""
-    return list(accumulate((phi_k(k, n) for n in range(1, 3 * BLOCK + 1)), initial=0))
+    """[sum of phi_k(n) for n <= x, x = 0 .. 3 * WORD_BLOCK], in exact ints.
+
+    phi_k(n) = (n / rad n)**k times phi_k(p) over the primes p | n, the closed form of
+    `phi_k_nm`, is sieved over the primes; `test_running_sums_follow_the_closed_form`
+    ties it to phi_k itself.
+    """
+    top = 3 * WORD_BLOCK
+    rad = np.ones(top + 1, dtype=np.int64)
+    at_primes = np.ones(top + 1, dtype=object)
+    for p in primes_up_to(top):
+        rad[p::p] *= p
+        at_primes[p::p] *= phi_k(k, p)
+    values = (np.arange(top + 1) // rad).astype(object) ** k * at_primes  # 0 at n = 0
+    return list(accumulate(values.tolist()))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 14, 20])
+def test_running_sums_follow_the_closed_form(k):
+    sums, top = _running_sums(k), 3 * WORD_BLOCK
+    near_blocks = [b + d for b in (EXACT_BLOCK, WORD_BLOCK, 2 * WORD_BLOCK) for d in (-1, 0, 1, 2)]
+    for n in [*range(1, 200), *range(200, top + 1, 97), *near_blocks, top]:
+        assert sums[n] - sums[n - 1] == phi_k(k, n), (k, n)
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3 * BLOCK))
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3 * WORD_BLOCK))
 def test_routes_match_running_sum(k, x):
     expected = _running_sums(k)[x]
     assert sum_phi_k_direct(k, x).value == expected
     assert sum_phi_k_convolution(k, x).value == expected
 
 
-@pytest.mark.parametrize("x", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("x", [EXACT_BLOCK - 1, EXACT_BLOCK, EXACT_BLOCK + 1, 2 * EXACT_BLOCK + 1])
 @pytest.mark.parametrize("k", [2, 3])
-def test_routes_at_block_boundaries(k, x):
+def test_routes_at_block_boundaries(forced_rows, k, x):
+    forced_rows(0)  # the exact row, which walks EXACT_BLOCK numbers at a time
+    assert residues.Rows(k, x).block == EXACT_BLOCK
+    expected = _running_sums(k)[x]
+    assert sum_phi_k_direct(k, x).value == expected
+    assert sum_phi_k_convolution(k, x).value == expected
+
+
+@pytest.mark.parametrize("x", [WORD_BLOCK - 1, WORD_BLOCK, WORD_BLOCK + 1, 2 * WORD_BLOCK + 1])
+@pytest.mark.parametrize("k", [2, 3])
+def test_routes_at_word_block_boundaries(k, x):
+    assert residues.Rows(k, x).block == WORD_BLOCK
     expected = _running_sums(k)[x]
     assert sum_phi_k_direct(k, x).value == expected
     assert sum_phi_k_convolution(k, x).value == expected
 
 
 def test_routes_exact_above_64_bits():
-    x = BLOCK + 7
+    x = WORD_BLOCK + 7
     expected = _running_sums(6)[x]
     assert expected > 2**64
     assert sum_phi_k_direct(6, x).value == expected
@@ -198,7 +234,7 @@ def test_routes_exact_above_64_bits():
 @given(st.data())
 def test_direct_range_sums_add_up_over_partitions(data):
     k = data.draw(st.integers(min_value=1, max_value=6))
-    x = data.draw(st.integers(min_value=2, max_value=3 * BLOCK))
+    x = data.draw(st.integers(min_value=2, max_value=3 * WORD_BLOCK))
     cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=x - 1), max_size=6)))
     bounds = [0, *cuts, x]
     pieces = [
@@ -208,7 +244,7 @@ def test_direct_range_sums_add_up_over_partitions(data):
 
 
 def test_error_rows_match_direct_sums_across_blocks():
-    grid = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+    grid = [WORD_BLOCK - 1, WORD_BLOCK, WORD_BLOCK + 1, 2 * WORD_BLOCK + 3]
     rows = error_term_rows(2, grid, prime_bound=10**4)
     assert [row.total for row in rows] == [sum_phi_k_direct(2, x).value for x in grid]
 
@@ -217,7 +253,7 @@ def test_error_rows_match_direct_sums_across_blocks():
 def test_sum_memory_is_bounded_by_the_block(route):
     # the SPF sieve is built untraced; the prime-value table is traced on both sides
     peaks = []
-    for x in (2 * BLOCK, 16 * BLOCK):
+    for x in (2 * WORD_BLOCK, 16 * WORD_BLOCK):  # int64 rows at k = 5
         summatory._spf_sieve(x)
         summatory._prime_values.cache_clear()
         tracemalloc.start()
@@ -251,8 +287,11 @@ def test_direct_sum_builds_the_sieve_and_prime_table_before_the_workers(monkeypa
     k, x = 3, 5000
     summatory._spf_sieve.cache_clear()
     summatory._prime_values.cache_clear()
+    monkeypatch.setattr(summatory, "POOL_FLOOR", 4)  # a real split at a small x
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def inline_pool(fn, tasks, pool_workers):
+        assert len(tasks) == pool_workers == workers
         for cached, args in ((summatory._spf_sieve, (x,)),
                              (summatory._prime_values, (summatory._phi_k_prime_power, k, x))):
             hits = cached.cache_info().hits
@@ -371,10 +410,11 @@ def test_sieve_refusals_name_the_quantity_and_the_limit():
 
 # (k, x, number of rows; 0 for one exact row): a word row covers (k+1)*bits(x) < 64, and each
 # prime row 31 bits more, up to 8 rows.  (k+1)*bits(x) = 30, 60, 64, 96, 128, 160, 192, 224,
-# 240, 256 and 288; at k = 30 it is 31*bits(x) and crosses 250 and 281
+# 234, 240, 256 and 288; at k = 30 it is 31*bits(x) and crosses 250 and 281
 FEWEST_ROWS_CASES = [
     (1, 2**15 - 1, 1), (3, 2**15 - 1, 1), (3, 2**15, 2), (5, 40000, 3), (7, 40000, 4),
-    (9, 40000, 5), (11, 40000, 6), (13, 40000, 7), (14, 3 * BLOCK, 7), (15, 40000, 8),
+    (9, 40000, 5), (11, 40000, 6), (13, 40000, 7), (12, 3 * WORD_BLOCK, 7), (14, 3 * 2**14, 7),
+    (15, 40000, 8),
     (17, 40000, 0), (30, 255, 7), (30, 256, 8), (30, 511, 8), (30, 512, 0),
 ]
 
@@ -400,7 +440,7 @@ def forced_rows(monkeypatch):
 # more rows than that leave every sum the same
 ROWS_CASES = [
     (1, 2**15 - 1, 1), (1, 2**15, 2), (3, 40000, 3), (5, 40000, 4), (7, 40000, 5),
-    (9, 40000, 6), (11, 40000, 7), (13, 40000, 8), (14, 3 * BLOCK, 8), (15, 40000, 0),
+    (9, 40000, 6), (11, 40000, 7), (13, 40000, 8), (14, 3 * 2**14, 8), (15, 40000, 0),
     (30, 63, 7), (30, 64, 8), (30, 127, 8), (30, 128, 0),
 ]
 
@@ -433,14 +473,20 @@ def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
 
 @pytest.mark.parametrize("k", [3, 15, 17])
 def test_error_rows_match_direct_sums_in_rows_and_in_exact_row(k):
-    grid = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
-    # k = 15 takes all MAX_MODULI rows on this grid, and k = 17 the exact row
-    assert len(residues.Rows(k, grid[-1]).moduli) == {3: 2, 15: residues.MAX_MODULI, 17: 0}[k]
+    # k = 3 takes 2 rows and k = 15 all MAX_MODULI rows (below x = 2**17), walking WORD_BLOCK
+    # numbers at a time, and k = 17 the exact row, walking EXACT_BLOCK; the rows of the
+    # last grid point are the rows of every error row
+    block, last, count = {3: (WORD_BLOCK, 2 * WORD_BLOCK + 3, 2),
+                          15: (WORD_BLOCK, 2 * WORD_BLOCK - 1, residues.MAX_MODULI),
+                          17: (EXACT_BLOCK, 2 * EXACT_BLOCK + 3, 0)}[k]
+    grid = [block - 1, block, block + 1, last]
+    assert len(residues.Rows(k, last).moduli) == count and residues.Rows(k, last).block == block
     rows = error_term_rows(k, grid, prime_bound=10**4)
     assert [row.total for row in rows] == [sum_phi_k_direct(k, x).value for x in grid]
 
 
-def test_parallel_matches_serial_over_several_moduli():
+def test_parallel_matches_serial_over_several_moduli(monkeypatch):
+    monkeypatch.setattr(summatory, "POOL_FLOOR", 4)  # a real split at a small x
     assert len(residues.Rows(5, 40000).moduli) >= 3
     assert sum_phi_k_direct(5, 40000, workers=2).value == sum_phi_k_direct(5, 40000).value
 
@@ -470,6 +516,13 @@ def test_faulhaber_coefficients_match_the_bernoulli_formula(k):
               for j in range(k + 1)]
     den = math.lcm(*(c.denominator for c in coeffs))
     assert summatory._faulhaber_coeffs(k) == (den, tuple(int(c * den) for c in coeffs))
+
+
+def test_the_convolution_loop_runs_no_argument_gate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(summatory, "positive_int", lambda value, *args, **kw: calls.append(value) or value)
+    assert sum_phi_k_convolution(2, 10**4).value == _running_sums(2)[10**4]
+    assert calls == [10**4]  # the cutoff, once; no power sum of the loop checks k and m again
 
 
 def test_faulhaber_needs_no_bernoulli_numbers_up_to_k_plus_one():
