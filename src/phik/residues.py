@@ -9,8 +9,11 @@ rebuilds it.  Past MAX_MODULI rows, one row of exact Python ints costs less, and
 `Rows` carries that instead.  `blocks` walks a range of n a block at a time and
 builds f(n) in rows for a multiplicative f, from a smallest-prime-factor sieve;
 `Rows.block` is its block size, 2**16 numbers on int64 rows and 2**14 on an exact row.
-The exact sums of `summatory` run on both, and its power sums S_k take their
-coefficients from `scaled_monomials`; numpy is imported only with this module.
+The exact sums of `summatory` run on both.  Its direct route walks `blocks` on
+either; its convolution route walks them on the exact row only, and on int64 rows
+carries arrays over the quotient set {x // i}, whose second-to-last axis is the
+rows (`Rows.reduce`).  Its power sums S_k take their coefficients from
+`scaled_monomials`; numpy is imported only with this module.
 """
 from __future__ import annotations
 
@@ -126,9 +129,9 @@ class Rows:
         return table
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        """The prime rows of a reduced in place (the word row and an exact row stay as they are)."""
+        """The prime rows of a, its second-to-last axis, reduced in place (the word row stays)."""
         if self.mod.size:
-            a[1:] %= self.mod
+            a[..., 1:, :] %= self.mod
         return a
 
     def exact(self, total: np.ndarray) -> int:

@@ -2,15 +2,19 @@
 
 Two independent summation routes must agree exactly: per-n evaluation of
 phi_k(n) (`sum_phi_k_direct`) and the Dirichlet convolution phi_k = id_k * g_k
-summed against exact power sums S_k (`sum_phi_k_convolution`).  They share only
-the smallest-prime-factor sieve and `phik.residues`, its block walker and its
-rows: each per-n value is carried modulo 2**64 in a wrapping int64 word row, and
-modulo just enough of the largest primes below 2**31 that 2**64 times their
+summed against exact power sums S_k (`sum_phi_k_convolution`).  Both carry their
+values in the rows of `phik.residues`: modulo 2**64 in a wrapping int64 word row,
+and modulo just enough of the largest primes below 2**31 that 2**64 times their
 product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on every such
-sum; one CRT rebuilds each exact total.  Where that would take more than
-`residues.MAX_MODULI` rows, the walker carries one exact object row instead.
-The coefficients of S_k come from its values at m = 1 ... k+2, by the Newton
-interpolation that also gives `residues.Rows.polynomial` its coefficients.
+sum; one CRT rebuilds each exact total.  The direct route walks every n <= x
+over a smallest-prime-factor sieve.  On those rows the convolution route builds
+no sieve: it sums g_k by Lucy's and the min_25 sieve over the quotient set
+{x // i}, from the primes up to sqrt(x) and the power sums S_j, j <= k.  So the
+two share the rows, their CRT and `_power_sum`, and nothing else.  Where the
+rows would number more than `residues.MAX_MODULI`, both walk one exact object
+row instead, over the same sieve.  The coefficients of S_k come from its values
+at m = 1 ... k+2, by the Newton interpolation that also gives
+`residues.Rows.polynomial` its coefficients.
 
 The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
 float64 pass over p <= P, widened by a rounding bound proven in advance; the
@@ -41,6 +45,8 @@ from .totients import _g_k_prime, _phi_k_prime_power
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .residues import Rows
 
 # Primes per chunk of the float product that encloses C_k, which bounds its memory.  The
 # product's rounding, and so the printed enclosure, depends on the chunking: this stays fixed
@@ -122,8 +128,8 @@ def _prime_array(limit: int) -> np.ndarray:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, as plain Python ints."""
-    return _prime_array(limit).tolist()
+    """All primes <= limit, an integer >= 0, as plain Python ints."""
+    return _prime_array(positive_int(limit, "prime limit", least=0)).tolist()
 
 
 @lru_cache(maxsize=1)
@@ -197,21 +203,154 @@ def sum_phi_k_convolution(
 ) -> PartialSum:
     """Exact sum of phi_k(n) for n <= x via sum_{d <= x} g_k(d) * S_k(x // d).
 
-    g_k(d), the product of g_k(p) = phi_k(p) - p**k over the primes of a
-    squarefree d and 0 otherwise, is built in `Rows(k, x)` rows by
-    `residues.blocks`.  It is summed over each run of equal quotients x // d in
-    a block; each run whose sum is not 0 in every row is multiplied by the rows
-    of S_k(x // d), evaluated once per run (O(sqrt x) runs).  One CRT rebuilds
-    the exact total.
+    g_k(d) is the product of g_k(p) = phi_k(p) - p**k over the primes of a
+    squarefree d, and 0 otherwise.  On int64 rows (`residues.Rows`) the sum is
+    taken over the quotient set (`_quotient_convolution`), with no sieve; on the
+    exact row, d walks 1 ... x (`_walked_convolution`).  One CRT rebuilds the
+    exact total.
     """
     k, x = _sum_checks(k, x, sieve_limit)
-    if x > k + 1:  # S_k(x), for the run at d = 1, needs the polynomial: priced before any sieve
+    if x > k + 1:  # S_k(x), for d = 1, needs the polynomial: priced before anything is built
         _faulhaber_coeffs(k)
-    import numpy as np
-
-    from .residues import Rows, blocks
+    from .residues import Rows
 
     rows = Rows(k, x)
+    total = (_quotient_convolution if rows.moduli else _walked_convolution)(k, x, rows)
+    return PartialSum(k, x, rows.exact(total), "convolution")
+
+
+def _quotient_convolution(k: int, x: int, rows: Rows) -> np.ndarray:
+    """The rows of sum_{d <= x} g_k(d) S_k(x // d), from G(v) = sum_{d <= v} g_k(d) on quotients.
+
+    Over the quotient set Q = {x // i} in ascending order (`_quotient_set`), the sum is
+    sum over v in Q of (G(v) - G(v')) S_k(x // v), with v' the element before v (G(0) = 0):
+    x // d is the same for every d in (v', v].  G is built in three steps, each a vector
+    update over a suffix of Q per prime p <= sqrt(x) (`_quotient_steps`), about x**(3/4)
+    updates in all:
+
+    - Lucy's sieve: from S_j(v) - 1 = sum_{2 <= n <= v} n**j, each prime p in ascending
+      order takes off the n with smallest prime factor p, for every v >= p**2:
+      P_j(v) -= p**j (P_j(v // p) - P_j(p - 1)).  It leaves sum_{p <= v} p**j.
+    - The monomial coefficients c_j of g_k(p) (`residues.monomials`) combine those
+      into Pg(v) = sum_{p <= v} g_k(p).
+    - min_25: each prime p in descending order adds the squarefree d with smallest
+      prime factor p, U(v) += g_k(p) (U(v // p) - Pg(p)), from U = Pg; then G = 1 + U.
+
+    Memory is O((k + 1) rows sqrt(x)) int64s, and the only primes are those up to sqrt(x).
+    """
+    import numpy as np
+
+    from .residues import monomials
+
+    v = _quotient_set(x)
+    primes = _prime_array(isqrt(x))
+    power_sums = _power_sum_rows(k, x, v, rows)  # [j] holds the rows of S_j(v)
+    coeffs = monomials(partial(_g_k_prime, k), k)
+    powers = [j for j, c in enumerate(coeffs) if c]
+    prime_powers = _power_rows(primes, max(powers), rows)[powers]
+    sums = power_sums[powers] - 1
+    for i, (p, start, half) in enumerate(_quotient_steps(x, v, primes)):
+        step = sums[..., half]
+        step -= sums[..., p - 2 : p - 1]  # at v = p - 1
+        step *= prime_powers[..., i : i + 1]
+        sums[..., start:] -= step
+        rows.reduce(sums[..., start:])
+    prime_sums = np.zeros_like(power_sums[0])
+    for c, prime_sum in zip(rows.of([coeffs[j] for j in powers]).T, sums):
+        prime_sums += c[:, None] * prime_sum
+        rows.reduce(prime_sums)
+    g_at = rows.polynomial(partial(_g_k_prime, k), k, primes)
+    prefix = prime_sums.copy()
+    descending = zip(g_at.T[::-1, :, None], _quotient_steps(x, v, primes[::-1]))
+    for g, (p, start, half) in descending:
+        prefix[:, start:] += g * (prefix[:, half] - prime_sums[:, p - 1 : p])  # at v = p
+        rows.reduce(prefix[:, start:])
+    runs = np.diff(prefix, axis=1, prepend=-1)  # G(v) - G(v'), with G = 1 + prefix and G(0) = 0
+    total = rows.reduce(runs * power_sums[k][:, ::-1]).sum(axis=1, keepdims=True)
+    return rows.reduce(total)
+
+
+def _quotient_set(x: int) -> np.ndarray:
+    """{x // i : 1 <= i <= x} in ascending order: 1 ... r for r = isqrt(x), then each x // i > r.
+
+    The element j is v = j + 1 for v <= r, and otherwise the one with x // v = size - j;
+    reversed, the set is x // v for each v in order.
+    """
+    import numpy as np
+
+    r = isqrt(x)
+    return np.concatenate([np.arange(1, r + 1), x // np.arange(r - (x // r == r), 0, -1)])
+
+
+def _quotient_steps(x: int, v: np.ndarray, primes: np.ndarray):
+    """Yield (p, start, half) for each p of primes (each <= sqrt(x)), in the order given.
+
+    v[start:] are the v >= p**2 of the quotient set v, and v[half] = v[start:] // p.
+    """
+    import numpy as np
+
+    r = isqrt(x)
+    for p in primes.tolist():
+        start = p * p - 1 if p * p <= r else int(np.searchsorted(v, p * p))
+        q = v[start:] // p
+        yield p, start, np.where(q <= r, q - 1, v.size - x // q)
+
+
+def _power_sum_rows(k: int, x: int, v: np.ndarray, rows: Rows) -> np.ndarray:
+    """Rows of S_j(v) for j = 0 ... k at each v of the quotient set, shape (k+1, rows, v.size).
+
+    Up to r = isqrt(x), v is 1 ... r, and each S_j is one cumulative sum of the rows of
+    n**j.  Above, D S_j(v) is the integer polynomial of `_faulhaber_coeffs`, by Horner's rule:
+    exactly in the word row, then divided by D, and modulo each prime row, times D's inverse
+    there (D has no prime factor above j + 2).  While x <= j + 1, each S_j(v) is a plain sum.
+    """
+    import numpy as np
+
+    from .residues import WORD
+
+    r = isqrt(x)
+    table = np.empty((k + 1, len(rows.moduli), v.size), dtype=np.int64)
+    table[..., :r] = rows.reduce(np.cumsum(_power_rows(np.arange(1, r + 1), k, rows), axis=-1))
+    large, mod = v[r:], rows.mod
+    exact, at = large.astype(object), large % mod
+    for j in range(k + 1):
+        if x <= j + 1:
+            table[j, :, r:] = rows.of([_power_sum(j, m) for m in large.tolist()])
+            continue
+        den, coeffs = _faulhaber_coeffs(j)
+        word, prime = 0, 0
+        for a, c in zip(coeffs, rows.of(coeffs)[1:].T):
+            word = word * exact + a
+            prime = (prime * at + c[:, None]) % mod
+        table[j, 0, r:] = (word * exact // den + WORD // 2) % WORD - WORD // 2
+        inverse = np.array([pow(den, -1, q) for q in rows.moduli[1:]], dtype=np.int64)[:, None]
+        table[j, 1:, r:] = prime * at % mod * inverse % mod
+    return table
+
+
+def _power_rows(t: np.ndarray, top: int, rows: Rows) -> np.ndarray:
+    """Rows of t**j for j = 0 ... top at each entry of t, shape (top+1, rows, t.size)."""
+    import numpy as np
+
+    at = np.vstack([t, t % rows.mod])
+    table = np.empty((top + 1, *at.shape), dtype=np.int64)
+    table[0] = 1
+    for j in range(1, top + 1):
+        table[j] = rows.reduce(table[j - 1] * at)
+    return table
+
+
+def _walked_convolution(k: int, x: int, rows: Rows) -> np.ndarray:
+    """The exact row of sum_{d <= x} g_k(d) S_k(x // d), walking d = 1 ... x.
+
+    g_k(d) is built by `residues.blocks` over the smallest-prime-factor sieve up to x.
+    It is summed over each run of equal quotients x // d in a block; each run whose sum
+    is not 0 is multiplied by S_k(x // d), evaluated once per run (O(sqrt x) runs).
+    """
+    import numpy as np
+
+    from .residues import blocks
+
     g_at_prime = _prime_values(_g_k_prime, k, x)
     squareful = rows.of([0] * (isqrt(x) + 1))  # g_k(d) = 0 once p**2 divides d
     total = rows.of([0])
@@ -223,7 +362,7 @@ def sum_phi_k_convolution(
         power_sums = rows.of([_power_sum(k, m) for m in q[starts[live]].tolist()])
         total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
         rows.reduce(total)
-    return PartialSum(k, x, rows.exact(total), "convolution")
+    return total
 
 
 def _sum_checks(k: int, x: int, sieve_limit: int) -> tuple[int, int]:
@@ -317,16 +456,20 @@ def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
     errs by a factor 1 + theta, |theta| <= gamma = (N-1)u/(1-(N-1)u), in any order (Higham,
     Accuracy and Stability of Numerical Algorithms, sec. 3.1; prod (1 - 1/p) >= 1/P: no underflow).
     With sum t <= ln P < 0.7*bits(P), slack = (6k+11)*u*0.7*bits(P) + N*u/2 + gamma: the product
-    is in [prod'*(1 - slack), prod'/(1 - slack)], or in [0, 1] if slack >= 1 (k near 10**14).
+    is in [prod'*(1 - slack), prod'/(1 - slack)], or in [0, 1] if slack >= 1 (k near 10**14),
+    known before any prime is sieved when the first term alone reaches 1.  As every r_p < 1, so
+    is the product, and hi is at most 1.
     """
+    slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
+    if slack >= 1:
+        return 0.0, 1.0
     primes = _prime_array(prime_bound)
     blocks = (primes[i : i + PRODUCT_CHUNK] for i in range(0, primes.size, PRODUCT_CHUNK))
     product = math.prod(float(_factors(k, 1.0 / block).prod()) for block in blocks)
-    slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
     slack += Fraction(primes.size, 2**54) + Fraction(primes.size - 1, 2**53 - (primes.size - 1))
     lo = max(0.0, math.nextafter(product * _float_below(1 - slack), -math.inf))
     hi = math.nextafter(product * _float_above(1 / (1 - slack)), math.inf) if slack < 1 else 1.0
-    return lo, hi
+    return lo, min(hi, 1.0)  # every factor is below 1
 
 
 def average_order_constant(

@@ -100,6 +100,13 @@ def test_faulhaber_property(k, m):
 def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**4)) == 1229
+    assert primes_up_to(0) == primes_up_to(1) == [] and primes_up_to(np.int64(2)) == [2]
+
+
+@pytest.mark.parametrize("limit", [-5, 2.5, True, "10", None])
+def test_primes_up_to_refuses_a_limit_that_is_not_an_integer_at_least_0(limit):
+    with pytest.raises(ValueError, match="prime limit must be an integer >= 0"):
+        primes_up_to(limit)
 
 
 def test_constant_rejects_k1_and_tiny_bounds():
@@ -249,7 +256,7 @@ def test_error_rows_match_direct_sums_across_blocks():
     assert [row.total for row in rows] == [sum_phi_k_direct(2, x).value for x in grid]
 
 
-@pytest.mark.parametrize("route", [sum_phi_k_direct, sum_phi_k_convolution])
+@pytest.mark.parametrize("route", [sum_phi_k_direct])
 def test_sum_memory_is_bounded_by_the_block(route):
     # the SPF sieve is built untraced; the prime-value table is traced on both sides
     peaks = []
@@ -263,6 +270,60 @@ def test_sum_memory_is_bounded_by_the_block(route):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_convolution_memory_grows_as_the_square_root_of_x():
+    # on int64 rows the route builds no sieve, so everything it builds is traced: a few arrays
+    # of (k + 1) powers x rows x |Q| int64s, |Q| about 2 sqrt(x), at most 5 of them at a time
+    # here (a sieve alone would take 4x bytes)
+    k = 5
+    sum_phi_k_convolution(k, 1000)  # the power-sum polynomials, cached for every x
+    for x in (2 * WORD_BLOCK, 32 * WORD_BLOCK):  # int64 rows
+        summatory._spf_sieve.cache_clear()
+        summatory._prime_values.cache_clear()
+        tracemalloc.start()
+        try:
+            sum_phi_k_convolution(k, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (k + 1) * len(residues.Rows(k, x).moduli) * 2 * math.isqrt(x) * 8
+        assert peak < 12 * arrays, (x, peak, arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_quotient_route_matches_running_sum_near_squares(data):
+    # the quotient set and the sieving steps change shape at squares, prime squares and x <= k + 1,
+    # where every power sum is a plain sum
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    root = st.integers(min_value=1, max_value=math.isqrt(3 * WORD_BLOCK))
+    prime = st.sampled_from(primes_up_to(math.isqrt(3 * WORD_BLOCK)))
+    x = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=k + 2),
+        st.builds(lambda r, d: r * r + d, root, st.integers(min_value=-1, max_value=1)),
+        st.builds(lambda p, d: p * p + d, prime, st.integers(min_value=-1, max_value=1)),
+    ).filter(lambda x: 1 <= x <= 3 * WORD_BLOCK))
+    assert residues.Rows(k, x).moduli
+    assert sum_phi_k_convolution(k, x).value == _running_sums(k)[x]
+
+
+def test_the_quotient_route_builds_no_sieve_and_only_the_primes_up_to_the_root(monkeypatch):
+    limits = []
+    prime_array = summatory._prime_array
+    monkeypatch.setattr(summatory, "_prime_array",
+                        lambda limit: limits.append(limit) or prime_array(limit))
+    summatory._spf_sieve.cache_clear()
+    summatory._prime_values.cache_clear()
+    for k, x in ((2, 10**5), (5, 40000), (13, 40000)):  # 2, 3 and 7 rows
+        expected = _running_sums(k)[x]
+        limits.clear()
+        assert sum_phi_k_convolution(k, x).value == expected
+        assert limits == [math.isqrt(x)]
+    assert summatory._spf_sieve.cache_info().currsize == 0
+    assert summatory._prime_values.cache_info().currsize == 0
+    sum_phi_k_convolution(17, 40000)  # the exact row still walks the sieve
+    assert summatory._spf_sieve.cache_info().currsize == 1
 
 
 @lru_cache(maxsize=1)
@@ -357,6 +418,28 @@ def test_enclosure_stays_sound_where_the_rounding_bound_exceeds_one():
     # at k near 10**14 the proven slack passes 1; every factor is at most 1
     enclosure = average_order_constant(10**15, 1000)
     assert (enclosure.lo, enclosure.hi) == (0.0, 1.0)
+
+
+def test_a_slack_of_one_sieves_no_prime(monkeypatch):
+    # the slack's first term, (6k+11) * 0.7 bits(P) * 2**-53, reaches 1 before any prime is known
+    def no_sieve(limit):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(summatory, "_prime_array", no_sieve)
+    for k, prime_bound in ((10**20, 2**25), (10**15, 1000)):
+        assert summatory._truncated_product(k, prime_bound) == (0.0, 1.0)
+        assert average_order_constant(k, prime_bound) == Enclosure(k, prime_bound, 0.0, 1.0)
+
+
+def test_the_upper_bound_is_never_above_one():
+    # below a slack of 1, prod'/(1 - slack) passes 1 once 1 - slack falls below the product
+    # (about 0.061 at P = 10**4); every factor, and so the product, is below 1
+    prime_bound, bits = 10**4, (10**4).bit_length()
+    k = (97 * 10 * 2**53 // (100 * 7 * bits) - 11) // 6  # the first term of the slack near 0.97
+    lo, hi = summatory._truncated_product(k, prime_bound)
+    assert 0 < lo < hi == 1.0  # prod'/(1 - slack) is about 2
+    product = summatory._truncated_product(k, 1000)  # a slack of 0.69 there: the bound holds
+    assert 0 < product[0] < product[1] < 1
 
 
 # C_k to 35 digits: the exact product over p <= 2000 and the log-series tail
