@@ -1,14 +1,14 @@
-"""Command-line surface: evaluation, oracles, identity sweeps, sums, constants.
+"""Command-line surface: evaluation by every route, identity sweeps, sums, constants.
 
 Exit codes: 0 success, 1 identity failure or method mismatch (witnesses
 printed), 2 usage or domain error, 3 budget refusal.  JSON output encodes
 every exact integer as a decimal string (`_json_value`), since values outgrow
 doubles.
 
-Every subcommand is one row of COMMANDS.  Rows name library functions as
-"module.function", and a module is imported when a row that uses it runs, so
-a process loads only what its command needs, and a function replaced on its
-module (for instance by a tracer) is the one that is called.  The parser is
+Every subcommand is one row of COMMANDS.  An `eval` row is one quantity of
+`core.ROUTES`, whose routes --method picks (`all` runs and cross-checks every
+one); a route is imported when it runs, so a process loads only what its
+command needs.  Every disagreement of routes is printed by `_agree`.  The parser is
 built as far as argv reaches: every group and top-level row, but the leaves
 of one group only.  main() also keeps numpy's OpenBLAS from starting a thread
 pool (phik calls no BLAS routine) unless OPENBLAS_NUM_THREADS is already set.
@@ -18,15 +18,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_PRIME_BOUND,
     DEFAULT_SIEVE_LIMIT,
+    ROUTES,
     BudgetExceededError,
+    library,
     positive_int,
+    route_values,
 )
 
 EXIT_OK = 0
@@ -35,8 +37,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 GROUPS = {
-    "eval": "closed-form evaluation",
-    "oracle": "counts from the definitions",
+    "eval": "values by closed form, recursion or oracle",
     "verify": "identity sweeps against oracles",
     "sum": "exact partial sums",
 }
@@ -50,9 +51,9 @@ class Command(NamedTuple):
 
     `flags` name entries of `_flag_specs()`, optionally as (name, overrides); `formats` are
     the --format choices, the first being the default.
-    `fn` is what the row calls: a "module.function" name, a route map from each --method
-    choice (the first the default) to a name, a verify row's `menon.verify_sweep` kind, or
-    (for `verify lemmas`) a callable of (`menon`, the arguments) returning the reports.
+    `fn` is what the row calls: an eval row's route map of `core.ROUTES` (the --method
+    choices, the first the default, and "all"), a verify row's `menon.verify_sweep` kind, or
+    a callable of (`menon`, the arguments) returning the reports.
     """
 
     path: tuple[str, ...]
@@ -72,7 +73,7 @@ def _flag_specs() -> dict[str, dict]:
         "delta": dict(type=int, required=True),
         "x": dict(type=int, required=True),
         "f": dict(default="id", help="id | one | tau | mu | pow:j | table:<path>"),
-        "method": {},  # a route map's keys, or the row's own choices
+        "method": {},  # a route map's keys and "all", or the row's own choices
         "k-max": dict(type=int, default=3),
         "n-max": dict(type=int, default=40),
         "x-grid": dict(required=True, help="comma-separated cutoffs, e.g. 100,1000"),
@@ -86,12 +87,6 @@ def _flag_specs() -> dict[str, dict]:
 
 def _flag_names(cmd: Command) -> list[str]:
     return [flag if isinstance(flag, str) else flag[0] for flag in cmd.flags]
-
-
-def _library(name: str):
-    """The library function named "module.function", importing its module if need be."""
-    module, attr = name.split(".")
-    return getattr(import_module(f"{__package__}.{module}"), attr)
 
 
 def _emit(args, text: str) -> None:
@@ -142,14 +137,27 @@ def _params(cmd: Command, args) -> dict:
     for key in (name.replace("-", "_") for name in _flag_names(cmd)):
         value = getattr(args, key)
         if key != "method" and value is not None:
-            params[key] = _library("menon.parse_function_spec")(value) if key == "f" else value
+            params[key] = library("menon.parse_function_spec")(value) if key == "f" else value
     return params
 
 
+def _agree(values: Mapping[str, object]) -> bool:
+    """Whether all routes gave one value; if not, each route and its value go to stderr."""
+    agree = len(set(values.values())) == 1
+    if not agree:
+        print("METHOD MISMATCH (implementation bug): "
+              + " ".join(f"{route}={value}" for route, value in values.items()), file=sys.stderr)
+    return agree
+
+
 def _cmd_value(cmd: Command, args) -> int:
-    """Call the row's function, or its route map's --method entry; JSON echoes all but budget."""
+    """The --method route's value, or every route's (all, or the only one), which must agree."""
     params = _params(cmd, args)
-    value = _library(cmd.fn if isinstance(cmd.fn, str) else cmd.fn[args.method])(**params)
+    values = route_values({route: library(name) for route, name in cmd.fn.items()}, params,
+                          getattr(args, "method", "all"))
+    if not _agree(values):
+        return EXIT_FAILURE
+    value = next(iter(values.values()))
     _check_printable(value)
     if args.format == "json":
         payload = {key: v for key, v in params.items() if key != "budget"}
@@ -208,9 +216,8 @@ def _cmd_sum_phi_k(cmd: Command, args) -> int:
         results.append(summatory.sum_phi_k_convolution(args.k, args.x, args.sieve_limit))
     if args.method != "convolution":
         results.insert(0, summatory.sum_phi_k_direct(args.k, args.x, args.sieve_limit, args.workers))
-    if len(results) == 2 and results[0].value != results[1].value:
-        print(f"METHOD MISMATCH (implementation bug): direct_sieve={results[0].value} "
-              f"convolution={results[1].value}", file=sys.stderr)
+    if len(results) == 2 and not _agree({"direct_sieve": results[0].value,
+                                         "convolution": results[1].value}):
         return EXIT_FAILURE
     _check_printable(results[0].value)
     if args.format == "json":
@@ -259,24 +266,18 @@ def _cmd_error_table(cmd: Command, args) -> int:
 
 
 COMMANDS = (
-    Command(("eval", "phi-k"), "phi_k(n)", _cmd_value, ("k", "n"), fn="totients.phi_k"),
+    Command(("eval", "phi-k"), "phi_k(n)", _cmd_value, ("k", "n", "method", "budget"),
+            fn=ROUTES["phi-k"]),
     Command(("eval", "phi-k-nm"), "two-parameter phi_k(n, m)", _cmd_value,
-            ("k", "n", "m", "method"),
-            fn={"closed": "totients.phi_k_nm", "recursion": "totients.phi_k_nm_recursion"}),
+            ("k", "n", "m", "method", "budget"), fn=ROUTES["phi-k-nm"]),
     Command(("eval", "g-k"), "convolution factor g_k(n)", _cmd_value, ("k", "n"),
-            fn="totients.g_k"),
+            fn=ROUTES["g-k"]),
     Command(("eval", "n-k"), "unit-tuple count N_k(n, d, delta)", _cmd_value,
-            ("k", "n", "d", "delta", "method"),
-            fn={"closed": "menon.n_k", "recursion": "menon.n_k_recursion"}),
+            ("k", "n", "d", "delta", "method", "budget"), fn=ROUTES["n-k"]),
     Command(("eval", "jordan"), "Jordan totient J_k(n)", _cmd_value, ("k", "n"),
-            fn="core.jordan_totient"),
-    Command(("oracle", "phi-k"), "phi_k(n) counted from the definition", _cmd_value,
-            ("k", "n", ("m", dict(required=False, help="a divisor of n (default n)")), "budget"),
-            fn="totients.phi_k_nm_oracle"),
-    Command(("oracle", "n-k"), "N_k(n, d, delta) counted over unit tuples", _cmd_value,
-            ("k", "n", "d", "delta", "budget"), fn="menon.n_k_oracle"),
-    Command(("oracle", "menon-lhs"), "gcd sum over admissible tuples", _cmd_value,
-            ("k", "n", "f", "budget"), fn="menon.gcd_sum_lhs_oracle"),
+            fn=ROUTES["jordan"]),
+    Command(("eval", "gcd-sum"), "gcd sum over admissible tuples", _cmd_value,
+            ("k", "n", "f", "method", "budget"), fn=ROUTES["gcd-sum"]),
     Command(("verify", "menon"), "gcd-sum identity, arbitrary f", _cmd_verify,
             ("k-max", "n-max", "f", "budget", "workers"), fn="menon_general"),
     Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", _cmd_verify,
@@ -287,6 +288,10 @@ COMMANDS = (
             ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget"),
             fn=lambda menon, a: [menon.lemma_sweep(a.n_max, a.budget),
                                  menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
+    Command(("verify", "phi-k-nm"), "every route of phi_k(n, m), every m | n", _cmd_verify,
+            ("k-max", "n-max", "budget"),
+            fn=lambda menon, a: [menon.route_sweep("phi-k-nm", ("m",), "phi_k_nm", "phi_k(n, m)",
+                                                   a.k_max, a.n_max, a.budget)]),
     Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_sum_phi_k,
             ("k", "x", "sieve-limit", "workers",
              ("method", dict(choices=("direct", "convolution", "both"), default="direct")))),
@@ -327,7 +332,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         for flag in cmd.flags:
             name, overrides = (flag, {}) if isinstance(flag, str) else flag
             if name == "method" and isinstance(cmd.fn, Mapping):
-                overrides = dict(choices=tuple(cmd.fn), default=next(iter(cmd.fn)))
+                overrides = dict(choices=(*cmd.fn, "all"), default=next(iter(cmd.fn)))
             p.add_argument(f"--{name}", **{**specs[name], **overrides})
         p.add_argument("--format", choices=cmd.formats, default=cmd.formats[0])
         p.add_argument("--out", help="write output to this file instead of stdout")

@@ -4,12 +4,14 @@ All values are exact: integers, or the `Fraction`s a caller's function
 returns, never floats.  Functions here are pure and safe to call concurrently.
 `tuple_args` is the one argument gate of every tuple count, and `table_lookup` the
 one table rule, for `table:` files and Mappings alike; its reader pickles to workers.
+`ROUTES` names every route to each quantity, once, for the command line and the sweeps.
 """
 from __future__ import annotations
 
 import operator
 import os
 from functools import lru_cache, partial
+from importlib import import_module
 from math import comb, gcd
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Union
 
@@ -39,6 +41,37 @@ DEFAULT_ORACLE_BUDGET = 10**8
 DEFAULT_SIEVE_LIMIT = 1 << 25
 
 DEFAULT_PRIME_BOUND = 10**6
+
+
+# Each quantity's routes, "module.function" by name: the first is the default and the one the
+# others are checked against, and "oracle" counts from the definition.  A name is resolved when
+# called (`library`), so only a route that runs imports its module, and a function replaced on
+# its module (by a tracer, say) is the one called.
+ROUTES = {
+    "phi-k": {"closed": "totients.phi_k", "oracle": "totients.phi_k_oracle"},
+    "phi-k-nm": {"closed": "totients.phi_k_nm", "recursion": "totients.phi_k_nm_recursion",
+                 "oracle": "totients.phi_k_nm_oracle"},
+    "g-k": {"closed": "totients.g_k"},
+    "n-k": {"closed": "menon.n_k", "recursion": "menon.n_k_recursion",
+            "oracle": "menon.n_k_oracle"},
+    "jordan": {"closed": "core.jordan_totient"},
+    "gcd-sum": {"closed": "menon.gcd_sum_rhs", "oracle": "menon.gcd_sum_lhs_oracle"},
+}
+
+
+def library(name: str) -> Callable:
+    """The library function named "module.function", importing its module if need be."""
+    module, attr = name.split(".")
+    return getattr(import_module(f"{__package__}.{module}"), attr)
+
+
+def route_values(routes: Mapping[str, Callable], params: dict, method: str = "all") -> dict:
+    """The value at params of each route (or of route `method`), the oracle's first so that
+    its refusal comes before any other route runs; only the oracle takes `budget`."""
+    rest = {key: value for key, value in params.items() if key != "budget"}
+    return {route: routes[route](**(params if route == "oracle" else rest))
+            for route in sorted(routes, key=lambda route: route != "oracle")
+            if method in ("all", route)}
 
 
 def positive_int(value, name: str, least: int = 1) -> int:

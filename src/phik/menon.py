@@ -11,30 +11,36 @@ never calls them.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
 units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
 of f `core.table_lookup`.  Sweeps report through `IdentityReport.of`, a skipped cell by
-its oracle's own refusal, and spread their cells with `core.parallel_map`.
+its oracle's own refusal, and spread their cells with `core.parallel_map`; `route_sweep`
+checks every route of a quantity of `core.ROUTES` against its first.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
+    ROUTES,
     ArithValue,
     BudgetExceededError,
     MultiplicativeFunction,
     check_budget,
+    check_word_budget,
     divisors,
     euler_phi,
     exact_div,
     factorize,
     jordan_totient,
+    library,
     mobius,
     mobius_transform,
     parallel_map,
     positive_int,
+    route_values,
     table_lookup,
     tau,
     tuple_args,
@@ -243,10 +249,13 @@ def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
 
     phi(d) | phi(n) | phi_k(n), so each phi_k(n) / phi(d) is an exact integer:
     the value is an int for every integer-valued f and mu_f table, consistent
-    or not, and a Fraction only where f itself takes Fraction values.
+    or not, and a Fraction only where f itself takes Fraction values.  Priced before any
+    divisor is listed, at prod (e+1)(e+2)/2 = sum_{d | n} tau(d) terms of k bits(n) bits.
     """
     k, n = tuple_args(k, n)
     spec = parse_function_spec(f)
+    check_word_budget(prod((e + 1) * (e + 2) // 2 for _, e in factorize(n).factors),
+                      k * n.bit_length(), f"gcd-sum divisor sum at k={k}, n={n}")
     phi_kn = phi_k(k, n)
     val = sum(spec.mobius_transform_at(d) * exact_div(phi_kn, euler_phi(d)) for d in divisors(n))
     return int(val) if getattr(val, "denominator", None) == 1 else val
@@ -458,36 +467,40 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
     return IdentityReport.of("lemmas", {"n": f"1..{n_max}", "residues": "all"}, cells)
 
 
-def n_k_sweep(
-    k_max: int = 3, n_max: int = 30, budget: int = DEFAULT_ORACLE_BUDGET
-) -> IdentityReport:
-    """Cross-check N_k oracle, closed form, and recursion over a full grid.
+def route_sweep(quantity: str, divisor_args: tuple[str, ...], identity: str, what: str,
+                k_max: int, n_max: int, budget: int = DEFAULT_ORACLE_BUDGET) -> IdentityReport:
+    """Check each route of a quantity of `core.ROUTES` against its first at every k <= k_max,
+    n <= n_max and divisor of n for each of `divisor_args`, priced first at a tuple per (k, n).
 
-    All divisor pairs (d, delta) are swept: every pair must agree across all
-    three routes, and non-coprime pairs must give 0.  Priced first at a tuple per cell.
+    A (k, n) that a route refuses is skipped, with the refusal as its reason.  A route off the
+    first is a failure naming the point and the route, its value as lhs, the first's as rhs.
     """
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
-    check_budget(k_max * n_max, budget, f"N_k sweep of {k_max} x {n_max} cells, one each,")
+    check_budget(k_max * n_max, budget, f"{what} sweep of {k_max} x {n_max} cells, one each,")
+    routes = {route: library(name) for route, name in ROUTES[quantity].items()}
+    first = next(iter(routes))
 
     def cell(k, n):  # the checks of one (k, n) and the failures among them, or its skip record
-        divs = divisors(n)
-        pairs = [(d, delta) for d in divs for delta in divs]
+        points = list(product(divisors(n), repeat=len(divisor_args)))
+        failures = []
         try:
-            brutes = [n_k_oracle(k, n, d, delta, budget) for d, delta in pairs]
+            for point in points:
+                params = {"k": k, "n": n, **dict(zip(divisor_args, point))}
+                values = route_values(routes, {**params, "budget": budget})
+                reference = values[first]
+                failures += [Instance((*params.items(), ("route", route)), value, reference, False)
+                             for route, value in values.items() if value != reference]
         except BudgetExceededError as exc:
             return {"k": k, "n": n, "reason": str(exc)}
-        failures = []
-        for (d, delta), brute in zip(pairs, brutes):
-            closed = n_k(k, n, d, delta)
-            coprime = gcd(d, delta) == 1  # else the oracle and closed form must give 0
-            rec = n_k_recursion(k, n, d, delta)
-            if brute != closed or rec != closed or not (coprime or closed == 0):
-                failures.append(Instance((("k", k), ("n", n), ("d", d), ("delta", delta)), brute,
-                                         closed, False,
-                                         detail=f"recursion = {rec}" if rec != closed else None))
-        return len(pairs), 0, failures
+        return len(points), 0, failures
 
     cells = (cell(k, n) for k in range(1, k_max + 1) for n in range(1, n_max + 1))
-    swept = {"k": f"1..{k_max}", "n": f"1..{n_max}"}
-    return IdentityReport.of("n_k_machinery", swept, cells)
+    return IdentityReport.of(identity, {"k": f"1..{k_max}", "n": f"1..{n_max}"}, cells)
+
+
+def n_k_sweep(
+    k_max: int = 3, n_max: int = 30, budget: int = DEFAULT_ORACLE_BUDGET
+) -> IdentityReport:
+    """N_k's closed form, recursion and oracle at every divisor pair (d, delta): `route_sweep`."""
+    return route_sweep("n-k", ("d", "delta"), "n_k_machinery", "N_k", k_max, n_max, budget)

@@ -171,10 +171,9 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
                            f"phi_{k}(n, m={m})")
 
 
-def phi_k_nm_oracle(k: int, n: int, m: int | None = None,
-                    budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count tuples with product coprime to n and sum coprime to m | n (None: n); priced at n**k."""
-    k, n, m = tuple_args(k, n, m=n if m is None else m)
+def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """Count tuples with product coprime to n and sum coprime to m | n; priced at n**k."""
+    k, n, m = tuple_args(k, n, m=m)
     check_budget((n, k), budget, f"phi_{k}({n}, m={m}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, m) if gcd(r, m) == 1)
 

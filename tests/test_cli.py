@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from importlib import import_module
 
 import pytest
 
@@ -104,13 +105,15 @@ HUGE_K = "99999999999999999999"
 # a kernel digit k bits wide at phi(n) = 1, a sweep grid listed before it was priced, or a
 # sum's modulus 2**((k+1) bits(x)) built, and its exact row left unpriced
 @pytest.mark.parametrize("argv, code", [
-    (f"oracle phi-k --k {HUGE_K} --n 3", 3),
-    (f"oracle menon-lhs --k {HUGE_K} --n 3", 3),
-    (f"oracle n-k --k {HUGE_K} --n 3 --d 1 --delta 1", 3),
-    ("oracle phi-k --k 1000000000 --n 2", 3),
-    (f"oracle phi-k --k {HUGE_K} --n 1", 0),
-    (f"oracle n-k --k {HUGE_K} --n 2 --d 1 --delta 1", 0),
-    ("oracle n-k --k 1000000000 --n 2 --d 1 --delta 1", 0),
+    (f"eval phi-k --k {HUGE_K} --n 3 --method oracle", 3),
+    (f"eval gcd-sum --k {HUGE_K} --n 3 --method oracle", 3),
+    (f"eval n-k --k {HUGE_K} --n 3 --d 1 --delta 1 --method oracle", 3),
+    ("eval phi-k --k 1000000000 --n 2 --method oracle", 3),
+    (f"eval phi-k --k {HUGE_K} --n 1 --method oracle", 0),
+    (f"eval n-k --k {HUGE_K} --n 2 --d 1 --delta 1 --method oracle", 0),
+    ("eval n-k --k 1000000000 --n 2 --d 1 --delta 1 --method oracle", 0),
+    # every route runs, the oracle first: its refusal comes before the closed form is built
+    (f"eval phi-k --k {HUGE_K} --n 3 --method all", 3),
     (f"verify menon --k-max {HUGE_K} --n-max 2", 3),
     (f"verify nageswara-rao --k-max {HUGE_K} --n-max 2", 3),
     (f"verify sita-ramaiah --n-max {HUGE_K}", 3),
@@ -137,7 +140,8 @@ def test_a_long_nageswara_rao_sweep_at_n_1_passes_at_once():
 
 
 def test_oracle_refuses_a_non_divisor_m_in_one_line():
-    proc = phik_process("oracle", "phi-k", "--k", "2", "--n", "10", "--m", "3")
+    proc = phik_process("eval", "phi-k-nm", "--k", "2", "--n", "10", "--m", "3",
+                        "--method", "oracle")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: m=3 must be a positive divisor of n=10\n"
 
@@ -175,17 +179,19 @@ def test_eval_k0_rejected(capsys):
 
 
 def test_oracle_phi_k(capsys):
-    assert run_cli("oracle", "phi-k", "--k", "2", "--n", "15") == 0
+    assert run_cli("eval", "phi-k", "--k", "2", "--n", "15", "--method", "oracle") == 0
     assert capsys.readouterr().out.strip() == "24"
 
 
 def test_oracle_budget_refusal(capsys):
-    assert run_cli("oracle", "phi-k", "--k", "3", "--n", "50", "--budget", "1000") == 3
+    assert run_cli("eval", "phi-k", "--k", "3", "--n", "50", "--method", "oracle",
+                   "--budget", "1000") == 3
     assert "budget" in capsys.readouterr().err
 
 
 def test_oracle_menon_lhs(capsys):
-    assert run_cli("oracle", "menon-lhs", "--k", "2", "--n", "3", "--f", "id") == 0
+    assert run_cli("eval", "gcd-sum", "--k", "2", "--n", "3", "--f", "id",
+                   "--method", "oracle") == 0
     assert capsys.readouterr().out.strip() == "4"
 
 
@@ -346,14 +352,16 @@ JSON_ROWS = [
     ("eval", "g-k", "--k", "2", "--n", "6"),
     ("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1"),
     ("eval", "jordan", "--k", "2", "--n", "12"),
-    ("oracle", "phi-k", "--k", "2", "--n", "12"),
-    ("oracle", "phi-k", "--k", "2", "--n", "12", "--m", "6"),
-    ("oracle", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1"),
-    ("oracle", "menon-lhs", "--k", "2", "--n", "12", "--f", "tau"),
+    ("eval", "gcd-sum", "--k", "2", "--n", "12", "--f", "tau"),
+    ("eval", "phi-k", "--k", "2", "--n", "12", "--method", "oracle"),
+    ("eval", "phi-k-nm", "--k", "2", "--n", "12", "--m", "6", "--method", "oracle"),
+    ("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1", "--method", "oracle"),
+    ("eval", "gcd-sum", "--k", "2", "--n", "12", "--f", "tau", "--method", "oracle"),
     ("verify", "menon", "--k-max", "2", "--n-max", "12", "--budget", "100"),
     ("verify", "sita-ramaiah", "--n-max", "8"),
     ("verify", "nageswara-rao", "--k-max", "2", "--n-max", "8"),
     ("verify", "lemmas", "--n-max", "6", "--k-max", "2"),
+    ("verify", "phi-k-nm", "--k-max", "2", "--n-max", "8"),
     ("sum", "phi-k", "--k", "2", "--x", "100", "--method", "both"),
     ("constant", "--k", "2", "--prime-bound", "1000"),
     ("error-table", "--k", "2", "--x-grid", "10,100", "--prime-bound", "1000"),
@@ -413,7 +421,8 @@ def test_an_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_missing_table_file(capsys):
-    assert run_cli("oracle", "menon-lhs", "--k", "1", "--n", "4", "--f", "table:/nonexistent.json") == 2
+    assert run_cli("eval", "gcd-sum", "--k", "1", "--n", "4", "--f", "table:/nonexistent.json",
+                   "--method", "oracle") == 2
 
 
 def test_console_script_entry_point():
@@ -467,7 +476,8 @@ def test_eval_jordan_passes_the_argument_gate(capsys, argv, message):
 def test_malformed_table_file_is_usage_error(tmp_path, capsys, table):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(table))
-    code = run_cli("oracle", "menon-lhs", "--k", "1", "--n", "4", "--f", f"table:{path}")
+    code = run_cli("eval", "gcd-sum", "--k", "1", "--n", "4", "--f", f"table:{path}",
+                   "--method", "oracle")
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "error:" in err
@@ -476,9 +486,9 @@ def test_malformed_table_file_is_usage_error(tmp_path, capsys, table):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("eval", "phi-k", "--k", "2", "--n", "15", "--budget", "5"),
+        ("eval", "g-k", "--k", "2", "--n", "15", "--budget", "5"),
         ("eval", "jordan", "--k", "2", "--n", "2", "--workers", "2"),
-        ("oracle", "phi-k", "--k", "2", "--n", "15", "--workers", "2"),
+        ("eval", "phi-k", "--k", "2", "--n", "15", "--method", "oracle", "--workers", "2"),
         ("verify", "lemmas", "--n-max", "4", "--workers", "2"),
         ("sum", "phi-k", "--k", "2", "--x", "10", "--budget", "5"),
         ("constant", "--k", "2", "--workers", "2"),
@@ -495,13 +505,13 @@ def test_unread_flags_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv, fields",
     [
-        (("oracle", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1"),
+        (("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1", "--method", "oracle"),
          {"k": "2", "n": "15", "d": "3", "delta": "1", "value": "16"}),
-        (("oracle", "phi-k", "--k", "2", "--n", "15", "--m", "3"),
+        (("eval", "phi-k-nm", "--k", "2", "--n", "15", "--m", "3", "--method", "oracle"),
          {"k": "2", "n": "15", "m": "3", "value": "32"}),
         (("eval", "phi-k-nm", "--k", "2", "--n", "15", "--m", "3", "--method", "recursion"),
          {"k": "2", "n": "15", "m": "3", "value": "32"}),
-        (("oracle", "menon-lhs", "--k", "2", "--n", "3", "--f", " tau "),
+        (("eval", "gcd-sum", "--k", "2", "--n", "3", "--f", " tau ", "--method", "oracle"),
          {"k": "2", "n": "3", "f": "tau", "value": "3"}),
     ],
 )
@@ -672,6 +682,72 @@ def test_both_methods_stop_at_a_convolution_refusal_before_the_direct_sum(capsys
     assert capsys.readouterr() == ("", "budget refused: the convolution route refused\n")
 
 
+def _add_one_to(monkeypatch, route: str) -> None:
+    """Make the library function "module.function" give one more than it does (a sum's value)."""
+    module, name = route.split(".")
+    module = import_module(f"phik.{module}")
+    fn = getattr(module, name)
+
+    def off_by_one(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return result._replace(value=result.value + 1) if module is summatory else result + 1
+
+    monkeypatch.setattr(module, name, off_by_one)
+
+
+@pytest.mark.parametrize("argv, route, line", [
+    (("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1", "--method", "all"),
+     "menon.n_k_recursion", "oracle=16 closed=16 recursion=17"),
+    (("eval", "phi-k", "--k", "2", "--n", "15", "--method", "all"), "totients.phi_k_oracle",
+     "oracle=25 closed=24"),
+    (("eval", "gcd-sum", "--k", "2", "--n", "3", "--f", "tau", "--method", "all"),
+     "menon.gcd_sum_rhs", "oracle=3 closed=4"),
+    (("sum", "phi-k", "--k", "2", "--x", "10", "--method", "both"),
+     "summatory.sum_phi_k_convolution", "direct_sieve=63 convolution=64"),
+])
+def test_a_route_off_the_others_is_a_method_mismatch(capsys, monkeypatch, argv, route, line):
+    _add_one_to(monkeypatch, route)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", f"METHOD MISMATCH (implementation bug): {line}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "phi-k", "--k", "3", "--n", "60"),
+    ("eval", "phi-k-nm", "--k", "3", "--n", "60", "--m", "12"),
+    ("eval", "n-k", "--k", "3", "--n", "60", "--d", "3", "--delta", "5"),
+    ("eval", "gcd-sum", "--k", "3", "--n", "60", "--f", "tau"),
+])
+def test_every_route_prints_what_all_prints(capsys, argv):
+    cmd = next(cmd for cmd in COMMANDS if cmd.path == argv[:2])
+    outputs = set()
+    for method in (*cmd.fn, "all"):
+        assert run_cli(*argv, "--method", method) == 0
+        outputs.add(capsys.readouterr())
+    assert len(outputs) == 1 and outputs.pop()[1] == ""
+
+
+@pytest.mark.parametrize("route, argv, fail", [
+    ("menon.n_k_oracle", ("verify", "lemmas", "--n-max", "3", "--k-max", "2"),
+     "FAIL k=1 n=1 d=1 delta=1 route=oracle lhs=2 rhs=1"),
+    ("totients.phi_k_nm_recursion", ("verify", "phi-k-nm", "--k-max", "2", "--n-max", "3"),
+     "FAIL k=1 n=1 m=1 route=recursion lhs=2 rhs=1"),
+])
+def test_a_route_off_the_first_fails_its_sweep_naming_the_cell_and_route(capsys, monkeypatch,
+                                                                         route, argv, fail):
+    _add_one_to(monkeypatch, route)
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL" and fail in lines
+
+
+def test_gcd_sum_refuses_many_prime_factors_at_once():
+    # the closed form's divisor sum takes prod (e+1)(e+2)/2 = 3**20 transform terms here
+    proc = phik_process("eval", "gcd-sum", "--k", "2", "--n", PRIMORIAL_20, timeout=10)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("budget refused: gcd-sum divisor sum at k=2, n=5579408")
+    assert "--" not in proc.stderr
+
+
 def test_sieve_refusal_advice_matches_the_subcommand(capsys):
     assert run_cli("constant", "--k", "2", "--prime-bound", "100000000000") == 3
     err = capsys.readouterr().err
@@ -744,8 +820,7 @@ def test_large_k_convolution_is_quick_and_agrees_with_direct():
 # -- the parser surface: built along argv, the same texts as the full parser -----
 
 TOP_ROWS = {
-    "eval": "closed-form evaluation",
-    "oracle": "counts from the definitions",
+    "eval": "values by closed form, recursion or oracle",
     "verify": "identity sweeps against oracles",
     "sum": "exact partial sums",
     "constant": "enclose the average-order constant C_k",
@@ -754,14 +829,12 @@ TOP_ROWS = {
 LEAVES = {
     "eval": {"phi-k": "phi_k(n)", "phi-k-nm": "two-parameter phi_k(n, m)",
              "g-k": "convolution factor g_k(n)", "n-k": "unit-tuple count N_k(n, d, delta)",
-             "jordan": "Jordan totient J_k(n)"},
-    "oracle": {"phi-k": "phi_k(n) counted from the definition",
-               "n-k": "N_k(n, d, delta) counted over unit tuples",
-               "menon-lhs": "gcd sum over admissible tuples"},
+             "jordan": "Jordan totient J_k(n)", "gcd-sum": "gcd sum over admissible tuples"},
     "verify": {"menon": "gcd-sum identity, arbitrary f",
                "sita-ramaiah": "k = 2 gcd-sum specialization",
                "nageswara-rao": "joint-gcd power identity",
-               "lemmas": "residue-class counts and N_k machinery"},
+               "lemmas": "residue-class counts and N_k machinery",
+               "phi-k-nm": "every route of phi_k(n, m), every m | n"},
     "sum": {"phi-k": "sum of phi_k(n) for n <= x"},
 }
 
@@ -782,7 +855,7 @@ def test_top_level_help_lists_every_group_and_row(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = cli_exit(capsys, "--help")
     assert code == 0 and lists_rows(out, TOP_ROWS)
-    assert "{eval,oracle,verify,sum,constant,error-table}" in out
+    assert "{eval,verify,sum,constant,error-table}" in out
 
 
 @pytest.mark.parametrize("group", sorted(LEAVES))
@@ -847,8 +920,8 @@ def test_recursion_refusal_names_no_flag():
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["oracle", "phi-k", "--k", "9", "--n", "100"], "--budget"),
-    (["oracle", "menon-lhs", "--k", "9", "--n", "100"], "--budget"),
+    (["eval", "phi-k", "--k", "9", "--n", "100", "--method", "oracle"], "--budget"),
+    (["eval", "gcd-sum", "--k", "9", "--n", "100", "--method", "oracle"], "--budget"),
     (["verify", "lemmas", "--n-max", "1000"], "--budget"),
     (["sum", "phi-k", "--k", "2", "--x", "2000", "--sieve-limit", "1000"], "--sieve-limit"),
     (["error-table", "--k", "2", "--x-grid", "10,2000", "--sieve-limit", "1000"], "--sieve-limit"),

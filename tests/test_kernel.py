@@ -148,8 +148,8 @@ def test_unit_sum_counts_equals_the_generic_fold():
 
 def test_oracle_with_a_huge_m_is_refused_at_once():
     proc = subprocess.run(
-        [sys.executable, "-m", "phik.cli", "oracle", "phi-k", "--k", "2", "--n", "10", "--m",
-         "1000000000"],
+        [sys.executable, "-m", "phik.cli", "eval", "phi-k-nm", "--k", "2", "--n", "10", "--m",
+         "1000000000", "--method", "oracle"],
         capture_output=True, text=True, timeout=5,
     )
     assert proc.returncode == 2 and proc.stdout == ""  # m must divide n, as in the closed form
@@ -163,7 +163,8 @@ def test_oracle_at_a_large_k_folds_each_product():
                               text=True, timeout=60)
 
     start = time.perf_counter()
-    oracle = phik("oracle", "phi-k", "--k", "151", "--n", "200", "--budget", str(10**348))
+    oracle = phik("eval", "phi-k", "--k", "151", "--n", "200", "--method", "oracle",
+                  "--budget", str(10**348))
     assert time.perf_counter() - start < 10
     closed = phik("eval", "phi-k", "--k", "151", "--n", "200")
     assert oracle.returncode == closed.returncode == 0 and oracle.stderr == ""

@@ -25,6 +25,7 @@ from phik import (
     nageswara_rao_lhs_oracle,
     parse_function_spec,
     phi_k,
+    route_sweep,
     tau,
     tau_mf,
     units_mod,
@@ -336,6 +337,29 @@ def test_n_k_sweep_skips_the_cells_its_oracle_refuses():
                for s in report.skipped)
     ran = [(k, n) for k in range(1, 4) for n in range(1, 15) if (k, n) not in over]
     assert report.checked == sum(len(divisors(n)) ** 2 for _, n in ran) and report.ok
+
+
+def test_gcd_sum_rhs_is_priced_before_any_divisor_is_listed(monkeypatch):
+    def no_divisors(n):
+        raise AssertionError(f"divisors({n}) listed before the price was compared")
+
+    primorial_20 = 557940830126698960967415390  # 3**20 transform terms
+    monkeypatch.setattr(menon, "divisors", no_divisors)
+    with pytest.raises(BudgetExceededError) as exc:
+        gcd_sum_rhs(2, primorial_20, "tau")
+    assert str(exc.value).startswith(f"gcd-sum divisor sum at k=2, n={primorial_20}, counting "
+                                     f"word operations as tuples, would visit {2 * 3**20} tuples")
+    assert exc.value.limit is None
+
+
+def test_route_sweep_checks_every_route_at_every_divisor():
+    report = route_sweep("phi-k-nm", ("m",), "phi_k_nm", "phi_k(n, m)", 3, 24)
+    assert report.ok and not report.partial
+    assert report.checked == 3 * sum(len(divisors(n)) for n in range(1, 25))
+    skipped = route_sweep("phi-k-nm", ("m",), "phi_k_nm", "phi_k(n, m)", 2, 12, budget=100)
+    assert [(s["k"], s["n"]) for s in skipped.skipped] == [(2, n) for n in range(11, 13)]
+    assert skipped.skipped[0]["reason"] == ("phi_2(11, m=1) oracle would visit 121 tuples, "
+                                            "over the budget of 100")
 
 
 def test_gcd_sum_rhs_in_integers_matches_fractions():

@@ -1,4 +1,5 @@
 """Start-up: what each command imports, the lazy package namespace, and the BLAS setting."""
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import phik
-from phik.cli import main
+from phik.cli import COMMANDS, GROUPS, build_parser, main
 
 PUBLIC = """
     BudgetExceededError DEFAULT_ORACLE_BUDGET DEFAULT_PRIME_BOUND DEFAULT_SIEVE_LIMIT Enclosure
@@ -17,7 +18,7 @@ PUBLIC = """
     jordan_totient lemma_sweep menon_expansion_rhs mobius mobius_mf mobius_transform n_k
     n_k_oracle n_k_recursion n_k_sweep nageswara_rao_lhs_oracle one_mf parse_function_spec phi_k
     phi_k_mf phi_k_nm phi_k_nm_oracle phi_k_nm_recursion phi_k_oracle phi_mf piltz_mf
-    primes_up_to sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
+    primes_up_to route_sweep sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
     verify_identity verify_sweep
 """.split()
 
@@ -54,6 +55,47 @@ def test_eval_imports_only_core_and_totients():
     assert loaded_after(["eval", "phi-k", "--k", "2", "--n", "15"], ("phik.totients",)) == [
         "phik.totients"
     ]
+
+
+PHIK = tuple(f"phik.{name}" for name in ("cli", "core", "totients", "menon", "summatory",
+                                         "residues"))
+EVAL_ARGS = {"phi-k-nm": ["--m", "3"], "n-k": ["--d", "3", "--delta", "5"],
+             "gcd-sum": ["--f", "tau"]}
+# every eval row at every --method choice; a row with one route takes no --method
+EVAL_RUNS = [[*cmd.path, "--k", "2", "--n", "15", *EVAL_ARGS.get(cmd.path[1], []), *method]
+             for cmd in COMMANDS if cmd.path[0] == "eval"
+             for method in ([["--method", m] for m in (*cmd.fn, "all")] if len(cmd.fn) > 1
+                            else [[]])]
+MENON = ["cli", "core", "totients", "menon"]
+
+
+@pytest.mark.parametrize("argv", EVAL_RUNS, ids=" ".join)
+def test_eval_imports_only_what_its_routes_need(argv):
+    # the closed forms and the oracles of phi_k and phi_k(n, m) live in totients, N_k's and the
+    # gcd sum's in menon; no route imports numpy
+    loaded = loaded_after(argv, PHIK + ("numpy", "dataclasses", "fractions"))
+    modules = {"jordan": ["cli", "core"], "n-k": MENON, "gcd-sum": MENON}.get(
+        argv[1], ["cli", "core", "totients"])
+    assert loaded == [f"phik.{name}" for name in modules]
+
+
+def test_verify_phi_k_nm_imports_menon_and_no_numpy():
+    argv = ["verify", "phi-k-nm", "--k-max", "2", "--n-max", "10"]
+    assert loaded_after(argv, PHIK + ("numpy",)) == [f"phik.{name}" for name in MENON]
+
+
+def _leaves(parser: argparse.ArgumentParser) -> dict:
+    """The subcommands a parser holds, by name, each with the parser built for it."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(subparsers[0].choices) if subparsers else {}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_the_parser_builds_the_leaves_of_the_named_group_only(group):
+    groups = _leaves(build_parser([group, "--help"]))
+    built = {name: sorted(_leaves(p)) for name, p in groups.items() if name in GROUPS}
+    assert built == {name: sorted(cmd.path[1] for cmd in COMMANDS if cmd.path[0] == name)
+                     if name == group else [] for name in GROUPS}
 
 
 def test_verify_imports_neither_summatory_nor_numpy():
