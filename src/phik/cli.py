@@ -24,10 +24,12 @@ from .core import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_PRIME_BOUND,
     DEFAULT_SIEVE_LIMIT,
+    LOG2_FLOORS,
     ROUTES,
     BudgetExceededError,
     library,
     positive_int,
+    route_order,
     route_values,
 )
 
@@ -44,6 +46,8 @@ GROUPS = {
 
 # The longest integer printed, in decimal digits (about 0.15 s of conversion); longer is refused.
 MAX_PRINTED_DIGITS = 10**5
+LONG_BITS = 332_192  # 2**LONG_BITS < 10**MAX_PRINTED_DIGITS
+TOO_LONG = f"the answer has more than {MAX_PRINTED_DIGITS} decimal digits, the most phik prints"
 
 
 class Command(NamedTuple):
@@ -121,11 +125,20 @@ def _emit_json(args, payload) -> None:
 
 
 def _check_printable(value) -> None:
-    # an int below 2**332192 < 10**MAX_PRINTED_DIGITS needs no exact comparison
-    long = isinstance(value, int) and value.bit_length() > 332_192
+    # an int below 2**LONG_BITS needs no exact comparison
+    long = isinstance(value, int) and value.bit_length() > LONG_BITS
     if long and abs(value) >= 10**MAX_PRINTED_DIGITS:
-        raise BudgetExceededError(
-            f"the answer has more than {MAX_PRINTED_DIGITS} decimal digits, the most phik prints")
+        raise BudgetExceededError(TOO_LONG)
+
+
+def _check_size(quantity: str, params: dict) -> None:
+    """Refuse a closed form's value that its lower bound (`LOG2_FLOORS`) shows too long to
+    print, before it is built.  Only where k bits(n) > LONG_BITS, as every value here is at most
+    n**k; where the bound is at most LONG_BITS, the value is built and compared exactly."""
+    floor = LOG2_FLOORS.get(quantity)
+    if floor and params["k"] * params["n"].bit_length() > LONG_BITS:
+        if library(floor)(**params) > LONG_BITS:  # 2**(LONG_BITS+1) > 10**MAX_PRINTED_DIGITS
+            raise BudgetExceededError(TOO_LONG)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -153,15 +166,18 @@ def _agree(values: Mapping[str, object]) -> bool:
 def _cmd_value(cmd: Command, args) -> int:
     """The --method route's value, or every route's (all, or the only one), which must agree."""
     params = _params(cmd, args)
-    values = route_values({route: library(name) for route, name in cmd.fn.items()}, params,
-                          getattr(args, "method", "all"))
+    budget = params.pop("budget", None)
+    order = route_order({route: library(name) for route, name in cmd.fn.items()},
+                        getattr(args, "method", "all"))
+    if order[0][0] == "closed":  # an oracle or a recursion runs first and prices itself
+        _check_size(cmd.path[-1], params)
+    values = route_values(order, params, budget)
     if not _agree(values):
         return EXIT_FAILURE
     value = next(iter(values.values()))
     _check_printable(value)
     if args.format == "json":
-        payload = {key: v for key, v in params.items() if key != "budget"}
-        _emit_json(args, {**payload, "value": value})
+        _emit_json(args, {**params, "value": value})
     else:
         _emit(args, str(value))
     return EXIT_OK

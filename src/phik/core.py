@@ -58,6 +58,16 @@ ROUTES = {
     "gcd-sum": {"closed": "menon.gcd_sum_rhs", "oracle": "menon.gcd_sum_lhs_oracle"},
 }
 
+# Beside each closed form above that builds a k-th power, an integer L with |value| >= 2**L
+# unless the value is 0, in exact ints: a value too long to print is refused before it is built.
+LOG2_FLOORS = {
+    "phi-k": "totients.phi_k_log2_floor",
+    "phi-k-nm": "totients.phi_k_nm_log2_floor",
+    "g-k": "totients.g_k_log2_floor",
+    "n-k": "menon.n_k_log2_floor",
+    "jordan": "core.jordan_log2_floor",
+}
+
 
 def library(name: str) -> Callable:
     """The library function named "module.function", importing its module if need be."""
@@ -65,13 +75,17 @@ def library(name: str) -> Callable:
     return getattr(import_module(f"{__package__}.{module}"), attr)
 
 
-def route_values(routes: Mapping[str, Callable], params: dict, method: str = "all") -> dict:
-    """The value at params of each route (or of route `method`), the oracle's first so that
-    its refusal comes before any other route runs; only the oracle takes `budget`."""
-    rest = {key: value for key, value in params.items() if key != "budget"}
-    return {route: routes[route](**(params if route == "oracle" else rest))
-            for route in sorted(routes, key=lambda route: route != "oracle")
-            if method in ("all", route)}
+def route_order(routes: Mapping[str, Callable], method: str = "all") -> list[tuple[str, Callable]]:
+    """The (route, function) pairs to run, every route or `method`, the oracle first so that
+    its refusal comes before any other route runs: resolved once per command or sweep."""
+    return [(route, routes[route]) for route in sorted(routes, key=lambda route: route != "oracle")
+            if method in ("all", route)]
+
+
+def route_values(order: list[tuple[str, Callable]], params: dict, budget: int | None) -> dict:
+    """The value at params of each route of `order` (`route_order`); the oracle takes budget."""
+    return {route: fn(**params, budget=budget) if route == "oracle" else fn(**params)
+            for route, fn in order}
 
 
 def positive_int(value, name: str, least: int = 1) -> int:
@@ -150,6 +164,11 @@ def check_word_budget(steps: int, bits: int, what: str) -> None:
     """
     cost = steps * max(1, bits // 64)
     check_budget(cost, DEFAULT_ORACLE_BUDGET, f"{what}, counting word operations as tuples,", None)
+
+
+def log2_floor(x: int, k: int = 1) -> int:
+    """An integer at most k log2(x), x >= 1, and within k/16 + 1 of it; exact for any k."""
+    return ((x**16).bit_length() - 1) * k // 16
 
 
 def exact_div(a: int, b: int) -> int:
@@ -406,6 +425,12 @@ def jordan_totient(k: int, n: int) -> int:
     return eval_mf(jordan_mf(k), n)
 
 
+def jordan_log2_floor(k: int, n: int) -> int:
+    """An integer at most log2 J_k(n): J_k(p**e) = p**(e k) - p**((e-1) k) >= p**(e k) / 2."""
+    k, n = tuple_args(k, n)
+    return log2_floor(n, k) - len(factorize(n).primes())
+
+
 def tau(n: int) -> int:
     return eval_mf(tau_mf, n)
 
@@ -447,11 +472,16 @@ def table_lookup(table: Mapping, what: str = "value table") -> Callable[[int], i
 
 
 def mobius_transform(f: ArithFn, d: int) -> ArithValue:
-    """(mu * f)(d) = sum over j | d of mu(d/j) f(j), f a callable or a table (`table_lookup`)."""
+    """(mu * f)(d) = sum over j | d of mu(d/j) f(j), f a callable or a table (`table_lookup`).
+
+    mu(d/j) is 0 unless s = d/j is squarefree, so the sum runs over the 2**omega(d) squarefree
+    s | rad(d), from d's one factorization, each j = d/s taken in ascending order.
+    """
     fn = table_lookup(f) if isinstance(f, Mapping) else f
+    terms = [(d, 1)]  # (d/s, mu(s))
+    for p in factorize(d).primes():
+        terms += [(j // p, -m) for j, m in terms]
     total: ArithValue = 0
-    for j in divisors(d):
-        m = mobius(d // j)
-        if m:
-            total += m * fn(j)
+    for j, m in sorted(terms):
+        total += m * fn(j)
     return total

@@ -36,10 +36,12 @@ from .core import (
     factorize,
     jordan_totient,
     library,
+    log2_floor,
     mobius,
     mobius_transform,
     parallel_map,
     positive_int,
+    route_order,
     route_values,
     table_lookup,
     tau,
@@ -108,6 +110,18 @@ def n_k(k: int, n: int, d: int, delta: int) -> int:
         return 0  # phi_k(n, d) or phi_{k-1}(n, delta) has an even index and modulus
     return exact_div(phi_k_nm(k, n, d) * phi_k_nm(k - 1, n, delta),
                      euler_phi(n) ** (k - 1) * euler_phi(d) * euler_phi(delta))
+
+
+def n_k_log2_floor(k: int, n: int, d: int, delta: int) -> int:
+    """An integer L with N_k(n, d, delta) >= 2**L unless it is 0, in exact ints whatever k is.
+
+    With phi_i(n, m) >= phi(n)**i / 3**omega(m) (`totients.phi_k_nm_log2_floor`) and
+    phi(d) phi(delta) = phi(d delta) <= phi(n), N_k >= phi(n)**(k-1) / 3**omega(n) for k >= 2.
+    """
+    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
+    if k == 1 or gcd(d, delta) > 1 or (d if k % 2 == 0 else delta) % 2 == 0:
+        return 0  # at most phi(n), or 0 as in n_k
+    return log2_floor(euler_phi(n), k - 1) - 2 * len(factorize(n).primes())
 
 
 def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
@@ -478,8 +492,8 @@ def route_sweep(quantity: str, divisor_args: tuple[str, ...], identity: str, wha
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
     check_budget(k_max * n_max, budget, f"{what} sweep of {k_max} x {n_max} cells, one each,")
-    routes = {route: library(name) for route, name in ROUTES[quantity].items()}
-    first = next(iter(routes))
+    order = route_order({route: library(name) for route, name in ROUTES[quantity].items()})
+    first = next(iter(ROUTES[quantity]))
 
     def cell(k, n):  # the checks of one (k, n) and the failures among them, or its skip record
         points = list(product(divisors(n), repeat=len(divisor_args)))
@@ -487,7 +501,7 @@ def route_sweep(quantity: str, divisor_args: tuple[str, ...], identity: str, wha
         try:
             for point in points:
                 params = {"k": k, "n": n, **dict(zip(divisor_args, point))}
-                values = route_values(routes, {**params, "budget": budget})
+                values = route_values(order, params, budget)
                 reference = values[first]
                 failures += [Instance((*params.items(), ("route", route)), value, reference, False)
                              for route, value in values.items() if value != reference]

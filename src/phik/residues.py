@@ -6,11 +6,12 @@ seven largest primes below 2**31 (the tests prove each by trial division), so th
 a product of two stays below 2**62.  An integer known
 to lie in [0, 2**bits) is fixed by its rows modulo `moduli(bits)`, and `crt`
 rebuilds it.  Past MAX_MODULI rows, one row of exact Python ints costs less, and
-`Rows` carries that instead.  `blocks` walks a range of n a block at a time and
-builds f(n) in rows for a multiplicative f, from a smallest-prime-factor sieve;
-`Rows.block` is its block size, 2**16 numbers on int64 rows and 2**14 on an exact row.
-The exact sums of `summatory` run on both.  Its direct route walks `blocks` on
-either; its convolution route walks them on the exact row only, and on int64 rows
+`Rows` carries that instead.  `blocks` walks the odd n of a range a block at a time
+and builds f(n) in rows for a multiplicative f, from a smallest-prime-factor sieve over
+the odd numbers; `Rows.block` is its block size, 2**16 odd numbers on int64 rows and 2**13
+on an exact row.  The exact sums of `summatory` run on both, and add the powers of 2
+themselves.  Its direct route walks `blocks` on either; its convolution route walks
+them on the exact row only, and on int64 rows
 carries arrays over the quotient set {x // i}, whose second-to-last axis is the
 rows (`Rows.reduce`).  Its power sums S_k take their coefficients from
 `scaled_monomials`; numpy is imported only with this module.
@@ -32,15 +33,17 @@ MAX_MODULI = 1 + len(PRIMES)
 # Primes below this strike their multiples in a block through strided slices.
 STRIDED_BELOW = 64
 
-# Numbers per block of `blocks` (`Rows.block`): a walk's memory, besides the sieve and the
-# prime table, is a few blocks of rows, whatever the range.  Each block pays about 100 numpy
-# calls, so int64 rows walk 2**16 numbers at a time: in process, the direct and convolution
-# routes took 36 + 42 ms against 40 + 50 ms at 2**14 for k = 2, x = 500,000, and 70 + 80 ms
-# against 121 + 131 ms for k = 3, x = 10**6 (2 vCPUs, Python 3.11, numpy 2.4).  An exact row
-# costs far more per number in Python ints than in calls: at 2**16 it gained nothing, and
-# `sum phi-k --k 40 --x 200000 --method both` peaked at 46.8 MB instead of 36.3 MB.
+# Odd numbers per block of `blocks` (`Rows.block`): a walk's memory, besides the sieve and
+# the prime table, is a few blocks of rows, whatever the range.  Each block pays about 100
+# numpy calls, so int64 rows walk 2**16 numbers at a time: in process, with its sieve built
+# each time, the direct route took 15.2 ms against 17.0 ms at 2**14 for k = 2, x = 500,000,
+# and 52.9 ms against 60.8 ms for k = 3, x = 10**6.  An exact row costs far more per number
+# in Python ints than in calls, so a smaller block gains no speed and bounds memory: as a
+# process, `sum phi-k --k 40 --x 200000 --method direct` peaked at 37.1 MB with 2**14 odd
+# numbers per block and at 34.5 MB with 2**13, at the same speed (2 vCPUs, Python 3.11,
+# numpy 2.4).
 WORD_BLOCK = 1 << 16
-EXACT_BLOCK = 1 << 14
+EXACT_BLOCK = 1 << 13
 
 
 @lru_cache(maxsize=None)
@@ -140,34 +143,36 @@ class Rows:
 
 
 def blocks(lo: int, hi: int, sieve: tuple, rows: Rows, first: np.ndarray, again: np.ndarray):
-    """Yield (n, value) for lo..hi, `rows.block` numbers at a time, with value[:, i] the rows of f(n[i]).
+    """Yield (n, value) for the odd n in lo..hi, `rows.block` of them at a time, with value[:, i]
+    the rows of f(n[i]).
 
-    sieve = (primes, spf) up to at least hi: primes[j] is the j-th prime,
-    primes[0] = 1, and spf[n] is the index of n's smallest prime factor (0 at
-    n = 1).  f is multiplicative: f(p) = first[:, j] and f(p**(e+1)) =
-    f(p**e) * again[:, j] at p = primes[j], with first[:, 0] = f(1) = 1; `again`
-    needs the primes up to sqrt(hi) only.  Each prime below STRIDED_BELOW, and
-    each of its powers, strikes its multiples in the block through one strided
-    slice.  What is left of n then has fewer than log(n)/log(STRIDED_BELOW) prime
-    factors; the smallest one is peeled off through the sieve, round after round,
-    on the numbers not yet at 1.  Memory is a few blocks of rows.
+    sieve = (primes, spf) over the odd numbers up to at least hi: primes[j] is the j-th odd
+    prime, primes[0] = 1, and spf[n >> 1] is the index of odd n's smallest prime factor (0 at
+    n = 1).  f is multiplicative: f(p) = first[:, j] and f(p**(e+1)) = f(p**e) * again[:, j]
+    at p = primes[j], with first[:, 0] = f(1) = 1; `again` needs the primes up to sqrt(hi)
+    only.  Each odd prime below STRIDED_BELOW, and each of its powers q, strikes its multiples
+    in the block through one strided slice: a block is n = start + 2 i, and q | n at
+    i = -start (q + 1)/2 mod q, (q + 1)/2 being 1/2 mod q, then every q-th i.  What is left of
+    n then has fewer than log(n)/log(STRIDED_BELOW) prime factors; the smallest one is peeled
+    off through the sieve, round after round, on the numbers not yet at 1.  Memory is a few
+    blocks of rows.
     """
     primes, spf = sieve
     strided = [(j, int(primes[j])) for j in range(1, int(np.searchsorted(primes, STRIDED_BELOW)))]
     size = rows.block
-    for start in range(lo, hi + 1, size):
-        n = np.arange(start, min(start + size, hi + 1))
+    for start in range(lo | 1, hi + 1, 2 * size):
+        n = np.arange(start, min(start + 2 * size, hi + 1), 2)
         value = rows.ones(n.size)
         rest = n.copy()
         for j, p in strided:
             power, factor = p, first[:, j : j + 1]
             while power <= n[-1]:
-                hit = slice(-start % power, None, power)
+                hit = slice(-start * (power + 1) // 2 % power, None, power)
                 rest[hit] //= p
                 value[:, hit] *= factor
                 rows.reduce(value[:, hit])
                 power, factor = power * p, again[:, j : j + 1]
-        pos = spf[rest]  # the first round takes the whole block: spf[1] = 0 and f(1) = 1
+        pos = spf[rest >> 1]  # the first round takes the whole block: spf[0] = 0 and f(1) = 1
         for row, at_p in zip(value, first):
             row *= at_p.take(pos)
         rows.reduce(value)
@@ -175,7 +180,7 @@ def blocks(lo: int, hi: int, sieve: tuple, rows: Rows, first: np.ndarray, again:
         idx = np.flatnonzero(rest > 1)
         rest, last = rest[idx], pos[idx]
         while idx.size:
-            pos = spf[rest]
+            pos = spf[rest >> 1]
             repeated = np.flatnonzero(pos == last)  # the round before peeled the same p
             for row, at_p, at_repeat, q in zip(value, first, again, (None, *rows.moduli[1:])):
                 factor = at_p.take(pos)  # per-row 1-D gathers: far cheaper than 2-D indexing

@@ -6,14 +6,15 @@ summed against exact power sums S_k (`sum_phi_k_convolution`).  Both carry their
 values in the rows of `phik.residues`: modulo 2**64 in a wrapping int64 word row,
 and modulo just enough of the largest primes below 2**31 that 2**64 times their
 product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on every such
-sum; one CRT rebuilds each exact total.  The direct route walks every n <= x
-over a smallest-prime-factor sieve.  On those rows the convolution route builds
+sum; one CRT rebuilds each exact total.  The direct route walks the odd m <= x
+over a smallest-prime-factor sieve of the odd numbers, and adds the powers of 2
+through phi_k(2**e) (`_two_adic`).  On those rows the convolution route builds
 no sieve: it sums g_k by Lucy's and the min_25 sieve over the quotient set
 {x // i}, from the primes up to sqrt(x) and the power sums S_j, j <= k.  So the
 two share the rows, their CRT and `_power_sum`, and nothing else.  Where the
 rows would number more than `residues.MAX_MODULI`, both walk one exact object
-row instead, over the same sieve.  The coefficients of S_k come from its values
-at m = 1 ... k+2, by the Newton interpolation that also gives
+row of odd numbers instead, over the same sieve.  The coefficients of S_k come
+from its values at m = 1 ... k+2, by the Newton interpolation that also gives
 `residues.Rows.polynomial` its coefficients.
 
 The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -54,13 +55,13 @@ if TYPE_CHECKING:
 PRODUCT_CHUNK = 1 << 14
 
 # Numbers per worker below which the direct sum starts no pool.  A 2-way split saves at most
-# half of the walk, and at x = 500,000, k = 2 the walk takes about 40 ms in process, while
-# starting the pool costs 0.06-0.10 s as a process.  The break-even depends on the host: as
-# processes (2 vCPUs, Python 3.11), `--workers 2` first beat `--workers 1` between x = 2.5 and
-# 3.2 * 10**6 on one host (0.46 s against 0.54 s, then 0.53 s against 0.45 s), and between
-# 4 and 8 * 10**6 on another (0.75 s against 0.80 s, then 1.41 s against 0.98 s).  At 2**21
-# per worker, a 2-way pool starts at x = 4,194,304.
-POOL_FLOOR = 1 << 21
+# half of the walk, which visits the odd numbers only: at x = 4 * 10**6, k = 2 it takes about
+# 0.1 s in process, while starting the pool costs 0.05-0.1 s as a process.  As processes
+# (2 vCPUs, Python 3.11), `--workers 2` lost to `--workers 1` up to x = 8 * 10**6 (0.41 s
+# against 0.36 s) and, while the host's other CPU was busy, up to 1.6 * 10**7 (0.69 s against
+# 0.61 s); with it free, it won from 8 * 10**6 on (0.32 s against 0.41 s).  At 2**22, a 2-way
+# pool starts at x = 8,388,608.
+POOL_FLOOR = 1 << 22
 
 
 class PartialSum(NamedTuple):
@@ -99,20 +100,20 @@ def _check_sieve_budget(n: int, limit: int, what: str) -> None:
 
 @lru_cache(maxsize=1)
 def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest prime factors of 0..limit, stored as indices into a prime table.
+    """Smallest prime factors of the odd numbers up to limit, as indices into a prime table.
 
-    Returns (primes, spf): primes[1:] are the primes <= limit in order and
-    primes[0] = 1; primes[spf[n]] is the smallest prime factor of n >= 2,
-    and spf[1] = 0.
+    Returns (primes, spf): primes[1:] are the odd primes <= limit in order and primes[0] = 1;
+    spf holds one int32 per odd n, primes[spf[n >> 1]] is the smallest prime factor of an odd
+    n >= 3, and spf[0] = 0, for n = 1.
     """
     import numpy as np
 
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for found, p in reversed(list(enumerate(primes_up_to(isqrt(limit)), 1))):
-        spf[p * p :: p] = found  # descending, so the smallest prime writes last
-    untouched = np.flatnonzero(spf == 0)  # 0, 1 and every prime
-    spf[untouched] = np.arange(-1, untouched.size - 1)
-    return untouched[1:], spf
+    spf = np.zeros((limit + 1) // 2, dtype=np.int32)
+    for found, p in reversed(list(enumerate(primes_up_to(isqrt(limit))[1:], 1))):
+        spf[p * p >> 1 :: p] = found  # p**2, p**2 + 2p, ...: the smallest p writes last
+    untouched = np.flatnonzero(spf == 0)  # 1 and every odd prime
+    spf[untouched] = np.arange(untouched.size)
+    return 2 * untouched + 1, spf
 
 
 def _prime_array(limit: int) -> np.ndarray:
@@ -134,7 +135,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np.ndarray:
-    """at_prime(k, p) at each prime p of the prime table up to limit, as `Rows(k, limit)` rows.
+    """at_prime(k, p) at each odd prime p of the prime table up to limit, as `Rows(k, limit)` rows.
 
     The formulas for phi_k(p) and g_k(p) are integer polynomials of degree <= k in
     p, valid at every integer t >= 1 (`Rows.polynomial`).  Entry 0, for
@@ -152,27 +153,50 @@ def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np
     return table
 
 
-def _direct_range_sum(args: tuple) -> int:
-    """Sum phi_k(n) for lo <= n <= hi using a sieve up to x (worker-safe).
+def _two_adic(at_two: Callable[[int], int], ys: list[int],
+              odd_sums: Callable[[list[int]], list[int]]) -> list[int]:
+    """[F(y) for y in ys], F(y) = sum_{n <= y} f(n) h(y // n), from sums over odd n only.
 
-    phi_k(n) is built in `Rows(k, x)` rows by `residues.blocks`, from phi_k(p)
-    at each prime and p**k for each repeated one, and the block sums are rebuilt
-    into the exact total by one CRT.  Memory is the sieve and the prime table up
-    to x plus a few blocks, whatever the range.
+    Each n is 2**e m with m odd, and y // n = (y >> e) // m, so for a multiplicative f,
+    F(y) = sum over 2**e <= y of f(2**e) F_odd(y >> e), F_odd(z) the sum over odd m <= z.
+    at_two(e) = f(2**e) for e >= 1, and every f(2**e) past the first 0 is 0 too (phi_k at
+    even k, g_k from e = 2).  odd_sums gives F_odd at each of the cuts z, ascending, in one
+    walk; the terms are combined in exact ints.
     """
+    terms = [[(1, y), *takewhile(lambda term: term[0], ((at_two(e), y >> e)
+                                                       for e in range(1, y.bit_length())))]
+             for y in ys]
+    cuts = sorted({z for row in terms for _, z in row})
+    sums = dict(zip(cuts, odd_sums(cuts)))
+    return [sum(c * sums[z] for c, z in row) for row in terms]
+
+
+def _direct_range_sum(args: tuple) -> list[int]:
+    """The sums of phi_k(m) over the odd m in lo..hi up to each cut, ascending (worker-safe).
+
+    phi_k(m) is built in `Rows(k, x)` rows by `residues.blocks`, from phi_k(p) at each odd
+    prime and p**k for each repeated one, over the sieve up to x, and each cut's sum is
+    rebuilt into the exact total by one CRT.  Memory is the sieve and the prime table up to x
+    plus a few blocks, whatever the range.
+    """
+    import numpy as np
+
     from .residues import Rows, blocks
 
-    k, lo, hi, x = args
+    k, lo, hi, cuts, x = args
     rows = Rows(k, x)
     at_prime = _prime_values(_phi_k_prime_power, k, x)
     sieve = _spf_sieve(x)
-    # a repeated prime is at most sqrt(x), and its index in the table is below it
-    again = rows.of([p**k for p in sieve[0][: isqrt(x) + 1].tolist()])
-    total = rows.of([0])
-    for _, value in blocks(lo, hi, sieve, rows, at_prime, again):
+    # a repeated prime p is at most sqrt(x), and its index in the table at most (p - 1)/2
+    again = rows.of([p**k for p in sieve[0][: isqrt(x) // 2 + 1].tolist()])
+    total, sums = rows.of([0]), []
+    for n, value in blocks(lo, min(hi, cuts[-1]), sieve, rows, at_prime, again):
+        while len(sums) < len(cuts) and cuts[len(sums)] < n[-1]:
+            head = value[:, : np.searchsorted(n, cuts[len(sums)], side="right")].sum(axis=1)
+            sums.append(rows.exact(rows.reduce(total + head[:, None])))
         total += value.sum(axis=1, keepdims=True)
         rows.reduce(total)
-    return rows.exact(total)
+    return sums + [rows.exact(total)] * (len(cuts) - len(sums))
 
 
 def sum_phi_k_direct(
@@ -181,21 +205,30 @@ def sum_phi_k_direct(
     sieve_limit: int = DEFAULT_SIEVE_LIMIT,
     workers: int = 1,
 ) -> PartialSum:
-    """Exact sum of phi_k(n) for n <= x, evaluating phi_k(n) at every n.
+    """Exact sum of phi_k(n) for n <= x, evaluating phi_k(m) at every odd m <= x.
 
-    Each n's value is a column of int64 rows (or one exact value at large k), see
-    `residues.Rows` and `_direct_range_sum`.  With workers > 1 the range is split
-    into one range per worker for `core.parallel_map`, and the exact range sums are
-    added in range order, so the total is identical regardless of worker count.
-    Workers are capped at the usable CPUs and so that each gets at least
-    POOL_FLOOR numbers; below that, the one range runs in process.
+    The sum is sum_e phi_k(2**e) S_odd(x >> e) (`_two_adic`), with S_odd(z) the sum over
+    odd m <= z, all taken in one walk (`_direct_range_sum`); at even k only e = 0 is left.
+    Each m's value is a column of int64 rows (or one exact value at large k), see
+    `residues.Rows`.  With workers > 1 the odd numbers are split into one range per worker
+    for `core.parallel_map`, and each cut's range sums are added in range order, so the
+    total is identical regardless of worker count.  Workers are capped at the usable CPUs
+    and so that each range spans at least POOL_FLOOR numbers; below that, the one range runs
+    in process.
     """
     k, x = _sum_checks(k, x, sieve_limit)
+    odd = (x + 1) // 2
     workers = cap_workers(workers, x // POOL_FLOOR)
     _spf_sieve(x)  # built once here, so that forked workers inherit them
-    _prime_values(_phi_k_prime_power, k, x)
-    ranges = [(k, 1 + x * i // workers, x * (i + 1) // workers, x) for i in range(workers)]
-    return PartialSum(k, x, sum(parallel_map(_direct_range_sum, ranges, workers)), "direct_sieve")
+    _prime_values(_phi_k_prime_power, k, x)  # and priced before any power of 2 is built
+
+    def odd_sums(cuts: list[int]) -> list[int]:
+        ranges = [(k, 2 * (odd * i // workers) + 1, 2 * (odd * (i + 1) // workers) - 1, cuts, x)
+                  for i in range(workers)]
+        return [sum(pieces) for pieces in zip(*parallel_map(_direct_range_sum, ranges, workers))]
+
+    (total,) = _two_adic(partial(_phi_k_prime_power, k, 2), [x], odd_sums)
+    return PartialSum(k, x, total, "direct_sieve")
 
 
 def sum_phi_k_convolution(
@@ -216,11 +249,11 @@ def sum_phi_k_convolution(
 
     rows = Rows(k, x)
     total = (_quotient_convolution if rows.moduli else _walked_convolution)(k, x, rows)
-    return PartialSum(k, x, rows.exact(total), "convolution")
+    return PartialSum(k, x, total, "convolution")
 
 
-def _quotient_convolution(k: int, x: int, rows: Rows) -> np.ndarray:
-    """The rows of sum_{d <= x} g_k(d) S_k(x // d), from G(v) = sum_{d <= v} g_k(d) on quotients.
+def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
+    """sum_{d <= x} g_k(d) S_k(x // d) in rows, from G(v) = sum_{d <= v} g_k(d) on quotients.
 
     Over the quotient set Q = {x // i} in ascending order (`_quotient_set`), the sum is
     sum over v in Q of (G(v) - G(v')) S_k(x // v), with v' the element before v (G(0) = 0):
@@ -267,7 +300,7 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> np.ndarray:
         rows.reduce(prefix[:, start:])
     runs = np.diff(prefix, axis=1, prepend=-1)  # G(v) - G(v'), with G = 1 + prefix and G(0) = 0
     total = rows.reduce(runs * power_sums[k][:, ::-1]).sum(axis=1, keepdims=True)
-    return rows.reduce(total)
+    return rows.exact(rows.reduce(total))
 
 
 def _quotient_set(x: int) -> np.ndarray:
@@ -340,28 +373,37 @@ def _power_rows(t: np.ndarray, top: int, rows: Rows) -> np.ndarray:
     return table
 
 
-def _walked_convolution(k: int, x: int, rows: Rows) -> np.ndarray:
-    """The exact row of sum_{d <= x} g_k(d) S_k(x // d), walking d = 1 ... x.
+def _walked_convolution(k: int, x: int, rows: Rows) -> int:
+    """sum_{d <= x} g_k(d) S_k(x // d) on the exact row, walking the odd d <= x once.
 
-    g_k(d) is built by `residues.blocks` over the smallest-prime-factor sieve up to x.
-    It is summed over each run of equal quotients x // d in a block; each run whose sum
-    is not 0 is multiplied by S_k(x // d), evaluated once per run (O(sqrt x) runs).
+    g_k(2**e) is 0 from e = 2 on, so the sum is T(x) + g_k(2) T(x // 2) (`_two_adic`), with
+    T(z) the sum over odd d <= z.  g_k(d) is built by `residues.blocks` over the sieve up to
+    x.  For each cut z, it is summed over each run of equal quotients z // d in a block; each
+    run whose sum is not 0 is multiplied by S_k(z // d), evaluated once per run (O(sqrt z) runs).
     """
     import numpy as np
 
     from .residues import blocks
 
     g_at_prime = _prime_values(_g_k_prime, k, x)
-    squareful = rows.of([0] * (isqrt(x) + 1))  # g_k(d) = 0 once p**2 divides d
-    total = rows.of([0])
-    for d, g in blocks(1, x, _spf_sieve(x), rows, g_at_prime, squareful):
-        q = x // d
-        starts = np.flatnonzero(np.diff(q, prepend=0))
-        g_sums = rows.reduce(np.add.reduceat(g, starts, axis=1))
-        live = np.flatnonzero((g_sums != 0).any(axis=0))  # a run summing to 0 adds 0
-        power_sums = rows.of([_power_sum(k, m) for m in q[starts[live]].tolist()])
-        total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
-        rows.reduce(total)
+    squareful = rows.of([0] * (isqrt(x) // 2 + 1))  # g_k(d) = 0 once p**2 divides d
+
+    def odd_sums(cuts: list[int]) -> list[int]:
+        totals = [rows.of([0]) for _ in cuts]
+        for d, g in blocks(1, cuts[-1], _spf_sieve(x), rows, g_at_prime, squareful):
+            for z, total in zip(cuts, totals):
+                if not (count := int(np.searchsorted(d, z, side="right"))):
+                    continue
+                q = z // d[:count]
+                starts = np.flatnonzero(np.diff(q, prepend=0))
+                g_sums = rows.reduce(np.add.reduceat(g[:, :count], starts, axis=1))
+                live = np.flatnonzero((g_sums != 0).any(axis=0))  # a run summing to 0 adds 0
+                power_sums = rows.of([_power_sum(k, m) for m in q[starts[live]].tolist()])
+                total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
+                rows.reduce(total)
+        return [rows.exact(total) for total in totals]
+
+    (total,) = _two_adic(lambda e: _g_k_prime(k, 2) if e == 1 else 0, [x], odd_sums)
     return total
 
 
@@ -536,14 +578,12 @@ def error_term_rows(
         raise ValueError(f"grid points must be >= 2, got {grid[0]}")
     _check_sieve_budget(grid[-1], sieve_limit, "grid point")
     enclosure = average_order_constant(k, prime_bound, sieve_limit)
-    rows = []
-    running = 0
-    prev = 0
-    for x in grid:  # every range shares the sieve and prime table up to grid[-1]
-        running += _direct_range_sum((k, prev + 1, x, grid[-1]))
-        prev = x
-        rows.append(error_row(x, running, enclosure))
-    return rows
+    top = grid[-1]
+    _prime_values(_phi_k_prime_power, k, top)  # priced before any power of 2 is built
+    # one walk to the top, with a cut at each x >> e of the grid (`sum_phi_k_direct`)
+    totals = _two_adic(partial(_phi_k_prime_power, k, 2), grid,
+                       lambda cuts: _direct_range_sum((k, 1, top, cuts, top)))
+    return [error_row(x, total, enclosure) for x, total in zip(grid, totals)]
 
 
 def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:

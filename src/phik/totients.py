@@ -34,6 +34,8 @@ from .core import (
     eval_mf,
     exact_div,
     factorize,
+    log2_floor,
+    mobius,
     tuple_args,
 )
 
@@ -131,6 +133,22 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
     return free**k * prod(_phi_k_prime_power(k, p) for p in primes)
 
 
+def phi_k_nm_log2_floor(k: int, n: int, m: int) -> int:
+    """An integer L with phi_k(n, m) >= 2**L unless it is 0, in exact ints whatever k is.
+
+    phi_k(p) >= (p-1)**k (p-1) / (2p) >= (p-1)**k / 3 at odd p, and phi_k(2) = 1 at odd k, so
+    phi_k(n, m) >= phi(n)**k / 3**omega(m).
+    """
+    k, n, m = tuple_args(k, n, m=m)
+    if k % 2 == 0 and m % 2 == 0:
+        return 0
+    return log2_floor(euler_phi(n), k) - 2 * len(factorize(m).primes())
+
+
+def phi_k_log2_floor(k: int, n: int) -> int:
+    return phi_k_nm_log2_floor(k, n, n)
+
+
 def _divisor_levels(k: int, n: int, primes: tuple[int, ...], first: Callable[[int], int],
                     what: str) -> int:
     """phi(rad) level_k(rad), rad = prod(primes), k >= 1; priced before any divisor is listed.
@@ -192,3 +210,15 @@ def g_k_mf(k: int) -> MultiplicativeFunction:
 def g_k(k: int, n: int) -> int:
     k, n = tuple_args(k, n)
     return eval_mf(g_k_mf(k), n)
+
+
+def g_k_log2_floor(k: int, n: int) -> int:
+    """An integer L with |g_k(n)| >= 2**L unless it is 0, in exact ints whatever k is.
+
+    p |g_k(p)| >= p**(k+1) - (p-1)**(k+1) - (p-1) >= p**k - p + 1, so |g_k(p)| >= p**(k-1) / 2
+    for k >= 2 (|g_1(p)| = 1), and |g_k(n)| >= n**(k-1) / 2**omega(n) at squarefree n.
+    """
+    k, n = tuple_args(k, n)
+    if mobius(n) == 0:
+        return 0
+    return log2_floor(n, k - 1) - len(factorize(n).primes())

@@ -99,6 +99,7 @@ def test_phi_k_at_even_k_and_even_n_is_zero_at_once():
 
 
 HUGE_K = "99999999999999999999"
+FLOAT_K = str(10**309)  # over the largest float
 
 
 # each hung, raised a traceback or misreported its exit: a price built before it was compared,
@@ -131,6 +132,62 @@ def test_huge_arguments_end_at_once(argv, code):
         assert proc.stderr.startswith("budget refused:")
     else:
         assert (proc.stdout, proc.stderr) == ("1\n", "")
+
+
+# the closed forms built a power of k bits before anything compared its length with the print
+# limit; now a lower bound on its log2 refuses it, and phi_k(2) is 0 or 1 whatever k is
+@pytest.mark.parametrize("argv, out", [
+    (f"eval phi-k --k {HUGE_K} --n 3", None),
+    (f"eval phi-k-nm --k {HUGE_K} --n 3 --m 3", None),
+    (f"eval n-k --k {HUGE_K} --n 3 --d 1 --delta 1", None),
+    (f"eval g-k --k {HUGE_K} --n 3", None),
+    (f"eval jordan --k {HUGE_K} --n 3", None),
+    (f"eval phi-k --k {HUGE_K} --n 2", "1\n"),
+    (f"eval phi-k-nm --k {HUGE_K} --n 6 --m 2", None),
+    (f"eval g-k --k {HUGE_K} --n 4", "0\n"),
+    (f"eval n-k --k {HUGE_K} --n 2 --d 1 --delta 1", "1\n"),
+    (f"eval n-k --k {HUGE_K} --n 9 --d 3 --delta 3", "0\n"),  # gcd(d, delta) > 1
+    (f"eval n-k --k {HUGE_K} --n 15 --d 5 --delta 3", None),
+    ("eval n-k --k 99999999999999999998 --n 15 --d 3 --delta 5", None),
+    ("eval n-k --k 99999999999999999998 --n 6 --d 2 --delta 3", "0\n"),  # even k and d
+    # the bounds are exact ints: a k past the largest float is no overflow
+    (f"eval phi-k --k {FLOAT_K}1 --n 2", "1\n"),
+    (f"eval phi-k --k {FLOAT_K}1 --n 3", None),
+    (f"eval jordan --k {FLOAT_K} --n 1", "1\n"),
+    (f"eval jordan --k {FLOAT_K} --n 2", None),
+    (f"eval jordan --k {FLOAT_K} --n 3", None),
+    (f"eval n-k --k {FLOAT_K}1 --n 1 --d 1 --delta 1", "1\n"),
+    (f"eval n-k --k {FLOAT_K}1 --n 2 --d 1 --delta 1", "1\n"),
+    (f"eval n-k --k {FLOAT_K}1 --n 3 --d 1 --delta 1", None),
+    (f"eval g-k --k {FLOAT_K} --n 1", "1\n"),
+    (f"eval g-k --k {FLOAT_K} --n 2", None),
+    (f"eval g-k --k {FLOAT_K} --n 3", None),
+    (f"eval phi-k-nm --k {FLOAT_K} --n 3 --m 3", None),
+])
+def test_huge_closed_forms_are_refused_or_answered_at_once(argv, out):
+    proc = phik_process(*argv.split(), timeout=10)
+    if out is None:
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("budget refused: the answer has more than 100000 decimal digits, "
+                               "the most phik prints\n")
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 2**332192 < 10**100000 < phi_332194(3), and J_209590(3) < 10**100000 < J_209591(3)
+    ("eval phi-k --k 332192 --n 3", 0), ("eval phi-k --k 332194 --n 3", 3),
+    ("eval jordan --k 209590 --n 3", 0), ("eval jordan --k 209591 --n 3", 3),
+    ("eval n-k --k 332192 --n 3 --d 1 --delta 1", 0),
+    ("eval n-k --k 332193 --n 3 --d 1 --delta 1", 3),
+])
+def test_values_near_the_print_limit_are_compared_exactly(argv, code, capsys):
+    assert run_cli(*argv.split()) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert 99_900 < len(out.strip()) <= 100_000 and err == ""
+    else:
+        assert out == "" and "more than 100000 decimal digits" in err
 
 
 def test_a_long_nageswara_rao_sweep_at_n_1_passes_at_once():

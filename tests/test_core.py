@@ -53,7 +53,7 @@ from phik import (
     tau,
     tau_mf,
 )
-from phik.core import table_lookup
+from phik.core import LOG2_FLOORS, ROUTES, library, table_lookup
 
 
 def test_factorize_basic():
@@ -225,6 +225,46 @@ def test_mobius_transform_table_missing_entry():
     assert mobius_transform(table, 2) == 4
     with pytest.raises(ValueError):
         mobius_transform(table, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=10**4),
+                 st.integers(min_value=1, max_value=10**15)),
+       st.sampled_from(["id", "one", "tau", "mu", "pow:3", "table"]))
+def test_mobius_transform_matches_its_definition(d, name):
+    # the sum over the squarefree s | rad(d) equals the sum of mu(d/j) f(j) over every j | d
+    from phik.menon import parse_function_spec
+
+    if name == "table":  # a table holds every divisor, and no rule beyond it
+        f = {j: (j * j + 3 * j + 7) % 11 - 5 for j in divisors(d)}
+        fn = f.__getitem__
+    else:
+        f = fn = parse_function_spec(name).fn
+    assert mobius_transform(f, d) == sum(mobius(d // j) * fn(j) for j in divisors(d))
+
+
+def test_mobius_transform_names_the_least_missing_divisor_first():
+    # the divisors d/s are read in ascending order, as the sum over j | d read them: 12/s is
+    # 12, 6, 4 or 2, and 3 = 12/4 is never read
+    with pytest.raises(ValueError, match="value table has no entry for 4$"):
+        mobius_transform({1: 1, 2: 1, 6: 1}, 12)
+
+
+@pytest.mark.parametrize("quantity", sorted(LOG2_FLOORS))
+def test_log2_floors_bound_their_closed_forms(quantity):
+    # |value| >= 2**L wherever the value is not 0, and L is most of its length at k >= 8
+    from itertools import product
+
+    closed, floor = library(ROUTES[quantity]["closed"]), library(LOG2_FLOORS[quantity])
+    names = {"phi-k-nm": ("m",), "n-k": ("d", "delta")}.get(quantity, ())
+    for k in range(1, 21):
+        for n in range(1, 61):
+            for point in product(divisors(n), repeat=len(names)):
+                params = {"k": k, "n": n, **dict(zip(names, point))}
+                value, bound = closed(**params), floor(**params)
+                assert value == 0 or abs(value) >= 2**bound, params
+                if value and k >= 8 and abs(value) > 2**16:
+                    assert bound > abs(value).bit_length() / 2, params
 
 
 @pytest.mark.parametrize("table, message", [

@@ -3,7 +3,7 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -177,8 +177,8 @@ EXACT_BLOCK = residues.EXACT_BLOCK
 
 
 @lru_cache(maxsize=None)
-def _running_sums(k):
-    """[sum of phi_k(n) for n <= x, x = 0 .. 3 * WORD_BLOCK], in exact ints.
+def _values(k):
+    """[phi_k(n) for n = 0 .. 3 * WORD_BLOCK], 0 at n = 0, in exact ints.
 
     phi_k(n) = (n / rad n)**k times phi_k(p) over the primes p | n, the closed form of
     `phi_k_nm`, is sieved over the primes; `test_running_sums_follow_the_closed_form`
@@ -190,8 +190,19 @@ def _running_sums(k):
     for p in primes_up_to(top):
         rad[p::p] *= p
         at_primes[p::p] *= phi_k(k, p)
-    values = (np.arange(top + 1) // rad).astype(object) ** k * at_primes  # 0 at n = 0
-    return list(accumulate(values.tolist()))
+    return ((np.arange(top + 1) // rad).astype(object) ** k * at_primes).tolist()
+
+
+@lru_cache(maxsize=None)
+def _running_sums(k):
+    """[sum of phi_k(n) for n <= x, x = 0 .. 3 * WORD_BLOCK], in exact ints."""
+    return list(accumulate(_values(k)))
+
+
+@lru_cache(maxsize=None)
+def _odd_running_sums(k):
+    """[sum of phi_k(m) for odd m <= z, z = 0 .. 3 * WORD_BLOCK], in exact ints."""
+    return list(accumulate(v if n % 2 else 0 for n, v in enumerate(_values(k))))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 14, 20])
@@ -210,19 +221,23 @@ def test_routes_match_running_sum(k, x):
     assert sum_phi_k_convolution(k, x).value == expected
 
 
-@pytest.mark.parametrize("x", [EXACT_BLOCK - 1, EXACT_BLOCK, EXACT_BLOCK + 1, 2 * EXACT_BLOCK + 1])
+@pytest.mark.parametrize("x", [EXACT_BLOCK - 1, EXACT_BLOCK, EXACT_BLOCK + 1, 2 * EXACT_BLOCK - 1,
+                               2 * EXACT_BLOCK, 2 * EXACT_BLOCK + 1, 4 * EXACT_BLOCK + 1])
 @pytest.mark.parametrize("k", [2, 3])
 def test_routes_at_block_boundaries(forced_rows, k, x):
-    forced_rows(0)  # the exact row, which walks EXACT_BLOCK numbers at a time
+    # the exact row walks EXACT_BLOCK odd numbers, 2 * EXACT_BLOCK numbers, at a time
+    forced_rows(0)
     assert residues.Rows(k, x).block == EXACT_BLOCK
     expected = _running_sums(k)[x]
     assert sum_phi_k_direct(k, x).value == expected
     assert sum_phi_k_convolution(k, x).value == expected
 
 
-@pytest.mark.parametrize("x", [WORD_BLOCK - 1, WORD_BLOCK, WORD_BLOCK + 1, 2 * WORD_BLOCK + 1])
+@pytest.mark.parametrize("x", [WORD_BLOCK - 1, WORD_BLOCK, WORD_BLOCK + 1, 2 * WORD_BLOCK - 1,
+                               2 * WORD_BLOCK, 2 * WORD_BLOCK + 1, 3 * WORD_BLOCK])
 @pytest.mark.parametrize("k", [2, 3])
 def test_routes_at_word_block_boundaries(k, x):
+    # int64 rows walk WORD_BLOCK odd numbers, 2 * WORD_BLOCK numbers, at a time
     assert residues.Rows(k, x).block == WORD_BLOCK
     expected = _running_sums(k)[x]
     assert sum_phi_k_direct(k, x).value == expected
@@ -240,14 +255,55 @@ def test_routes_exact_above_64_bits():
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_direct_range_sums_add_up_over_partitions(data):
+    # the odd sums at each cut, range by range, add up to one walk and to the running sums
     k = data.draw(st.integers(min_value=1, max_value=6))
     x = data.draw(st.integers(min_value=2, max_value=3 * WORD_BLOCK))
-    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=x - 1), max_size=6)))
-    bounds = [0, *cuts, x]
-    pieces = [
-        summatory._direct_range_sum((k, lo + 1, hi, x)) for lo, hi in zip(bounds, bounds[1:])
-    ]
-    assert sum(pieces) == summatory._direct_range_sum((k, 1, x, x)) == _running_sums(k)[x]
+    breaks = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=x - 1), max_size=6)))
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=x), min_size=1, max_size=6)))
+    bounds = [0, *breaks, x]
+    pieces = [summatory._direct_range_sum((k, lo + 1, hi, cuts, x))
+              for lo, hi in zip(bounds, bounds[1:])]
+    odd = _odd_running_sums(k)
+    whole = summatory._direct_range_sum((k, 1, x, cuts, x))
+    assert [sum(cut) for cut in zip(*pieces)] == whole == [odd[z] for z in cuts]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_the_2_adic_split_rebuilds_every_running_sum(k):
+    # sum_{n <= x} phi_k(n) = sum_e phi_k(2**e) S_odd(x >> e), from the odd sums alone
+    odd = _odd_running_sums(k)
+    xs = [*range(1, 300), *(2**j + d for j in range(9, 18) for d in (-1, 0, 1))]
+    totals = summatory._two_adic(partial(summatory._phi_k_prime_power, k, 2), xs,
+                                 lambda cuts: [odd[z] for z in cuts])
+    assert totals == [_running_sums(k)[x] for x in xs]
+
+
+@pytest.mark.parametrize("x", [2**j + d for j in (1, 2, 3, 10, 15, 16, 17) for d in (-1, 0, 1)])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_routes_at_powers_of_two_in_rows(k, x):
+    # k = 2 takes the word row alone, k = 3 and 5 prime rows from x = 2**15 and 2**10 on
+    assert residues.Rows(k, x).moduli
+    expected = _running_sums(k)[x]
+    assert sum_phi_k_direct(k, x).value == expected
+    assert sum_phi_k_convolution(k, x).value == expected
+
+
+@pytest.mark.parametrize("x", [2**j + d for j in (1, 2, 3, 10, 15, 16) for d in (-1, 0, 1)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_routes_at_powers_of_two_in_the_exact_row(forced_rows, k, x):
+    forced_rows(0)  # one exact row: its convolution walks the odd d for x and for x // 2
+    assert not residues.Rows(k, x).moduli
+    expected = _running_sums(k)[x]
+    assert sum_phi_k_direct(k, x).value == expected
+    assert sum_phi_k_convolution(k, x).value == expected
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_error_rows_at_powers_of_two_and_their_neighbours(k):
+    # one walk to the top, its cuts at each x >> e of the grid
+    grid = [2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 2**16 - 1, 2**16, 2**16 + 1, 2**17]
+    rows = error_term_rows(k, grid, prime_bound=10**4)
+    assert [row.total for row in rows] == [_running_sums(k)[x] for x in grid]
 
 
 def test_error_rows_match_direct_sums_across_blocks():
@@ -258,11 +314,13 @@ def test_error_rows_match_direct_sums_across_blocks():
 
 @pytest.mark.parametrize("route", [sum_phi_k_direct])
 def test_sum_memory_is_bounded_by_the_block(route):
-    # the SPF sieve is built untraced; the prime-value table is traced on both sides
+    # the two x-long tables, the SPF sieve and the prime values, are built untraced (at these
+    # x the prime table alone doubles the traced peak); what the walk builds is traced
     peaks = []
-    for x in (2 * WORD_BLOCK, 16 * WORD_BLOCK):  # int64 rows at k = 5
+    for x in (4 * WORD_BLOCK, 32 * WORD_BLOCK):  # int64 rows at k = 5; two blocks of odd n or more
         summatory._spf_sieve(x)
         summatory._prime_values.cache_clear()
+        summatory._prime_values(summatory._phi_k_prime_power, 5, x)
         tracemalloc.start()
         try:
             route(5, x)
@@ -333,13 +391,15 @@ def _smallest_factors(limit):
                     for n in range(2, limit + 1))]
 
 
-@pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 25, 26, 97, 1000, 9973, 10**4])
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 10, 25, 26, 97, 1000, 9973, 10**4])
 def test_spf_sieve_matches_trial_division(limit):
+    # one entry per odd n <= limit, at n >> 1; the prime table holds 1, then the odd primes
     primes, spf = summatory._spf_sieve(limit)
     smallest = _smallest_factors(10**4)[: limit + 1]
-    assert primes.tolist() == [1, *(n for n in range(2, limit + 1) if smallest[n] == n)]
-    assert spf[1] == 0
-    assert primes[spf[2:]].tolist() == smallest[2:]
+    assert spf.size == (limit + 1) // 2 and spf.dtype == np.int32
+    assert primes.tolist() == [1, *(n for n in range(3, limit + 1) if smallest[n] == n)]
+    assert spf[0] == 0
+    assert primes[spf[1:]].tolist() == smallest[3::2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -353,6 +413,10 @@ def test_direct_sum_builds_the_sieve_and_prime_table_before_the_workers(monkeypa
 
     def inline_pool(fn, tasks, pool_workers):
         assert len(tasks) == pool_workers == workers
+        # the odd numbers, split in ranges, each with every cut x >> e (phi_3(2**e) is never 0)
+        ranges = [(1, 4999)] if workers == 1 else [(1, 2499), (2501, 4999)]
+        assert [task[1:3] for task in tasks] == ranges
+        assert all(task[3] == sorted(x >> e for e in range(x.bit_length())) for task in tasks)
         for cached, args in ((summatory._spf_sieve, (x,)),
                              (summatory._prime_values, (summatory._phi_k_prime_power, k, x))):
             hits = cached.cache_info().hits
@@ -544,7 +608,7 @@ def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
     summatory._prime_values.cache_clear()
     table = summatory._prime_values(at_prime, k, x)
     moduli = residues.Rows(k, x).moduli
-    primes = primes_up_to(x)
+    primes = primes_up_to(x)[1:]  # the odd primes: the walks visit odd numbers only
     exact = [at_prime(k, p) for p in primes]
     if moduli:  # the word row holds each value mod 2**64, as a signed int64
         assert moduli[0] == 2**64
@@ -557,12 +621,12 @@ def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
 @pytest.mark.parametrize("k", [3, 15, 17])
 def test_error_rows_match_direct_sums_in_rows_and_in_exact_row(k):
     # k = 3 takes 2 rows and k = 15 all MAX_MODULI rows (below x = 2**17), walking WORD_BLOCK
-    # numbers at a time, and k = 17 the exact row, walking EXACT_BLOCK; the rows of the
-    # last grid point are the rows of every error row
+    # odd numbers at a time, and k = 17 the exact row (from x = 2**15), walking EXACT_BLOCK;
+    # the rows of the last grid point are the rows of every error row
     block, last, count = {3: (WORD_BLOCK, 2 * WORD_BLOCK + 3, 2),
                           15: (WORD_BLOCK, 2 * WORD_BLOCK - 1, residues.MAX_MODULI),
-                          17: (EXACT_BLOCK, 2 * EXACT_BLOCK + 3, 0)}[k]
-    grid = [block - 1, block, block + 1, last]
+                          17: (EXACT_BLOCK, 4 * EXACT_BLOCK + 3, 0)}[k]
+    grid = sorted({block - 1, block, block + 1, 2 * block - 1, last})
     assert len(residues.Rows(k, last).moduli) == count and residues.Rows(k, last).block == block
     rows = error_term_rows(k, grid, prime_bound=10**4)
     assert [row.total for row in rows] == [sum_phi_k_direct(k, x).value for x in grid]
