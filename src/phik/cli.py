@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 identity failure or method mismatch (witnesses
 printed), 2 usage or domain error, 3 budget refusal.  JSON output encodes
 every exact integer as a decimal string (`_json_value`), since values outgrow
-doubles.
+doubles.  `_check_printable` refuses an answer of more than MAX_PRINTED_DIGITS digits; before
+that, `core.power` refuses any power of a closed form that no printable answer needs.
 
 Every subcommand is one row of COMMANDS.  An `eval` row is one quantity of
 `core.ROUTES`, whose routes --method picks (`all` runs and cross-checks every
@@ -24,7 +25,6 @@ from .core import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_PRIME_BOUND,
     DEFAULT_SIEVE_LIMIT,
-    LOG2_FLOORS,
     ROUTES,
     BudgetExceededError,
     library,
@@ -46,8 +46,6 @@ GROUPS = {
 
 # The longest integer printed, in decimal digits (about 0.15 s of conversion); longer is refused.
 MAX_PRINTED_DIGITS = 10**5
-LONG_BITS = 332_192  # 2**LONG_BITS < 10**MAX_PRINTED_DIGITS
-TOO_LONG = f"the answer has more than {MAX_PRINTED_DIGITS} decimal digits, the most phik prints"
 
 
 class Command(NamedTuple):
@@ -125,20 +123,11 @@ def _emit_json(args, payload) -> None:
 
 
 def _check_printable(value) -> None:
-    # an int below 2**LONG_BITS needs no exact comparison
-    long = isinstance(value, int) and value.bit_length() > LONG_BITS
-    if long and abs(value) >= 10**MAX_PRINTED_DIGITS:
-        raise BudgetExceededError(TOO_LONG)
-
-
-def _check_size(quantity: str, params: dict) -> None:
-    """Refuse a closed form's value that its lower bound (`LOG2_FLOORS`) shows too long to
-    print, before it is built.  Only where k bits(n) > LONG_BITS, as every value here is at most
-    n**k; where the bound is at most LONG_BITS, the value is built and compared exactly."""
-    floor = LOG2_FLOORS.get(quantity)
-    if floor and params["k"] * params["n"].bit_length() > LONG_BITS:
-        if library(floor)(**params) > LONG_BITS:  # 2**(LONG_BITS+1) > 10**MAX_PRINTED_DIGITS
-            raise BudgetExceededError(TOO_LONG)
+    # an int below 8**MAX_PRINTED_DIGITS needs no exact comparison
+    if isinstance(value, int) and value.bit_length() > 3 * MAX_PRINTED_DIGITS:
+        if abs(value) >= 10**MAX_PRINTED_DIGITS:
+            raise BudgetExceededError(f"the answer has more than {MAX_PRINTED_DIGITS} decimal "
+                                      "digits, the most phik prints")
 
 
 # -- handlers -----------------------------------------------------------------
@@ -169,8 +158,6 @@ def _cmd_value(cmd: Command, args) -> int:
     budget = params.pop("budget", None)
     order = route_order({route: library(name) for route, name in cmd.fn.items()},
                         getattr(args, "method", "all"))
-    if order[0][0] == "closed":  # an oracle or a recursion runs first and prices itself
-        _check_size(cmd.path[-1], params)
     values = route_values(order, params, budget)
     if not _agree(values):
         return EXIT_FAILURE

@@ -5,6 +5,7 @@ returns, never floats.  Functions here are pure and safe to call concurrently.
 `tuple_args` is the one argument gate of every tuple count, and `table_lookup` the
 one table rule, for `table:` files and Mappings alike; its reader pickles to workers.
 `ROUTES` names every route to each quantity, once, for the command line and the sweeps.
+`power` builds every k-th power of a closed form, and refuses one no printable answer needs.
 """
 from __future__ import annotations
 
@@ -58,15 +59,11 @@ ROUTES = {
     "gcd-sum": {"closed": "menon.gcd_sum_rhs", "oracle": "menon.gcd_sum_lhs_oracle"},
 }
 
-# Beside each closed form above that builds a k-th power, an integer L with |value| >= 2**L
-# unless the value is 0, in exact ints: a value too long to print is refused before it is built.
-LOG2_FLOORS = {
-    "phi-k": "totients.phi_k_log2_floor",
-    "phi-k-nm": "totients.phi_k_nm_log2_floor",
-    "g-k": "totients.g_k_log2_floor",
-    "n-k": "menon.n_k_log2_floor",
-    "jordan": "core.jordan_log2_floor",
-}
+# The longest power `power` builds, in bits (3**(2**20) takes about 0.2 s).  A closed form's value
+# has at least about half the bits of each power it builds (phi_k, J_k, id_k: the power divides
+# it or is within 2 bits; |g_k(p)| >= p**(k-1) / 2 against p**k; N_k >= phi(n)**(k-1) / 3**omega(n)
+# against phi(n)**k), so no answer of at most 10**5 digits (332,193 bits) needs a power near this.
+MAX_POWER_BITS = 1 << 20
 
 
 def library(name: str) -> Callable:
@@ -166,9 +163,13 @@ def check_word_budget(steps: int, bits: int, what: str) -> None:
     check_budget(cost, DEFAULT_ORACLE_BUDGET, f"{what}, counting word operations as tuples,", None)
 
 
-def log2_floor(x: int, k: int = 1) -> int:
-    """An integer at most k log2(x), x >= 1, and within k/16 + 1 of it; exact for any k."""
-    return ((x**16).bit_length() - 1) * k // 16
+def power(base: int, e: int) -> int:
+    """base**e for e >= 0, refused before it is built when (bits(|base|) - 1) e, a lower bound
+    on its length, is over MAX_POWER_BITS."""
+    if (abs(base).bit_length() - 1) * e > MAX_POWER_BITS:
+        raise BudgetExceededError(f"the power {base}**{e} has more than {MAX_POWER_BITS} bits, "
+                                  "the longest phik builds")
+    return base**e
 
 
 def exact_div(a: int, b: int) -> int:
@@ -392,7 +393,7 @@ phi_mf = MultiplicativeFunction("phi", lambda p, e: p ** (e - 1) * (p - 1))
 
 def id_k_mf(k: int) -> MultiplicativeFunction:
     """Power function n -> n**k."""
-    return MultiplicativeFunction(f"id_{k}", lambda p, e: p ** (e * k))
+    return MultiplicativeFunction(f"id_{k}", lambda p, e: power(p, e * k))
 
 
 id_mf = id_k_mf(1)
@@ -401,7 +402,7 @@ id_mf = id_k_mf(1)
 def jordan_mf(k: int) -> MultiplicativeFunction:
     """Jordan totient J_k: counts k-tuples below n with joint gcd 1 against n."""
     k = positive_int(k, "jordan_mf: k")
-    return MultiplicativeFunction(f"J_{k}", lambda p, e: p ** ((e - 1) * k) * (p**k - 1))
+    return MultiplicativeFunction(f"J_{k}", lambda p, e: power(p, (e - 1) * k) * (power(p, k) - 1))
 
 
 def piltz_mf(j: int) -> MultiplicativeFunction:
@@ -423,12 +424,6 @@ def mobius(n: int) -> int:
 def jordan_totient(k: int, n: int) -> int:
     k, n = tuple_args(k, n)
     return eval_mf(jordan_mf(k), n)
-
-
-def jordan_log2_floor(k: int, n: int) -> int:
-    """An integer at most log2 J_k(n): J_k(p**e) = p**(e k) - p**((e-1) k) >= p**(e k) / 2."""
-    k, n = tuple_args(k, n)
-    return log2_floor(n, k) - len(factorize(n).primes())
 
 
 def tau(n: int) -> int:

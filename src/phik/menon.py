@@ -17,7 +17,7 @@ checks every route of a quantity of `core.ROUTES` against its first.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
@@ -36,11 +36,11 @@ from .core import (
     factorize,
     jordan_totient,
     library,
-    log2_floor,
     mobius,
     mobius_transform,
     parallel_map,
     positive_int,
+    power,
     route_order,
     route_values,
     table_lookup,
@@ -109,19 +109,7 @@ def n_k(k: int, n: int, d: int, delta: int) -> int:
     if (d if k % 2 == 0 else delta) % 2 == 0:
         return 0  # phi_k(n, d) or phi_{k-1}(n, delta) has an even index and modulus
     return exact_div(phi_k_nm(k, n, d) * phi_k_nm(k - 1, n, delta),
-                     euler_phi(n) ** (k - 1) * euler_phi(d) * euler_phi(delta))
-
-
-def n_k_log2_floor(k: int, n: int, d: int, delta: int) -> int:
-    """An integer L with N_k(n, d, delta) >= 2**L unless it is 0, in exact ints whatever k is.
-
-    With phi_i(n, m) >= phi(n)**i / 3**omega(m) (`totients.phi_k_nm_log2_floor`) and
-    phi(d) phi(delta) = phi(d delta) <= phi(n), N_k >= phi(n)**(k-1) / 3**omega(n) for k >= 2.
-    """
-    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
-    if k == 1 or gcd(d, delta) > 1 or (d if k % 2 == 0 else delta) % 2 == 0:
-        return 0  # at most phi(n), or 0 as in n_k
-    return log2_floor(euler_phi(n), k - 1) - 2 * len(factorize(n).primes())
+                     power(euler_phi(n), k - 1) * euler_phi(d) * euler_phi(delta))
 
 
 def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
@@ -265,11 +253,14 @@ def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     the value is an int for every integer-valued f and mu_f table, consistent
     or not, and a Fraction only where f itself takes Fraction values.  Priced before any
     divisor is listed, at prod (e+1)(e+2)/2 = sum_{d | n} tau(d) terms of k bits(n) bits.
+    Without a mu_f table, f is evaluated once per divisor, not per read (3**omega at squarefree n).
     """
     k, n = tuple_args(k, n)
     spec = parse_function_spec(f)
     check_word_budget(prod((e + 1) * (e + 2) // 2 for _, e in factorize(n).factors),
                       k * n.bit_length(), f"gcd-sum divisor sum at k={k}, n={n}")
+    if spec.mu_fn is None:  # a refusal is not cached: the first read of a missing entry raises
+        spec = spec._replace(fn=lru_cache(maxsize=None)(spec.fn))
     phi_kn = phi_k(k, n)
     val = sum(spec.mobius_transform_at(d) * exact_div(phi_kn, euler_phi(d)) for d in divisors(n))
     return int(val) if getattr(val, "denominator", None) == 1 else val

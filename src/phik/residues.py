@@ -154,8 +154,9 @@ def blocks(lo: int, hi: int, sieve: tuple, rows: Rows, first: np.ndarray, again:
     in the block through one strided slice: a block is n = start + 2 i, and q | n at
     i = -start (q + 1)/2 mod q, (q + 1)/2 being 1/2 mod q, then every q-th i.  What is left of
     n then has fewer than log(n)/log(STRIDED_BELOW) prime factors; the smallest one is peeled
-    off through the sieve, round after round, on the numbers not yet at 1.  Memory is a few
-    blocks of rows.
+    off through the sieve, round after round, on the numbers not yet at 1.  Memory is one block
+    of rows and a few block-long temporaries: a caller drops its (n, value) before it asks for
+    the next block, and so does this walk.
     """
     primes, spf = sieve
     strided = [(j, int(primes[j])) for j in range(1, int(np.searchsorted(primes, STRIDED_BELOW)))]
@@ -191,3 +192,4 @@ def blocks(lo: int, hi: int, sieve: tuple, rows: Rows, first: np.ndarray, again:
             left = rest > 1
             idx, rest, last = idx[left], rest[left], pos[left]
         yield n, value
+        del n, value, row  # row is a view of value

@@ -196,6 +196,7 @@ def _direct_range_sum(args: tuple) -> list[int]:
             sums.append(rows.exact(rows.reduce(total + head[:, None])))
         total += value.sum(axis=1, keepdims=True)
         rows.reduce(total)
+        del n, value  # before the next block is built
     return sums + [rows.exact(total)] * (len(cuts) - len(sums))
 
 
@@ -401,6 +402,7 @@ def _walked_convolution(k: int, x: int, rows: Rows) -> int:
                 power_sums = rows.of([_power_sum(k, m) for m in q[starts[live]].tolist()])
                 total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
                 rows.reduce(total)
+            del d, g  # before the next block is built
         return [rows.exact(total) for total in totals]
 
     (total,) = _two_adic(lambda e: _g_k_prime(k, 2) if e == 1 else 0, [x], odd_sums)

@@ -10,7 +10,7 @@ the partial-sum machinery in `summatory`.
 
 Every closed form is built in integers from phi_k(p) = (p-1)((p-1)**k -
 (-1)**k)/p: phi_k(n, m) = (phi(n) / prod (p-1))**k * prod phi_k(p) over the
-primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k.
+primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k, each k-th power by `core.power`.
 
 The oracles count from the definitions, never visiting tuples one by one:
 unit tuples by their sum mod M in one big-integer power, folded after each
@@ -34,8 +34,8 @@ from .core import (
     eval_mf,
     exact_div,
     factorize,
-    log2_floor,
     mobius,
+    power,
     tuple_args,
 )
 
@@ -99,7 +99,7 @@ def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]
 def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
     # (p-1)**k == (-1)**k (mod p), so the division by p is exact.
     sign = -1 if k % 2 else 1
-    return p ** ((e - 1) * k) * exact_div((p - 1) * ((p - 1) ** k - sign), p)
+    return power(p, (e - 1) * k) * exact_div((p - 1) * (power(p - 1, k) - sign), p)
 
 
 def phi_k_mf(k: int) -> MultiplicativeFunction:
@@ -130,23 +130,7 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
         return 0
     primes = factorize(m).primes()
     free = exact_div(euler_phi(n), prod(p - 1 for p in primes))
-    return free**k * prod(_phi_k_prime_power(k, p) for p in primes)
-
-
-def phi_k_nm_log2_floor(k: int, n: int, m: int) -> int:
-    """An integer L with phi_k(n, m) >= 2**L unless it is 0, in exact ints whatever k is.
-
-    phi_k(p) >= (p-1)**k (p-1) / (2p) >= (p-1)**k / 3 at odd p, and phi_k(2) = 1 at odd k, so
-    phi_k(n, m) >= phi(n)**k / 3**omega(m).
-    """
-    k, n, m = tuple_args(k, n, m=m)
-    if k % 2 == 0 and m % 2 == 0:
-        return 0
-    return log2_floor(euler_phi(n), k) - 2 * len(factorize(m).primes())
-
-
-def phi_k_log2_floor(k: int, n: int) -> int:
-    return phi_k_nm_log2_floor(k, n, n)
+    return power(free, k) * prod(_phi_k_prime_power(k, p) for p in primes)
 
 
 def _divisor_levels(k: int, n: int, primes: tuple[int, ...], first: Callable[[int], int],
@@ -198,7 +182,7 @@ def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET)
 
 def _g_k_prime(k: int, p: int) -> int:
     # g_k(p) = phi_k(p) - p**k; lies in (-(k+1) p**(k-1), 0) for k >= 2.
-    return _phi_k_prime_power(k, p, 1) - p**k
+    return _phi_k_prime_power(k, p, 1) - power(p, k)
 
 
 def g_k_mf(k: int) -> MultiplicativeFunction:
@@ -208,17 +192,6 @@ def g_k_mf(k: int) -> MultiplicativeFunction:
 
 
 def g_k(k: int, n: int) -> int:
+    """g_k(n), 0 off squarefree n without building any factor (a factor p**k may be refused)."""
     k, n = tuple_args(k, n)
-    return eval_mf(g_k_mf(k), n)
-
-
-def g_k_log2_floor(k: int, n: int) -> int:
-    """An integer L with |g_k(n)| >= 2**L unless it is 0, in exact ints whatever k is.
-
-    p |g_k(p)| >= p**(k+1) - (p-1)**(k+1) - (p-1) >= p**k - p + 1, so |g_k(p)| >= p**(k-1) / 2
-    for k >= 2 (|g_1(p)| = 1), and |g_k(n)| >= n**(k-1) / 2**omega(n) at squarefree n.
-    """
-    k, n = tuple_args(k, n)
-    if mobius(n) == 0:
-        return 0
-    return log2_floor(n, k - 1) - len(factorize(n).primes())
+    return eval_mf(g_k_mf(k), n) if mobius(n) else 0

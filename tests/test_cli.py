@@ -135,7 +135,8 @@ def test_huge_arguments_end_at_once(argv, code):
 
 
 # the closed forms built a power of k bits before anything compared its length with the print
-# limit; now a lower bound on its log2 refuses it, and phi_k(2) is 0 or 1 whatever k is
+# limit; now `core.power` refuses it before it is built, phi_k(2) is 0 or 1 whatever k is, and
+# g_k is 0 off squarefree n without building a factor
 @pytest.mark.parametrize("argv, out", [
     (f"eval phi-k --k {HUGE_K} --n 3", None),
     (f"eval phi-k-nm --k {HUGE_K} --n 3 --m 3", None),
@@ -145,6 +146,8 @@ def test_huge_arguments_end_at_once(argv, code):
     (f"eval phi-k --k {HUGE_K} --n 2", "1\n"),
     (f"eval phi-k-nm --k {HUGE_K} --n 6 --m 2", None),
     (f"eval g-k --k {HUGE_K} --n 4", "0\n"),
+    (f"eval g-k --k {HUGE_K} --n 12", "0\n"),
+    (f"eval g-k --k {HUGE_K} --n 75", "0\n"),
     (f"eval n-k --k {HUGE_K} --n 2 --d 1 --delta 1", "1\n"),
     (f"eval n-k --k {HUGE_K} --n 9 --d 3 --delta 3", "0\n"),  # gcd(d, delta) > 1
     (f"eval n-k --k {HUGE_K} --n 15 --d 5 --delta 3", None),
@@ -166,10 +169,11 @@ def test_huge_arguments_end_at_once(argv, code):
 ])
 def test_huge_closed_forms_are_refused_or_answered_at_once(argv, out):
     proc = phik_process(*argv.split(), timeout=10)
-    if out is None:
+    if out is None:  # every power built here is a k-th one
+        k = argv.split()[argv.split().index("--k") + 1]
         assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == ("budget refused: the answer has more than 100000 decimal digits, "
-                               "the most phik prints\n")
+        assert re.fullmatch(rf"budget refused: the power \d+\*\*{k} has more than 1048576 bits, "
+                            r"the longest phik builds\n", proc.stderr), proc.stderr
     else:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
@@ -180,12 +184,15 @@ def test_huge_closed_forms_are_refused_or_answered_at_once(argv, out):
     ("eval jordan --k 209590 --n 3", 0), ("eval jordan --k 209591 --n 3", 3),
     ("eval n-k --k 332192 --n 3 --d 1 --delta 1", 0),
     ("eval n-k --k 332193 --n 3 --d 1 --delta 1", 3),
+    # |g_209590(3)| < 10**100000 < |g_209591(3)|, and phi_128509(9, 3) < 10**100000
+    ("eval g-k --k 209590 --n 3", 0), ("eval g-k --k 209591 --n 3", 3),
+    ("eval phi-k-nm --k 128509 --n 9 --m 3", 0), ("eval phi-k-nm --k 128510 --n 9 --m 3", 3),
 ])
 def test_values_near_the_print_limit_are_compared_exactly(argv, code, capsys):
     assert run_cli(*argv.split()) == code
     out, err = capsys.readouterr()
     if code == 0:
-        assert 99_900 < len(out.strip()) <= 100_000 and err == ""
+        assert 99_900 < len(out.strip().lstrip("-")) <= 100_000 and err == ""
     else:
         assert out == "" and "more than 100000 decimal digits" in err
 

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import compress, takewhile
 from math import gcd, isqrt, prod
@@ -53,7 +54,7 @@ from phik import (
     tau,
     tau_mf,
 )
-from phik.core import LOG2_FLOORS, ROUTES, library, table_lookup
+from phik.core import MAX_POWER_BITS, ROUTES, library, power, table_lookup
 
 
 def test_factorize_basic():
@@ -250,21 +251,60 @@ def test_mobius_transform_names_the_least_missing_divisor_first():
         mobius_transform({1: 1, 2: 1, 6: 1}, 12)
 
 
-@pytest.mark.parametrize("quantity", sorted(LOG2_FLOORS))
-def test_log2_floors_bound_their_closed_forms(quantity):
-    # |value| >= 2**L wherever the value is not 0, and L is most of its length at k >= 8
+def test_power_is_refused_before_it_is_built_past_its_bits():
+    # (bits(|base|) - 1) e is a lower bound on the length: 2**MAX_POWER_BITS is built, one more
+    # factor of 2 is not, and at the bases 0, 1 and -1 the bound is 0 or less whatever e is
+    assert power(2, MAX_POWER_BITS) == 1 << MAX_POWER_BITS
+    assert power(-3, 5) == -243 and power(7, 0) == 1
+    assert (power(0, 10**20), power(1, 10**20), power(-1, 10**20 + 1)) == (0, 1, -1)
+    for base, e in ((2, MAX_POWER_BITS + 1), (-3, MAX_POWER_BITS + 1), (3, 10**20)):
+        with pytest.raises(BudgetExceededError) as exc:
+            power(base, e)
+        assert str(exc.value) == (f"the power {base}**{e} has more than {MAX_POWER_BITS} bits, "
+                                  "the longest phik builds") and exc.value.limit is None
+
+
+@pytest.mark.parametrize("quantity", ["phi-k", "phi-k-nm", "g-k", "n-k", "jordan"])
+def test_no_power_of_a_closed_form_is_over_twice_its_value(quantity, monkeypatch):
+    # why MAX_POWER_BITS = 2**20 refuses no answer of 10**5 digits (332,193 bits): at k >= 2
+    # each power is at most 2 bits(value) + 1 bits long
     from itertools import product
 
-    closed, floor = library(ROUTES[quantity]["closed"]), library(LOG2_FLOORS[quantity])
+    from phik import core, menon, totients
+
+    built = []
+
+    def spy(base, e):
+        built.append(abs(base**e).bit_length())
+        return base**e
+
+    for module in (core, totients, menon):
+        monkeypatch.setattr(module, "power", spy)
+    closed = library(ROUTES[quantity]["closed"])
     names = {"phi-k-nm": ("m",), "n-k": ("d", "delta")}.get(quantity, ())
-    for k in range(1, 21):
-        for n in range(1, 61):
+    for k in range(2, 25):
+        for n in range(1, 121):
             for point in product(divisors(n), repeat=len(names)):
-                params = {"k": k, "n": n, **dict(zip(names, point))}
-                value, bound = closed(**params), floor(**params)
-                assert value == 0 or abs(value) >= 2**bound, params
-                if value and k >= 8 and abs(value) > 2**16:
-                    assert bound > abs(value).bit_length() / 2, params
+                built.clear()
+                value = closed(k=k, n=n, **dict(zip(names, point)))
+                assert value == 0 or max(built, default=0) <= 2 * abs(value).bit_length() + 1
+
+
+@pytest.mark.parametrize("fn, args", [
+    (phi_k, (10**20, 3)), (phi_k_nm, (10**20, 15, 5)), (g_k, (10**20, 15)),
+    (n_k, (10**20, 15, 5, 3)), (jordan_totient, (10**20, 3)),
+])
+def test_closed_forms_refuse_a_huge_power_at_once(fn, args):
+    # each hung, building a power of over 10**20 bits
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"\*\*100000000000000000000 has more than"):
+        fn(*args)
+    assert time.perf_counter() - start < 1
+
+
+def test_g_k_off_squarefree_n_builds_no_factor():
+    # eval_mf built g_k(3) = phi_k(3) - 3**k at 12 = 2**2 3 and at 75 = 3 5**2 alike
+    assert g_k(10**20, 12) == g_k(10**20, 75) == g_k(10**20 + 1, 4) == 0
 
 
 @pytest.mark.parametrize("table, message", [

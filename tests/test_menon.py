@@ -1,5 +1,6 @@
 """Counting lemmas, N_k machinery, and the gcd-sum identities."""
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -376,6 +377,21 @@ def test_gcd_sum_rhs_in_integers_matches_fractions():
                 total = sum(Fraction(spec.mobius_transform_at(d), euler_phi(d)) for d in divisors(n))
                 got = gcd_sum_rhs(k, n, spec)
                 assert got == phi_k(k, n) * total and type(got) is int, (table, k, n)
+
+
+def test_gcd_sum_rhs_evaluates_f_once_per_divisor():
+    # the transforms read f 3**6 = 729 times over the 64 divisors of 30030
+    calls = Counter()
+
+    def f(d):
+        calls[d] += 1
+        return tau(d)
+
+    assert gcd_sum_rhs(2, 30030, f) == gcd_sum_rhs(2, 30030, "tau")
+    assert sorted(calls) == divisors(30030) and set(calls.values()) == {1}
+    # a table's refusal still names the least divisor it lacks, as the transforms read it
+    with pytest.raises(ValueError, match="table f has no entry for 3$"):
+        gcd_sum_rhs(2, 12, {1: 1, 2: 1, 6: 1})
 
 
 def test_gcd_sum_rhs_keeps_the_ratio_of_a_fraction_valued_f():

@@ -327,7 +327,25 @@ def test_sum_memory_is_bounded_by_the_block(route):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0], peaks
+    # x grows 8-fold, and the larger x takes 4 residue rows against 3, so a block 4/3 the size
+    assert peaks[1] < 4 / 3 * peaks[0], peaks
+
+
+def test_a_walk_holds_one_block_at_a_time():
+    # traced, a walk over 8 blocks of odd n peaks where a walk over one block does: each block
+    # is dropped before the next is built (a walk that held the one before peaked 1.6 times higher)
+    k, x = 5, 1 << 20
+    summatory._spf_sieve(x)
+    summatory._prime_values(summatory._phi_k_prime_power, k, x)
+    peaks = []
+    for hi in (2 * WORD_BLOCK - 1, x):
+        tracemalloc.start()
+        try:
+            summatory._direct_range_sum((k, 1, hi, [hi], x))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0], peaks
 
 
 def test_convolution_memory_grows_as_the_square_root_of_x():
