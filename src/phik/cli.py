@@ -6,10 +6,10 @@ every exact integer as a decimal string (`_json_value`), since values outgrow
 doubles.  `_check_printable` refuses an answer of more than MAX_PRINTED_DIGITS digits; before
 that, `core.power` refuses any power of a closed form that no printable answer needs.
 
-Every subcommand is one row of COMMANDS.  An `eval` row is one quantity of
-`core.ROUTES`, whose routes --method picks (`all` runs and cross-checks every
-one); a route is imported when it runs, so a process loads only what its
-command needs.  Every disagreement of routes is printed by `_agree`.  The parser is
+Every subcommand is one row of COMMANDS.  Each `eval` row and `sum phi-k` is one quantity of
+`core.ROUTES`, run by `_cmd_value`, whose routes --method picks (`all`, or the sum's `both`,
+runs and cross-checks every one); a route is imported when it runs, so a process loads
+only what its command needs.  Every disagreement of routes is printed by `_agree`.  The parser is
 built as far as argv reaches: every group and top-level row, but the leaves
 of one group only.  main() also keeps numpy's OpenBLAS from starting a thread
 pool (phik calls no BLAS routine) unless OPENBLAS_NUM_THREADS is already set.
@@ -28,7 +28,6 @@ from .core import (
     ROUTES,
     BudgetExceededError,
     library,
-    positive_int,
     route_order,
     route_values,
 )
@@ -53,9 +52,9 @@ class Command(NamedTuple):
 
     `flags` name entries of `_flag_specs()`, optionally as (name, overrides); `formats` are
     the --format choices, the first being the default.
-    `fn` is what the row calls: an eval row's route map of `core.ROUTES` (the --method
-    choices, the first the default, and "all"), a verify row's `menon.verify_sweep` kind, or
-    a callable of (`menon`, the arguments) returning the reports.
+    `fn` is what the row calls: a route map of `core.ROUTES` (the --method choices, the first the
+    default, and "all", unless the row names its own), a verify row's `menon.verify_sweep` kind,
+    or a callable of (`menon`, the arguments) returning the reports.
     """
 
     path: tuple[str, ...]
@@ -153,7 +152,7 @@ def _agree(values: Mapping[str, object]) -> bool:
 
 
 def _cmd_value(cmd: Command, args) -> int:
-    """The --method route's value, or every route's (all, or the only one), which must agree."""
+    """One route's value, or every route's when --method names none (all, both): they must agree."""
     params = _params(cmd, args)
     budget = params.pop("budget", None)
     order = route_order({route: library(name) for route, name in cmd.fn.items()},
@@ -207,29 +206,6 @@ def _cmd_verify(cmd: Command, args) -> int:
         return EXIT_FAILURE
     if any(r.partial for r in reports):
         return EXIT_BUDGET
-    return EXIT_OK
-
-
-def _cmd_sum_phi_k(cmd: Command, args) -> int:
-    from . import summatory
-
-    results = []
-    if args.method != "direct":  # first, so that its refusals come before any direct sum
-        positive_int(args.workers, "worker count")  # as the direct route does, for every method
-        results.append(summatory.sum_phi_k_convolution(args.k, args.x, args.sieve_limit))
-    if args.method != "convolution":
-        results.insert(0, summatory.sum_phi_k_direct(args.k, args.x, args.sieve_limit, args.workers))
-    if len(results) == 2 and not _agree({"direct_sieve": results[0].value,
-                                         "convolution": results[1].value}):
-        return EXIT_FAILURE
-    _check_printable(results[0].value)
-    if args.format == "json":
-        payload = results[0]._asdict()
-        if args.method == "both":
-            payload["method"] = "both"
-        _emit_json(args, payload)
-    else:
-        _emit(args, str(results[0].value))
     return EXIT_OK
 
 
@@ -295,9 +271,9 @@ COMMANDS = (
             ("k-max", "n-max", "budget"),
             fn=lambda menon, a: [menon.route_sweep("phi-k-nm", ("m",), "phi_k_nm", "phi_k(n, m)",
                                                    a.k_max, a.n_max, a.budget)]),
-    Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_sum_phi_k,
+    Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_value,
             ("k", "x", "sieve-limit", "workers",
-             ("method", dict(choices=("direct", "convolution", "both"), default="direct")))),
+             ("method", dict(choices=("direct", "convolution", "both")))), fn=ROUTES["sum-phi-k"]),
     Command(("constant",), "enclose the average-order constant C_k", _cmd_constant,
             ("k", "prime-bound")),
     Command(("error-table",), "exact sums against the main term", _cmd_error_table,
@@ -334,8 +310,8 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         p = parent.add_parser(cmd.path[-1], help=cmd.help)
         for flag in cmd.flags:
             name, overrides = (flag, {}) if isinstance(flag, str) else flag
-            if name == "method" and isinstance(cmd.fn, Mapping):
-                overrides = dict(choices=(*cmd.fn, "all"), default=next(iter(cmd.fn)))
+            if name == "method" and isinstance(cmd.fn, Mapping):  # the row's own choices win
+                overrides = dict(choices=(*cmd.fn, "all"), default=next(iter(cmd.fn))) | overrides
             p.add_argument(f"--{name}", **{**specs[name], **overrides})
         p.add_argument("--format", choices=cmd.formats, default=cmd.formats[0])
         p.add_argument("--out", help="write output to this file instead of stdout")

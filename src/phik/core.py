@@ -45,9 +45,10 @@ DEFAULT_PRIME_BOUND = 10**6
 
 
 # Each quantity's routes, "module.function" by name: the first is the default and the one the
-# others are checked against, and "oracle" counts from the definition.  A name is resolved when
-# called (`library`), so only a route that runs imports its module, and a function replaced on
-# its module (by a tracer, say) is the one called.
+# others are checked against, "oracle" counts from the definition, and they run last listed first
+# (`route_order`): an oracle, or the convolution sum, refuses before any other route runs.  A name
+# is resolved when called (`library`), so only a route that runs imports its module, and a
+# function replaced on its module (by a tracer, say) is the one called.
 ROUTES = {
     "phi-k": {"closed": "totients.phi_k", "oracle": "totients.phi_k_oracle"},
     "phi-k-nm": {"closed": "totients.phi_k_nm", "recursion": "totients.phi_k_nm_recursion",
@@ -57,6 +58,8 @@ ROUTES = {
             "oracle": "menon.n_k_oracle"},
     "jordan": {"closed": "core.jordan_totient"},
     "gcd-sum": {"closed": "menon.gcd_sum_rhs", "oracle": "menon.gcd_sum_lhs_oracle"},
+    "sum-phi-k": {"direct": "summatory.sum_phi_k_direct",
+                  "convolution": "summatory.sum_phi_k_convolution"},
 }
 
 # The longest power `power` builds, in bits (3**(2**20) takes about 0.2 s).  A closed form's value
@@ -73,10 +76,10 @@ def library(name: str) -> Callable:
 
 
 def route_order(routes: Mapping[str, Callable], method: str = "all") -> list[tuple[str, Callable]]:
-    """The (route, function) pairs to run, every route or `method`, the oracle first so that
-    its refusal comes before any other route runs: resolved once per command or sweep."""
-    return [(route, routes[route]) for route in sorted(routes, key=lambda route: route != "oracle")
-            if method in ("all", route)]
+    """The (route, function) pairs to run, last listed first: `method` alone, or every route
+    when it names none ("all", "both"); resolved once per command or sweep."""
+    return [(route, routes[route]) for route in reversed(routes)
+            if method == route or method not in routes]
 
 
 def route_values(order: list[tuple[str, Callable]], params: dict, budget: int | None) -> dict:

@@ -190,7 +190,8 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
 
     Also accepts a divisor-indexed mapping (optionally {"f": ..., "mu_f": ...}),
     a registered multiplicative function, a plain callable, or an already
-    parsed FunctionSpec.  id, one and pow:j are x**1, x**0 and x**j.
+    parsed FunctionSpec.  id, one and pow:j are x**1, x**0 and x**j, built by `core.power`, which
+    refuses a value of f over its bits as it refuses a closed form's power.
     """
     if isinstance(spec, FunctionSpec):
         return spec
@@ -204,7 +205,7 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
         raise ValueError(f"cannot interpret {spec!r} as a function spec")
     text = spec.strip()
     if text in ("id", "one"):  # x**1 and x**0
-        return FunctionSpec(text, partial(pow, exp=1 if text == "id" else 0))
+        return FunctionSpec(text, partial(power, e=1 if text == "id" else 0))
     if text == "tau":
         return FunctionSpec("tau", tau)
     if text == "mu":
@@ -216,7 +217,7 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
             raise ValueError(f"bad power spec {text!r}, expected pow:<integer>") from None
         if j < 0:
             raise ValueError(f"pow:{j} rejected, exponent must be >= 0")
-        return FunctionSpec(text, partial(pow, exp=j))
+        return FunctionSpec(text, partial(power, e=j))
     if text.startswith("table:"):
         return _load_table_file(text.split(":", 1)[1])
     raise ValueError(
@@ -246,21 +247,30 @@ def gcd_sum_lhs_oracle(
     return sum(spec.fn(g) * c for g, c in sorted(gcds.items()))
 
 
+def _divisor_sum_spec(k: int, n: int, f: FSpecInput, what: str, with_n_k=False) -> FunctionSpec:
+    """f for a divisor sum over n, priced first at prod (e+1)(e+2)/2 = sum_{d | n} tau(d) transform
+    terms (with_n_k: plus the 2**omega(n) N_k pairs of each divisor) of k bits(n) bits.  Without a
+    mu_f table, f is evaluated once per divisor, not per read (3**omega at squarefree n)."""
+    spec = parse_function_spec(f)
+    factors = factorize(n).factors
+    terms = prod((e + 1) * (e + 2) // 2 for _, e in factors)
+    pairs = prod(e + 1 for _, e in factors) << len(factors) if with_n_k else 0
+    check_word_budget(terms + pairs, k * n.bit_length(), what)
+    if spec.mu_fn is None:  # a refusal is not cached: the first read of a missing entry raises
+        spec = spec._replace(fn=lru_cache(maxsize=None)(spec.fn))
+    return spec
+
+
 def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     """Closed form phi_k(n) * sum_{d | n} (mu*f)(d) / phi(d), exactly, in integers.
 
     phi(d) | phi(n) | phi_k(n), so each phi_k(n) / phi(d) is an exact integer:
     the value is an int for every integer-valued f and mu_f table, consistent
     or not, and a Fraction only where f itself takes Fraction values.  Priced before any
-    divisor is listed, at prod (e+1)(e+2)/2 = sum_{d | n} tau(d) terms of k bits(n) bits.
-    Without a mu_f table, f is evaluated once per divisor, not per read (3**omega at squarefree n).
+    divisor is listed (`_divisor_sum_spec`).
     """
     k, n = tuple_args(k, n)
-    spec = parse_function_spec(f)
-    check_word_budget(prod((e + 1) * (e + 2) // 2 for _, e in factorize(n).factors),
-                      k * n.bit_length(), f"gcd-sum divisor sum at k={k}, n={n}")
-    if spec.mu_fn is None:  # a refusal is not cached: the first read of a missing entry raises
-        spec = spec._replace(fn=lru_cache(maxsize=None)(spec.fn))
+    spec = _divisor_sum_spec(k, n, f, f"gcd-sum divisor sum at k={k}, n={n}")
     phi_kn = phi_k(k, n)
     val = sum(spec.mobius_transform_at(d) * exact_div(phi_kn, euler_phi(d)) for d in divisors(n))
     return int(val) if getattr(val, "denominator", None) == 1 else val
@@ -270,10 +280,12 @@ def menon_expansion_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     """The same gcd sum assembled from N_k values.
 
     sum_{d | n} (mu*f)(d) * sum_{delta | n} mu(delta) * N_k(n, d, delta);
-    a third route to the identity, independent of the admissible-tuple loop.
+    a third route to the identity, independent of the admissible-tuple loop.  Priced before any
+    divisor is listed, with its N_k pairs (`_divisor_sum_spec`).
     """
     k, n = tuple_args(k, n)
-    spec = parse_function_spec(f)
+    spec = _divisor_sum_spec(k, n, f, f"N_k expansion of the gcd sum at k={k}, n={n}",
+                             with_n_k=True)
     divs = divisors(n)
     return sum(sum(mobius(delta) * n_k(k, n, d, delta) for delta in divs if mobius(delta))
                * spec.mobius_transform_at(d) for d in divs)

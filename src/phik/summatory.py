@@ -64,13 +64,13 @@ PRODUCT_CHUNK = 1 << 14
 POOL_FLOOR = 1 << 22
 
 
-class PartialSum(NamedTuple):
-    """Exact value of sum_{n <= x} phi_k(n) and the route that produced it."""
+class PartialSum(int):
+    """Exact value of sum_{n <= x} phi_k(n), a plain int to compare, hash and print, whatever
+    route produced it (`core.ROUTES` names them)."""
 
-    k: int
-    x: int
-    value: int
-    method: str  # "direct_sieve" or "convolution"
+    @property
+    def value(self) -> int:
+        return int(self)
 
 
 class Enclosure(NamedTuple):
@@ -200,12 +200,8 @@ def _direct_range_sum(args: tuple) -> list[int]:
     return sums + [rows.exact(total)] * (len(cuts) - len(sums))
 
 
-def sum_phi_k_direct(
-    k: int,
-    x: int,
-    sieve_limit: int = DEFAULT_SIEVE_LIMIT,
-    workers: int = 1,
-) -> PartialSum:
+def sum_phi_k_direct(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT,
+                     workers: int = 1) -> PartialSum:
     """Exact sum of phi_k(n) for n <= x, evaluating phi_k(m) at every odd m <= x.
 
     The sum is sum_e phi_k(2**e) S_odd(x >> e) (`_two_adic`), with S_odd(z) the sum over
@@ -229,20 +225,20 @@ def sum_phi_k_direct(
         return [sum(pieces) for pieces in zip(*parallel_map(_direct_range_sum, ranges, workers))]
 
     (total,) = _two_adic(partial(_phi_k_prime_power, k, 2), [x], odd_sums)
-    return PartialSum(k, x, total, "direct_sieve")
+    return PartialSum(total)
 
 
-def sum_phi_k_convolution(
-    k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT
-) -> PartialSum:
+def sum_phi_k_convolution(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT,
+                          workers: int = 1) -> PartialSum:
     """Exact sum of phi_k(n) for n <= x via sum_{d <= x} g_k(d) * S_k(x // d).
 
     g_k(d) is the product of g_k(p) = phi_k(p) - p**k over the primes of a
     squarefree d, and 0 otherwise.  On int64 rows (`residues.Rows`) the sum is
     taken over the quotient set (`_quotient_convolution`), with no sieve; on the
     exact row, d walks 1 ... x (`_walked_convolution`).  One CRT rebuilds the
-    exact total.
+    exact total.  It runs in process: workers is checked, first, as the direct route checks it.
     """
+    cap_workers(workers, 1)
     k, x = _sum_checks(k, x, sieve_limit)
     if x > k + 1:  # S_k(x), for d = 1, needs the polynomial: priced before anything is built
         _faulhaber_coeffs(k)
@@ -250,7 +246,7 @@ def sum_phi_k_convolution(
 
     rows = Rows(k, x)
     total = (_quotient_convolution if rows.moduli else _walked_convolution)(k, x, rows)
-    return PartialSum(k, x, total, "convolution")
+    return PartialSum(total)
 
 
 def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
@@ -597,9 +593,7 @@ def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
         delta = total - enclosure.midpoint * x ** (k + 1) / (k + 1)
         ratio = abs(delta) / (x**k * math.log(x) ** (k + 1))
     except OverflowError:
-        raise ValueError(
-            f"the main term at k={k}, x={x} does not fit in a float"
-        ) from None
+        raise ValueError(f"the main term at k={k}, x={x} does not fit in a float") from None
     return ErrorRow(x, total, main_lo, main_hi, delta, ratio)
 
 

@@ -341,6 +341,22 @@ def test_sum_usage_error_on_empty_range(capsys):
     assert run_cli("sum", "phi-k", "--k", "2", "--x", "0") == 2
 
 
+def test_every_sum_method_prints_the_row_flags_and_the_value(capsys, monkeypatch):
+    monkeypatch.delenv("PHIK_WORKERS", raising=False)
+    for method in ("direct", "convolution", "both"):
+        assert run_cli("sum", "phi-k", "--k", "3", "--x", "20", "--method", method,
+                       "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "k": "3", "x": "20", "sieve_limit": "33554432", "workers": "1", "value": "14062"}
+
+
+def test_sum_keeps_its_own_method_choices(capsys):
+    # the row's direct|convolution|both override the route map's (*routes, "all")
+    code, out, err = cli_exit(capsys, "sum", "phi-k", "--k", "2", "--x", "10", "--method", "all")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'all' (choose from 'direct', 'convolution', 'both')" in err
+
+
 def test_constant_json(capsys):
     assert run_cli("constant", "--k", "2", "--prime-bound", "10000", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -747,27 +763,27 @@ def test_both_methods_stop_at_a_convolution_refusal_before_the_direct_sum(capsys
 
 
 def _add_one_to(monkeypatch, route: str) -> None:
-    """Make the library function "module.function" give one more than it does (a sum's value)."""
+    """Make the library function "module.function" give one more than it does."""
     module, name = route.split(".")
     module = import_module(f"phik.{module}")
     fn = getattr(module, name)
 
     def off_by_one(*args, **kwargs):
         result = fn(*args, **kwargs)
-        return result._replace(value=result.value + 1) if module is summatory else result + 1
+        return result + 1
 
     monkeypatch.setattr(module, name, off_by_one)
 
 
 @pytest.mark.parametrize("argv, route, line", [
     (("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1", "--method", "all"),
-     "menon.n_k_recursion", "oracle=16 closed=16 recursion=17"),
+     "menon.n_k_recursion", "oracle=16 recursion=17 closed=16"),
     (("eval", "phi-k", "--k", "2", "--n", "15", "--method", "all"), "totients.phi_k_oracle",
      "oracle=25 closed=24"),
     (("eval", "gcd-sum", "--k", "2", "--n", "3", "--f", "tau", "--method", "all"),
      "menon.gcd_sum_rhs", "oracle=3 closed=4"),
     (("sum", "phi-k", "--k", "2", "--x", "10", "--method", "both"),
-     "summatory.sum_phi_k_convolution", "direct_sieve=63 convolution=64"),
+     "summatory.sum_phi_k_convolution", "convolution=64 direct=63"),
 ])
 def test_a_route_off_the_others_is_a_method_mismatch(capsys, monkeypatch, argv, route, line):
     _add_one_to(monkeypatch, route)
@@ -802,6 +818,20 @@ def test_a_route_off_the_first_fails_its_sweep_naming_the_cell_and_route(capsys,
     assert run_cli(*argv) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "FAIL" and fail in lines
+
+
+@pytest.mark.parametrize("argv", [
+    "verify menon --k-max 1 --n-max 4 --f pow:100000000",
+    "eval gcd-sum --k 2 --n 6 --f pow:100000000",
+])
+def test_a_huge_power_of_f_is_refused_at_once(argv):
+    # each ran on building f(2) = 2**(10**8): pow:j goes through `core.power`'s guard
+    start = time.perf_counter()
+    proc = phik_process(*argv.split(), timeout=10)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    refusal = "the power 2**100000000 has more than 1048576 bits, the longest phik builds"
+    assert refusal in (proc.stdout if argv.startswith("verify") else proc.stderr)
 
 
 def test_gcd_sum_refuses_many_prime_factors_at_once():

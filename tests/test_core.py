@@ -54,7 +54,7 @@ from phik import (
     tau,
     tau_mf,
 )
-from phik.core import MAX_POWER_BITS, ROUTES, library, power, table_lookup
+from phik.core import MAX_POWER_BITS, ROUTES, library, power, route_order, table_lookup
 
 
 def test_factorize_basic():
@@ -288,6 +288,17 @@ def test_no_power_of_a_closed_form_is_over_twice_its_value(quantity, monkeypatch
                 built.clear()
                 value = closed(k=k, n=n, **dict(zip(names, point)))
                 assert value == 0 or max(built, default=0) <= 2 * abs(value).bit_length() + 1
+
+
+def test_route_order_runs_the_last_route_listed_first():
+    routes = {"closed": len, "recursion": abs, "oracle": sum}
+    assert route_order(routes) == [("oracle", sum), ("recursion", abs), ("closed", len)]
+    # a method that names no route runs them all; a named route runs alone
+    assert route_order(routes, "all") == route_order(routes, "both") == route_order(routes)
+    assert route_order(routes, "recursion") == [("recursion", abs)]
+    # the convolution sum runs first, so that its refusals come before the direct walk
+    assert [route for route, _ in route_order(ROUTES["sum-phi-k"], "both")] == [
+        "convolution", "direct"]
 
 
 @pytest.mark.parametrize("fn, args", [

@@ -1,5 +1,6 @@
 """Counting lemmas, N_k machinery, and the gcd-sum identities."""
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -392,6 +393,25 @@ def test_gcd_sum_rhs_evaluates_f_once_per_divisor():
     # a table's refusal still names the least divisor it lacks, as the transforms read it
     with pytest.raises(ValueError, match="table f has no entry for 3$"):
         gcd_sum_rhs(2, 12, {1: 1, 2: 1, 6: 1})
+
+
+def test_menon_expansion_rhs_evaluates_f_once_per_divisor():
+    calls = Counter()
+
+    def f(d):
+        calls[d] += 1
+        return tau(d)
+
+    assert menon_expansion_rhs(2, 30030, f) == gcd_sum_rhs(2, 30030, "tau")
+    assert sum(calls.values()) == len(calls) == 64
+
+
+def test_menon_expansion_rhs_is_priced_before_it_lists_a_divisor():
+    # the 20-prime primorial: 3**20 transform terms and 4**20 pairs (d, squarefree delta) of N_k
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="N_k expansion of the gcd sum at k=2"):
+        menon_expansion_rhs(2, 557940830126698960967415390, "tau")
+    assert time.perf_counter() - start < 1
 
 
 def test_gcd_sum_rhs_keeps_the_ratio_of_a_fraction_valued_f():

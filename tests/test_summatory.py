@@ -40,6 +40,15 @@ def test_sum_frozen_values():
     assert sum_phi_k_direct(4, 10).value == 2135
 
 
+def test_a_partial_sum_is_an_int():
+    total = sum_phi_k_direct(2, 10)
+    assert total == 63 and isinstance(total, int) and total.value == 63
+    assert type(total.value) is int and str(total) == repr(total) == "63"
+    assert {total, sum_phi_k_convolution(2, 10)} == {63}
+    with pytest.raises(ValueError, match="worker count must be a positive integer, got 0"):
+        sum_phi_k_convolution(2, 10, workers=0)
+
+
 def test_sum_matches_running_total_of_closed_form():
     for k in (1, 2, 3):
         running = 0
@@ -54,7 +63,6 @@ def test_sum_methods_agree():
             direct = sum_phi_k_direct(k, x)
             conv = sum_phi_k_convolution(k, x)
             assert direct.value == conv.value, (k, x)
-            assert direct.method == "direct_sieve" and conv.method == "convolution"
 
 
 def test_sum_parallel_matches_serial(monkeypatch):
