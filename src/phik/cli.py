@@ -12,14 +12,16 @@ runs and cross-checks every one); a route is imported when it runs, so a process
 only what its command needs.  Every disagreement of routes is printed by `_agree`.  The parser is
 built as far as argv reaches: every group and top-level row, but the leaves
 of one group only.  main() also keeps numpy's OpenBLAS from starting a thread
-pool (phik calls no BLAS routine) unless OPENBLAS_NUM_THREADS is already set.
+pool (phik calls no BLAS routine) unless OPENBLAS_NUM_THREADS is already set.  A process
+enters through run() (`python -m phik.cli`, the `phik` script), which ends it with `os._exit`
+once main() returns, skipping the interpreter's teardown; callers in a process call main().
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
@@ -341,5 +343,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """The process entry point: main(), then exit without tearing the interpreter down.
+
+    No output waits on teardown: `--out` files and worker pools are closed by their `with`
+    blocks before main returns.  atexit handlers do not run.  An exception from main, SystemExit
+    included, takes the interpreter's own exit; a failed flush keeps main's exit code.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # no stream (fd closed), no reader, closed
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -94,6 +94,8 @@ def positive_int(value, name: str, least: int = 1) -> int:
     Any integer type is accepted (numpy integers included); bool, floats and
     everything else are rejected.
     """
+    if type(value) is int and value >= least:  # the common case, at every layer of a sweep
+        return value
     try:
         n = operator.index(value)
     except TypeError:

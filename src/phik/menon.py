@@ -452,8 +452,8 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
     Covers every divisor pair (d, e) of n and all residues 0 <= r < d,
     0 <= s < e, including the e = 1 collapse onto the one-congruence count:
     sigma(n) + sigma(n)**2 checks at each n, all priced against the budget.
-    Each (n, d, e) is counted once into a class table; only failures become
-    Instances.
+    Each (n, d, e) is counted once into a class table, walked pair by pair only when it is
+    wrong; only failures become Instances.
     """
     n_max = positive_int(n_max, "n_max")
     cost = 0
@@ -465,6 +465,11 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
     check_budget(cost, budget, f"lemma sweep to n_max={n_max}: its checks up to n={n}")
 
     def check(n, d, e, table, params):  # the table of (d, e) at every residue pair (r, s)
+        # the phi(lcm(d, e)) unit pairs that agree mod gcd(d, e) (CRT) are the only ones predicted
+        # nonzero: a table with that many entries, each at its nonzero prediction, is right
+        if len(table) == euler_phi(lcm(d, e)) and all(
+                count == _predicted(n, d, e, r, s) > 0 for (r, s), count in table.items()):
+            return
         for r in range(d):
             for s in range(e):
                 count, predicted = table.get((r, s), 0), _predicted(n, d, e, r, s)

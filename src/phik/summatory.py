@@ -25,7 +25,6 @@ is bounded below via sum_{p > P} 1/p**2 <= 1/(P - 1).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, takewhile
 from math import isqrt
@@ -45,6 +44,8 @@ from .core import (
 from .totients import _g_k_prime, _phi_k_prime_power
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
     from .residues import Rows
@@ -500,6 +501,7 @@ def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
     known before any prime is sieved when the first term alone reaches 1.  As every r_p < 1, so
     is the product, and hi is at most 1.
     """
+    from fractions import Fraction  # here, so that the sums never import it
     slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
     if slack >= 1:
         return 0.0, 1.0
@@ -529,6 +531,7 @@ def average_order_constant(
         raise ValueError(f"prime_bound must be at least 1000, got {prime_bound}")
     _check_sieve_budget(prime_bound, sieve_limit, "prime bound")
     lo, hi = _truncated_product(k, prime_bound)
+    from fractions import Fraction
     tail = Fraction(prime_bound - 1 - (k + 1), prime_bound - 1)  # lo >= 0, so tail <= 0 gives 0
     lo = max(0.0, math.nextafter(lo * _float_below(tail), -math.inf))
     return Enclosure(k, prime_bound, lo, hi)
@@ -586,6 +589,7 @@ def error_term_rows(
 
 def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
     """The exact sum `total` at x >= 2 against the main term enclosed by `enclosure`."""
+    from fractions import Fraction
     k = enclosure.k
     try:
         main_lo = _float_below(Fraction(enclosure.lo) * x ** (k + 1) / (k + 1))

@@ -4,10 +4,12 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -506,13 +508,64 @@ def test_missing_table_file(capsys):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "phik.cli", "eval", "phi-k", "--k", "2", "--n", "15"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "24"
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    target = re.search(r'^phik = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert target is not None and target.groups() == ("phik.cli", "run")
+    module, function = target.groups()
+    # what the installed script does: argv[1:] are the command's words
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    proc = subprocess.run([sys.executable, "-c", code, "eval", "phi-k", "--k", "2", "--n", "15"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "24\n", "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "menon", "--k-max", "2", "--n-max", "12", "--f", "tau"), 0),
+    (("verify", "menon", "--k-max", "1", "--n-max", "3", "--f", "{table}"), 1),
+    (("eval", "phi-k", "--k", "2"), 2),  # argparse's usage error
+    (("eval", "phi-k", "--k", HUGE_K, "--n", "3", "--method", "oracle"), 3),
+])
+def test_a_process_prints_and_exits_as_main_does(argv, code, tmp_path, capsys):
+    argv = [word.format(table=_bad_table(tmp_path)) for word in argv]
+    try:
+        returned = main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    captured = capsys.readouterr()
+    proc = phik_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (returned, captured.out, captured.err)
+    assert returned == code and (captured.out + captured.err).strip()
+
+
+def test_a_large_out_file_written_by_a_process_is_complete(tmp_path):
+    grid = range(2, 1500)  # about 300 kB of JSON
+    target = tmp_path / "rows.json"
+    proc = phik_process("error-table", "--k", "2", "--x-grid", ",".join(map(str, grid)),
+                        "--prime-bound", "1000", "--format", "json", "--out", str(target))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert [row["x"] for row in json.loads(target.read_text())] == [str(x) for x in grid]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool needs 2 CPUs")
+def test_a_process_pool_ends_with_its_command(tmp_path):
+    outputs = []
+    for workers in ("1", "2"):
+        argv = ["verify", "menon", "--k-max", "3", "--n-max", "12", "--workers", workers]
+        out = tmp_path / f"workers-{workers}.txt"
+        with open(out, "w") as fh:  # a file, not a pipe that a leftover worker would hold open
+            proc = subprocess.Popen([sys.executable, "-m", "phik.cli", *argv], stdout=fh,
+                                    stderr=subprocess.STDOUT, start_new_session=True)
+        try:
+            code = proc.wait(timeout=60)
+        finally:
+            try:  # the command's session holds every process it started: kill what is left
+                os.killpg(proc.pid, signal.SIGKILL)
+                left = True
+            except ProcessLookupError:
+                left = False
+        assert not left, f"--workers {workers} left a process running"
+        outputs.append((code, out.read_text()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 @pytest.mark.parametrize("table, part, key", [

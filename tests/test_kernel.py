@@ -12,6 +12,7 @@ from functools import reduce
 from itertools import product
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,29 +172,26 @@ def test_oracle_at_a_large_k_folds_each_product():
     assert oracle.stdout == closed.stdout
 
 
-def old_lemma_witnesses(n_max, units):
-    """The failures of the per-check lemma sweep, in its order, for the units `units(n)`."""
+def old_lemma_witnesses(n_max, count):
+    """The failures of the per-check lemma sweep, in its order, for the class counts
+    `count(n, d, e, r, s)` of units a = r (mod d), a = s (mod e); e = 1 gives the one-congruence
+    count."""
     failures = []
     for n in range(1, n_max + 1):
         divs = [d for d in range(1, n + 1) if n % d == 0]
         phi_n = euler_phi(n)
         for d in divs:
-            for r in range(d):
-                count = sum(1 for a in units(n) if a % d == r)
-                predicted = phi_n // euler_phi(d) if gcd(r, d) == 1 else 0
-                if count != predicted:
-                    failures.append(((("lemma", "one_congruence"), ("n", n), ("d", d), ("r", r)),
-                                     count, predicted))
-            for e in divs:
+            for lemma, e in [("one_congruence", 1), *(("two_congruences", e) for e in divs)]:
                 g = gcd(d, e)
                 for r in range(d):
                     for s in range(e):
-                        count = sum(1 for a in units(n) if a % d == r and a % e == s)
                         coprime = gcd(r, d) == 1 and gcd(s, e) == 1 and (r - s) % g == 0
                         predicted = phi_n * g // euler_phi(d * e) if coprime else 0
-                        if count != predicted:
-                            failures.append(((("lemma", "two_congruences"), ("n", n), ("d", d),
-                                              ("e", e), ("r", r), ("s", s)), count, predicted))
+                        if (found := count(n, d, e, r, s)) != predicted:
+                            where = ((("e", e), ("r", r), ("s", s)) if lemma == "two_congruences"
+                                     else (("r", r),))
+                            failures.append(((("lemma", lemma), ("n", n), ("d", d), *where),
+                                             found, predicted))
     return failures
 
 
@@ -208,8 +206,8 @@ def test_lemma_sweep_reports_the_per_check_witnesses(monkeypatch, capsys):
         return tuple((r, c) for r, c in sorted(counts.items()) if c)
 
     monkeypatch.setattr(menon, "unit_sum_counts", dropped)
-    expected = old_lemma_witnesses(14, lambda n: [a for a in totients.units_mod(n)
-                                                  if (n, a) != (12, 5)])
+    expected = old_lemma_witnesses(14, lambda n, d, e, r, s: sum(
+        1 for a in totients.units_mod(n) if (n, a) != (12, 5) and a % d == r and a % e == s))
     assert expected  # n = 12 alone has failures
     report = menon.lemma_sweep(14)
     assert [(inst.params, inst.lhs, inst.rhs) for inst in report.failures] == expected
@@ -222,6 +220,34 @@ def test_lemma_sweep_reports_the_per_check_witnesses(monkeypatch, capsys):
     assert [line for line in lines if line.startswith("FAIL lemma=")] == [
         f"FAIL {text}" for text in witnesses]
     assert lines[-1] == "FAIL"
+
+
+# edits of one class table: (r, s) keys an entry, None drops the least admissible pair's entry
+@pytest.mark.parametrize("edit", [
+    {(0, 0): 1},  # an entry added off the unit pairs
+    {None: None},  # an entry dropped
+    {None: None, (0, 0): 0},  # one dropped, one zero count added: as many entries as before
+    {None: None, (0, 0): 2},  # one moved off the unit pairs with a nonzero count
+    {(1, 1): 5},  # a wrong count on a unit pair
+])
+def test_a_wrong_class_table_fails_where_the_per_pair_check_does(monkeypatch, edit):
+    real = menon._class_table
+
+    def edited(n, d, e):
+        table = real(n, d, e)
+        if (n, d, e) in ((12, 4, 6), (10, 5, 2)):
+            for key, count in edit.items():
+                if key is None:
+                    del table[min(table)]
+                else:
+                    table[key] = count
+        return table
+
+    monkeypatch.setattr(menon, "_class_table", edited)
+    expected = old_lemma_witnesses(14, lambda n, d, e, r, s: edited(n, d, e).get((r, s), 0))
+    report = menon.lemma_sweep(14)
+    assert [(inst.params, inst.lhs, inst.rhs) for inst in report.failures] == expected
+    assert expected and report.checked == 2902
 
 
 def test_lemma_sweep_checks_count_unchanged():

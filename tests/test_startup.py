@@ -117,6 +117,12 @@ def test_divisor_sum_side_imports_no_fractions(argv):
     assert loaded_after(argv, ("phik.summatory", "numpy", "fractions")) == []
 
 
+def test_sums_import_no_fractions():
+    # only the constant and the error table's main term are Fractions
+    argv = ["sum", "phi-k", "--k", "2", "--x", "100", "--method", "both"]
+    assert loaded_after(argv, ("phik.summatory", "fractions")) == ["phik.summatory"]
+
+
 @pytest.mark.parametrize("argv", [
     ["sum", "phi-k", "--k", "2", "--x", "100", "--method", "both", "--format", "json"],
     ["constant", "--k", "2", "--prime-bound", "1000", "--format", "json"],
