@@ -23,13 +23,13 @@ _EXPORTS = {
         "phi_mf", "piltz_mf", "tau", "tau_mf",
     ),
     "totients": (
-        "g_k", "g_k_mf", "phi_k", "phi_k_mf", "phi_k_nm",
+        "g_k", "g_k_mf", "n_k", "n_k_oracle", "n_k_recursion", "phi_k", "phi_k_mf", "phi_k_nm",
         "phi_k_nm_oracle", "phi_k_nm_recursion", "phi_k_oracle",
     ),
     "menon": (
         "FunctionSpec", "IdentityReport", "Instance", "count_units_in_class",
         "count_units_in_two_classes", "gcd_sum_lhs_oracle", "gcd_sum_rhs", "lemma_sweep",
-        "menon_expansion_rhs", "n_k", "n_k_oracle", "n_k_recursion", "n_k_sweep",
+        "menon_expansion_rhs", "n_k_sweep",
         "nageswara_rao_lhs_oracle", "parse_function_spec", "route_sweep", "units_mod",
         "verify_identity", "verify_sweep",
     ),

@@ -9,19 +9,27 @@ that, `core.power` refuses any power of a closed form that no printable answer n
 Every subcommand is one row of COMMANDS.  Each `eval` row and `sum phi-k` is one quantity of
 `core.ROUTES`, run by `_cmd_value`, whose routes --method picks (`all`, or the sum's `both`,
 runs and cross-checks every one); a route is imported when it runs, so a process loads
-only what its command needs.  Every disagreement of routes is printed by `_agree`.  The parser is
-built as far as argv reaches: every group and top-level row, but the leaves
-of one group only.  main() also keeps numpy's OpenBLAS from starting a thread
-pool (phik calls no BLAS routine) unless OPENBLAS_NUM_THREADS is already set.  A process
-enters through run() (`python -m phik.cli`, the `phik` script), which ends it with `os._exit`
-once main() returns, skipping the interpreter's teardown; callers in a process call main().
+only what its command needs.  Every disagreement of routes is printed by `_agree`.
+
+main() reads argv straight from COMMANDS (`_read_table`) when it is canonical: a row's path,
+then `--flag value` pairs naming each of its flags once, every value valid.  Any other argv
+(--help, a usage error, `--k=2`, an abbreviation, a repeated flag, a negative number) goes to
+`build_parser`, the one place argparse (and with it gettext and locale) is imported, and the one
+renderer of help and usage text.  Its parser is built as far as argv reaches: every group and
+top-level row, but the leaves of one group only.  `_row_flags` gives both readers each row's
+flags.
+
+main() also keeps numpy's OpenBLAS from starting a thread pool (phik calls no BLAS routine)
+unless OPENBLAS_NUM_THREADS is already set.  A process enters through run() (`python -m
+phik.cli`, the `phik` script), which ends it with `os._exit` once main() returns, skipping the
+interpreter's teardown; callers in a process call main().
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
@@ -33,6 +41,9 @@ from .core import (
     route_order,
     route_values,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -61,7 +72,7 @@ class Command(NamedTuple):
 
     path: tuple[str, ...]
     help: str
-    handler: Callable[["Command", argparse.Namespace], int]
+    handler: Callable[["Command", "SimpleNamespace | argparse.Namespace"], int]
     flags: tuple[Union[str, tuple[str, dict]], ...]
     formats: tuple[str, ...] = ("plain", "json")
     fn: Union[str, Mapping[str, str], Callable, None] = None
@@ -283,13 +294,71 @@ COMMANDS = (
 )
 
 
+def _row_flags(cmd: Command) -> dict[str, dict]:
+    """The flags a row takes, --format and --out last, each with its argparse keywords.
+
+    A flag's keywords are its `_flag_specs()` entry, then a route map's --method choices and
+    default, then the row's overrides, each over the one before.  Both argv readers use these.
+    """
+    specs = _flag_specs()
+    flags = {}
+    for flag in cmd.flags:
+        name, overrides = (flag, {}) if isinstance(flag, str) else flag
+        if name == "method" and isinstance(cmd.fn, Mapping):  # the row's own choices win
+            overrides = dict(choices=(*cmd.fn, "all"), default=next(iter(cmd.fn))) | overrides
+        flags[name] = {**specs[name], **overrides}
+    flags["format"] = dict(choices=cmd.formats, default=cmd.formats[0])
+    flags["out"] = dict(help="write output to this file instead of stdout")
+    return flags
+
+
+# The keywords `_read_table` applies as argparse does; a row with a flag using any other goes
+# to argparse.
+_TABLE_KEYS = {"type", "required", "default", "choices", "help"}
+
+
+def _read_table(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argv read from COMMANDS when it is canonical, with the attributes argparse would set (but
+    `parser`); else None, and argparse reads it.
+
+    Canonical is a row's path, then `--flag value` pairs naming each of the row's flags at most
+    once, every required one among them, no value starting with "-", each value converted by its
+    `type` and within its `choices`; a string default goes through `type` too, as in argparse.
+    """
+    cmd = next((c for c in COMMANDS if tuple(argv[:len(c.path)]) == c.path), None)
+    if cmd is None:
+        return None
+    words = argv[len(cmd.path):]
+    given = dict(zip(words[::2], words[1::2]))
+    if len(words) % 2 or 2 * len(given) < len(words) or any(
+            value.startswith("-") for value in given.values()):
+        return None
+    attrs = dict(zip(("cmd", "target"), cmd.path), command=cmd)
+    for name, spec in _row_flags(cmd).items():
+        word = given.pop(f"--{name}", None)
+        if not spec.keys() <= _TABLE_KEYS or (word is None and spec.get("required")):
+            return None
+        value = spec.get("default") if word is None else word
+        if isinstance(value, str) and spec.get("type"):
+            try:
+                value = spec["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if word is not None and value not in spec.get("choices", (value,)):
+            return None
+        attrs[name.replace("-", "_")] = value
+    return None if given else SimpleNamespace(**attrs)
+
+
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The phik parser: every group and top-level row, and the leaf rows of the group argv names.
 
     Without argv, every group's leaves are built.  argparse reads the first word
     of argv not starting with "-" as the group, so help and error texts are those
-    of the full parser.
+    of the full parser.  This is the one place phik imports argparse.
     """
+    import argparse
+
     reached = next((word for word in argv or () if not word.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="phik",
@@ -298,7 +367,6 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     groups = {}
-    specs = _flag_specs()
     for cmd in COMMANDS:
         parent = sub
         if len(cmd.path) == 2:
@@ -310,13 +378,8 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
                 continue
             parent = groups[group]
         p = parent.add_parser(cmd.path[-1], help=cmd.help)
-        for flag in cmd.flags:
-            name, overrides = (flag, {}) if isinstance(flag, str) else flag
-            if name == "method" and isinstance(cmd.fn, Mapping):  # the row's own choices win
-                overrides = dict(choices=(*cmd.fn, "all"), default=next(iter(cmd.fn))) | overrides
-            p.add_argument(f"--{name}", **{**specs[name], **overrides})
-        p.add_argument("--format", choices=cmd.formats, default=cmd.formats[0])
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        for name, spec in _row_flags(cmd).items():
+            p.add_argument(f"--{name}", **spec)
         p.set_defaults(command=cmd, parser=p)
     return parser
 
@@ -326,9 +389,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler imports numpy
     argv = sys.argv[1:] if argv is None else argv
-    args, extra = build_parser(argv).parse_known_args(argv)
-    if extra:  # reported by the leaf, whose usage names the flags it takes
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _read_table(argv)
+    if args is None:  # --help, a usage error, or a spelling the table leaves to argparse
+        args, extra = build_parser(argv).parse_known_args(argv)
+        if extra:  # reported by the leaf, whose usage names the flags it takes
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     cmd = args.command
     try:
         return cmd.handler(cmd, args)

@@ -54,8 +54,8 @@ ROUTES = {
     "phi-k-nm": {"closed": "totients.phi_k_nm", "recursion": "totients.phi_k_nm_recursion",
                  "oracle": "totients.phi_k_nm_oracle"},
     "g-k": {"closed": "totients.g_k"},
-    "n-k": {"closed": "menon.n_k", "recursion": "menon.n_k_recursion",
-            "oracle": "menon.n_k_oracle"},
+    "n-k": {"closed": "totients.n_k", "recursion": "totients.n_k_recursion",
+            "oracle": "totients.n_k_oracle"},
     "jordan": {"closed": "core.jordan_totient"},
     "gcd-sum": {"closed": "menon.gcd_sum_rhs", "oracle": "menon.gcd_sum_lhs_oracle"},
     "sum-phi-k": {"direct": "summatory.sum_phi_k_direct",

@@ -6,8 +6,8 @@ for any arithmetic function f.  With f = id the divisor sum collapses to
 tau(n).  Supporting pieces: counts of units in one or two residue classes,
 read off one table of the units by (a mod d, a mod e) per (n, d, e), and
 N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and 0 mod
-delta; `n_k` divides the two-parameter totients exactly, and `n_k_recursion`
-never calls them.  Every closed form has an oracle next to it, counting from
+delta, whose three routes live in `totients` and which `menon_expansion_rhs`
+sums.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
 units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
 of f `core.table_lookup`.  Sweeps report through `IdentityReport.of`, a skipped cell by
@@ -28,6 +28,7 @@ from .core import (
     ArithValue,
     BudgetExceededError,
     MultiplicativeFunction,
+    cap_workers,
     check_budget,
     check_word_budget,
     divisors,
@@ -47,10 +48,21 @@ from .core import (
     tau,
     tuple_args,
 )
-# units_mod stays a name here: perfbench reports its cache as "menon.units_mod"
-from .totients import _divisor_levels, fold_counts, phi_k, phi_k_nm, unit_sum_counts, units_mod
+# units_mod and the N_k routes stay names here: perfbench reports the cache of "menon.units_mod"
+# and traces "menon.n_k", "menon.n_k_recursion" and "menon.n_k_oracle"
+from .totients import (fold_counts, n_k, n_k_oracle, n_k_recursion, phi_k, unit_sum_counts,
+                       units_mod)
 
 IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
+
+# Cells per worker below which `verify_sweep` starts no pool.  As processes (`verify menon --f tau`,
+# 2 vCPUs, Python 3.11, medians of 9-13 alternating runs), `--workers 2` lost to `--workers 1` at
+# 120 cells (k <= 3, n <= 40: 140 against 89 ms), 480 (k <= 6, n <= 80: 234 against 153 ms) and
+# 600 (k <= 3, n <= 200: 301 against 238 ms; k <= 4, n <= 150: 276 against 181 ms), split at 800
+# (k = 1, n <= 800: 419 against 689 ms; k <= 2, n <= 400: 391 against 359 ms), tied at 900
+# (k <= 3, n <= 300) and won from 1,000 (k <= 2, n <= 500: 409 against 444 ms; k <= 3, n <= 400:
+# 472 against 591 ms).  A cell costs more as n grows.  At 400, a 2-way pool starts at 800 cells.
+SWEEP_POOL_FLOOR = 400
 
 
 # -- counting units in residue classes -------------------------------------
@@ -88,55 +100,6 @@ def count_units_in_two_classes(n: int, d: int, e: int, r: int, s: int) -> tuple[
     """
     n, d, e = tuple_args(None, n, d=d, e=e)
     return _class_table(n, d, e)[r % d, s % e], _predicted(n, d, e, r, s)
-
-
-# -- N_k(n, d, delta): unit tuples with sum = 1 mod d, = 0 mod delta -------
-
-
-def n_k(k: int, n: int, d: int, delta: int) -> int:
-    """Closed form for N_k(n, d, delta); returns 0 when gcd(d, delta) > 1.
-
-    For k >= 2 and gcd(d, delta) = 1 it is one exact division:
-    phi_k(n, d) phi_{k-1}(n, delta) / (phi(n)**(k-1) phi(d) phi(delta)).
-    """
-    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
-    if gcd(d, delta) > 1:
-        return 0
-    if k == 1:
-        # a single unit sums to itself: a = 1 (mod d) picks one class,
-        # a = 0 (mod delta) is impossible for a unit unless delta = 1
-        return exact_div(euler_phi(n), euler_phi(d)) if delta == 1 else 0
-    if (d if k % 2 == 0 else delta) % 2 == 0:
-        return 0  # phi_k(n, d) or phi_{k-1}(n, delta) has an even index and modulus
-    return exact_div(phi_k_nm(k, n, d) * phi_k_nm(k - 1, n, delta),
-                     power(euler_phi(n), k - 1) * euler_phi(d) * euler_phi(delta))
-
-
-def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
-    """N_k by the literal recursion over Moebius-weighted divisor pairs.
-
-    N_k(n, d, delta) = phi(n) / (phi(d) phi(delta)) * sum over j | d, t | delta of
-    mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  It is 0 when gcd(d, delta) > 1,
-    as no sum is both 1 and 0 mod a common factor; else a pair is one squarefree s = j t:
-    mu(j) mu(t) = mu(s), and phi(j) phi(t) = phi(s).  N_i(n, j, t) is level i at s of
-    `totients._divisor_levels` (at k = 1 no step is taken), priced at omega(d delta).
-    """
-    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
-    if gcd(d, delta) > 1:
-        return 0
-    phi_n = euler_phi(n)
-    # N_1(n, j, t): a unit is 1 mod j, and 0 mod t only when t = 1
-    total = _divisor_levels(k, n, factorize(d).primes() + factorize(delta).primes(),
-                            lambda s: exact_div(phi_n, euler_phi(s)) if gcd(s, delta) == 1 else 0,
-                            f"N_{k}(n, {d}, {delta})")
-    return exact_div(total, euler_phi(d) * euler_phi(delta))
-
-
-def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count N_k(n, d, delta) from the unit tuples by sum; priced at their phi(n)**k."""
-    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
-    check_budget((euler_phi(n), k), budget, f"N_{k}({n}, {d}, {delta}) oracle")
-    return sum(c for r, c in unit_sum_counts(k, n, n) if r % d == 1 % d and r % delta == 0)
 
 
 # -- arbitrary f: parsing and tables ----------------------------------------
@@ -422,8 +385,9 @@ def verify_sweep(
 
     The grid is priced first, at a tuple per cell; cells whose oracle refuses the budget
     are skipped and reported, making the report partial.  With workers > 1 the cells, each
-    carrying the one parsed f, are evaluated by `core.parallel_map` and merged back in
-    parameter order; an f that does not pickle is refused before any cell runs.
+    carrying the one parsed f, are evaluated by `core.parallel_map`, on at most one worker per
+    SWEEP_POOL_FLOOR cells, and merged back in parameter order; an f that does not pickle is
+    refused before any cell runs.
     """
     _identity_kind(kind)
     k_max = positive_int(k_max, "k_max")
@@ -443,6 +407,7 @@ def verify_sweep(
             raise ValueError(f"parallel sweeps need an f that pickles (a name, pow:j, a table, "
                              f"or a module-level function), got {spec.label}") from None
     cells = [(kind, k, n, spec, budget) for k in ks for n in range(1, n_max + 1)]
+    workers = cap_workers(workers, len(cells) // SWEEP_POOL_FLOOR)
     return IdentityReport.of(kind, swept, parallel_map(_sweep_cell, cells, workers))
 
 

@@ -1,4 +1,4 @@
-"""The k-dimensional totient phi_k, its two-parameter refinement, and g_k.
+"""The k-dimensional totient phi_k, its two-parameter refinement, N_k, and g_k.
 
 phi_k(n) counts tuples (a_1, ..., a_k), 1 <= a_i <= n, with
 gcd(a_1 * ... * a_k, n) = 1 and gcd(a_1 + ... + a_k, n) = 1.
@@ -6,7 +6,9 @@ gcd(a_1 * ... * a_k, n) = 1 and gcd(a_1 + ... + a_k, n) = 1.
 phi_k(n, m) relaxes the sum condition to gcd(a_1 + ... + a_k, m) = 1 for a
 divisor m of n.  g_k is the multiplicative function with phi_k = id_k * g_k
 (Dirichlet convolution); it is supported on squarefree numbers and drives
-the partial-sum machinery in `summatory`.
+the partial-sum machinery in `summatory`.  N_k(n, d, delta) counts the unit
+k-tuples whose sum is 1 mod d and 0 mod delta; `n_k` divides the two-parameter
+totients exactly, and `n_k_recursion` never calls them.
 
 Every closed form is built in integers from phi_k(p) = (p-1)((p-1)**k -
 (-1)**k)/p: phi_k(n, m) = (phi(n) / prod (p-1))**k * prod phi_k(p) over the
@@ -15,8 +17,8 @@ primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k, each k-th po
 The oracles count from the definitions, never visiting tuples one by one:
 unit tuples by their sum mod M in one big-integer power, folded after each
 product (`unit_sum_counts`), other keys by squaring count tables (`fold_counts`).
-`_divisor_levels` builds and prices the recursions of phi_k(n, m) and N_k.  k, n
-and m pass the one argument gate, `core.tuple_args`.
+`_divisor_levels` builds and prices the recursions of phi_k(n, m) and N_k.  k, n,
+m, d and delta pass the one argument gate, `core.tuple_args`.
 """
 from __future__ import annotations
 
@@ -178,6 +180,52 @@ def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET)
     k, n, m = tuple_args(k, n, m=m)
     check_budget((n, k), budget, f"phi_{k}({n}, m={m}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, m) if gcd(r, m) == 1)
+
+
+def n_k(k: int, n: int, d: int, delta: int) -> int:
+    """Closed form for N_k(n, d, delta); returns 0 when gcd(d, delta) > 1.
+
+    For k >= 2 and gcd(d, delta) = 1 it is one exact division:
+    phi_k(n, d) phi_{k-1}(n, delta) / (phi(n)**(k-1) phi(d) phi(delta)).
+    """
+    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
+    if gcd(d, delta) > 1:
+        return 0
+    if k == 1:
+        # a single unit sums to itself: a = 1 (mod d) picks one class,
+        # a = 0 (mod delta) is impossible for a unit unless delta = 1
+        return exact_div(euler_phi(n), euler_phi(d)) if delta == 1 else 0
+    if (d if k % 2 == 0 else delta) % 2 == 0:
+        return 0  # phi_k(n, d) or phi_{k-1}(n, delta) has an even index and modulus
+    return exact_div(phi_k_nm(k, n, d) * phi_k_nm(k - 1, n, delta),
+                     power(euler_phi(n), k - 1) * euler_phi(d) * euler_phi(delta))
+
+
+def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
+    """N_k by the literal recursion over Moebius-weighted divisor pairs.
+
+    N_k(n, d, delta) = phi(n) / (phi(d) phi(delta)) * sum over j | d, t | delta of
+    mu(j) mu(t) N_{k-1}(n, j, t), down to the k = 1 count.  It is 0 when gcd(d, delta) > 1,
+    as no sum is both 1 and 0 mod a common factor; else a pair is one squarefree s = j t:
+    mu(j) mu(t) = mu(s), and phi(j) phi(t) = phi(s).  N_i(n, j, t) is level i at s of
+    `_divisor_levels` (at k = 1 no step is taken), priced at omega(d delta).
+    """
+    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
+    if gcd(d, delta) > 1:
+        return 0
+    phi_n = euler_phi(n)
+    # N_1(n, j, t): a unit is 1 mod j, and 0 mod t only when t = 1
+    total = _divisor_levels(k, n, factorize(d).primes() + factorize(delta).primes(),
+                            lambda s: exact_div(phi_n, euler_phi(s)) if gcd(s, delta) == 1 else 0,
+                            f"N_{k}(n, {d}, {delta})")
+    return exact_div(total, euler_phi(d) * euler_phi(delta))
+
+
+def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """Count N_k(n, d, delta) from the unit tuples by sum; priced at their phi(n)**k."""
+    k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
+    check_budget((euler_phi(n), k), budget, f"N_{k}({n}, {d}, {delta}) oracle")
+    return sum(c for r, c in unit_sum_counts(k, n, n) if r % d == 1 % d and r % delta == 0)
 
 
 def _g_k_prime(k: int, p: int) -> int:

@@ -1,5 +1,7 @@
 """The command-line surface: values, formats, exit codes."""
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import re
@@ -12,9 +14,11 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phik import sum_phi_k_direct, summatory
-from phik.cli import COMMANDS, build_parser, main
+from phik import menon, sum_phi_k_direct, summatory
+from phik.cli import COMMANDS, _read_table, _row_flags, build_parser, main
 
 
 def run_cli(*argv):
@@ -550,7 +554,8 @@ def test_a_large_out_file_written_by_a_process_is_complete(tmp_path):
 def test_a_process_pool_ends_with_its_command(tmp_path):
     outputs = []
     for workers in ("1", "2"):
-        argv = ["verify", "menon", "--k-max", "3", "--n-max", "12", "--workers", workers]
+        # 800 cells: two workers at menon.SWEEP_POOL_FLOOR
+        argv = ["verify", "menon", "--k-max", "2", "--n-max", "400", "--workers", workers]
         out = tmp_path / f"workers-{workers}.txt"
         with open(out, "w") as fh:  # a file, not a pipe that a leftover worker would hold open
             proc = subprocess.Popen([sys.executable, "-m", "phik.cli", *argv], stdout=fh,
@@ -714,6 +719,7 @@ def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, env, pool_s
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(summatory, "POOL_FLOOR", 4)
+    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert run_cli(*argv) == 0
@@ -740,6 +746,24 @@ def test_a_direct_sum_below_the_pool_floor_starts_no_pool(monkeypatch, capsys):
     assert _SerialPool.sizes == []
     assert sum_phi_k_direct(2, 200, workers=3) == sum_phi_k_direct(2, 200)
     assert _SerialPool.sizes == [2]
+
+
+def test_a_sweep_below_the_pool_floor_starts_no_pool(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    argv = ("verify", "menon", "--k-max", "3", "--n-max", "40", "--f", "tau")  # 120 cells
+    assert run_cli(*argv, "--workers", "2") == 0
+    parallel_out = capsys.readouterr().out
+    assert run_cli(*argv, "--workers", "1") == 0
+    assert capsys.readouterr().out == parallel_out
+    assert _SerialPool.sizes == []
+    # each worker gets at least SWEEP_POOL_FLOOR cells
+    for floor, pool_size in ((41, 2), (40, 3)):
+        monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", floor)
+        assert run_cli(*argv, "--workers", "8") == 0
+        assert capsys.readouterr().out == parallel_out
+        assert _SerialPool.sizes.pop() == pool_size
 
 
 @pytest.mark.parametrize(
@@ -830,7 +854,7 @@ def _add_one_to(monkeypatch, route: str) -> None:
 
 @pytest.mark.parametrize("argv, route, line", [
     (("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1", "--method", "all"),
-     "menon.n_k_recursion", "oracle=16 recursion=17 closed=16"),
+     "totients.n_k_recursion", "oracle=16 recursion=17 closed=16"),
     (("eval", "phi-k", "--k", "2", "--n", "15", "--method", "all"), "totients.phi_k_oracle",
      "oracle=25 closed=24"),
     (("eval", "gcd-sum", "--k", "2", "--n", "3", "--f", "tau", "--method", "all"),
@@ -860,7 +884,7 @@ def test_every_route_prints_what_all_prints(capsys, argv):
 
 
 @pytest.mark.parametrize("route, argv, fail", [
-    ("menon.n_k_oracle", ("verify", "lemmas", "--n-max", "3", "--k-max", "2"),
+    ("totients.n_k_oracle", ("verify", "lemmas", "--n-max", "3", "--k-max", "2"),
      "FAIL k=1 n=1 d=1 delta=1 route=oracle lhs=2 rhs=1"),
     ("totients.phi_k_nm_recursion", ("verify", "phi-k-nm", "--k-max", "2", "--n-max", "3"),
      "FAIL k=1 n=1 m=1 route=recursion lhs=2 rhs=1"),
@@ -1056,6 +1080,127 @@ def test_full_parser_holds_every_leaf():
                     and flag in ("k", "n", "m", "d", "delta", "x", "x-grid")
                     for token in (f"--{flag}", "1")]
         assert parser.parse_args([*cmd.path, *required]).command is cmd
+
+
+# -- the command table reads argv as argparse does ------------------------------
+
+# The words a drawn argv gives each flag: well-formed values and awkward ones.
+INT_WORDS = ["1", "2", "3", "15", " 2", "+15", "2_0", "0", "-2", "-x", "abc", "1e3", "", "9" * 30]
+FLAG_WORDS = {
+    "f": ["id", "tau", "pow:2", "", "-x"],
+    "method": ["closed", "oracle", "recursion", "all", "direct", "convolution", "both", "bogus"],
+    "format": ["plain", "json", "csv", "bogus"],
+    "out": ["rows.txt", "-"],
+    "x-grid": ["10,100", "x", "-1"],
+}
+WORKERS_ENV = [None, "2", " 3", "abc", "=2", ""]
+
+
+@st.composite
+def spelled_argv(draw) -> list[str]:
+    """A row's path and its required flags plus a few others, then up to three respellings."""
+    cmd = draw(st.sampled_from(COMMANDS))
+    flags = _row_flags(cmd)
+    names = [name for name, spec in flags.items() if spec.get("required")]
+    names += draw(st.lists(st.sampled_from(list(flags)), max_size=3))
+    words = [[f"--{name}", draw(st.sampled_from(FLAG_WORDS.get(name, INT_WORDS)))]
+             for name in dict.fromkeys(names)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["=", "abbreviate", "repeat", "drop", "positional", "help",
+                                     "foreign", "path"]))
+        if edit in ("=", "abbreviate", "repeat", "drop") and at < len(words) and \
+                len(words[at]) == 2:
+            flag, value = words[at]
+            if edit == "=":
+                words[at] = [f"{flag}={value}"]
+            elif edit == "abbreviate":
+                words[at] = [flag[:draw(st.integers(3, max(3, len(flag) - 1)))], value]
+            elif edit == "repeat":
+                words.append([flag, draw(st.sampled_from(INT_WORDS))])
+            else:
+                del words[at]
+        elif edit == "positional":
+            words.insert(at, ["extra"])
+        elif edit == "help":
+            words.insert(at, [draw(st.sampled_from(["-h", "--help"]))])
+        elif edit == "foreign":
+            words.insert(at, [draw(st.sampled_from(["--n", "--k-max", "--x", "--d"])), "2"])
+        elif edit == "path":
+            cmd = draw(st.sampled_from(COMMANDS))
+    return [*cmd.path, *(word for pair in words for word in pair)]
+
+
+def _printed(call):
+    """call()'s value, or (exit code, stdout, stderr) when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return call()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _argparse_reads(argv: list[str]):
+    """The Namespace argparse reads from argv, or what it prints and its exit code."""
+    def parse():
+        args, extra = build_parser(argv).parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
+
+    return _printed(parse)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spelled_argv(), st.sampled_from(WORKERS_ENV))
+@example(["eval", "phi-k", "--k=2", "--n", "15"], None)
+@example(["eval", "phi-k", "--k", "2", "--k", "3", "--n", "15"], None)
+@example(["eval", "phi-k", "--k", "-2", "--n", "15"], None)
+@example(["verify", "menon", "--k-m", "2", "--n-max", "10"], None)
+@example(["eval", "phi-k", "--k", "2", "--n", "15", "--help"], None)
+@example(["eval", "phi-k", "-h"], None)
+@example(["verify", "sita-ramaiah", "--n-max", "5"], "abc")
+@example(["verify", "sita-ramaiah", "--n-max", "5"], "=2")
+@example(["verify", "menon", "--k-max", "2", "--n-max", "10", "--workers", "2"], " 3")
+@example(["sum", "phi-k", "--k", "2", "--x", "10", "--method", "all"], None)
+@example(["eval", "phi-k", "--k", "2", "--n", "15", "--format", "csv"], None)
+@example(["eval", "phi-k", "--k", "2", "--n", "15", "extra"], None)
+@example(["eval", "phi-k", "--k", " 2", "--n", "15"], None)
+@example(["eval", "phi-k", "--k", "+15", "--n", "15"], None)
+@example(["eval", "phi-k", "--k", "2_0", "--n", "15"], None)
+@example(["verify", "menon", "--f", ""], None)
+@example(["verify", "menon", "--f", "-x"], None)
+@example(["eval", "phi-k", "--k", "2"], None)
+@example(["error-table", "--k", "2", "--x-grid", "10,100", "--format", "json", "--out", "r"], None)
+@example([], None)
+@example(["--help"], None)
+@example(["eval", "--help"], None)
+def test_the_table_reads_argv_as_argparse_does(argv, workers_env):
+    # what the table takes, argparse takes alike; what it leaves, main prints as argparse does
+    with pytest.MonkeyPatch.context() as patch:
+        if workers_env is None:
+            patch.delenv("PHIK_WORKERS", raising=False)
+        else:
+            patch.setenv("PHIK_WORKERS", workers_env)
+        table, parsed = _read_table(argv), _argparse_reads(argv)
+        if table is not None:
+            assert not isinstance(parsed, tuple), parsed
+            assert vars(table) == {key: v for key, v in vars(parsed).items() if key != "parser"}
+        elif isinstance(parsed, tuple):
+            assert _printed(lambda: main(argv)) == parsed
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: " ".join(cmd.path))
+def test_the_table_reads_every_row_with_every_flag(cmd):
+    words = {"f": "tau", "out": "rows.txt", "x-grid": "10,100"}
+    argv = [*cmd.path, *(word for name, spec in _row_flags(cmd).items() for word in
+                         (f"--{name}", spec["choices"][-1] if "choices" in spec
+                          else words.get(name, "3")))]
+    table = _read_table(argv)
+    assert table is not None and table.command is cmd
+    assert vars(table) == {key: v for key, v in vars(_argparse_reads(argv)).items()
+                           if key != "parser"}
 
 
 def test_recursion_refusal_names_no_flag():

@@ -271,14 +271,16 @@ def test_verify_sweep_partial_on_budget():
     assert report.ok
 
 
-def test_verify_sweep_parallel_matches_serial():
+def test_verify_sweep_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
     seq = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=1)
     par = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=2)
     assert seq.as_dict() == par.as_dict()
 
 
 @pytest.mark.parametrize("f", ["mapping", "table file", "module-level function"])
-def test_parallel_sweeps_run_the_one_parsed_f_as_serial_ones_do(tmp_path, f):
+def test_parallel_sweeps_run_the_one_parsed_f_as_serial_ones_do(monkeypatch, tmp_path, f):
+    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
     values = {d: (d * d + 3 * d + 7) % 11 for d in range(1, 17)}  # not multiplicative
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"f": values}))
@@ -309,7 +311,8 @@ def test_verify_sweep_skips_the_cells_its_oracle_refuses():
         assert report.checked == len(ks) * 40 - len(over) and report.ok
 
 
-def test_parallel_sweep_skips_as_serial():
+def test_parallel_sweep_skips_as_serial(monkeypatch):
+    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
     seq = verify_sweep("menon_general", k_max=3, n_max=14, f="tau", budget=1000)
     par = verify_sweep("menon_general", k_max=3, n_max=14, f="tau", budget=1000, workers=2)
     assert seq.skipped and seq.as_dict() == par.as_dict()

@@ -71,12 +71,31 @@ MENON = ["cli", "core", "totients", "menon"]
 
 @pytest.mark.parametrize("argv", EVAL_RUNS, ids=" ".join)
 def test_eval_imports_only_what_its_routes_need(argv):
-    # the closed forms and the oracles of phi_k and phi_k(n, m) live in totients, N_k's and the
-    # gcd sum's in menon; no route imports numpy
+    # the routes of phi_k, phi_k(n, m) and N_k live in totients, the gcd sum's in menon; no route
+    # imports numpy
     loaded = loaded_after(argv, PHIK + ("numpy", "dataclasses", "fractions"))
-    modules = {"jordan": ["cli", "core"], "n-k": MENON, "gcd-sum": MENON}.get(
+    modules = {"jordan": ["cli", "core"], "gcd-sum": MENON}.get(
         argv[1], ["cli", "core", "totients"])
     assert loaded == [f"phik.{name}" for name in modules]
+
+
+def test_canonical_argv_loads_no_argparse_and_help_does():
+    # the command table reads canonical argv; argparse (with gettext and locale) prints help
+    parsers = ("argparse", "gettext", "locale")
+    for argv in (["eval", "phi-k", "--k", "2", "--n", "15"],
+                 ["verify", "nageswara-rao", "--k-max", "2", "--n-max", "10"],
+                 ["sum", "phi-k", "--k", "2", "--x", "100", "--format", "json"],
+                 ["constant", "--k", "2", "--prime-bound", "1000"],
+                 ["error-table", "--k", "2", "--x-grid", "10,100", "--prime-bound", "1000"]):
+        assert loaded_after(argv, parsers) == [], argv
+    code = (
+        "import sys, contextlib, io\n"
+        "from phik.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    main(['--help'])\n"
+        "print('argparse' in sys.modules)"
+    )
+    assert python(code) == "True\n"
 
 
 def test_verify_phi_k_nm_imports_menon_and_no_numpy():
