@@ -212,12 +212,13 @@ def gcd_sum_lhs_oracle(
 
 def _divisor_sum_spec(k: int, n: int, f: FSpecInput, what: str, with_n_k=False) -> FunctionSpec:
     """f for a divisor sum over n, priced first at prod (e+1)(e+2)/2 = sum_{d | n} tau(d) transform
-    terms (with_n_k: plus the 2**omega(n) N_k pairs of each divisor) of k bits(n) bits.  Without a
-    mu_f table, f is evaluated once per divisor, not per read (3**omega at squarefree n)."""
+    terms (with_n_k: plus the 2**omega(n) N_k pairs of each divisor, each a closed-form N_k of
+    omega(n) + 1 products) of k bits(n) bits.  Without a mu_f table, f is evaluated once per
+    divisor, not per read (3**omega at squarefree n)."""
     spec = parse_function_spec(f)
     factors = factorize(n).factors
     terms = prod((e + 1) * (e + 2) // 2 for _, e in factors)
-    pairs = prod(e + 1 for _, e in factors) << len(factors) if with_n_k else 0
+    pairs = (len(factors) + 1) * prod(e + 1 for _, e in factors) << len(factors) if with_n_k else 0
     check_word_budget(terms + pairs, k * n.bit_length(), what)
     if spec.mu_fn is None:  # a refusal is not cached: the first read of a missing entry raises
         spec = spec._replace(fn=lru_cache(maxsize=None)(spec.fn))

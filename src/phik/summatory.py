@@ -18,17 +18,19 @@ from its values at m = 1 ... k+2, by the Newton interpolation that also gives
 `residues.Rows.polynomial` its coefficients.
 
 The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
-float64 pass over p <= P, widened by a rounding bound proven in advance; the
-truncated product overestimates (every omitted factor is below 1), and the tail
-is bounded below via sum_{p > P} 1/p**2 <= 1/(P - 1).
+pass in Python floats over p <= P, streamed from a byte sieve of the odd numbers
+(`_primes`, which also serves the sums) without numpy, widened by a rounding bound
+proven in advance; the truncated product overestimates (every omitted factor is
+below 1), and the tail is bounded below via sum_{p > P} 1/p**2 <= 1/(P - 1).
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from itertools import accumulate, takewhile
+from itertools import accumulate, chain, compress, islice, repeat, takewhile
 from math import isqrt
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from operator import add, mul, sub, truediv
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .core import (
     DEFAULT_PRIME_BOUND,
@@ -117,21 +119,20 @@ def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * untouched + 1, spf
 
 
-def _prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit, as an int64 array."""
-    import numpy as np
-
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
+def _primes(limit: int) -> Iterator[int]:
+    """The primes <= limit in ascending order, unchecked, from one byte sieve of the odd numbers."""
+    odd = bytearray([1]) * ((limit + 1) // 2)  # odd[i] for 2i + 1
+    if odd:
+        odd[0] = 0  # 1 is no prime
+    for p in range(3, isqrt(limit) + 1, 2):
+        if odd[p >> 1]:  # cross out p**2, p**2 + 2p, ...
+            odd[p * p >> 1 :: p] = bytes(len(range(p * p >> 1, len(odd), p)))
+    return chain([2] if limit >= 2 else [], compress(range(1, limit + 1, 2), odd))
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, an integer >= 0, as plain Python ints."""
-    return _prime_array(positive_int(limit, "prime limit", least=0)).tolist()
+    return list(_primes(positive_int(limit, "prime limit", least=0)))
 
 
 @lru_cache(maxsize=1)
@@ -274,7 +275,7 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
     from .residues import monomials
 
     v = _quotient_set(x)
-    primes = _prime_array(isqrt(x))
+    primes = np.array(list(_primes(isqrt(x))), dtype=np.int64)
     power_sums = _power_sum_rows(k, x, v, rows)  # [j] holds the rows of S_j(v)
     coeffs = monomials(partial(_g_k_prime, k), k)
     powers = [j for j, c in enumerate(coeffs) if c]
@@ -469,15 +470,15 @@ def _float_above(r: Fraction) -> float:
     return x if x >= r else math.nextafter(x, math.inf)
 
 
-def _power(x: np.ndarray, k: int) -> np.ndarray:
+def _power(x: list[float], k: int) -> list[float]:
     """x**k elementwise by repeated squaring, with correctly rounded products only."""
     if k == 1:
         return x
-    half = _power(x * x, k // 2)
-    return half * x if k % 2 else half
+    half = _power(list(map(mul, x, x)), k // 2)
+    return list(map(mul, half, x)) if k % 2 else half
 
 
-def _factors(k: int, t: np.ndarray) -> np.ndarray:
+def _factors(k: int, t: list[float]) -> list[float]:
     """r_p = 1 + g_k(p)/p**(k+1) = 1 - t*v, v = 1 - w*(w**k - (-t)**k), at t = 1/p, w = 1 - t.
 
     With u = 2**-53 and x' the computed x, all values lie in [0, 1] (for odd k, w**k + t**k <=
@@ -485,9 +486,9 @@ def _factors(k: int, t: np.ndarray) -> np.ndarray:
     |a'b' - ab| <= |a' - a| + |b' - b|.  So t errs by u*t, w by e_w = u*t + u/2, v by (k+1)*e_w +
     k*u*t + (2k+1)*u/2, t*v by u*t + t*e_v + u*t*(1+u) + 2**-1075, r_p by <= (3k+5)*u*t + u/2.
     """
-    w = 1.0 - t
-    s = _power(w, k) - (-1) ** (k % 2) * _power(t, k)  # a sign flip is exact
-    return 1.0 - t * (1.0 - w * s)
+    w = list(map(sub, repeat(1.0), t))
+    s = map(add if k % 2 else sub, _power(w, k), _power(t, k))  # a - (-b) is a + b, exactly
+    return list(map(sub, repeat(1.0), map(mul, t, map(sub, repeat(1.0), map(mul, w, s)))))
 
 
 def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
@@ -505,10 +506,11 @@ def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
     slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
     if slack >= 1:
         return 0.0, 1.0
-    primes = _prime_array(prime_bound)
-    blocks = (primes[i : i + PRODUCT_CHUNK] for i in range(0, primes.size, PRODUCT_CHUNK))
-    product = math.prod(float(_factors(k, 1.0 / block).prod()) for block in blocks)
-    slack += Fraction(primes.size, 2**54) + Fraction(primes.size - 1, 2**53 - (primes.size - 1))
+    primes, product, n = _primes(prime_bound), 1.0, 0
+    while chunk := list(islice(primes, PRODUCT_CHUNK)):  # the primes are never all listed
+        product *= math.prod(_factors(k, list(map(truediv, repeat(1.0), chunk))))
+        n += len(chunk)
+    slack += Fraction(n, 2**54) + Fraction(n - 1, 2**53 - (n - 1))
     lo = max(0.0, math.nextafter(product * _float_below(1 - slack), -math.inf))
     hi = math.nextafter(product * _float_above(1 / (1 - slack)), math.inf) if slack < 1 else 1.0
     return lo, min(hi, 1.0)  # every factor is below 1

@@ -417,6 +417,24 @@ def test_menon_expansion_rhs_is_priced_before_it_lists_a_divisor():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("primes", [12, 13])
+def test_menon_expansion_rhs_prices_each_n_k_pair_at_its_products(monkeypatch, primes):
+    # a pair (d, delta) is a closed-form N_k of omega(n) + 1 products: at 12 primes, 3**12 terms
+    # and 4**12 pairs of 13 products are over the budget, which pairs of one product each were not
+    n = 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)[:primes]:
+        n *= p
+
+    def listed(m):
+        raise AssertionError(f"the divisors of {m} were listed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(menon, "divisors", listed)
+        with pytest.raises(BudgetExceededError, match=f"N_k expansion of the gcd sum at k=2, n={n}"):
+            menon_expansion_rhs(2, n, "tau")
+    assert menon_expansion_rhs(2, 30030, "tau") == gcd_sum_rhs(2, 30030, "tau")
+
+
 def test_gcd_sum_rhs_keeps_the_ratio_of_a_fraction_valued_f():
     assert gcd_sum_rhs(1, 5, lambda x: Fraction(1, 3)) == Fraction(4, 3)  # (mu*f)(1) = 1/3 only
     halved = gcd_sum_rhs(2, 15, lambda x: Fraction(x, 2))

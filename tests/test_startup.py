@@ -136,6 +136,28 @@ def test_divisor_sum_side_imports_no_fractions(argv):
     assert loaded_after(argv, ("phik.summatory", "numpy", "fractions")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["constant", "--k", "2", "--prime-bound", "1000"],
+    ["constant", "--k", "5", "--format", "json"],
+])
+def test_the_constant_imports_no_numpy_and_runs_without_it(argv):
+    # one byte sieve streams the primes into a product of Python floats
+    assert loaded_after(argv, PHIK + ("numpy",)) == [
+        f"phik.{name}" for name in ("cli", "core", "totients", "summatory")]
+    code = (
+        "import sys, contextlib, io\n"
+        "sys.modules['numpy'] = None  # any import of numpy raises ImportError\n"
+        "from phik.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(out.getvalue(), end='')"
+    )
+    with_numpy = subprocess.run([sys.executable, "-m", "phik.cli", *argv], capture_output=True,
+                                text=True)
+    assert with_numpy.returncode == 0 and python(code) == with_numpy.stdout != ""
+
+
 def test_sums_import_no_fractions():
     # only the constant and the error table's main term are Fractions
     argv = ["sum", "phi-k", "--k", "2", "--x", "100", "--method", "both"]

@@ -2,6 +2,7 @@
 import math
 import os
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -26,6 +27,7 @@ from phik import (
     sum_phi_k_direct,
     summatory,
 )
+from test_core import _PRIMES_TO_10_6
 
 
 def test_sum_frozen_values():
@@ -109,6 +111,15 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**4)) == 1229
     assert primes_up_to(0) == primes_up_to(1) == [] and primes_up_to(np.int64(2)) == [2]
+    assert primes_up_to(10**6) == _PRIMES_TO_10_6
+
+
+def test_the_byte_sieve_lists_the_primes_up_to_every_small_limit():
+    # the sieve holds the odd numbers only: 2, squares of primes and both parities of limit
+    limits = [*range(200), *(p * p + d for p in (991, 997) for d in (-1, 0, 1, 2))]
+    for limit in limits:
+        expected = _PRIMES_TO_10_6[: bisect_right(_PRIMES_TO_10_6, limit)]
+        assert list(summatory._primes(limit)) == primes_up_to(limit) == expected, limit
 
 
 @pytest.mark.parametrize("limit", [-5, 2.5, True, "10", None])
@@ -394,9 +405,8 @@ def test_the_quotient_route_matches_running_sum_near_squares(data):
 
 def test_the_quotient_route_builds_no_sieve_and_only_the_primes_up_to_the_root(monkeypatch):
     limits = []
-    prime_array = summatory._prime_array
-    monkeypatch.setattr(summatory, "_prime_array",
-                        lambda limit: limits.append(limit) or prime_array(limit))
+    primes = summatory._primes
+    monkeypatch.setattr(summatory, "_primes", lambda limit: limits.append(limit) or primes(limit))
     summatory._spf_sieve.cache_clear()
     summatory._prime_values.cache_clear()
     for k, x in ((2, 10**5), (5, 40000), (13, 40000)):  # 2, 3 and 7 rows
@@ -493,15 +503,60 @@ def test_float_product_encloses_the_exact_product_where_powers_underflow():
 def test_each_float_factor_within_its_proven_error(k):
     # the per-factor bound of summatory._factors, against exact rationals; at
     # k = 1100, (1/p)**k rounds to 0 for every prime, and w**k does at p = 2
-    primes = summatory._prime_array(1000 if k > 100 else 3000)
-    factors = summatory._factors(k, 1.0 / primes)
+    primes = list(summatory._primes(1000 if k > 100 else 3000))
+    factors = summatory._factors(k, [1.0 / p for p in primes])
     u = Fraction(1, 2**53)
-    for p, factor in zip(primes.tolist(), factors.tolist()):
+    assert len(factors) == len(primes) and all(type(factor) is float for factor in factors)
+    for p, factor in zip(primes, factors):
         t, w = Fraction(1, p), Fraction(p - 1, p)
         exact = 1 - t * (1 - w * (w**k - (-t) ** k))
         if k <= 12:
             assert exact == 1 + Fraction(g_k(k, p), p ** (k + 1))
         assert abs(Fraction(factor) - exact) <= (3 * k + 5) * u * t + u / 2, (k, p)
+
+
+def _numpy_power(x, k):
+    if k == 1:
+        return x
+    half = _numpy_power(x * x, k // 2)
+    return half * x if k % 2 else half
+
+
+def _numpy_factors(k, t):
+    w = 1.0 - t
+    s = _numpy_power(w, k) - (-1) ** (k % 2) * _numpy_power(t, k)
+    return 1.0 - t * (1.0 - w * s)
+
+
+def _numpy_truncated_product(k, prime_bound):
+    """`summatory._truncated_product` as one float64 numpy pass computed it, the reference for
+    its Python floats: 1.0 / primes, the factor formula elementwise, `.prod()` per chunk of
+    2**14 primes, then `math.prod` of the chunk products, widened by the same slack."""
+    everything = np.array(_PRIMES_TO_10_6)
+    primes = everything[: np.searchsorted(everything, prime_bound, side="right")]
+    slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
+    chunks = (primes[i : i + (1 << 14)] for i in range(0, primes.size, 1 << 14))
+    product = math.prod(float(_numpy_factors(k, 1.0 / chunk).prod()) for chunk in chunks)
+    slack += Fraction(primes.size, 2**54) + Fraction(primes.size - 1, 2**53 - (primes.size - 1))
+    lo = max(0.0, math.nextafter(product * summatory._float_below(1 - slack), -math.inf))
+    hi = (math.nextafter(product * summatory._float_above(1 / (1 - slack)), math.inf)
+          if slack < 1 else 1.0)
+    return lo, min(hi, 1.0)
+
+
+BIT_IDENTITY_CASES = [(k, prime_bound) for k in (*range(2, 13), 17, 64, 130, 1100, 12345)
+                      for prime_bound in (1000, 4999, 16411, 100003, 262147, 998424)
+                      if k <= 100 or prime_bound <= 100003]
+
+
+def test_the_float_product_is_the_numpy_product_bit_for_bit():
+    # every elementwise + - * / rounds as numpy's did, and a float64 multiply-reduce is a left fold,
+    # as math.prod is; the powers underflow at k = 130 and above
+    assert summatory.PRODUCT_CHUNK == 1 << 14 and len(BIT_IDENTITY_CASES) == 90
+    for k, prime_bound in BIT_IDENTITY_CASES:
+        ours = summatory._truncated_product(k, prime_bound)
+        assert ours == _numpy_truncated_product(k, prime_bound), (k, prime_bound)
+        assert all(type(end) is float for end in ours)
 
 
 def test_enclosure_stays_sound_where_the_rounding_bound_exceeds_one():
@@ -515,7 +570,7 @@ def test_a_slack_of_one_sieves_no_prime(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved")
 
-    monkeypatch.setattr(summatory, "_prime_array", no_sieve)
+    monkeypatch.setattr(summatory, "_primes", no_sieve)
     for k, prime_bound in ((10**20, 2**25), (10**15, 1000)):
         assert summatory._truncated_product(k, prime_bound) == (0.0, 1.0)
         assert average_order_constant(k, prime_bound) == Enclosure(k, prime_bound, 0.0, 1.0)
