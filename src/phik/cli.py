@@ -15,9 +15,7 @@ main() reads argv straight from COMMANDS (`_read_table`) when it is canonical: a
 then `--flag value` pairs naming each of its flags once, every value valid.  Any other argv
 (--help, a usage error, `--k=2`, an abbreviation, a repeated flag, a negative number) goes to
 `build_parser`, the one place argparse (and with it gettext and locale) is imported, and the one
-renderer of help and usage text.  Its parser is built as far as argv reaches: every group and
-top-level row, but the leaves of one group only.  `_row_flags` gives both readers each row's
-flags.
+renderer of help and usage text.  `_row_flags` gives both readers each row's flags.
 
 main() also keeps numpy's OpenBLAS from starting a thread pool (phik calls no BLAS routine)
 unless OPENBLAS_NUM_THREADS is already set.  A process enters through run() (`python -m
@@ -281,9 +279,7 @@ COMMANDS = (
             fn=lambda menon, a: [menon.lemma_sweep(a.n_max, a.budget),
                                  menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
     Command(("verify", "phi-k-nm"), "every route of phi_k(n, m), every m | n", _cmd_verify,
-            ("k-max", "n-max", "budget"),
-            fn=lambda menon, a: [menon.route_sweep("phi-k-nm", ("m",), "phi_k_nm", "phi_k(n, m)",
-                                                   a.k_max, a.n_max, a.budget)]),
+            ("k-max", "n-max", "budget"), fn="phi_k_nm"),
     Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_value,
             ("k", "x", "sieve-limit", "workers",
              ("method", dict(choices=("direct", "convolution", "both")))), fn=ROUTES["sum-phi-k"]),
@@ -350,16 +346,10 @@ def _read_table(argv: Sequence[str]) -> SimpleNamespace | None:
     return None if given else SimpleNamespace(**attrs)
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The phik parser: every group and top-level row, and the leaf rows of the group argv names.
-
-    Without argv, every group's leaves are built.  argparse reads the first word
-    of argv not starting with "-" as the group, so help and error texts are those
-    of the full parser.  This is the one place phik imports argparse.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The phik parser, every row of COMMANDS a leaf; the one place phik imports argparse."""
     import argparse
 
-    reached = next((word for word in argv or () if not word.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="phik",
         description="Exact arithmetic for the k-dimensional totient, its "
@@ -374,8 +364,6 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
             if group not in groups:
                 p_group = sub.add_parser(group, help=GROUPS[group])
                 groups[group] = p_group.add_subparsers(dest="target", required=True)
-            if argv is not None and group != reached:
-                continue
             parent = groups[group]
         p = parent.add_parser(cmd.path[-1], help=cmd.help)
         for name, spec in _row_flags(cmd).items():
@@ -391,7 +379,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_table(argv)
     if args is None:  # --help, a usage error, or a spelling the table leaves to argparse
-        args, extra = build_parser(argv).parse_known_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
         if extra:  # reported by the leaf, whose usage names the flags it takes
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     cmd = args.command

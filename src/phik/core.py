@@ -77,7 +77,7 @@ def library(name: str) -> Callable:
 
 def route_order(routes: Mapping[str, Callable], method: str = "all") -> list[tuple[str, Callable]]:
     """The (route, function) pairs to run, last listed first: `method` alone, or every route
-    when it names none ("all", "both"); resolved once per command or sweep."""
+    when it names none ("all", "both"); resolved once per command or sweep cell."""
     return [(route, routes[route]) for route in reversed(routes)
             if method == route or method not in routes]
 

@@ -10,9 +10,9 @@ delta, whose three routes live in `totients` and which `menon_expansion_rhs`
 sums.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
 units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
-of f `core.table_lookup`.  Sweeps report through `IdentityReport.of`, a skipped cell by
-its oracle's own refusal, and spread their cells with `core.parallel_map`; `route_sweep`
-checks every route of a quantity of `core.ROUTES` against its first.
+of f `core.table_lookup`.  `verify_sweep` runs every (k, n) grid, of an identity or of the routes
+of a quantity of `core.ROUTES` (SWEEP_KINDS); it reports through `IdentityReport.of`, a skipped
+cell by its oracle's own refusal, and spreads the cells with `core.parallel_map`.
 """
 from __future__ import annotations
 
@@ -53,7 +53,14 @@ from .core import (
 from .totients import (fold_counts, n_k, n_k_oracle, n_k_recursion, phi_k, unit_sum_counts,
                        units_mod)
 
-IDENTITY_KINDS = ("menon_general", "menon_gcd", "sita_ramaiah", "nageswara_rao")
+# The kinds of `verify_sweep`: the four identities of `verify_identity` (None), and the route
+# sweeps, each a quantity of `core.ROUTES`, its arguments that range over the divisors of n, and
+# the name of its grid in a refusal.
+SWEEP_KINDS = {
+    "menon_general": None, "menon_gcd": None, "sita_ramaiah": None, "nageswara_rao": None,
+    "phi_k_nm": ("phi-k-nm", ("m",), "phi_k(n, m)"),
+    "n_k_machinery": ("n-k", ("d", "delta"), "N_k"),
+}
 
 # Cells per worker below which `verify_sweep` starts no pool.  As processes (`verify menon --f tau`,
 # 2 vCPUs, Python 3.11, medians of 9-13 alternating runs), `--workers 2` lost to `--workers 1` at
@@ -332,10 +339,12 @@ class IdentityReport(NamedTuple):
                 "partial": self.partial, "ok": self.ok}
 
 
-def _identity_kind(kind: str) -> str:
-    if kind not in IDENTITY_KINDS:
-        raise ValueError(f"unknown identity {kind!r}, expected one of {IDENTITY_KINDS}")
-    return kind
+def _sweep_kind(kind: str, routes: bool = True):
+    """kind's entry of SWEEP_KINDS; a route kind is unknown unless `routes`."""
+    kinds = tuple(name for name, route in SWEEP_KINDS.items() if routes or route is None)
+    if kind not in kinds:
+        raise ValueError(f"unknown identity {kind!r}, expected one of {kinds}")
+    return SWEEP_KINDS[kind]
 
 
 def verify_identity(
@@ -346,7 +355,8 @@ def verify_identity(
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> Instance:
     """Check one instance of a named identity; returns both exact sides."""
-    if _identity_kind(kind) == "sita_ramaiah" and k != 2:
+    _sweep_kind(kind, routes=False)
+    if kind == "sita_ramaiah" and k != 2:
         raise ValueError("the k = 2 specialization requires k = 2")
     params = (("identity", kind), ("k", k), ("n", n))
     if kind == "nageswara_rao":
@@ -365,13 +375,32 @@ def verify_identity(
 
 
 def _sweep_cell(args: tuple) -> Union[tuple[int, int, list[Instance]], dict]:
-    """One checked instance as a report cell, or the skip record of a cell its oracle refused."""
+    """One (k, n) of a sweep as a report cell, or the skip record of a cell its oracle refused."""
     kind, k, n, spec, budget = args
     try:
+        if SWEEP_KINDS[kind]:
+            return _route_cell(*SWEEP_KINDS[kind][:2], k, n, budget)
         inst = verify_identity(kind, k, n, spec, budget)
     except BudgetExceededError as exc:
         return {"k": k, "n": n, "reason": str(exc)}
     return 1, inst.trivial_zero, [] if inst.ok else [inst]
+
+
+def _route_cell(quantity: str, divisor_args: tuple[str, ...], k: int, n: int,
+                budget: int) -> tuple[int, int, list[Instance]]:
+    """Each route of a quantity of `core.ROUTES` against its first at k, n and every divisor of n
+    for each of `divisor_args`: the checks, and as failures the routes off the first, each naming
+    the point and the route, its value as lhs, the first's as rhs."""
+    order = route_order({route: library(name) for route, name in ROUTES[quantity].items()})
+    first = next(iter(ROUTES[quantity]))
+    points = list(product(divisors(n), repeat=len(divisor_args)))
+    failures = []
+    for point in points:
+        params = {"k": k, "n": n, **dict(zip(divisor_args, point))}
+        values = route_values(order, params, budget)
+        failures += [Instance((*params.items(), ("route", route)), value, values[first], False)
+                     for route, value in values.items() if value != values[first]]
+    return len(points), 0, failures
 
 
 def verify_sweep(
@@ -382,24 +411,25 @@ def verify_sweep(
     budget: int = DEFAULT_ORACLE_BUDGET,
     workers: int = 1,
 ) -> IdentityReport:
-    """Sweep an identity over 1 <= k <= k_max, 1 <= n <= n_max.
+    """Sweep a kind of SWEEP_KINDS over 1 <= k <= k_max, 1 <= n <= n_max.
 
     The grid is priced first, at a tuple per cell; cells whose oracle refuses the budget
     are skipped and reported, making the report partial.  With workers > 1 the cells, each
     carrying the one parsed f, are evaluated by `core.parallel_map`, on at most one worker per
     SWEEP_POOL_FLOOR cells, and merged back in parameter order; an f that does not pickle is
-    refused before any cell runs.
+    refused before any cell runs.  A route kind reads no f.
     """
-    _identity_kind(kind)
+    route = _sweep_kind(kind)
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
     spec = parse_function_spec(f)
     ks, k_count = ([2], 1) if kind == "sita_ramaiah" else (range(1, k_max + 1), k_max)
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
-    check_budget(k_count * n_max, budget, f"{kind} sweep of {k_count} x {n_max} cells, one each,")
+    what = route[2] if route else kind
+    check_budget(k_count * n_max, budget, f"{what} sweep of {k_count} x {n_max} cells, one each,")
     if kind in ("menon_general", "menon_gcd"):
         swept["f"] = spec.label
-    if workers > 1:
+    if positive_int(workers, "worker count") > 1:
         import pickle
 
         try:
@@ -455,40 +485,8 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
     return IdentityReport.of("lemmas", {"n": f"1..{n_max}", "residues": "all"}, cells)
 
 
-def route_sweep(quantity: str, divisor_args: tuple[str, ...], identity: str, what: str,
-                k_max: int, n_max: int, budget: int = DEFAULT_ORACLE_BUDGET) -> IdentityReport:
-    """Check each route of a quantity of `core.ROUTES` against its first at every k <= k_max,
-    n <= n_max and divisor of n for each of `divisor_args`, priced first at a tuple per (k, n).
-
-    A (k, n) that a route refuses is skipped, with the refusal as its reason.  A route off the
-    first is a failure naming the point and the route, its value as lhs, the first's as rhs.
-    """
-    k_max = positive_int(k_max, "k_max")
-    n_max = positive_int(n_max, "n_max")
-    check_budget(k_max * n_max, budget, f"{what} sweep of {k_max} x {n_max} cells, one each,")
-    order = route_order({route: library(name) for route, name in ROUTES[quantity].items()})
-    first = next(iter(ROUTES[quantity]))
-
-    def cell(k, n):  # the checks of one (k, n) and the failures among them, or its skip record
-        points = list(product(divisors(n), repeat=len(divisor_args)))
-        failures = []
-        try:
-            for point in points:
-                params = {"k": k, "n": n, **dict(zip(divisor_args, point))}
-                values = route_values(order, params, budget)
-                reference = values[first]
-                failures += [Instance((*params.items(), ("route", route)), value, reference, False)
-                             for route, value in values.items() if value != reference]
-        except BudgetExceededError as exc:
-            return {"k": k, "n": n, "reason": str(exc)}
-        return len(points), 0, failures
-
-    cells = (cell(k, n) for k in range(1, k_max + 1) for n in range(1, n_max + 1))
-    return IdentityReport.of(identity, {"k": f"1..{k_max}", "n": f"1..{n_max}"}, cells)
-
-
 def n_k_sweep(
     k_max: int = 3, n_max: int = 30, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> IdentityReport:
-    """N_k's closed form, recursion and oracle at every divisor pair (d, delta): `route_sweep`."""
-    return route_sweep("n-k", ("d", "delta"), "n_k_machinery", "N_k", k_max, n_max, budget)
+    """N_k's closed form, recursion and oracle at every divisor pair (d, delta)."""
+    return verify_sweep("n_k_machinery", k_max, n_max, budget=budget)

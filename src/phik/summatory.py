@@ -569,16 +569,14 @@ def error_term_rows(
 
     delta uses the midpoint of the enclosure; the normalized ratio
     |delta| / (x**k (log x)**(k+1)) is reported for inspection, never
-    asserted against an invented constant.  Grid points must be >= 2.
+    asserted against an invented constant.  Grid points must be integers >= 2.
     """
     (k,) = tuple_args(k)
     if k < 2:
         raise ValueError(f"error monitoring needs k >= 2, got k={k}")
     if not xs:
         raise ValueError("empty x grid")
-    grid = sorted(set(xs))
-    if grid[0] < 2:
-        raise ValueError(f"grid points must be >= 2, got {grid[0]}")
+    grid = sorted({positive_int(x, "grid point", least=2) for x in xs})
     _check_sieve_budget(grid[-1], sieve_limit, "grid point")
     enclosure = average_order_constant(k, prime_bound, sieve_limit)
     top = grid[-1]

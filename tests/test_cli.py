@@ -140,6 +140,23 @@ def test_huge_arguments_end_at_once(argv, code):
         assert (proc.stdout, proc.stderr) == ("1\n", "")
 
 
+# the constant's prime product up to 2**25 at a huge k, a huge m refused as no divisor of n, the
+# N_k recursion off d = delta = 1, every N_k route, a whole route sweep, and a sum's usage errors
+@pytest.mark.parametrize("argv, code", [
+    (f"constant --k {HUGE_K} --prime-bound 33554432", 0),
+    ("eval phi-k-nm --k 2 --n 10 --m 1000000000 --method oracle", 2),
+    ("eval n-k --k 1 --n 15 --d 3 --delta 1 --method recursion", 0),
+    ("eval n-k --k 2 --n 12 --d 2 --delta 2 --method recursion", 0),
+    ("eval n-k --k 3 --n 60 --d 3 --delta 5 --method all", 0),
+    ("verify phi-k-nm --k-max 3 --n-max 30", 0),
+    ("sum phi-k --k 2 --x 10 --prime-bound 1000", 2),
+    ("sum phi-k --k 2 --x 10 --method all", 2),
+])
+def test_long_or_refused_inputs_end_at_once_with_their_code(argv, code):
+    proc = phik_process(*argv.split(), timeout=10)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+
+
 # the closed forms built a power of k bits before anything compared its length with the print
 # limit; now `core.power` refuses it before it is built, phi_k(2) is 0 or 1 whatever k is, and
 # g_k is 0 off squarefree n without building a factor
@@ -1144,7 +1161,7 @@ def _printed(call):
 def _argparse_reads(argv: list[str]):
     """The Namespace argparse reads from argv, or what it prints and its exit code."""
     def parse():
-        args, extra = build_parser(argv).parse_known_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args

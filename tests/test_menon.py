@@ -27,7 +27,6 @@ from phik import (
     nageswara_rao_lhs_oracle,
     parse_function_spec,
     phi_k,
-    route_sweep,
     tau,
     tau_mf,
     units_mod,
@@ -249,8 +248,9 @@ def test_verify_identity_instance():
     assert inst2.ok and inst2.rhs == phi_k(2, 15) * tau(15)
     with pytest.raises(ValueError):
         verify_identity("sita_ramaiah", 3, 15)
-    with pytest.raises(ValueError):
-        verify_identity("nonsense", 2, 15)
+    for kind in ("nonsense", "phi_k_nm", "n_k_machinery"):  # a route kind is no identity
+        with pytest.raises(ValueError, match=f"unknown identity '{kind}'"):
+            verify_identity(kind, 2, 6)
 
 
 def test_verify_sweep_reports():
@@ -311,6 +311,23 @@ def test_verify_sweep_skips_the_cells_its_oracle_refuses():
         assert report.checked == len(ks) * 40 - len(over) and report.ok
 
 
+@pytest.mark.parametrize("kind", ["phi_k_nm", "n_k_machinery"])
+@pytest.mark.parametrize("budget", [10**6, 100], ids=["whole", "skipping"])
+def test_a_parallel_route_sweep_reports_as_a_serial_one(monkeypatch, kind, budget):
+    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
+    serial = verify_sweep(kind, k_max=3, n_max=14, budget=budget)
+    assert serial.ok and serial.checked and serial.partial == (budget == 100)
+    assert verify_sweep(kind, k_max=3, n_max=14, budget=budget, workers=2).as_dict() == \
+        serial.as_dict()
+
+
+@pytest.mark.parametrize("workers", ["2", 2.0, True, 0])
+def test_a_sweep_refuses_a_worker_count_that_is_no_positive_integer(workers):
+    with pytest.raises(ValueError) as exc:
+        verify_sweep("menon_general", 2, 5, workers=workers)
+    assert str(exc.value) == f"worker count must be a positive integer, got {workers!r}"
+
+
 def test_parallel_sweep_skips_as_serial(monkeypatch):
     monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
     seq = verify_sweep("menon_general", k_max=3, n_max=14, f="tau", budget=1000)
@@ -357,11 +374,11 @@ def test_gcd_sum_rhs_is_priced_before_any_divisor_is_listed(monkeypatch):
     assert exc.value.limit is None
 
 
-def test_route_sweep_checks_every_route_at_every_divisor():
-    report = route_sweep("phi-k-nm", ("m",), "phi_k_nm", "phi_k(n, m)", 3, 24)
+def test_the_phi_k_nm_sweep_checks_every_route_at_every_divisor():
+    report = verify_sweep("phi_k_nm", 3, 24)
     assert report.ok and not report.partial
     assert report.checked == 3 * sum(len(divisors(n)) for n in range(1, 25))
-    skipped = route_sweep("phi-k-nm", ("m",), "phi_k_nm", "phi_k(n, m)", 2, 12, budget=100)
+    skipped = verify_sweep("phi_k_nm", 2, 12, budget=100)
     assert [(s["k"], s["n"]) for s in skipped.skipped] == [(2, n) for n in range(11, 13)]
     assert skipped.skipped[0]["reason"] == ("phi_2(11, m=1) oracle would visit 121 tuples, "
                                             "over the budget of 100")

@@ -1,5 +1,4 @@
 """Start-up: what each command imports, the lazy package namespace, and the BLAS setting."""
-import argparse
 import os
 import subprocess
 import sys
@@ -7,7 +6,7 @@ import sys
 import pytest
 
 import phik
-from phik.cli import COMMANDS, GROUPS, build_parser, main
+from phik.cli import COMMANDS, main
 
 PUBLIC = """
     BudgetExceededError DEFAULT_ORACLE_BUDGET DEFAULT_PRIME_BOUND DEFAULT_SIEVE_LIMIT Enclosure
@@ -18,7 +17,7 @@ PUBLIC = """
     jordan_totient lemma_sweep menon_expansion_rhs mobius mobius_mf mobius_transform n_k
     n_k_oracle n_k_recursion n_k_sweep nageswara_rao_lhs_oracle one_mf parse_function_spec phi_k
     phi_k_mf phi_k_nm phi_k_nm_oracle phi_k_nm_recursion phi_k_oracle phi_mf piltz_mf
-    primes_up_to route_sweep sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
+    primes_up_to sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
     verify_identity verify_sweep
 """.split()
 
@@ -101,20 +100,6 @@ def test_canonical_argv_loads_no_argparse_and_help_does():
 def test_verify_phi_k_nm_imports_menon_and_no_numpy():
     argv = ["verify", "phi-k-nm", "--k-max", "2", "--n-max", "10"]
     assert loaded_after(argv, PHIK + ("numpy",)) == [f"phik.{name}" for name in MENON]
-
-
-def _leaves(parser: argparse.ArgumentParser) -> dict:
-    """The subcommands a parser holds, by name, each with the parser built for it."""
-    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return dict(subparsers[0].choices) if subparsers else {}
-
-
-@pytest.mark.parametrize("group", sorted(GROUPS))
-def test_the_parser_builds_the_leaves_of_the_named_group_only(group):
-    groups = _leaves(build_parser([group, "--help"]))
-    built = {name: sorted(_leaves(p)) for name, p in groups.items() if name in GROUPS}
-    assert built == {name: sorted(cmd.path[1] for cmd in COMMANDS if cmd.path[0] == name)
-                     if name == group else [] for name in GROUPS}
 
 
 def test_verify_imports_neither_summatory_nor_numpy():

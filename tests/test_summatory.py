@@ -178,6 +178,9 @@ def test_error_rows_domain():
         error_term_rows(2, [])
     with pytest.raises(ValueError):
         error_term_rows(2, [1, 100])
+    for point in (100.0, True):  # the float raised an AttributeError
+        with pytest.raises(ValueError, match=f"grid point must be an integer >= 2, got {point}"):
+            error_term_rows(2, [point, 1000])
 
 
 def test_error_table_csv_columns():
