@@ -276,8 +276,7 @@ COMMANDS = (
             ("k-max", "n-max", "budget", "workers"), fn="nageswara_rao"),
     Command(("verify", "lemmas"), "residue-class counts and N_k machinery", _cmd_verify,
             ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget"),
-            fn=lambda menon, a: [menon.lemma_sweep(a.n_max, a.budget),
-                                 menon.n_k_sweep(a.k_max, a.n_max, a.budget)]),
+            fn=lambda menon, a: menon.lemma_sweeps(a.n_max, a.k_max, a.budget)),
     Command(("verify", "phi-k-nm"), "every route of phi_k(n, m), every m | n", _cmd_verify,
             ("k-max", "n-max", "budget"), fn="phi_k_nm"),
     Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_value,

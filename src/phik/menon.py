@@ -442,6 +442,20 @@ def verify_sweep(
     return IdentityReport.of(kind, swept, parallel_map(_sweep_cell, cells, workers))
 
 
+def _priced_lemmas(n_max: int, budget: int) -> int:
+    """n_max, checked, once the lemma sweep to it is within budget: sigma(n) + sigma(n)**2 checks
+    at each n <= n_max, summed only until they are over it."""
+    n_max = positive_int(n_max, "n_max")
+    cost = 0
+    for n in range(1, n_max + 1):  # the cost grows like n**3: stop once it is over
+        sigma = sum(divisors(n))
+        cost += sigma + sigma**2
+        if cost > budget:
+            break
+    check_budget(cost, budget, f"lemma sweep to n_max={n_max}: its checks up to n={n}")
+    return n_max
+
+
 def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> IdentityReport:
     """Exhaustive residue-class count checks for all n <= n_max.
 
@@ -451,14 +465,7 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
     Each (n, d, e) is counted once into a class table, walked pair by pair only when it is
     wrong; only failures become Instances.
     """
-    n_max = positive_int(n_max, "n_max")
-    cost = 0
-    for n in range(1, n_max + 1):  # the cost grows like n**3: stop once it is over
-        sigma = sum(divisors(n))
-        cost += sigma + sigma**2
-        if cost > budget:
-            break
-    check_budget(cost, budget, f"lemma sweep to n_max={n_max}: its checks up to n={n}")
+    n_max = _priced_lemmas(n_max, budget)
 
     def check(n, d, e, table, params):  # the table of (d, e) at every residue pair (r, s)
         # the phi(lcm(d, e)) unit pairs that agree mod gcd(d, e) (CRT) are the only ones predicted
@@ -490,3 +497,12 @@ def n_k_sweep(
 ) -> IdentityReport:
     """N_k's closed form, recursion and oracle at every divisor pair (d, delta)."""
     return verify_sweep("n_k_machinery", k_max, n_max, budget=budget)
+
+
+def lemma_sweeps(n_max: int = 40, k_max: int = 3,
+                 budget: int = DEFAULT_ORACLE_BUDGET) -> list[IdentityReport]:
+    """[`lemma_sweep`, `n_k_sweep`] to n_max, both priced before either runs: the lemmas first,
+    so theirs is the refusal when both are over budget, then the N_k grid, which runs first."""
+    _priced_lemmas(n_max, budget)
+    n_k = n_k_sweep(k_max, n_max, budget)
+    return [lemma_sweep(n_max, budget), n_k]

@@ -9,12 +9,11 @@ rebuilds it.  Past MAX_MODULI rows, one row of exact Python ints costs less, and
 `Rows` carries that instead.  `blocks` walks the odd n of a range a block at a time
 and builds f(n) in rows for a multiplicative f, from a smallest-prime-factor sieve over
 the odd numbers; `Rows.block` is its block size, 2**16 odd numbers on int64 rows and 2**13
-on an exact row.  The exact sums of `summatory` run on both, and add the powers of 2
-themselves.  Its direct route walks `blocks` on either; its convolution route walks
-them on the exact row only, and on int64 rows
-carries arrays over the quotient set {x // i}, whose second-to-last axis is the
-rows (`Rows.reduce`).  Its power sums S_k take their coefficients from
-`scaled_monomials`; numpy is imported only with this module.
+on an exact row.  The exact sums of `summatory` run on both.  Its direct route walks
+`blocks` on either, and adds the powers of 2 itself; its convolution route walks no
+block, and on either carries arrays over the quotient set {x // i}, whose
+second-to-last axis is the rows (`Rows.reduce`).  Its power sums S_k take their
+coefficients from `scaled_monomials`; numpy is imported only with this module.
 """
 from __future__ import annotations
 

@@ -8,14 +8,16 @@ and modulo just enough of the largest primes below 2**31 that 2**64 times their
 product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on every such
 sum; one CRT rebuilds each exact total.  The direct route walks the odd m <= x
 over a smallest-prime-factor sieve of the odd numbers, and adds the powers of 2
-through phi_k(2**e) (`_two_adic`).  On those rows the convolution route builds
-no sieve: it sums g_k by Lucy's and the min_25 sieve over the quotient set
-{x // i}, from the primes up to sqrt(x) and the power sums S_j, j <= k.  So the
-two share the rows, their CRT and `_power_sum`, and nothing else.  Where the
-rows would number more than `residues.MAX_MODULI`, both walk one exact object
-row of odd numbers instead, over the same sieve.  The coefficients of S_k come
-from its values at m = 1 ... k+2, by the Newton interpolation that also gives
-`residues.Rows.polynomial` its coefficients.
+through phi_k(2**e) (`_two_adic`).  The convolution route sums g_k by the
+min_25 sieve over the quotient set {x // i}, from the primes up to sqrt(x) and
+Pg(v) = sum_{p <= v} g_k(p).  On those rows it builds no sieve: Pg comes from
+Lucy's sieve over the power sums S_j, j <= k, so the two share the rows, their
+CRT and `_power_sum`, and nothing else.  Where the rows would number more than
+`residues.MAX_MODULI`, both carry one exact object row instead: the direct route
+walks the odd numbers over the same sieve, and the convolution route reads Pg off
+the table of g_k at that sieve's primes, where Lucy would need every S_j.  The
+coefficients of S_k come from its values at m = 1 ... k+2, by the Newton
+interpolation that also gives `residues.Rows.polynomial` its coefficients.
 
 The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
 pass in Python floats over p <= P, streamed from a byte sieve of the odd numbers
@@ -139,10 +141,11 @@ def primes_up_to(limit: int) -> list[int]:
 def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np.ndarray:
     """at_prime(k, p) at each odd prime p of the prime table up to limit, as `Rows(k, limit)` rows.
 
-    The formulas for phi_k(p) and g_k(p) are integer polynomials of degree <= k in
-    p, valid at every integer t >= 1 (`Rows.polynomial`).  Entry 0, for
-    primes[0] = 1, holds f(1) = 1.  An exact row is priced first, for every route that
-    builds one: `limit` numbers of (k+1) bits(limit - 1) bits.
+    The direct route builds phi_k(n) from the table of phi_k(p) (`_direct_range_sum`); on the
+    exact row the convolution route sums the table of g_k(p) (`_quotient_convolution`).  Both are
+    integer polynomials of degree <= k in p, valid at every integer t >= 1 (`Rows.polynomial`).
+    Entry 0, for primes[0] = 1, holds f(1) = 1.  An exact row is priced first, for every route
+    that builds one: `limit` numbers of (k+1) bits(limit - 1) bits.
     """
     from .residues import Rows
 
@@ -155,17 +158,15 @@ def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np
     return table
 
 
-def _two_adic(at_two: Callable[[int], int], ys: list[int],
-              odd_sums: Callable[[list[int]], list[int]]) -> list[int]:
-    """[F(y) for y in ys], F(y) = sum_{n <= y} f(n) h(y // n), from sums over odd n only.
+def _two_adic(k: int, ys: list[int], odd_sums: Callable[[list[int]], list[int]]) -> list[int]:
+    """[F(y) for y in ys], F(y) = sum_{n <= y} phi_k(n), from sums over odd n only.
 
-    Each n is 2**e m with m odd, and y // n = (y >> e) // m, so for a multiplicative f,
-    F(y) = sum over 2**e <= y of f(2**e) F_odd(y >> e), F_odd(z) the sum over odd m <= z.
-    at_two(e) = f(2**e) for e >= 1, and every f(2**e) past the first 0 is 0 too (phi_k at
-    even k, g_k from e = 2).  odd_sums gives F_odd at each of the cuts z, ascending, in one
-    walk; the terms are combined in exact ints.
+    Each n is 2**e m with m odd, and phi_k is multiplicative, so F(y) = sum over 2**e <= y of
+    phi_k(2**e) F_odd(y >> e), F_odd(z) the sum over odd m <= z; at even k only e = 0 is left,
+    as phi_k(2**e) = 0 from e = 1 on.  odd_sums gives F_odd at each of the cuts z, ascending, in
+    one walk; the terms are combined in exact ints.
     """
-    terms = [[(1, y), *takewhile(lambda term: term[0], ((at_two(e), y >> e)
+    terms = [[(1, y), *takewhile(lambda term: term[0], ((_phi_k_prime_power(k, 2, e), y >> e)
                                                        for e in range(1, y.bit_length())))]
              for y in ys]
     cuts = sorted({z for row in terms for _, z in row})
@@ -226,7 +227,7 @@ def sum_phi_k_direct(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT,
                   for i in range(workers)]
         return [sum(pieces) for pieces in zip(*parallel_map(_direct_range_sum, ranges, workers))]
 
-    (total,) = _two_adic(partial(_phi_k_prime_power, k, 2), [x], odd_sums)
+    (total,) = _two_adic(k, [x], odd_sums)
     return PartialSum(total)
 
 
@@ -235,9 +236,9 @@ def sum_phi_k_convolution(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT
     """Exact sum of phi_k(n) for n <= x via sum_{d <= x} g_k(d) * S_k(x // d).
 
     g_k(d) is the product of g_k(p) = phi_k(p) - p**k over the primes of a
-    squarefree d, and 0 otherwise.  On int64 rows (`residues.Rows`) the sum is
-    taken over the quotient set (`_quotient_convolution`), with no sieve; on the
-    exact row, d walks 1 ... x (`_walked_convolution`).  One CRT rebuilds the
+    squarefree d, and 0 otherwise.  The sum is taken over the quotient set
+    (`_quotient_convolution`) on every carrier of `residues.Rows`: with no sieve on
+    int64 rows, and from the prime table up to x on the exact row.  One CRT rebuilds the
     exact total.  It runs in process: workers is checked, first, as the direct route checks it.
     """
     cap_workers(workers, 1)
@@ -246,9 +247,7 @@ def sum_phi_k_convolution(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT
         _faulhaber_coeffs(k)
     from .residues import Rows
 
-    rows = Rows(k, x)
-    total = (_quotient_convolution if rows.moduli else _walked_convolution)(k, x, rows)
-    return PartialSum(total)
+    return PartialSum(_quotient_convolution(k, x, Rows(k, x)))
 
 
 def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
@@ -268,7 +267,11 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
     - min_25: each prime p in descending order adds the squarefree d with smallest
       prime factor p, U(v) += g_k(p) (U(v // p) - Pg(p)), from U = Pg; then G = 1 + U.
 
-    Memory is O((k + 1) rows sqrt(x)) int64s, and the only primes are those up to sqrt(x).
+    Only Pg depends on the carrier.  On the exact row, Lucy would need one polynomial S_j per
+    j <= k; there Pg(v) is g_k(2) from v = 2 on, plus the table of g_k at the odd primes up to
+    x (`_prime_values`, priced first), summed once between the ends of consecutive v and never
+    as one running sum, x long.  On int64 rows, memory is O((k + 1) rows sqrt(x)) int64s, and
+    the only primes are those up to sqrt(x).
     """
     import numpy as np
 
@@ -276,21 +279,31 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
 
     v = _quotient_set(x)
     primes = np.array(list(_primes(isqrt(x))), dtype=np.int64)
-    power_sums = _power_sum_rows(k, x, v, rows)  # [j] holds the rows of S_j(v)
-    coeffs = monomials(partial(_g_k_prime, k), k)
-    powers = [j for j, c in enumerate(coeffs) if c]
-    prime_powers = _power_rows(primes, max(powers), rows)[powers]
-    sums = power_sums[powers] - 1
-    for i, (p, start, half) in enumerate(_quotient_steps(x, v, primes)):
-        step = sums[..., half]
-        step -= sums[..., p - 2 : p - 1]  # at v = p - 1
-        step *= prime_powers[..., i : i + 1]
-        sums[..., start:] -= step
-        rows.reduce(sums[..., start:])
-    prime_sums = np.zeros_like(power_sums[0])
-    for c, prime_sum in zip(rows.of([coeffs[j] for j in powers]).T, sums):
-        prime_sums += c[:, None] * prime_sum
-        rows.reduce(prime_sums)
+    if not rows.moduli:
+        table = _prime_values(_g_k_prime, k, x)[0]
+        ends = np.searchsorted(_spf_sieve(x)[0], v, side="right").tolist()  # after primes[0] = 1
+        sums = accumulate(table[a:b].sum() for a, b in zip([1, *ends], ends))
+        at_two, quotients = _g_k_prime(k, 2) if x > 1 else 0, v.tolist()  # x = 1: no v >= 2
+        prime_sums = rows.of([pg + at_two * (u >= 2) for pg, u in zip(sums, quotients)])
+        low = list(accumulate(i**k for i in range(1, min(x, k + 1) + 1)))  # S_k(m), m <= k + 1
+        s_k = rows.of([low[m - 1] if m <= k + 1 else _power_sum(k, m) for m in quotients])
+    else:
+        power_sums = _power_sum_rows(k, x, v, rows)  # [j] holds the rows of S_j(v)
+        coeffs = monomials(partial(_g_k_prime, k), k)
+        powers = [j for j, c in enumerate(coeffs) if c]
+        prime_powers = _power_rows(primes, max(powers), rows)[powers]
+        sums = power_sums[powers] - 1
+        for i, (p, start, half) in enumerate(_quotient_steps(x, v, primes)):
+            step = sums[..., half]
+            step -= sums[..., p - 2 : p - 1]  # at v = p - 1
+            step *= prime_powers[..., i : i + 1]
+            sums[..., start:] -= step
+            rows.reduce(sums[..., start:])
+        prime_sums = np.zeros_like(power_sums[0])
+        for c, prime_sum in zip(rows.of([coeffs[j] for j in powers]).T, sums):
+            prime_sums += c[:, None] * prime_sum
+            rows.reduce(prime_sums)
+        s_k = power_sums[k]
     g_at = rows.polynomial(partial(_g_k_prime, k), k, primes)
     prefix = prime_sums.copy()
     descending = zip(g_at.T[::-1, :, None], _quotient_steps(x, v, primes[::-1]))
@@ -298,7 +311,7 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
         prefix[:, start:] += g * (prefix[:, half] - prime_sums[:, p - 1 : p])  # at v = p
         rows.reduce(prefix[:, start:])
     runs = np.diff(prefix, axis=1, prepend=-1)  # G(v) - G(v'), with G = 1 + prefix and G(0) = 0
-    total = rows.reduce(runs * power_sums[k][:, ::-1]).sum(axis=1, keepdims=True)
+    total = rows.reduce(runs * s_k[:, ::-1]).sum(axis=1, keepdims=True)
     return rows.exact(rows.reduce(total))
 
 
@@ -370,41 +383,6 @@ def _power_rows(t: np.ndarray, top: int, rows: Rows) -> np.ndarray:
     for j in range(1, top + 1):
         table[j] = rows.reduce(table[j - 1] * at)
     return table
-
-
-def _walked_convolution(k: int, x: int, rows: Rows) -> int:
-    """sum_{d <= x} g_k(d) S_k(x // d) on the exact row, walking the odd d <= x once.
-
-    g_k(2**e) is 0 from e = 2 on, so the sum is T(x) + g_k(2) T(x // 2) (`_two_adic`), with
-    T(z) the sum over odd d <= z.  g_k(d) is built by `residues.blocks` over the sieve up to
-    x.  For each cut z, it is summed over each run of equal quotients z // d in a block; each
-    run whose sum is not 0 is multiplied by S_k(z // d), evaluated once per run (O(sqrt z) runs).
-    """
-    import numpy as np
-
-    from .residues import blocks
-
-    g_at_prime = _prime_values(_g_k_prime, k, x)
-    squareful = rows.of([0] * (isqrt(x) // 2 + 1))  # g_k(d) = 0 once p**2 divides d
-
-    def odd_sums(cuts: list[int]) -> list[int]:
-        totals = [rows.of([0]) for _ in cuts]
-        for d, g in blocks(1, cuts[-1], _spf_sieve(x), rows, g_at_prime, squareful):
-            for z, total in zip(cuts, totals):
-                if not (count := int(np.searchsorted(d, z, side="right"))):
-                    continue
-                q = z // d[:count]
-                starts = np.flatnonzero(np.diff(q, prepend=0))
-                g_sums = rows.reduce(np.add.reduceat(g[:, :count], starts, axis=1))
-                live = np.flatnonzero((g_sums != 0).any(axis=0))  # a run summing to 0 adds 0
-                power_sums = rows.of([_power_sum(k, m) for m in q[starts[live]].tolist()])
-                total += rows.reduce(g_sums[:, live] * power_sums).sum(axis=1, keepdims=True)
-                rows.reduce(total)
-            del d, g  # before the next block is built
-        return [rows.exact(total) for total in totals]
-
-    (total,) = _two_adic(lambda e: _g_k_prime(k, 2) if e == 1 else 0, [x], odd_sums)
-    return total
 
 
 def _sum_checks(k: int, x: int, sieve_limit: int) -> tuple[int, int]:
@@ -582,8 +560,7 @@ def error_term_rows(
     top = grid[-1]
     _prime_values(_phi_k_prime_power, k, top)  # priced before any power of 2 is built
     # one walk to the top, with a cut at each x >> e of the grid (`sum_phi_k_direct`)
-    totals = _two_adic(partial(_phi_k_prime_power, k, 2), grid,
-                       lambda cuts: _direct_range_sum((k, 1, top, cuts, top)))
+    totals = _two_adic(k, grid, lambda cuts: _direct_range_sum((k, 1, top, cuts, top)))
     return [error_row(x, total, enclosure) for x, total in zip(grid, totals)]
 
 

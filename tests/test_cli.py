@@ -128,6 +128,7 @@ FLOAT_K = str(10**309)  # over the largest float
     (f"sum phi-k --k {HUGE_K} --x 3", 3),
     (f"sum phi-k --k {HUGE_K} --x 3 --method convolution", 3),
     (f"sum phi-k --k {HUGE_K} --x 1", 0),
+    (f"sum phi-k --k {HUGE_K} --x 1 --method both", 0),
     (f"error-table --k {HUGE_K} --x-grid 3", 3),
 ])
 def test_huge_arguments_end_at_once(argv, code):
@@ -326,6 +327,16 @@ def test_verify_lemmas(capsys):
     assert run_cli("verify", "lemmas", "--n-max", "12", "--k-max", "2") == 0
     out = capsys.readouterr().out
     assert "lemmas" in out and "n_k_machinery" in out and "PASS" in out
+
+
+def test_verify_lemmas_prices_both_sweeps_before_either_runs(monkeypatch, capsys):
+    # a refused N_k grid runs no lemma check; with both refused, the lemma sweep's refusal is shown
+    monkeypatch.setattr(menon, "_class_table", lambda *args: pytest.fail("a lemma check ran"))
+    assert run_cli("verify", "lemmas", "--n-max", "300", "--k-max", HUGE_K) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"budget refused: N_k sweep of {HUGE_K}")
+    assert run_cli("verify", "lemmas", "--n-max", "1000", "--k-max", HUGE_K) == 3
+    assert capsys.readouterr().err.startswith("budget refused: lemma sweep to n_max=1000:")
 
 
 def test_verify_sita_ramaiah(capsys):

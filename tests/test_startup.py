@@ -14,9 +14,9 @@ PUBLIC = """
     average_order_constant count_units_in_class count_units_in_two_classes
     dirichlet_convolve divisors epsilon_mf error_table_csv error_term_rows euler_phi eval_mf
     factorize faulhaber_sum g_k g_k_mf gcd_sum_lhs_oracle gcd_sum_rhs id_k_mf id_mf jordan_mf
-    jordan_totient lemma_sweep menon_expansion_rhs mobius mobius_mf mobius_transform n_k
-    n_k_oracle n_k_recursion n_k_sweep nageswara_rao_lhs_oracle one_mf parse_function_spec phi_k
-    phi_k_mf phi_k_nm phi_k_nm_oracle phi_k_nm_recursion phi_k_oracle phi_mf piltz_mf
+    jordan_totient lemma_sweep lemma_sweeps menon_expansion_rhs mobius mobius_mf mobius_transform
+    n_k n_k_oracle n_k_recursion n_k_sweep nageswara_rao_lhs_oracle one_mf parse_function_spec
+    phi_k phi_k_mf phi_k_nm phi_k_nm_oracle phi_k_nm_recursion phi_k_oracle phi_mf piltz_mf
     primes_up_to sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
     verify_identity verify_sweep
 """.split()

@@ -4,7 +4,7 @@ import os
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -247,7 +247,8 @@ def test_routes_match_running_sum(k, x):
                                2 * EXACT_BLOCK, 2 * EXACT_BLOCK + 1, 4 * EXACT_BLOCK + 1])
 @pytest.mark.parametrize("k", [2, 3])
 def test_routes_at_block_boundaries(forced_rows, k, x):
-    # the exact row walks EXACT_BLOCK odd numbers, 2 * EXACT_BLOCK numbers, at a time
+    # on the exact row the direct route walks EXACT_BLOCK odd numbers, 2 * EXACT_BLOCK numbers,
+    # at a time
     forced_rows(0)
     assert residues.Rows(k, x).block == EXACT_BLOCK
     expected = _running_sums(k)[x]
@@ -259,7 +260,7 @@ def test_routes_at_block_boundaries(forced_rows, k, x):
                                2 * WORD_BLOCK, 2 * WORD_BLOCK + 1, 3 * WORD_BLOCK])
 @pytest.mark.parametrize("k", [2, 3])
 def test_routes_at_word_block_boundaries(k, x):
-    # int64 rows walk WORD_BLOCK odd numbers, 2 * WORD_BLOCK numbers, at a time
+    # on int64 rows the direct route walks WORD_BLOCK odd numbers, 2 * WORD_BLOCK numbers, at a time
     assert residues.Rows(k, x).block == WORD_BLOCK
     expected = _running_sums(k)[x]
     assert sum_phi_k_direct(k, x).value == expected
@@ -295,8 +296,7 @@ def test_the_2_adic_split_rebuilds_every_running_sum(k):
     # sum_{n <= x} phi_k(n) = sum_e phi_k(2**e) S_odd(x >> e), from the odd sums alone
     odd = _odd_running_sums(k)
     xs = [*range(1, 300), *(2**j + d for j in range(9, 18) for d in (-1, 0, 1))]
-    totals = summatory._two_adic(partial(summatory._phi_k_prime_power, k, 2), xs,
-                                 lambda cuts: [odd[z] for z in cuts])
+    totals = summatory._two_adic(k, xs, lambda cuts: [odd[z] for z in cuts])
     assert totals == [_running_sums(k)[x] for x in xs]
 
 
@@ -310,10 +310,15 @@ def test_routes_at_powers_of_two_in_rows(k, x):
     assert sum_phi_k_convolution(k, x).value == expected
 
 
-@pytest.mark.parametrize("x", [2**j + d for j in (1, 2, 3, 10, 15, 16) for d in (-1, 0, 1)])
+@pytest.mark.parametrize("x", [*(2**j + d for j in (1, 2, 3, 10, 15, 16) for d in (-1, 0, 1)),
+                               *(r * r + d for r in (3, 100) for d in (-1, 0, r - 1, r)),
+                               *(p * p + d for p in (97, 101) for d in (-1, 0, 1))])
 @pytest.mark.parametrize("k", [2, 3])
 def test_routes_at_powers_of_two_in_the_exact_row(forced_rows, k, x):
-    forced_rows(0)  # one exact row: its convolution walks the odd d for x and for x // 2
+    # one exact row: its convolution reads the prime sums off the table of g_k at the odd
+    # primes, between the ends of consecutive quotients, and adds g_k(2) from v = 2 on; the
+    # quotient set changes shape at r**2 and r**2 + r, the sieving steps at prime squares
+    forced_rows(0)
     assert not residues.Rows(k, x).moduli
     expected = _running_sums(k)[x]
     assert sum_phi_k_direct(k, x).value == expected
@@ -419,8 +424,20 @@ def test_the_quotient_route_builds_no_sieve_and_only_the_primes_up_to_the_root(m
         assert limits == [math.isqrt(x)]
     assert summatory._spf_sieve.cache_info().currsize == 0
     assert summatory._prime_values.cache_info().currsize == 0
-    sum_phi_k_convolution(17, 40000)  # the exact row still walks the sieve
+    sum_phi_k_convolution(17, 40000)  # the exact row reads g_k(p) off the prime table up to x
     assert summatory._spf_sieve.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("rows", [3, 0])
+def test_the_convolution_route_walks_no_block(forced_rows, monkeypatch, rows):
+    # on int64 rows and on the exact row alike, the route runs over the quotient set
+    def walk(*args):
+        raise AssertionError("the convolution route walked a block")
+
+    monkeypatch.setattr(residues, "blocks", walk)
+    forced_rows(rows)
+    for k, x in ((2, 10**4), (5, 40000), (3, 2 * EXACT_BLOCK + 1)):
+        assert sum_phi_k_convolution(k, x).value == _running_sums(k)[x]
 
 
 @lru_cache(maxsize=1)
