@@ -20,18 +20,19 @@ coefficients of S_k come from its values at m = 1 ... k+2, by the Newton
 interpolation that also gives `residues.Rows.polynomial` its coefficients.
 
 The constant C_k = prod over primes of (1 + g_k(p)/p**(k+1)) is enclosed by one
-pass in Python floats over p <= P, streamed from a byte sieve of the odd numbers
-(`_primes`, which also serves the sums) without numpy, widened by a rounding bound
-proven in advance; the truncated product overestimates (every omitted factor is
-below 1), and the tail is bounded below via sum_{p > P} 1/p**2 <= 1/(P - 1).
+pass in Python floats over p <= P, a list comprehension per step, streamed from a
+byte sieve of the odd numbers (`_primes`, which also serves the sums) without numpy,
+widened by a rounding bound proven in advance; the truncated product overestimates
+(every omitted factor is below 1), and the tail is bounded below via
+sum_{p > P} 1/p**2 <= 1/(P - 1).  Each exact bound is a ratio of ints, rounded outward
+(`_float_below`), so no `Fraction` is built; and only the sums import `totients`.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from itertools import accumulate, chain, compress, islice, repeat, takewhile
+from itertools import accumulate, chain, compress, islice, takewhile
 from math import isqrt
-from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .core import (
@@ -45,11 +46,8 @@ from .core import (
     positive_int,
     tuple_args,
 )
-from .totients import _g_k_prime, _phi_k_prime_power
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     import numpy as np
 
     from .residues import Rows
@@ -166,6 +164,8 @@ def _two_adic(k: int, ys: list[int], odd_sums: Callable[[list[int]], list[int]])
     as phi_k(2**e) = 0 from e = 1 on.  odd_sums gives F_odd at each of the cuts z, ascending, in
     one walk; the terms are combined in exact ints.
     """
+    from .totients import _phi_k_prime_power
+
     terms = [[(1, y), *takewhile(lambda term: term[0], ((_phi_k_prime_power(k, 2, e), y >> e)
                                                        for e in range(1, y.bit_length())))]
              for y in ys]
@@ -185,6 +185,7 @@ def _direct_range_sum(args: tuple) -> list[int]:
     import numpy as np
 
     from .residues import Rows, blocks
+    from .totients import _phi_k_prime_power
 
     k, lo, hi, cuts, x = args
     rows = Rows(k, x)
@@ -216,6 +217,8 @@ def sum_phi_k_direct(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT,
     and so that each range spans at least POOL_FLOOR numbers; below that, the one range runs
     in process.
     """
+    from .totients import _phi_k_prime_power
+
     k, x = _sum_checks(k, x, sieve_limit)
     odd = (x + 1) // 2
     workers = cap_workers(workers, x // POOL_FLOOR)
@@ -276,6 +279,7 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
     import numpy as np
 
     from .residues import monomials
+    from .totients import _g_k_prime
 
     v = _quotient_set(x)
     primes = np.array(list(_primes(isqrt(x))), dtype=np.int64)
@@ -438,22 +442,27 @@ def _power_sum(k: int, m: int) -> int:
 # -- the average-order constant ---------------------------------------------
 
 
-def _float_below(r: Fraction) -> float:
-    x = float(r)
-    return x if x <= r else math.nextafter(x, -math.inf)
+def _float_below(num: int, den: int) -> float:
+    """The largest float <= num/den, for den > 0: an int true division rounds correctly, and
+    a float a/b is compared with num/den exactly, as a*den against num*b."""
+    x = num / den
+    a, b = x.as_integer_ratio()
+    return x if a * den <= num * b else math.nextafter(x, -math.inf)
 
 
-def _float_above(r: Fraction) -> float:
-    x = float(r)
-    return x if x >= r else math.nextafter(x, math.inf)
+def _float_above(num: int, den: int) -> float:
+    """The least float >= num/den, for den > 0, as `_float_below`."""
+    x = num / den
+    a, b = x.as_integer_ratio()
+    return x if a * den >= num * b else math.nextafter(x, math.inf)
 
 
 def _power(x: list[float], k: int) -> list[float]:
     """x**k elementwise by repeated squaring, with correctly rounded products only."""
     if k == 1:
         return x
-    half = _power(list(map(mul, x, x)), k // 2)
-    return list(map(mul, half, x)) if k % 2 else half
+    half = _power([v * v for v in x], k // 2)
+    return [h * v for h, v in zip(half, x)] if k % 2 else half
 
 
 def _factors(k: int, t: list[float]) -> list[float]:
@@ -464,9 +473,11 @@ def _factors(k: int, t: list[float]) -> list[float]:
     |a'b' - ab| <= |a' - a| + |b' - b|.  So t errs by u*t, w by e_w = u*t + u/2, v by (k+1)*e_w +
     k*u*t + (2k+1)*u/2, t*v by u*t + t*e_v + u*t*(1+u) + 2**-1075, r_p by <= (3k+5)*u*t + u/2.
     """
-    w = list(map(sub, repeat(1.0), t))
-    s = map(add if k % 2 else sub, _power(w, k), _power(t, k))  # a - (-b) is a + b, exactly
-    return list(map(sub, repeat(1.0), map(mul, t, map(sub, repeat(1.0), map(mul, w, s)))))
+    w = [1.0 - v for v in t]
+    a, b = _power(w, k), _power(t, k)
+    if k % 2:  # a - (-b) is a + b, exactly
+        return [1.0 - x * (1.0 - y * (p + q)) for x, y, p, q in zip(t, w, a, b)]
+    return [1.0 - x * (1.0 - y * (p - q)) for x, y, p, q in zip(t, w, a, b)]
 
 
 def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
@@ -480,17 +491,17 @@ def _truncated_product(k: int, prime_bound: int) -> tuple[float, float]:
     known before any prime is sieved when the first term alone reaches 1.  As every r_p < 1, so
     is the product, and hi is at most 1.
     """
-    from fractions import Fraction  # here, so that the sums never import it
-    slack = Fraction((6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53)
-    if slack >= 1:
+    num, den = (6 * k + 11) * 7 * prime_bound.bit_length(), 10 * 2**53  # slack = num/den
+    if num >= den:
         return 0.0, 1.0
     primes, product, n = _primes(prime_bound), 1.0, 0
     while chunk := list(islice(primes, PRODUCT_CHUNK)):  # the primes are never all listed
-        product *= math.prod(_factors(k, list(map(truediv, repeat(1.0), chunk))))
+        product *= math.prod(_factors(k, [1.0 / p for p in chunk]))
         n += len(chunk)
-    slack += Fraction(n, 2**54) + Fraction(n - 1, 2**53 - (n - 1))
-    lo = max(0.0, math.nextafter(product * _float_below(1 - slack), -math.inf))
-    hi = math.nextafter(product * _float_above(1 / (1 - slack)), math.inf) if slack < 1 else 1.0
+    m = 2**53 - (n - 1)  # slack += n/2**54 + (n-1)/m, over the denominator 10 * 2**54 * m
+    num, den = (2 * num + 10 * n) * m + 10 * 2**54 * (n - 1), 10 * 2**54 * m
+    lo = max(0.0, math.nextafter(product * _float_below(den - num, den), -math.inf))
+    hi = math.nextafter(product * _float_above(den, den - num), math.inf) if num < den else 1.0
     return lo, min(hi, 1.0)  # every factor is below 1
 
 
@@ -511,9 +522,8 @@ def average_order_constant(
         raise ValueError(f"prime_bound must be at least 1000, got {prime_bound}")
     _check_sieve_budget(prime_bound, sieve_limit, "prime bound")
     lo, hi = _truncated_product(k, prime_bound)
-    from fractions import Fraction
-    tail = Fraction(prime_bound - 1 - (k + 1), prime_bound - 1)  # lo >= 0, so tail <= 0 gives 0
-    lo = max(0.0, math.nextafter(lo * _float_below(tail), -math.inf))
+    tail = _float_below(prime_bound - 1 - (k + 1), prime_bound - 1)  # lo >= 0: tail <= 0 gives 0
+    lo = max(0.0, math.nextafter(lo * tail, -math.inf))
     return Enclosure(k, prime_bound, lo, hi)
 
 
@@ -549,6 +559,8 @@ def error_term_rows(
     |delta| / (x**k (log x)**(k+1)) is reported for inspection, never
     asserted against an invented constant.  Grid points must be integers >= 2.
     """
+    from .totients import _phi_k_prime_power
+
     (k,) = tuple_args(k)
     if k < 2:
         raise ValueError(f"error monitoring needs k >= 2, got k={k}")
@@ -566,11 +578,11 @@ def error_term_rows(
 
 def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
     """The exact sum `total` at x >= 2 against the main term enclosed by `enclosure`."""
-    from fractions import Fraction
     k = enclosure.k
+    (a, b), (c, d) = enclosure.lo.as_integer_ratio(), enclosure.hi.as_integer_ratio()
     try:
-        main_lo = _float_below(Fraction(enclosure.lo) * x ** (k + 1) / (k + 1))
-        main_hi = _float_above(Fraction(enclosure.hi) * x ** (k + 1) / (k + 1))
+        main_lo = _float_below(a * x ** (k + 1), b * (k + 1))
+        main_hi = _float_above(c * x ** (k + 1), d * (k + 1))
         delta = total - enclosure.midpoint * x ** (k + 1) / (k + 1)
         ratio = abs(delta) / (x**k * math.log(x) ** (k + 1))
     except OverflowError:

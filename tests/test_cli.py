@@ -142,7 +142,8 @@ def test_huge_arguments_end_at_once(argv, code):
 
 
 # the constant's prime product up to 2**25 at a huge k, a huge m refused as no divisor of n, the
-# N_k recursion off d = delta = 1, every N_k route, a whole route sweep, and a sum's usage errors
+# N_k recursion off d = delta = 1, every N_k route, a whole route sweep, a sum's usage errors, and
+# an error table whose main term at x = 20 is past the float range
 @pytest.mark.parametrize("argv, code", [
     (f"constant --k {HUGE_K} --prime-bound 33554432", 0),
     ("eval phi-k-nm --k 2 --n 10 --m 1000000000 --method oracle", 2),
@@ -152,6 +153,7 @@ def test_huge_arguments_end_at_once(argv, code):
     ("verify phi-k-nm --k-max 3 --n-max 30", 0),
     ("sum phi-k --k 2 --x 10 --prime-bound 1000", 2),
     ("sum phi-k --k 2 --x 10 --method all", 2),
+    ("error-table --k 300 --x-grid 2,20", 2),
 ])
 def test_long_or_refused_inputs_end_at_once_with_their_code(argv, code):
     proc = phik_process(*argv.split(), timeout=10)

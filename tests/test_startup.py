@@ -66,6 +66,7 @@ EVAL_RUNS = [[*cmd.path, "--k", "2", "--n", "15", *EVAL_ARGS.get(cmd.path[1], []
              for method in ([["--method", m] for m in (*cmd.fn, "all")] if len(cmd.fn) > 1
                             else [[]])]
 MENON = ["cli", "core", "totients", "menon"]
+RATIONALS = ("fractions", "decimal", "numbers")
 
 
 @pytest.mark.parametrize("argv", EVAL_RUNS, ids=" ".join)
@@ -126,9 +127,10 @@ def test_divisor_sum_side_imports_no_fractions(argv):
     ["constant", "--k", "5", "--format", "json"],
 ])
 def test_the_constant_imports_no_numpy_and_runs_without_it(argv):
-    # one byte sieve streams the primes into a product of Python floats
-    assert loaded_after(argv, PHIK + ("numpy",)) == [
-        f"phik.{name}" for name in ("cli", "core", "totients", "summatory")]
+    # one byte sieve streams the primes into a product of Python floats, bounded in integers;
+    # the sums import totients when they run
+    assert loaded_after(argv, PHIK + ("numpy",) + RATIONALS) == [
+        f"phik.{name}" for name in ("cli", "core", "summatory")]
     code = (
         "import sys, contextlib, io\n"
         "sys.modules['numpy'] = None  # any import of numpy raises ImportError\n"
@@ -144,9 +146,15 @@ def test_the_constant_imports_no_numpy_and_runs_without_it(argv):
 
 
 def test_sums_import_no_fractions():
-    # only the constant and the error table's main term are Fractions
+    # every bound is rounded from integer ratios, and the sums are exact ints
     argv = ["sum", "phi-k", "--k", "2", "--x", "100", "--method", "both"]
     assert loaded_after(argv, ("phik.summatory", "fractions")) == ["phik.summatory"]
+
+
+def test_the_error_table_imports_no_fractions():
+    # its main terms are rounded from the enclosure's integer ratios (numpy itself loads numbers)
+    argv = ["error-table", "--k", "3", "--x-grid", "10,1000", "--prime-bound", "1000"]
+    assert loaded_after(argv, ("phik.summatory", "fractions", "decimal")) == ["phik.summatory"]
 
 
 @pytest.mark.parametrize("argv", [

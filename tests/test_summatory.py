@@ -26,6 +26,7 @@ from phik import (
     sum_phi_k_convolution,
     sum_phi_k_direct,
     summatory,
+    totients,
 )
 from test_core import _PRIMES_TO_10_6
 
@@ -347,7 +348,7 @@ def test_sum_memory_is_bounded_by_the_block(route):
     for x in (4 * WORD_BLOCK, 32 * WORD_BLOCK):  # int64 rows at k = 5; two blocks of odd n or more
         summatory._spf_sieve(x)
         summatory._prime_values.cache_clear()
-        summatory._prime_values(summatory._phi_k_prime_power, 5, x)
+        summatory._prime_values(totients._phi_k_prime_power, 5, x)
         tracemalloc.start()
         try:
             route(5, x)
@@ -363,7 +364,7 @@ def test_a_walk_holds_one_block_at_a_time():
     # is dropped before the next is built (a walk that held the one before peaked 1.6 times higher)
     k, x = 5, 1 << 20
     summatory._spf_sieve(x)
-    summatory._prime_values(summatory._phi_k_prime_power, k, x)
+    summatory._prime_values(totients._phi_k_prime_power, k, x)
     peaks = []
     for hi in (2 * WORD_BLOCK - 1, x):
         tracemalloc.start()
@@ -474,7 +475,7 @@ def test_direct_sum_builds_the_sieve_and_prime_table_before_the_workers(monkeypa
         assert [task[1:3] for task in tasks] == ranges
         assert all(task[3] == sorted(x >> e for e in range(x.bit_length())) for task in tasks)
         for cached, args in ((summatory._spf_sieve, (x,)),
-                             (summatory._prime_values, (summatory._phi_k_prime_power, k, x))):
+                             (summatory._prime_values, (totients._phi_k_prime_power, k, x))):
             hits = cached.cache_info().hits
             cached(*args)
             assert cached.cache_info().hits == hits + 1, cached
@@ -558,9 +559,10 @@ def _numpy_truncated_product(k, prime_bound):
     chunks = (primes[i : i + (1 << 14)] for i in range(0, primes.size, 1 << 14))
     product = math.prod(float(_numpy_factors(k, 1.0 / chunk).prod()) for chunk in chunks)
     slack += Fraction(primes.size, 2**54) + Fraction(primes.size - 1, 2**53 - (primes.size - 1))
-    lo = max(0.0, math.nextafter(product * summatory._float_below(1 - slack), -math.inf))
-    hi = (math.nextafter(product * summatory._float_above(1 / (1 - slack)), math.inf)
-          if slack < 1 else 1.0)
+    lo = max(0.0, math.nextafter(
+        product * summatory._float_below(*(1 - slack).as_integer_ratio()), -math.inf))
+    hi = (math.nextafter(product * summatory._float_above(*(1 / (1 - slack)).as_integer_ratio()),
+                         math.inf) if slack < 1 else 1.0)
     return lo, min(hi, 1.0)
 
 
@@ -646,6 +648,73 @@ def test_error_table_main_terms_are_certified_bounds(k):
         assert row.main_lo <= row.main_hi
 
 
+def _fraction_below(r):
+    x = float(r)
+    return x if x <= r else math.nextafter(x, -math.inf)
+
+
+def _fraction_above(r):
+    x = float(r)
+    return x if x >= r else math.nextafter(x, math.inf)
+
+
+def _halfway(x):
+    # the midpoint between a float and the next one up, exact; at 0.0, half the least subnormal
+    return (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+
+
+NUMERATORS = st.integers(-(2**1100), 2**1100)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+RATIOS = st.one_of(
+    st.tuples(NUMERATORS, st.integers(1, 2**1100)),
+    # subnormal results, and results that underflow to zero
+    st.tuples(st.integers(-(2**60), 2**60), st.integers(1000, 1140).map(lambda e: 2**e)),
+    # exact floats, over a denominator with a common factor
+    st.tuples(FLOATS, st.integers(1, 2**70)).map(
+        lambda fc: tuple(c * fc[1] for c in fc[0].as_integer_ratio())),
+    # halfway between two floats, subnormal ones included
+    st.tuples(FLOATS.filter(lambda x: x < 1.7e308), st.integers(1, 2**70)).map(
+        lambda fc: tuple(c * fc[1] for c in _halfway(fc[0]).as_integer_ratio())),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(RATIOS)
+def test_integer_rounding_is_the_fraction_rounding(ratio):
+    # the tail num/den is <= 0 once k + 2 >= P; past the float range both raise OverflowError,
+    # which error_row turns into its exit-2 message
+    num, den = ratio
+    for ours, reference in ((summatory._float_below, _fraction_below),
+                            (summatory._float_above, _fraction_above)):
+        try:
+            expected = reference(Fraction(num, den)).hex()
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                ours(num, den)
+            continue
+        assert ours(num, den).hex() == expected, (ours, num, den)
+    if abs(Fraction(num, den)) < 2**1023:
+        assert summatory._float_below(num, den) <= Fraction(num, den)
+        assert Fraction(num, den) <= summatory._float_above(num, den)
+
+
+@pytest.mark.parametrize("k, x", [(2, 10), (2, 33554432), (3, 999), (5, 1048576), (40, 100000),
+                                  (250, 10)])
+def test_error_row_main_terms_are_the_fraction_main_terms(k, x):
+    enclosure = average_order_constant(k, 10**4)
+    row = summatory.error_row(x, 0, enclosure)
+    main = Fraction(x ** (k + 1), k + 1)
+    assert row.main_lo == _fraction_below(Fraction(enclosure.lo) * main)
+    assert row.main_hi == _fraction_above(Fraction(enclosure.hi) * main)
+
+
+def test_a_main_term_past_the_float_range_is_a_domain_error():
+    # 20**301 / 301 is about 10**389: the OverflowError of the rounding becomes exit 2
+    enclosure = average_order_constant(300, 1000)
+    with pytest.raises(ValueError, match="the main term at k=300, x=20 does not fit in a float"):
+        summatory.error_row(20, 0, enclosure)
+
+
 def test_sieve_refusals_name_the_quantity_and_the_limit():
     with pytest.raises(BudgetExceededError, match="prime bound 10000 is above the sieve limit of 5000"):
         average_order_constant(2, 10**4, sieve_limit=5000)
@@ -703,7 +772,7 @@ def test_routes_match_running_sum_in_every_number_of_rows(forced_rows, k, x, row
     assert sum_phi_k_convolution(k, x).value == expected
 
 
-@pytest.mark.parametrize("at_prime", [summatory._phi_k_prime_power, summatory._g_k_prime])
+@pytest.mark.parametrize("at_prime", [totients._phi_k_prime_power, totients._g_k_prime])
 @pytest.mark.parametrize("k, x", [(1, 1000), (2, 5000), (5, 5000), (13, 3000), (40, 300)])
 def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
     summatory._prime_values.cache_clear()
