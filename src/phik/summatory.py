@@ -8,14 +8,15 @@ and modulo just enough of the largest primes below 2**31 that 2**64 times their
 product exceeds 2**((k+1) bits(x)), more than the bound x**(k+1) on every such
 sum; one CRT rebuilds each exact total.  The direct route walks the odd m <= x
 over a smallest-prime-factor sieve of the odd numbers, and adds the powers of 2
-through phi_k(2**e) (`_two_adic`).  The convolution route sums g_k by the
-min_25 sieve over the quotient set {x // i}, from the primes up to sqrt(x) and
-Pg(v) = sum_{p <= v} g_k(p).  On those rows it builds no sieve: Pg comes from
-Lucy's sieve over the power sums S_j, j <= k, so the two share the rows, their
-CRT and `_power_sum`, and nothing else.  Where the rows would number more than
-`residues.MAX_MODULI`, both carry one exact object row instead: the direct route
-walks the odd numbers over the same sieve, and the convolution route reads Pg off
-the table of g_k at that sieve's primes, where Lucy would need every S_j.  The
+through phi_k(2**e), in one driver (`_direct_sums`) for a sum and for an error table.
+The convolution route sums g_k by the min_25 sieve over the quotient set {x // i},
+from the primes up to sqrt(x) and Pg(v) = sum_{p <= v} g_k(p).  On those rows it
+builds no sieve: Pg comes from Lucy's sieve over the power sums S_j, j <= k, so the
+two share the rows, their CRT and `_power_sum`, and nothing else.  Where the rows
+would number more than `residues.MAX_MODULI`, both carry one exact object row
+instead, priced once (`_priced_rows`): the direct route walks the same sieve, and
+the convolution route sums Pg off one table of g_k at 2 and that sieve's primes,
+where Lucy would need every S_j.  The
 coefficients of S_k come from its values at m = 1 ... k+2, by the Newton
 interpolation that also gives `residues.Rows.polynomial` its coefficients.
 
@@ -135,23 +136,26 @@ def primes_up_to(limit: int) -> list[int]:
     return list(_primes(positive_int(limit, "prime limit", least=0)))
 
 
-@lru_cache(maxsize=1)
-def _prime_values(at_prime: Callable[[int, int], int], k: int, limit: int) -> np.ndarray:
-    """at_prime(k, p) at each odd prime p of the prime table up to limit, as `Rows(k, limit)` rows.
-
-    The direct route builds phi_k(n) from the table of phi_k(p) (`_direct_range_sum`); on the
-    exact row the convolution route sums the table of g_k(p) (`_quotient_convolution`).  Both are
-    integer polynomials of degree <= k in p, valid at every integer t >= 1 (`Rows.polynomial`).
-    Entry 0, for primes[0] = 1, holds f(1) = 1.  An exact row is priced first, for every route
-    that builds one: `limit` numbers of (k+1) bits(limit - 1) bits.
-    """
+def _priced_rows(k: int, x: int) -> Rows:
+    """`Rows(k, x)`; an exact row is priced first, at x numbers of (k+1) bits(x - 1) bits."""
     from .residues import Rows
 
-    if not (rows := Rows(k, limit)).moduli:
-        bits = (k + 1) * (limit - 1).bit_length()
-        check_word_budget(limit, bits, f"the exact sums to x={limit} at k={k}")
-    primes, _ = _spf_sieve(limit)
-    table = rows.polynomial(partial(at_prime, k), k, primes)
+    if not (rows := Rows(k, x)).moduli:
+        check_word_budget(x, (k + 1) * (x - 1).bit_length(), f"the exact sums to x={x} at k={k}")
+    return rows
+
+
+@lru_cache(maxsize=1)
+def _prime_values(k: int, limit: int) -> np.ndarray:
+    """phi_k(p) at the odd primes p of the sieve up to limit, in `_priced_rows(k, limit)` rows.
+
+    phi_k(p) is an integer polynomial of degree <= k in p (`Rows.polynomial`); entry 0, for
+    primes[0] = 1, holds phi_k(1) = 1.  The rows are priced before the sieve is built.
+    """
+    from .totients import _phi_k_prime_power
+
+    rows = _priced_rows(k, limit)
+    table = rows.polynomial(partial(_phi_k_prime_power, k), k, _spf_sieve(limit)[0])
     table[:, 0] = 1
     return table
 
@@ -185,12 +189,9 @@ def _direct_range_sum(args: tuple) -> list[int]:
     import numpy as np
 
     from .residues import Rows, blocks
-    from .totients import _phi_k_prime_power
 
     k, lo, hi, cuts, x = args
-    rows = Rows(k, x)
-    at_prime = _prime_values(_phi_k_prime_power, k, x)
-    sieve = _spf_sieve(x)
+    rows, at_prime, sieve = Rows(k, x), _prime_values(k, x), _spf_sieve(x)
     # a repeated prime p is at most sqrt(x), and its index in the table at most (p - 1)/2
     again = rows.of([p**k for p in sieve[0][: isqrt(x) // 2 + 1].tolist()])
     total, sums = rows.of([0]), []
@@ -204,34 +205,32 @@ def _direct_range_sum(args: tuple) -> list[int]:
     return sums + [rows.exact(total)] * (len(cuts) - len(sums))
 
 
-def sum_phi_k_direct(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT,
-                     workers: int = 1) -> PartialSum:
-    """Exact sum of phi_k(n) for n <= x, evaluating phi_k(m) at every odd m <= x.
+def _direct_sums(k: int, xs: list[int], workers: int = 1) -> list[int]:
+    """[sum_{n <= x} phi_k(n) for x in xs], xs ascending, from one walk to xs[-1] (`_two_adic`).
 
-    The sum is sum_e phi_k(2**e) S_odd(x >> e) (`_two_adic`), with S_odd(z) the sum over
-    odd m <= z, all taken in one walk (`_direct_range_sum`); at even k only e = 0 is left.
-    Each m's value is a column of int64 rows (or one exact value at large k), see
-    `residues.Rows`.  With workers > 1 the odd numbers are split into one range per worker
-    for `core.parallel_map`, and each cut's range sums are added in range order, so the
-    total is identical regardless of worker count.  Workers are capped at the usable CPUs
-    and so that each range spans at least POOL_FLOOR numbers; below that, the one range runs
-    in process.
+    The walk takes the odd m (`_direct_range_sum`) in one range per worker of `core.parallel_map`,
+    each of at least POOL_FLOOR numbers, else in process, and adds each cut's range sums in range
+    order, so no sum depends on the worker count.  The prime table and the sieve are built (an
+    exact row priced first) before any power of 2, so that forked workers inherit them.
     """
-    from .totients import _phi_k_prime_power
-
-    k, x = _sum_checks(k, x, sieve_limit)
+    x = xs[-1]
     odd = (x + 1) // 2
     workers = cap_workers(workers, x // POOL_FLOOR)
-    _spf_sieve(x)  # built once here, so that forked workers inherit them
-    _prime_values(_phi_k_prime_power, k, x)  # and priced before any power of 2 is built
+    _prime_values(k, x)
 
     def odd_sums(cuts: list[int]) -> list[int]:
         ranges = [(k, 2 * (odd * i // workers) + 1, 2 * (odd * (i + 1) // workers) - 1, cuts, x)
                   for i in range(workers)]
         return [sum(pieces) for pieces in zip(*parallel_map(_direct_range_sum, ranges, workers))]
 
-    (total,) = _two_adic(k, [x], odd_sums)
-    return PartialSum(total)
+    return _two_adic(k, xs, odd_sums)
+
+
+def sum_phi_k_direct(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT,
+                     workers: int = 1) -> PartialSum:
+    """Exact sum of phi_k(n) for n <= x, from phi_k(m) at every odd m <= x (`_direct_sums`)."""
+    k, x = _sum_checks(k, x, sieve_limit)
+    return PartialSum(_direct_sums(k, [x], workers)[0])
 
 
 def sum_phi_k_convolution(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT,
@@ -240,17 +239,14 @@ def sum_phi_k_convolution(k: int, x: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT
 
     g_k(d) is the product of g_k(p) = phi_k(p) - p**k over the primes of a
     squarefree d, and 0 otherwise.  The sum is taken over the quotient set
-    (`_quotient_convolution`) on every carrier of `residues.Rows`: with no sieve on
-    int64 rows, and from the prime table up to x on the exact row.  One CRT rebuilds the
-    exact total.  It runs in process: workers is checked, first, as the direct route checks it.
+    (`_quotient_convolution`) on every carrier of `residues.Rows`, with no sieve on int64
+    rows.  It runs in process: workers is checked, first, as the direct route checks it.
     """
     cap_workers(workers, 1)
     k, x = _sum_checks(k, x, sieve_limit)
     if x > k + 1:  # S_k(x), for d = 1, needs the polynomial: priced before anything is built
         _faulhaber_coeffs(k)
-    from .residues import Rows
-
-    return PartialSum(_quotient_convolution(k, x, Rows(k, x)))
+    return PartialSum(_quotient_convolution(k, x, _priced_rows(k, x)))
 
 
 def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
@@ -270,11 +266,11 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
     - min_25: each prime p in descending order adds the squarefree d with smallest
       prime factor p, U(v) += g_k(p) (U(v // p) - Pg(p)), from U = Pg; then G = 1 + U.
 
-    Only Pg depends on the carrier.  On the exact row, Lucy would need one polynomial S_j per
-    j <= k; there Pg(v) is g_k(2) from v = 2 on, plus the table of g_k at the odd primes up to
-    x (`_prime_values`, priced first), summed once between the ends of consecutive v and never
-    as one running sum, x long.  On int64 rows, memory is O((k + 1) rows sqrt(x)) int64s, and
-    the only primes are those up to sqrt(x).
+    g_k is evaluated once, at the primes up to sqrt(x), whose head min_25 reads, or on the exact
+    row (`_priced_rows`) up to x: 2, then the direct route's sieve.  Only Pg depends on the
+    carrier.  On the exact row, where Lucy would need every S_j, j <= k, Pg sums that table between
+    consecutive v, never as one running sum, x long.  On int64 rows, memory is
+    O((k + 1) rows sqrt(x)) int64s, and the only primes are those up to sqrt(x).
     """
     import numpy as np
 
@@ -282,15 +278,18 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
     from .totients import _g_k_prime
 
     v = _quotient_set(x)
-    primes = np.array(list(_primes(isqrt(x))), dtype=np.int64)
+    if rows.moduli:
+        primes = np.array(list(_primes(isqrt(x))), dtype=np.int64)
+    else:  # no prime at x = 1
+        primes = np.append(2, _spf_sieve(x)[0][1:])[: x - 1]
+    g_at = rows.polynomial(partial(_g_k_prime, k), k, primes)
     if not rows.moduli:
-        table = _prime_values(_g_k_prime, k, x)[0]
-        ends = np.searchsorted(_spf_sieve(x)[0], v, side="right").tolist()  # after primes[0] = 1
-        sums = accumulate(table[a:b].sum() for a, b in zip([1, *ends], ends))
-        at_two, quotients = _g_k_prime(k, 2) if x > 1 else 0, v.tolist()  # x = 1: no v >= 2
-        prime_sums = rows.of([pg + at_two * (u >= 2) for pg, u in zip(sums, quotients)])
+        ends = np.searchsorted(primes, v, side="right").tolist()  # the primes <= each v
+        sums = accumulate(g_at[0, a:b].sum() for a, b in zip([0, *ends], ends))
+        prime_sums, root = rows.of(list(sums)), ends[isqrt(x) - 1]  # v[j] = j + 1 up to sqrt(x)
+        primes, g_at = primes[:root], g_at[:, :root]
         low = list(accumulate(i**k for i in range(1, min(x, k + 1) + 1)))  # S_k(m), m <= k + 1
-        s_k = rows.of([low[m - 1] if m <= k + 1 else _power_sum(k, m) for m in quotients])
+        s_k = rows.of([low[m - 1] if m <= k + 1 else _power_sum(k, m) for m in v.tolist()])
     else:
         power_sums = _power_sum_rows(k, x, v, rows)  # [j] holds the rows of S_j(v)
         coeffs = monomials(partial(_g_k_prime, k), k)
@@ -308,7 +307,6 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
             prime_sums += c[:, None] * prime_sum
             rows.reduce(prime_sums)
         s_k = power_sums[k]
-    g_at = rows.polynomial(partial(_g_k_prime, k), k, primes)
     prefix = prime_sums.copy()
     descending = zip(g_at.T[::-1, :, None], _quotient_steps(x, v, primes[::-1]))
     for g, (p, start, half) in descending:
@@ -559,8 +557,6 @@ def error_term_rows(
     |delta| / (x**k (log x)**(k+1)) is reported for inspection, never
     asserted against an invented constant.  Grid points must be integers >= 2.
     """
-    from .totients import _phi_k_prime_power
-
     (k,) = tuple_args(k)
     if k < 2:
         raise ValueError(f"error monitoring needs k >= 2, got k={k}")
@@ -569,11 +565,7 @@ def error_term_rows(
     grid = sorted({positive_int(x, "grid point", least=2) for x in xs})
     _check_sieve_budget(grid[-1], sieve_limit, "grid point")
     enclosure = average_order_constant(k, prime_bound, sieve_limit)
-    top = grid[-1]
-    _prime_values(_phi_k_prime_power, k, top)  # priced before any power of 2 is built
-    # one walk to the top, with a cut at each x >> e of the grid (`sum_phi_k_direct`)
-    totals = _two_adic(k, grid, lambda cuts: _direct_range_sum((k, 1, top, cuts, top)))
-    return [error_row(x, total, enclosure) for x, total in zip(grid, totals)]
+    return [error_row(x, total, enclosure) for x, total in zip(grid, _direct_sums(k, grid))]
 
 
 def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:

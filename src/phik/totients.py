@@ -29,6 +29,7 @@ from typing import Callable, Iterable
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
+    BudgetExceededError,
     MultiplicativeFunction,
     check_budget,
     check_word_budget,
@@ -42,9 +43,16 @@ from .core import (
 )
 
 
+# The largest n whose units `units_mod` lists: with their counts (`unit_sum_counts`) they take
+# about 180 bytes per n, so 2**20 take about 200 MB, the sums' peak at the sieve limit.
+MAX_UNITS = 1 << 20
+
+
 @lru_cache(maxsize=2048)
 def units_mod(n: int) -> tuple[int, ...]:
-    """The reduced residues 1 <= a <= n with gcd(a, n) = 1."""
+    """The reduced residues 1 <= a <= n with gcd(a, n) = 1, refused unbuilt for n > MAX_UNITS."""
+    if n > MAX_UNITS:
+        raise BudgetExceededError(f"the units mod {n} are read off {n} residues, over {MAX_UNITS}")
     return tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
 
 

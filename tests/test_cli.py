@@ -1,6 +1,7 @@
 """The command-line surface: values, formats, exit codes."""
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,12 @@ FLOAT_K = str(10**309)  # over the largest float
     (f"sum phi-k --k {HUGE_K} --x 1", 0),
     (f"sum phi-k --k {HUGE_K} --x 1 --method both", 0),
     (f"error-table --k {HUGE_K} --x-grid 3", 3),
+    # at k = 1 the oracles' units table, priced at n tuples, is refused past 2**20 entries
+    ("eval phi-k --k 1 --n 1048583 --method oracle", 3),
+    ("eval gcd-sum --k 1 --n 33554432 --method oracle", 3),
+    ("eval n-k --k 1 --n 99999989 --d 1 --delta 1 --method oracle", 3),
+    # the exact row is priced before the sieve up to x is built
+    ("sum phi-k --k 1000 --x 33554432 --method direct", 3),
 ])
 def test_huge_arguments_end_at_once(argv, code):
     proc = phik_process(*argv.split(), timeout=10)
@@ -1000,6 +1007,16 @@ def test_answers_over_the_cap_are_refused(capsys, k, code):
         assert captured.out == "" and captured.err.startswith("budget refused:")
     else:
         assert len(captured.out.strip()) == 100000
+
+
+# the exact row's bytes, on both routes and in an error table
+@pytest.mark.parametrize("argv, md5", [
+    ("error-table --k 40 --x-grid 2,1000,100000", "eae54e9654a361d375bf45ed4a3133ac"),
+    ("sum phi-k --k 40 --x 200000 --method both", "49769d52f3be2531ace01eca122dfe46"),
+])
+def test_exact_row_commands_print_their_pinned_bytes(capsys, argv, md5):
+    assert run_cli(*argv.split()) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
 
 
 def test_large_k_convolution_is_quick_and_agrees_with_direct():

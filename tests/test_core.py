@@ -54,7 +54,8 @@ from phik import (
     tau,
     tau_mf,
 )
-from phik.core import MAX_POWER_BITS, ROUTES, library, power, route_order, table_lookup
+from phik.core import (DEFAULT_FACTOR_BUDGET, MAX_POWER_BITS, ROUTES, _rho_divisor, library, power,
+                       route_order, table_lookup)
 
 
 def test_factorize_basic():
@@ -206,6 +207,20 @@ def test_dirichlet_convolutions():
         assert eval_mf(mu_one, n) == (1 if n == 1 else 0)
         assert eval_mf(mu_id, n) == phi_mf(n)
         assert eval_mf(one_one, n) == len(divisors(n))
+
+
+def test_a_convolution_is_named_after_its_factors_by_default():
+    assert dirichlet_convolve(mobius_mf, one_mf).name == "(mu*one)"
+    assert dirichlet_convolve(mobius_mf, one_mf, "epsilon").name == "epsilon"
+
+
+def test_the_rho_step_budget_admits_exactly_the_steps_it_takes():
+    m = 1000003 * 1000033
+    divisor, steps = _rho_divisor(m, DEFAULT_FACTOR_BUDGET)
+    assert divisor in (1000003, 1000033)
+    assert _rho_divisor(m, steps) == (divisor, steps)
+    with pytest.raises(BudgetExceededError, match="Pollard rho"):
+        _rho_divisor(m, steps - 1)
 
 
 def test_mobius_inversion_sum():

@@ -27,6 +27,7 @@ from phik import (
     nageswara_rao_lhs_oracle,
     parse_function_spec,
     phi_k,
+    phi_k_oracle,
     tau,
     tau_mf,
     units_mod,
@@ -34,6 +35,7 @@ from phik import (
     verify_sweep,
 )
 from phik import menon
+from phik.totients import MAX_UNITS
 
 
 def test_count_units_one_congruence_examples():
@@ -132,6 +134,22 @@ def test_units_mod():
     assert units_mod(12) == (1, 5, 7, 11)
 
 
+def test_the_units_past_their_bound_are_refused_before_they_are_listed():
+    # at k = 1 the default budget admits every n <= 10**8, where the units and their counts
+    # took about 180 bytes per n: 1.8 GB at n = 10**7, and a killed process at 10**8
+    refusal = f"the units mod {MAX_UNITS + 1} are read off {MAX_UNITS + 1} residues, over 1048576"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        units_mod(MAX_UNITS + 1)
+    for oracle in (phi_k_oracle, gcd_sum_lhs_oracle, lambda k, n: n_k_oracle(k, n, 1, 1)):
+        with pytest.raises(BudgetExceededError, match="over 1048576"):
+            oracle(1, 10**8)
+    # a sweep's cell at such an n is skipped, and its reason is the refusal
+    cell = menon._sweep_cell(("menon_gcd", 1, MAX_UNITS + 1, parse_function_spec("id"), 10**8))
+    assert cell == {"k": 1, "n": MAX_UNITS + 1, "reason": refusal}
+    assert len(units_mod(MAX_UNITS)) == MAX_UNITS // 2  # the bound itself is listed
+    units_mod.cache_clear()
+
+
 # -- the gcd-sum identity ----------------------------------------------------
 
 
@@ -196,6 +214,8 @@ def test_function_spec_parsing():
         parse_function_spec("sigma")
     with pytest.raises(ValueError):
         parse_function_spec("pow:x")
+    with pytest.raises(ValueError, match="bad power spec 'pow:2:3', expected pow:<integer>"):
+        parse_function_spec("pow:2:3")  # the exponent is all that follows the first colon
     with pytest.raises(ValueError):
         parse_function_spec({1: 1.5})
 
@@ -261,6 +281,11 @@ def test_verify_sweep_reports():
     assert sita.ok and sita.checked == 15
     nag = verify_sweep("nageswara_rao", k_max=2, n_max=12)
     assert nag.ok and nag.checked == 24
+
+
+def test_verify_sweep_takes_k_up_to_3_by_default():
+    report = verify_sweep("menon_gcd", n_max=4)
+    assert report.swept["k"] == "1..3" and report.checked == 12
 
 
 def test_verify_sweep_partial_on_budget():

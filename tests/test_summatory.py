@@ -172,6 +172,13 @@ def test_error_rows_shape_and_frozen_delta():
     assert rows[1].ratio > 0
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_the_normalized_ratio_is_delta_over_x_to_the_k_times_log_x_to_the_k_plus_1(k):
+    # |delta| / (x**k (log x)**(k+1)), the ratio `error_term_rows` documents
+    for row in error_term_rows(k, [10, 1000, 10**5], prime_bound=10**4):
+        assert row.ratio == abs(row.delta) / (row.x**k * math.log(row.x) ** (k + 1))
+
+
 def test_error_rows_domain():
     with pytest.raises(ValueError):
         error_term_rows(1, [100])
@@ -316,9 +323,9 @@ def test_routes_at_powers_of_two_in_rows(k, x):
                                *(p * p + d for p in (97, 101) for d in (-1, 0, 1))])
 @pytest.mark.parametrize("k", [2, 3])
 def test_routes_at_powers_of_two_in_the_exact_row(forced_rows, k, x):
-    # one exact row: its convolution reads the prime sums off the table of g_k at the odd
-    # primes, between the ends of consecutive quotients, and adds g_k(2) from v = 2 on; the
-    # quotient set changes shape at r**2 and r**2 + r, the sieving steps at prime squares
+    # one exact row: its convolution sums the table of g_k at 2 and the odd primes between
+    # the ends of consecutive quotients; the quotient set changes shape at r**2 and r**2 + r,
+    # the sieving steps at prime squares
     forced_rows(0)
     assert not residues.Rows(k, x).moduli
     expected = _running_sums(k)[x]
@@ -348,7 +355,7 @@ def test_sum_memory_is_bounded_by_the_block(route):
     for x in (4 * WORD_BLOCK, 32 * WORD_BLOCK):  # int64 rows at k = 5; two blocks of odd n or more
         summatory._spf_sieve(x)
         summatory._prime_values.cache_clear()
-        summatory._prime_values(totients._phi_k_prime_power, 5, x)
+        summatory._prime_values(5, x)
         tracemalloc.start()
         try:
             route(5, x)
@@ -364,7 +371,7 @@ def test_a_walk_holds_one_block_at_a_time():
     # is dropped before the next is built (a walk that held the one before peaked 1.6 times higher)
     k, x = 5, 1 << 20
     summatory._spf_sieve(x)
-    summatory._prime_values(totients._phi_k_prime_power, k, x)
+    summatory._prime_values(k, x)
     peaks = []
     for hi in (2 * WORD_BLOCK - 1, x):
         tracemalloc.start()
@@ -425,8 +432,31 @@ def test_the_quotient_route_builds_no_sieve_and_only_the_primes_up_to_the_root(m
         assert limits == [math.isqrt(x)]
     assert summatory._spf_sieve.cache_info().currsize == 0
     assert summatory._prime_values.cache_info().currsize == 0
-    sum_phi_k_convolution(17, 40000)  # the exact row reads g_k(p) off the prime table up to x
+    sum_phi_k_convolution(17, 40000)  # the exact row evaluates g_k at the sieve's primes up to x
     assert summatory._spf_sieve.cache_info().currsize == 1
+
+
+def test_a_refused_sum_builds_no_sieve():
+    # the exact row is priced before the sieve is built: at k = 1000, x = 2**25 the sieve alone
+    # would take 64 MiB
+    summatory._spf_sieve.cache_clear()
+    summatory._prime_values.cache_clear()
+    with pytest.raises(BudgetExceededError, match="the exact sums to x=33554432 at k=1000"):
+        sum_phi_k_direct(1000, 2**25)
+    with pytest.raises(BudgetExceededError, match="the exact sums to x=33554432 at k=1000"):
+        error_term_rows(1000, [2, 2**25], prime_bound=1000)
+    assert summatory._spf_sieve.cache_info().currsize == 0
+
+
+def test_both_routes_on_the_exact_row_leave_one_table_of_prime_values(forced_rows):
+    # the convolution evaluates g_k once, at 2 and the sieve's odd primes, and caches none of it:
+    # the only prime values left are the direct route's phi_k(p)
+    forced_rows(0)
+    k, x = 3, 5000
+    assert sum_phi_k_convolution(k, x).value == _running_sums(k)[x]
+    assert summatory._prime_values.cache_info().currsize == 0
+    assert sum_phi_k_direct(k, x).value == _running_sums(k)[x]
+    assert summatory._prime_values.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("rows", [3, 0])
@@ -475,7 +505,7 @@ def test_direct_sum_builds_the_sieve_and_prime_table_before_the_workers(monkeypa
         assert [task[1:3] for task in tasks] == ranges
         assert all(task[3] == sorted(x >> e for e in range(x.bit_length())) for task in tasks)
         for cached, args in ((summatory._spf_sieve, (x,)),
-                             (summatory._prime_values, (totients._phi_k_prime_power, k, x))):
+                             (summatory._prime_values, (k, x))):
             hits = cached.cache_info().hits
             cached(*args)
             assert cached.cache_info().hits == hits + 1, cached
@@ -772,14 +802,13 @@ def test_routes_match_running_sum_in_every_number_of_rows(forced_rows, k, x, row
     assert sum_phi_k_convolution(k, x).value == expected
 
 
-@pytest.mark.parametrize("at_prime", [totients._phi_k_prime_power, totients._g_k_prime])
 @pytest.mark.parametrize("k, x", [(1, 1000), (2, 5000), (5, 5000), (13, 3000), (40, 300)])
-def test_prime_value_rows_hold_the_exact_values(at_prime, k, x):
+def test_prime_value_rows_hold_the_exact_values(k, x):
     summatory._prime_values.cache_clear()
-    table = summatory._prime_values(at_prime, k, x)
+    table = summatory._prime_values(k, x)
     moduli = residues.Rows(k, x).moduli
     primes = primes_up_to(x)[1:]  # the odd primes: the walks visit odd numbers only
-    exact = [at_prime(k, p) for p in primes]
+    exact = [totients._phi_k_prime_power(k, p) for p in primes]
     if moduli:  # the word row holds each value mod 2**64, as a signed int64
         assert moduli[0] == 2**64
         assert table[0, 1:].tolist() == [(v + 2**63) % 2**64 - 2**63 for v in exact]
