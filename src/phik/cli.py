@@ -6,10 +6,13 @@ every exact integer as a decimal string (`_json_value`), since values outgrow
 doubles.  `_check_printable` refuses an answer of more than MAX_PRINTED_DIGITS digits; before
 that, `core.power` refuses any power of a closed form that no printable answer needs.
 
-Every subcommand is one row of COMMANDS.  Each `eval` row and `sum phi-k` is one quantity of
-`core.ROUTES`, run by `_cmd_value`, whose routes --method picks (`all`, or the sum's `both`,
-runs and cross-checks every one); a route is imported when it runs, so a process loads
-only what its command needs.  Every disagreement of routes is printed by `_agree`.
+Every subcommand is one row of COMMANDS.  Each `eval` row, `sum phi-k`, `constant` and
+`error-table` is one quantity of `core.ROUTES`, run by `_cmd_value`, whose routes --method picks
+(`all`, or the sum's `both`, runs and cross-checks every one); a route is imported when it runs,
+so a process loads only what its command needs.  Every disagreement of routes is printed by
+`_agree`.  The value prints itself: its str, or in JSON its as_dict() when it has one, else the
+row's flags and the value.  Only the `verify` rows, which print reports and exit 1 or 3 on a
+failed or partial sweep, have a handler of their own, `_cmd_verify`.
 
 main() reads argv straight from COMMANDS (`_read_table`) when it is canonical: a row's path,
 then `--flag value` pairs naming each of its flags once, every value valid.  Any other argv
@@ -27,7 +30,7 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, NoReturn, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
@@ -59,21 +62,20 @@ MAX_PRINTED_DIGITS = 10**5
 
 
 class Command(NamedTuple):
-    """One subcommand: where it sits, what it may print, the flags its handler reads.
+    """One subcommand: where it sits, what it runs, the flags it reads, what it may print.
 
+    `fn` is a route map of `core.ROUTES`, run by `_cmd_value` (the --method choices, the first
+    the default, and "all", unless the row names its own), or a verify row's sweep, run by
+    `_cmd_verify`: a `menon.verify_sweep` kind, or "lemmas" for `menon.lemma_sweeps`.
     `flags` name entries of `_flag_specs()`, optionally as (name, overrides); `formats` are
     the --format choices, the first being the default.
-    `fn` is what the row calls: a route map of `core.ROUTES` (the --method choices, the first the
-    default, and "all", unless the row names its own), a verify row's `menon.verify_sweep` kind,
-    or a callable of (`menon`, the arguments) returning the reports.
     """
 
     path: tuple[str, ...]
     help: str
-    handler: Callable[["Command", "SimpleNamespace | argparse.Namespace"], int]
+    fn: Union[str, Mapping[str, str]]
     flags: tuple[Union[str, tuple[str, dict]], ...]
     formats: tuple[str, ...] = ("plain", "json")
-    fn: Union[str, Mapping[str, str], Callable, None] = None
 
 
 def _flag_specs() -> dict[str, dict]:
@@ -144,18 +146,27 @@ def _check_printable(value) -> None:
 
 
 def _params(cmd: Command, args) -> dict:
-    """The row's flags as keywords ("-" read as "_"), f parsed once, no unset flag nor method."""
+    """The row's flags as keywords ("-" read as "_"), f and the x grid (as xs) parsed once, no
+    unset flag nor method."""
     params = {}
     for key in (name.replace("-", "_") for name in _flag_names(cmd)):
         value = getattr(args, key)
+        if key == "f":
+            value = library("menon.parse_function_spec")(value)
+        elif key == "x_grid":
+            try:
+                key, value = "xs", [int(part) for part in value.split(",") if part.strip()]
+            except ValueError:
+                raise ValueError(f"bad x grid {value!r}, expected comma-separated integers")
         if key != "method" and value is not None:
-            params[key] = library("menon.parse_function_spec")(value) if key == "f" else value
+            params[key] = value
     return params
 
 
 def _agree(values: Mapping[str, object]) -> bool:
     """Whether all routes gave one value; if not, each route and its value go to stderr."""
-    agree = len(set(values.values())) == 1
+    first, *others = values.values()
+    agree = all(value == first for value in others)
     if not agree:
         print("METHOD MISMATCH (implementation bug): "
               + " ".join(f"{route}={value}" for route, value in values.items()), file=sys.stderr)
@@ -174,7 +185,8 @@ def _cmd_value(cmd: Command, args) -> int:
     value = next(iter(values.values()))
     _check_printable(value)
     if args.format == "json":
-        _emit_json(args, {**params, "value": value})
+        _emit_json(args, value.as_dict() if hasattr(value, "as_dict") else
+                   {**params, "value": value})
     else:
         _emit(args, str(value))
     return EXIT_OK
@@ -201,8 +213,9 @@ def _cmd_verify(cmd: Command, args) -> int:
     """Run the row's sweeps; exit 1 on any failure, else 3 when any sweep skipped."""
     from . import menon
 
-    reports = (cmd.fn(menon, args) if callable(cmd.fn)
-               else [menon.verify_sweep(cmd.fn, **_params(cmd, args))])
+    params = _params(cmd, args)
+    reports = (menon.lemma_sweeps(**params) if cmd.fn == "lemmas"
+               else [menon.verify_sweep(cmd.fn, **params)])
     if args.format == "json":
         payload = [report.as_dict() for report in reports]
         _emit_json(args, payload if len(payload) > 1 else payload[0])
@@ -220,71 +233,35 @@ def _cmd_verify(cmd: Command, args) -> int:
     return EXIT_OK
 
 
-def _cmd_constant(cmd: Command, args) -> int:
-    from . import summatory
-
-    enclosure = summatory.average_order_constant(args.k, args.prime_bound)
-    if args.format == "json":
-        _emit_json(args, enclosure.as_dict())
-    else:
-        _emit(
-            args,
-            f"C_{args.k} in [{enclosure.lo!r}, {enclosure.hi!r}] "
-            f"width={enclosure.width!r} (primes up to {args.prime_bound})",
-        )
-    return EXIT_OK
-
-
-def _cmd_error_table(cmd: Command, args) -> int:
-    from . import summatory
-
-    try:
-        grid = [int(part) for part in args.x_grid.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"bad x grid {args.x_grid!r}, expected comma-separated integers")
-    rows = summatory.error_term_rows(
-        args.k, grid, prime_bound=args.prime_bound, sieve_limit=args.sieve_limit
-    )
-    if args.format == "json":
-        _emit_json(args, [row.as_dict() for row in rows])
-    else:
-        _emit(args, summatory.error_table_csv(rows))
-    return EXIT_OK
-
-
 # -- the command table ----------------------------------------------------------
 
 
 COMMANDS = (
-    Command(("eval", "phi-k"), "phi_k(n)", _cmd_value, ("k", "n", "method", "budget"),
-            fn=ROUTES["phi-k"]),
-    Command(("eval", "phi-k-nm"), "two-parameter phi_k(n, m)", _cmd_value,
-            ("k", "n", "m", "method", "budget"), fn=ROUTES["phi-k-nm"]),
-    Command(("eval", "g-k"), "convolution factor g_k(n)", _cmd_value, ("k", "n"),
-            fn=ROUTES["g-k"]),
-    Command(("eval", "n-k"), "unit-tuple count N_k(n, d, delta)", _cmd_value,
-            ("k", "n", "d", "delta", "method", "budget"), fn=ROUTES["n-k"]),
-    Command(("eval", "jordan"), "Jordan totient J_k(n)", _cmd_value, ("k", "n"),
-            fn=ROUTES["jordan"]),
-    Command(("eval", "gcd-sum"), "gcd sum over admissible tuples", _cmd_value,
-            ("k", "n", "f", "method", "budget"), fn=ROUTES["gcd-sum"]),
-    Command(("verify", "menon"), "gcd-sum identity, arbitrary f", _cmd_verify,
-            ("k-max", "n-max", "f", "budget", "workers"), fn="menon_general"),
-    Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", _cmd_verify,
-            (("n-max", dict(default=60)), "budget", "workers"), fn="sita_ramaiah"),
-    Command(("verify", "nageswara-rao"), "joint-gcd power identity", _cmd_verify,
-            ("k-max", "n-max", "budget", "workers"), fn="nageswara_rao"),
-    Command(("verify", "lemmas"), "residue-class counts and N_k machinery", _cmd_verify,
-            ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget"),
-            fn=lambda menon, a: menon.lemma_sweeps(a.n_max, a.k_max, a.budget)),
-    Command(("verify", "phi-k-nm"), "every route of phi_k(n, m), every m | n", _cmd_verify,
-            ("k-max", "n-max", "budget"), fn="phi_k_nm"),
-    Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", _cmd_value,
+    Command(("eval", "phi-k"), "phi_k(n)", ROUTES["phi-k"], ("k", "n", "method", "budget")),
+    Command(("eval", "phi-k-nm"), "two-parameter phi_k(n, m)", ROUTES["phi-k-nm"],
+            ("k", "n", "m", "method", "budget")),
+    Command(("eval", "g-k"), "convolution factor g_k(n)", ROUTES["g-k"], ("k", "n")),
+    Command(("eval", "n-k"), "unit-tuple count N_k(n, d, delta)", ROUTES["n-k"],
+            ("k", "n", "d", "delta", "method", "budget")),
+    Command(("eval", "jordan"), "Jordan totient J_k(n)", ROUTES["jordan"], ("k", "n")),
+    Command(("eval", "gcd-sum"), "gcd sum over admissible tuples", ROUTES["gcd-sum"],
+            ("k", "n", "f", "method", "budget")),
+    Command(("verify", "menon"), "gcd-sum identity, arbitrary f", "menon_general",
+            ("k-max", "n-max", "f", "budget", "workers")),
+    Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", "sita_ramaiah",
+            (("n-max", dict(default=60)), "budget", "workers")),
+    Command(("verify", "nageswara-rao"), "joint-gcd power identity", "nageswara_rao",
+            ("k-max", "n-max", "budget", "workers")),
+    Command(("verify", "lemmas"), "residue-class counts and N_k machinery", "lemmas",
+            ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget")),
+    Command(("verify", "phi-k-nm"), "every route of phi_k(n, m), every m | n", "phi_k_nm",
+            ("k-max", "n-max", "budget")),
+    Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", ROUTES["sum-phi-k"],
             ("k", "x", "sieve-limit", "workers",
-             ("method", dict(choices=("direct", "convolution", "both")))), fn=ROUTES["sum-phi-k"]),
-    Command(("constant",), "enclose the average-order constant C_k", _cmd_constant,
+             ("method", dict(choices=("direct", "convolution", "both"))))),
+    Command(("constant",), "enclose the average-order constant C_k", ROUTES["constant"],
             ("k", "prime-bound")),
-    Command(("error-table",), "exact sums against the main term", _cmd_error_table,
+    Command(("error-table",), "exact sums against the main term", ROUTES["error-table"],
             ("k", "x-grid", "prime-bound", "sieve-limit"), formats=("csv", "json")),
 )
 
@@ -383,7 +360,7 @@ def main(argv=None) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     cmd = args.command
     try:
-        return cmd.handler(cmd, args)
+        return (_cmd_value if isinstance(cmd.fn, Mapping) else _cmd_verify)(cmd, args)
     except BudgetExceededError as exc:
         # advise a flag only where this row has the one that sets the refused limit
         flag = (exc.limit or "").replace("_", "-")

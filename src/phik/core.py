@@ -48,7 +48,8 @@ DEFAULT_PRIME_BOUND = 10**6
 # others are checked against, "oracle" counts from the definition, and they run last listed first
 # (`route_order`): an oracle, or the convolution sum, refuses before any other route runs.  A name
 # is resolved when called (`library`), so only a route that runs imports its module, and a
-# function replaced on its module (by a tracer, say) is the one called.
+# function replaced on its module (by a tracer, say) is the one called.  A value prints as its
+# str, and in JSON as its as_dict() where it has one (the constant's enclosure, the error table).
 ROUTES = {
     "phi-k": {"closed": "totients.phi_k", "oracle": "totients.phi_k_oracle"},
     "phi-k-nm": {"closed": "totients.phi_k_nm", "recursion": "totients.phi_k_nm_recursion",
@@ -60,6 +61,8 @@ ROUTES = {
     "gcd-sum": {"closed": "menon.gcd_sum_rhs", "oracle": "menon.gcd_sum_lhs_oracle"},
     "sum-phi-k": {"direct": "summatory.sum_phi_k_direct",
                   "convolution": "summatory.sum_phi_k_convolution"},
+    "constant": {"product": "summatory.average_order_constant"},
+    "error-table": {"direct": "summatory.error_term_rows"},
 }
 
 # The longest power `power` builds, in bits (3**(2**20) takes about 0.2 s).  A closed form's value

@@ -27,6 +27,8 @@ widened by a rounding bound proven in advance; the truncated product overestimat
 (every omitted factor is below 1), and the tail is bounded below via
 sum_{p > P} 1/p**2 <= 1/(P - 1).  Each exact bound is a ratio of ints, rounded outward
 (`_float_below`), so no `Fraction` is built; and only the sums import `totients`.
+The enclosure (`Enclosure`) and the error rows (`ErrorTable`) print themselves: their str is
+what `phik constant` and `phik error-table` print, and their as_dict() the JSON.
 """
 from __future__ import annotations
 
@@ -78,7 +80,8 @@ class PartialSum(int):
 
 
 class Enclosure(NamedTuple):
-    """Directed-rounding interval [lo, hi] certified to contain the constant."""
+    """Directed-rounding interval [lo, hi] certified to contain the constant; str is the line
+    `phik constant` prints."""
 
     k: int
     prime_bound: int
@@ -95,6 +98,10 @@ class Enclosure(NamedTuple):
 
     def as_dict(self) -> dict:
         return {**self._asdict(), "width": self.width}
+
+    def __str__(self) -> str:
+        return (f"C_{self.k} in [{self.lo!r}, {self.hi!r}] width={self.width!r} "
+                f"(primes up to {self.prime_bound})")
 
 
 def _check_sieve_budget(n: int, limit: int, what: str) -> None:
@@ -550,8 +557,8 @@ def error_term_rows(
     xs: list[int],
     prime_bound: int = DEFAULT_PRIME_BOUND,
     sieve_limit: int = DEFAULT_SIEVE_LIMIT,
-) -> list[ErrorRow]:
-    """Exact partial sums against the enclosed main term C_k x**(k+1)/(k+1).
+) -> ErrorTable:
+    """Exact partial sums against the enclosed main term C_k x**(k+1)/(k+1), one row per x.
 
     delta uses the midpoint of the enclosure; the normalized ratio
     |delta| / (x**k (log x)**(k+1)) is reported for inspection, never
@@ -565,7 +572,7 @@ def error_term_rows(
     grid = sorted({positive_int(x, "grid point", least=2) for x in xs})
     _check_sieve_budget(grid[-1], sieve_limit, "grid point")
     enclosure = average_order_constant(k, prime_bound, sieve_limit)
-    return [error_row(x, total, enclosure) for x, total in zip(grid, _direct_sums(k, grid))]
+    return ErrorTable(error_row(x, s, enclosure) for x, s in zip(grid, _direct_sums(k, grid)))
 
 
 def error_row(x: int, total: int, enclosure: Enclosure) -> ErrorRow:
@@ -586,3 +593,12 @@ def error_table_csv(rows: list[ErrorRow]) -> str:
     """Render monitoring rows as CSV in the documented column order."""
     lines = [ERROR_TABLE_COLUMNS, *rows]
     return "".join(",".join(map(str, line)) + "\n" for line in lines)
+
+
+class ErrorTable(list):
+    """The rows of `error_term_rows`: printed as their CSV, and as_dict() gives their JSON."""
+
+    __str__ = error_table_csv
+
+    def as_dict(self) -> list[dict]:
+        return [row.as_dict() for row in self]

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phik import menon, sum_phi_k_direct, summatory
-from phik.cli import COMMANDS, _read_table, _row_flags, build_parser, main
+from phik import BudgetExceededError, menon, sum_phi_k_direct, summatory
+from phik.cli import (COMMANDS, MAX_PRINTED_DIGITS, _agree, _check_printable, _read_table,
+                      _row_flags, build_parser, main)
+from phik.core import ROUTES
 
 
 def run_cli(*argv):
@@ -112,7 +114,7 @@ FLOAT_K = str(10**309)  # over the largest float
 # each hung, raised a traceback or misreported its exit: a price built before it was compared,
 # a kernel digit k bits wide at phi(n) = 1, a sweep grid listed before it was priced, or a
 # sum's modulus 2**((k+1) bits(x)) built, and its exact row left unpriced
-@pytest.mark.parametrize("argv, code", [
+HUGE_ARGUMENTS = [
     (f"eval phi-k --k {HUGE_K} --n 3 --method oracle", 3),
     (f"eval gcd-sum --k {HUGE_K} --n 3 --method oracle", 3),
     (f"eval n-k --k {HUGE_K} --n 3 --d 1 --delta 1 --method oracle", 3),
@@ -137,7 +139,10 @@ FLOAT_K = str(10**309)  # over the largest float
     ("eval n-k --k 1 --n 99999989 --d 1 --delta 1 --method oracle", 3),
     # the exact row is priced before the sieve up to x is built
     ("sum phi-k --k 1000 --x 33554432 --method direct", 3),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", HUGE_ARGUMENTS)
 def test_huge_arguments_end_at_once(argv, code):
     proc = phik_process(*argv.split(), timeout=10)
     assert proc.returncode == code and "Traceback" not in proc.stderr
@@ -151,7 +156,7 @@ def test_huge_arguments_end_at_once(argv, code):
 # the constant's prime product up to 2**25 at a huge k, a huge m refused as no divisor of n, the
 # N_k recursion off d = delta = 1, every N_k route, a whole route sweep, a sum's usage errors, and
 # an error table whose main term at x = 20 is past the float range
-@pytest.mark.parametrize("argv, code", [
+LONG_OR_REFUSED = [
     (f"constant --k {HUGE_K} --prime-bound 33554432", 0),
     ("eval phi-k-nm --k 2 --n 10 --m 1000000000 --method oracle", 2),
     ("eval n-k --k 1 --n 15 --d 3 --delta 1 --method recursion", 0),
@@ -161,7 +166,10 @@ def test_huge_arguments_end_at_once(argv, code):
     ("sum phi-k --k 2 --x 10 --prime-bound 1000", 2),
     ("sum phi-k --k 2 --x 10 --method all", 2),
     ("error-table --k 300 --x-grid 2,20", 2),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", LONG_OR_REFUSED)
 def test_long_or_refused_inputs_end_at_once_with_their_code(argv, code):
     proc = phik_process(*argv.split(), timeout=10)
     assert proc.returncode == code and "Traceback" not in proc.stderr
@@ -252,13 +260,59 @@ def readme_commands():
     return [(command.strip(), comment.strip()) for command, _, comment in lines]
 
 
+# The md5 of each README example's stdout, plain and with --format json: no printed byte of an
+# example changes unnoticed.  A new example needs its pair here.
+README_MD5 = {
+    "phik eval phi-k --k 2 --n 15": (
+        "7c67493bd72ceff21059c3d924d17518", "f58372afe26b7cdcb744d2b8cca46d61"),
+    "phik eval phi-k-nm --k 2 --n 15 --m 3": (
+        "bb743fc2a7213949f25593c51cbee64f", "82dd40027209698e8143ef7fcb8878f9"),
+    "phik eval g-k --k 2 --n 6": (
+        "51a6d96331d5eaa300358c7a0faf168d", "47b53c7af7a45b62a65f8ed83a8574b8"),
+    "phik eval n-k --k 2 --n 15 --d 3 --delta 1": (
+        "5b6b41ed9b343fed9cd05a66d36650f0", "c3a300c75f2bc7d7f28d6f7f017b7b91"),
+    "phik eval jordan --k 2 --n 2": (
+        "6d7fce9fee471194aa8b5b6e47267f03", "41f13ce21fa43439897aa1cf1e6d86a7"),
+    "phik eval phi-k --k 2 --n 15 --method oracle": (
+        "7c67493bd72ceff21059c3d924d17518", "f58372afe26b7cdcb744d2b8cca46d61"),
+    "phik eval n-k --k 2 --n 15 --d 3 --delta 1 --method oracle": (
+        "5b6b41ed9b343fed9cd05a66d36650f0", "c3a300c75f2bc7d7f28d6f7f017b7b91"),
+    "phik eval gcd-sum --k 2 --n 15 --f id --method oracle": (
+        "27e4d3594a232b37951be232588fd3a9", "f483f195bb3e001aacbd08102ad249e2"),
+    "phik eval n-k --k 3 --n 60 --d 3 --delta 5 --method all": (
+        "8211b5db47113f43bd8e29b46e0490a7", "41dfb199ca3ec4e1b56d2b39c0a87142"),
+    "phik verify menon --k-max 3 --n-max 40 --f tau": (
+        "baece300a9b6e11896768570ac78d8a8", "92b97df5ebe31d8e3bcdb37055c53318"),
+    "phik verify sita-ramaiah --n-max 60": (
+        "69d59ef281f20a811e691d28944b6869", "4ca7dd0ce3254e28668a666cd6a3c5cd"),
+    "phik verify nageswara-rao --k-max 3 --n-max 40": (
+        "31c47d98edf89546cb8fc55c5eeb7d4e", "7980bb497c6505d4d56199a9c53e4028"),
+    "phik verify lemmas --n-max 40": (
+        "d305adac2bc81aa75dc763e8366ebd62", "ee648dc27094fc545f3ea358b4a9b58a"),
+    "phik verify phi-k-nm --k-max 3 --n-max 40": (
+        "cc43b54a0d465b676f2991defae4efcc", "86e1749d85fb2898d0f0f55ae9cb0195"),
+    "phik sum phi-k --k 2 --x 1000000 --method both": (
+        "b6ebc125ba292774d09ce6dde49729b0", "678f743313a488c1ac354ed75971bd32"),
+    "phik constant --k 2 --prime-bound 1000000": (
+        "f46f04865a32807a0828831bf700e90c", "6d26c937fa6236b57813fabe15b45bad"),
+    "phik error-table --k 2 --x-grid 100,1000,10000": (
+        "35fac1a1e8fd1f6e6ab694ef793cf8bf", "a784a22ef5f5d6235235a75e78017f79"),
+}
+
+
 @pytest.mark.parametrize("command, comment", readme_commands())
 def test_readme_command_examples_run(command, comment, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(shlex.split(command)[1:]) == 0
-    out = capsys.readouterr().out
-    if command == "phik eval phi-k --k 2 --n 15":
-        assert out == comment + "\n" == "24\n"
+    for fmt, md5 in zip([[], ["--format", "json"]], README_MD5[command]):
+        assert main([*shlex.split(command)[1:], *fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == md5, (fmt, out)
+        if command == "phik eval phi-k --k 2 --n 15" and not fmt:
+            assert out == comment + "\n" == "24\n"
+
+
+def test_every_readme_example_has_pinned_bytes():
+    assert [command for command, _ in readme_commands()] == list(README_MD5)
 
 
 def test_eval_jordan(capsys):
@@ -876,6 +930,22 @@ def test_both_methods_stop_at_a_convolution_refusal_before_the_direct_sum(capsys
     assert capsys.readouterr() == ("", "budget refused: the convolution route refused\n")
 
 
+def test_every_row_names_a_route_map_or_a_sweep():
+    # the row's fn is data, and picks its handler: a route map, or a verify row's sweep
+    for cmd in COMMANDS:
+        if cmd.path[0] == "verify":
+            assert cmd.fn in (*menon.SWEEP_KINDS, "lemmas"), cmd.path
+        else:
+            assert cmd.fn in ROUTES.values(), cmd.path
+
+
+def test_routes_that_give_lists_are_compared_whole(capsys):
+    assert _agree({"direct": [1, 2], "convolution": [1, 2]})
+    assert not _agree({"direct": [1, 2], "convolution": [1, 3]})
+    assert capsys.readouterr().err == (
+        "METHOD MISMATCH (implementation bug): direct=[1, 2] convolution=[1, 3]\n")
+
+
 def _add_one_to(monkeypatch, route: str) -> None:
     """Make the library function "module.function" give one more than it does."""
     module, name = route.split(".")
@@ -1007,6 +1077,18 @@ def test_answers_over_the_cap_are_refused(capsys, k, code):
         assert captured.out == "" and captured.err.startswith("budget refused:")
     else:
         assert len(captured.out.strip()) == 100000
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("below, refused", [(1, False), (0, True)])
+def test_the_print_cap_is_the_number_of_digits(sign, below, refused):
+    # 10**100000 - 1 has 100000 digits and 10**100000 one more: the cap's boundary is exact
+    value = sign * (10**MAX_PRINTED_DIGITS - below)
+    if refused:
+        with pytest.raises(BudgetExceededError, match="more than 100000 decimal digits"):
+            _check_printable(value)
+    else:
+        _check_printable(value)
 
 
 # the exact row's bytes, on both routes and in an error table
@@ -1203,6 +1285,7 @@ def _argparse_reads(argv: list[str]):
 @given(spelled_argv(), st.sampled_from(WORKERS_ENV))
 @example(["eval", "phi-k", "--k=2", "--n", "15"], None)
 @example(["eval", "phi-k", "--k", "2", "--k", "3", "--n", "15"], None)
+@example(["eval", "phi-k", "--k", "x", "--n", "15", "--k", "2"], None)  # argparse reads every --k
 @example(["eval", "phi-k", "--k", "-2", "--n", "15"], None)
 @example(["verify", "menon", "--k-m", "2", "--n-max", "10"], None)
 @example(["eval", "phi-k", "--k", "2", "--n", "15", "--help"], None)
@@ -1295,3 +1378,87 @@ def test_both_methods_price_the_bernoulli_build_before_the_direct_sum():
     convolution = phik_process(*argv, "--method", "convolution", timeout=10)
     assert both.returncode == convolution.returncode == 3 and both.stdout == ""
     assert both.stderr == convolution.stderr and "power-sum polynomial S_5000" in both.stderr
+
+
+# -- every row, every flag, adversarial words: one of the four outcomes ---------
+
+ADVERSARIAL = ["0", "-1", str(10**20), "2.5", "x", ""]
+# Each flag's valid words (small ints where it has none here), and its adversarial words beyond
+# ADVERSARIAL.  Only --workers 1 is valid, so no pool starts.  A budget flag raised to 10**20
+# opts out of the refusals that bound the work (a sweep to --n-max 10**20 would run), so the
+# budget flags take every other adversarial word.
+VALID_WORDS = {"f": ["id", "tau", "pow:2"], "x-grid": ["10,100", "2,3,1000"],
+               "prime-bound": ["1000"], "workers": ["1"]}
+ODD_WORDS = {"f": ["pow:2:3", "pow:-1", "table:not-json", "table:key-x"],
+             "x-grid": [",", "10,,100", "1,a"], "method": ["bogus"], "format": ["bogus"]}
+BUDGET_FLAGS = ("budget", "sieve-limit")
+
+
+@st.composite
+def adversarial_argv(draw) -> list[str]:
+    """A row's path and, for each of its flags but --out, a valid word (twice as often) or an
+    adversarial one; an optional flag may also be left out."""
+    cmd = draw(st.sampled_from(COMMANDS))
+    argv = list(cmd.path)
+    for name, spec in _row_flags(cmd).items():
+        kind = draw(st.sampled_from(["valid", "valid", "adversarial"]
+                                    + ([] if spec.get("required") else ["omitted"])))
+        if name == "out" or kind == "omitted":
+            continue
+        if kind == "valid":
+            words = spec.get("choices") or VALID_WORDS.get(name, ["1", "2", "3", "12"])
+        else:
+            words = [*ODD_WORDS.get(name, []), *ADVERSARIAL]
+            if name in BUDGET_FLAGS:
+                words.remove(str(10**20))
+        argv += [f"--{name}", draw(st.sampled_from(words))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def bad_tables(tmp_path_factory):
+    """A directory holding the table files `ODD_WORDS` names: one not JSON, one keyed "x"."""
+    path = tmp_path_factory.mktemp("tables")
+    (path / "not-json").write_text("{1: 2")
+    (path / "key-x").write_text('{"1": 1, "x": 2}')
+    return path
+
+
+def _reports_failed(out: str) -> bool:
+    """Whether a verify report names a failure: a FAIL line, or a failure in its JSON."""
+    if any(line.startswith("FAIL ") for line in out.splitlines()):
+        return True
+    try:
+        payload = json.loads(out)
+    except ValueError:
+        return False
+    reports = payload if isinstance(payload, list) else [payload]
+    return any(isinstance(report, dict) and report.get("failures") for report in reports)
+
+
+def _with_process_examples(test):
+    """test with the argv of the process tests of huge and long inputs as its examples."""
+    for argv, _ in HUGE_ARGUMENTS + LONG_OR_REFUSED:
+        test = example(argv.split())(test)
+    return test
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(adversarial_argv())
+@_with_process_examples
+def test_every_input_ends_in_one_of_the_four_outcomes(bad_tables, argv):
+    # 0 an answer, 1 a counterexample with its witness, 2 a usage or domain error (argparse's
+    # SystemExit(2) among them), 3 a budget refusal; never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(bad_tables)
+        patch.delenv("PHIK_WORKERS", raising=False)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err, (code, err)
+    if code == 1:
+        assert _reports_failed(out) or "METHOD MISMATCH" in err, (out, err)

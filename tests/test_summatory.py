@@ -199,6 +199,16 @@ def test_error_table_csv_columns():
     assert lines[1].startswith("10,63,")
 
 
+def test_the_results_print_themselves():
+    # the line `phik constant` prints, and the CSV and JSON records of `phik error-table`
+    enclosure = average_order_constant(2, 1000)
+    assert str(enclosure) == (f"C_2 in [{enclosure.lo!r}, {enclosure.hi!r}] "
+                              f"width={enclosure.width!r} (primes up to 1000)")
+    rows = error_term_rows(2, [10, 100], prime_bound=1000)
+    assert str(rows) == error_table_csv(list(rows))
+    assert rows.as_dict() == [row.as_dict() for row in rows] and rows == list(rows)
+
+
 # -- the blocked routes ---------------------------------------------------------
 
 # numbers per block of a walk on int64 rows, and on the exact row (`residues.Rows.block`)
