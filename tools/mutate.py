@@ -5,15 +5,14 @@ A mutant changes one operator or constant of the source:
   <, <=, > and >= become their neighbour across the boundary (< and <=, > and >=),
   == and != swap, and `and` and `or` swap;
   a small int constant (0 to 16) grows by 1.
-The sites are listed in source order, shuffled by a fixed seed, and the first --sample of them
-run.  A target is a file, or `file:fn1,fn2` for the named functions (and their nested code)
-only.  The repository is copied once into a temporary directory; each mutant rewrites its
-module there, from the AST, and runs `python -m pytest -x` on the copy with a timeout.  The
+The sites are listed in source order, shuffled with SEED, and the first SAMPLE of them run.  A
+target is a file, or `file:fn1,fn2` for the named functions (and their nested code) only.  The
+repository is copied once into a temporary directory; each mutant rewrites its module there,
+from the AST, and runs `python -m pytest -x` on the copy, for at most TIMEOUT seconds.  The
 working tree is never written.  A mutant is "killed" when a test fails, "timeout" when the run
-passes its timeout, and "survived" when every test passes: a gap, or an equivalent mutant.
+passes TIMEOUT, and "survived" when every test passes: a gap, or an equivalent mutant.
 
-    python tools/mutate.py src/phik/cli.py src/phik/core.py:library,route_order,route_values \
-        --sample 40 --seed 2
+    python tools/mutate.py src/phik/cli.py src/phik/core.py:library,route_order,route_values
 
 Not part of tier-1: a sample of 40 takes up to 40 tier-1 runs.
 """
@@ -41,6 +40,9 @@ SYMBOLS = {
     ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.And: "and", ast.Or: "or",
 }
 SMALL_INT = range(0, 17)
+SEED = 2
+SAMPLE = 40
+TIMEOUT = 900  # seconds per mutant; tier-1 takes about a minute
 
 
 def _sites(tree: ast.Module, functions: set[str] | None) -> list[tuple[int, str, tuple]]:
@@ -114,7 +116,7 @@ def _copy(into: Path) -> Path:
     return copy
 
 
-def run_mutant(copy: Path, file: str, source: str, path: tuple | None, timeout: float) -> str:
+def run_mutant(copy: Path, file: str, source: str, path: tuple | None) -> str:
     """"killed", "survived" or "timeout"; the copy's file is restored afterwards."""
     target = copy / file
     target.write_text(mutated_source(source, path))
@@ -123,7 +125,7 @@ def run_mutant(copy: Path, file: str, source: str, path: tuple | None, timeout: 
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
-            cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
         return "survived" if proc.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -134,28 +136,25 @@ def run_mutant(copy: Path, file: str, source: str, path: tuple | None, timeout: 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("targets", nargs="+", help="file, or file:fn1,fn2, relative to the repo")
-    parser.add_argument("--sample", type=int, default=40, help="mutants to run")
-    parser.add_argument("--seed", type=int, default=2)
-    parser.add_argument("--timeout", type=float, default=900, help="seconds per mutant")
     args = parser.parse_args(argv)
     sites = []
     for file, functions in _targets(args.targets):
         source = (ROOT / file).read_text()
         sites += [(file, source, *site) for site in _sites(ast.parse(source), functions)]
-    random.Random(args.seed).shuffle(sites)
-    sample = sites[:args.sample]
-    print(f"{len(sites)} sites, running {len(sample)} (seed {args.seed})", flush=True)
+    random.Random(SEED).shuffle(sites)
+    sample = sites[:SAMPLE]
+    print(f"{len(sites)} sites, running {len(sample)} (seed {SEED})", flush=True)
     survivors = []
     with tempfile.TemporaryDirectory(prefix="phik-mutants-") as scratch:
         copy = _copy(Path(scratch))
         for file, _ in _targets(args.targets):
             # unparsing alone must keep tier-1 passing, or no survivor means anything
             source = (ROOT / file).read_text()
-            if (verdict := run_mutant(copy, file, source, None, args.timeout)) != "survived":
+            if (verdict := run_mutant(copy, file, source, None)) != "survived":
                 print(f"{file} unparsed, unmutated: tier-1 {verdict}; no mutant run")
                 return 1
         for i, (file, source, line, what, path) in enumerate(sample, 1):
-            verdict = run_mutant(copy, file, source, path, args.timeout)
+            verdict = run_mutant(copy, file, source, path)
             print(f"{i:3} {file}:{line} {what}: {verdict}", flush=True)
             if verdict == "survived":
                 survivors.append(f"{file}:{line} {what}")
