@@ -67,8 +67,8 @@ class Command(NamedTuple):
     `fn` is a route map of `core.ROUTES`, run by `_cmd_value` (the --method choices, the first
     the default, and "all", unless the row names its own), or a verify row's sweep, run by
     `_cmd_verify`: a `menon.verify_sweep` kind, or "lemmas" for `menon.lemma_sweeps`.
-    `flags` name entries of `_flag_specs()`, optionally as (name, overrides); `formats` are
-    the --format choices, the first being the default.
+    `flags` name entries of FLAGS, optionally as (name, overrides); `formats` are the --format
+    choices, the first being the default.
     """
 
     path: tuple[str, ...]
@@ -78,36 +78,30 @@ class Command(NamedTuple):
     formats: tuple[str, ...] = ("plain", "json")
 
 
-def _flag_specs() -> dict[str, dict]:
-    return {
-        "k": dict(type=int, required=True),
-        "n": dict(type=int, required=True),
-        "m": dict(type=int, required=True),
-        "d": dict(type=int, required=True),
-        "delta": dict(type=int, required=True),
-        "x": dict(type=int, required=True),
-        "f": dict(default="id", help="id | one | tau | mu | pow:j | table:<path>"),
-        "method": {},  # a route map's keys and "all", or the row's own choices
-        "k-max": dict(type=int, default=3),
-        "n-max": dict(type=int, default=40),
-        "x-grid": dict(required=True, help="comma-separated cutoffs, e.g. 100,1000"),
-        "budget": dict(type=int, default=DEFAULT_ORACLE_BUDGET),
-        # a string default goes through `type` too, so a bad PHIK_WORKERS is a usage error
-        "workers": dict(type=int, default=os.environ.get("PHIK_WORKERS", "1")),
-        "prime-bound": dict(type=int, default=DEFAULT_PRIME_BOUND),
-        "sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT),
-    }
+FLAGS = {
+    "k": dict(type=int, required=True),
+    "n": dict(type=int, required=True),
+    "m": dict(type=int, required=True),
+    "d": dict(type=int, required=True),
+    "delta": dict(type=int, required=True),
+    "x": dict(type=int, required=True),
+    "f": dict(default="id", help="id | one | tau | mu | pow:j | table:<path>"),
+    "method": {},  # a route map's keys and "all", or the row's own choices
+    "k-max": dict(type=int, default=3),
+    "n-max": dict(type=int, default=40),
+    "x-grid": dict(required=True, help="comma-separated cutoffs, e.g. 100,1000"),
+    "budget": dict(type=int, default=DEFAULT_ORACLE_BUDGET),
+    "workers": dict(type=int, default=1),
+    "prime-bound": dict(type=int, default=DEFAULT_PRIME_BOUND),
+    "sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT),
+}
 
 
 def _flag_names(cmd: Command) -> list[str]:
     return [flag if isinstance(flag, str) else flag[0] for flag in cmd.flags]
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-        return
+def _emit(text: str) -> None:
     try:
         print(text, flush=True)
     except BrokenPipeError:  # the reader left: the output ends, and the flush at exit cannot fail
@@ -128,10 +122,10 @@ def _json_value(value):
     return str(value)
 
 
-def _emit_json(args, payload) -> None:
+def _emit_json(payload) -> None:
     import json
 
-    _emit(args, json.dumps(_json_value(payload), indent=2))
+    _emit(json.dumps(_json_value(payload), indent=2))
 
 
 def _check_printable(value) -> None:
@@ -185,10 +179,9 @@ def _cmd_value(cmd: Command, args) -> int:
     value = next(iter(values.values()))
     _check_printable(value)
     if args.format == "json":
-        _emit_json(args, value.as_dict() if hasattr(value, "as_dict") else
-                   {**params, "value": value})
+        _emit_json(value.as_dict() if hasattr(value, "as_dict") else {**params, "value": value})
     else:
-        _emit(args, str(value))
+        _emit(str(value))
     return EXIT_OK
 
 
@@ -218,14 +211,14 @@ def _cmd_verify(cmd: Command, args) -> int:
                else [menon.verify_sweep(cmd.fn, **params)])
     if args.format == "json":
         payload = [report.as_dict() for report in reports]
-        _emit_json(args, payload if len(payload) > 1 else payload[0])
+        _emit_json(payload if len(payload) > 1 else payload[0])
     else:
         lines = [line for report in reports for line in _report_lines(report)]
         verdict = "PASS" if all(r.ok for r in reports) else "FAIL"
         if any(r.partial for r in reports):
             verdict += " (partial: some instances skipped over budget)"
         lines.append(verdict)
-        _emit(args, "\n".join(lines))
+        _emit("\n".join(lines))
     if not all(r.ok for r in reports):
         return EXIT_FAILURE
     if any(r.partial for r in reports):
@@ -267,20 +260,18 @@ COMMANDS = (
 
 
 def _row_flags(cmd: Command) -> dict[str, dict]:
-    """The flags a row takes, --format and --out last, each with its argparse keywords.
+    """The flags a row takes, --format last, each with its argparse keywords.
 
-    A flag's keywords are its `_flag_specs()` entry, then a route map's --method choices and
-    default, then the row's overrides, each over the one before.  Both argv readers use these.
+    A flag's keywords are its FLAGS entry, then a route map's --method choices and default, then
+    the row's overrides, each over the one before.  Both argv readers use these.
     """
-    specs = _flag_specs()
     flags = {}
     for flag in cmd.flags:
         name, overrides = (flag, {}) if isinstance(flag, str) else flag
         if name == "method" and isinstance(cmd.fn, Mapping):  # the row's own choices win
             overrides = dict(choices=(*cmd.fn, "all"), default=next(iter(cmd.fn))) | overrides
-        flags[name] = {**specs[name], **overrides}
+        flags[name] = {**FLAGS[name], **overrides}
     flags["format"] = dict(choices=cmd.formats, default=cmd.formats[0])
-    flags["out"] = dict(help="write output to this file instead of stdout")
     return flags
 
 
@@ -295,7 +286,7 @@ def _read_table(argv: Sequence[str]) -> SimpleNamespace | None:
 
     Canonical is a row's path, then `--flag value` pairs naming each of the row's flags at most
     once, every required one among them, no value starting with "-", each value converted by its
-    `type` and within its `choices`; a string default goes through `type` too, as in argparse.
+    `type` and within its `choices`.
     """
     cmd = next((c for c in COMMANDS if tuple(argv[:len(c.path)]) == c.path), None)
     if cmd is None:
@@ -310,14 +301,14 @@ def _read_table(argv: Sequence[str]) -> SimpleNamespace | None:
         word = given.pop(f"--{name}", None)
         if not spec.keys() <= _TABLE_KEYS or (word is None and spec.get("required")):
             return None
-        value = spec.get("default") if word is None else word
-        if isinstance(value, str) and spec.get("type"):
+        value = spec.get("default")
+        if word is not None:
             try:
-                value = spec["type"](value)
+                value = spec.get("type", str)(word)
             except (TypeError, ValueError):
                 return None
-        if word is not None and value not in spec.get("choices", (value,)):
-            return None
+            if value not in spec.get("choices", (value,)):
+                return None
         attrs[name.replace("-", "_")] = value
     return None if given else SimpleNamespace(**attrs)
 
@@ -375,9 +366,10 @@ def main(argv=None) -> int:
 def run() -> NoReturn:
     """The process entry point: main(), then exit without tearing the interpreter down.
 
-    No output waits on teardown: `--out` files and worker pools are closed by their `with`
-    blocks before main returns.  atexit handlers do not run.  An exception from main, SystemExit
-    included, takes the interpreter's own exit; a failed flush keeps main's exit code.
+    No output waits on teardown: worker pools are closed by their `with` blocks before main
+    returns, and both streams are flushed here.  atexit handlers do not run.  An exception from
+    main, SystemExit included, takes the interpreter's own exit; a failed flush keeps main's exit
+    code.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

@@ -413,8 +413,9 @@ def verify_sweep(
 ) -> IdentityReport:
     """Sweep a kind of SWEEP_KINDS over 1 <= k <= k_max, 1 <= n <= n_max.
 
-    The grid is priced first, at a tuple per cell; cells whose oracle refuses the budget
-    are skipped and reported, making the report partial.  With workers > 1 the cells, each
+    The grid is priced first, at a tuple per cell, then at the n residues each cell walks
+    against DEFAULT_ORACLE_BUDGET, which `budget` does not raise; cells whose oracle refuses the
+    budget are skipped and reported, making the report partial.  With workers > 1 the cells, each
     carrying the one parsed f, are evaluated by `core.parallel_map`, on at most one worker per
     SWEEP_POOL_FLOOR cells, and merged back in parameter order; an f that does not pickle is
     refused before any cell runs.  A route kind reads no f.
@@ -427,6 +428,8 @@ def verify_sweep(
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
     what = route[2] if route else kind
     check_budget(k_count * n_max, budget, f"{what} sweep of {k_count} x {n_max} cells, one each,")
+    check_budget(k_count * n_max * (n_max + 1) // 2, DEFAULT_ORACLE_BUDGET,
+                 f"{what} sweep of {k_count} x {n_max} cells, n residues each,", None)
     if kind in ("menon_general", "menon_gcd"):
         swept["f"] = spec.label
     if positive_int(workers, "worker count") > 1:

@@ -166,6 +166,9 @@ LONG_OR_REFUSED = [
     ("sum phi-k --k 2 --x 10 --prime-bound 1000", 2),
     ("sum phi-k --k 2 --x 10 --method all", 2),
     ("error-table --k 300 --x-grid 2,20", 2),
+    # 10^8 cells, each walking its n residues: refused at once, whatever the --budget
+    ("verify nageswara-rao --k-max 1 --n-max 100000000", 3),
+    ("verify nageswara-rao --k-max 1 --n-max 100000000 --budget 100000000000000000000", 3),
 ]
 
 
@@ -435,7 +438,7 @@ def test_sum_usage_error_on_empty_range(capsys):
 
 
 def test_every_sum_method_prints_the_row_flags_and_the_value(capsys, monkeypatch):
-    monkeypatch.delenv("PHIK_WORKERS", raising=False)
+    monkeypatch.setenv("PHIK_WORKERS", "8")  # the output depends on argv alone
     for method in ("direct", "convolution", "both"):
         assert run_cli("sum", "phi-k", "--k", "3", "--x", "20", "--method", method,
                        "--format", "json") == 0
@@ -479,18 +482,6 @@ def test_error_table_csv(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "x,sum,main_term_lo,main_term_hi,delta,normalized_ratio"
     assert lines[1].startswith("10,63,") and lines[2].startswith("100,91083,")
-
-
-def test_error_table_out_file(tmp_path, capsys):
-    target = tmp_path / "table.csv"
-    assert (
-        run_cli(
-            "error-table", "--k", "2", "--x-grid", "10",
-            "--prime-bound", "10000", "--out", str(target),
-        )
-        == 0
-    )
-    assert target.read_text().startswith("x,sum,")
 
 
 def test_csv_rejected_where_undefined(capsys):
@@ -587,10 +578,16 @@ def test_a_closed_stdout_ends_the_output_and_keeps_the_exit_code(argv, code, tmp
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
-def test_an_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "value.txt"
-    assert run_cli("eval", "phi-k", "--k", "2", "--n", "15", "--out", str(target)) == 2
-    assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: " ".join(cmd.path))
+def test_out_is_an_unrecognized_argument_and_writes_no_file(tmp_path, monkeypatch, capsys, cmd):
+    # output goes to stdout only; a shell redirect writes a file
+    monkeypatch.chdir(tmp_path)
+    required = [word for name, spec in _row_flags(cmd).items() if spec.get("required")
+                for word in (f"--{name}", "10")]
+    code, out, err = cli_exit(capsys, *cmd.path, *required, "--out", "f")
+    assert code == 2 and out == "" and err.startswith(f"usage: phik {' '.join(cmd.path)} ")
+    assert err.endswith("error: unrecognized arguments: --out f\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_table_file(capsys):
@@ -628,12 +625,15 @@ def test_a_process_prints_and_exits_as_main_does(argv, code, tmp_path, capsys):
     assert returned == code and (captured.out + captured.err).strip()
 
 
-def test_a_large_out_file_written_by_a_process_is_complete(tmp_path):
-    grid = range(2, 1500)  # about 300 kB of JSON
+def test_a_large_output_redirected_to_a_file_by_a_process_is_complete(tmp_path):
+    grid = range(2, 1500)  # about 300 kB of JSON, flushed before os._exit
     target = tmp_path / "rows.json"
-    proc = phik_process("error-table", "--k", "2", "--x-grid", ",".join(map(str, grid)),
-                        "--prime-bound", "1000", "--format", "json", "--out", str(target))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    with open(target, "w") as fh:
+        proc = subprocess.run([sys.executable, "-m", "phik.cli", "error-table", "--k", "2",
+                               "--x-grid", ",".join(map(str, grid)), "--prime-bound", "1000",
+                               "--format", "json"], stdout=fh, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert [row["x"] for row in json.loads(target.read_text())] == [str(x) for x in grid]
 
 
@@ -790,15 +790,14 @@ class _SerialPool:
 
 
 @pytest.mark.parametrize(
-    "argv, env, pool_size",
+    "argv, pool_size",
     [
-        (("sum", "phi-k", "--k", "2", "--x", "1000", "--workers", "8"), {}, 3),
-        (("sum", "phi-k", "--k", "2", "--x", "1000"), {"PHIK_WORKERS": "8"}, 3),
-        (("sum", "phi-k", "--k", "2", "--x", "9", "--workers", "8"), {}, 2),
-        (("verify", "sita-ramaiah", "--n-max", "2", "--workers", "8"), {}, 2),
+        (("sum", "phi-k", "--k", "2", "--x", "1000", "--workers", "8"), 3),
+        (("sum", "phi-k", "--k", "2", "--x", "9", "--workers", "8"), 2),
+        (("verify", "sita-ramaiah", "--n-max", "2", "--workers", "8"), 2),
     ],
 )
-def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, env, pool_size):
+def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, pool_size):
     # three usable CPUs; the fake pool starts no process, and 8 requested
     # workers keep a regression that bypasses the fake small; a direct sum
     # splits at 4 numbers per worker
@@ -807,8 +806,6 @@ def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, env, pool_s
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(summatory, "POOL_FLOOR", 4)
     monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     assert run_cli(*argv) == 0
     parallel_out = capsys.readouterr().out
     assert _SerialPool.sizes == [pool_size]
@@ -854,22 +851,15 @@ def test_a_sweep_below_the_pool_floor_starts_no_pool(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "-4"), {}),
-        (("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "0"), {}),
-        (("verify", "sita-ramaiah", "--n-max", "5", "--workers", "0"), {}),
-        (("sum", "phi-k", "--k", "2", "--x", "100"), {"PHIK_WORKERS": "abc"}),
+        ("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "-4"),
+        ("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "0"),
+        ("verify", "sita-ramaiah", "--n-max", "5", "--workers", "0"),
     ],
 )
-def test_bad_worker_counts_are_usage_errors(argv, env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "phik.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, **env},
-        timeout=60,
-    )
+def test_bad_worker_counts_are_usage_errors(argv):
+    proc = phik_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
@@ -1169,7 +1159,7 @@ def test_leaf_help_lists_its_flags_and_formats(capsys, monkeypatch, cmd):
     assert code == 0 and out.startswith(f"usage: phik {' '.join(cmd.path)} [-h]")
     for flag in cmd.flags:
         assert f"--{flag if isinstance(flag, str) else flag[0]}" in out
-    assert f"--format {{{','.join(cmd.formats)}}}" in out and "--out OUT" in out
+    assert f"--format {{{','.join(cmd.formats)}}}" in out and "--out" not in out
 
 
 @pytest.mark.parametrize("argv, choices", [
@@ -1215,10 +1205,8 @@ FLAG_WORDS = {
     "f": ["id", "tau", "pow:2", "", "-x"],
     "method": ["closed", "oracle", "recursion", "all", "direct", "convolution", "both", "bogus"],
     "format": ["plain", "json", "csv", "bogus"],
-    "out": ["rows.txt", "-"],
     "x-grid": ["10,100", "x", "-1"],
 }
-WORKERS_ENV = [None, "2", " 3", "abc", "=2", ""]
 
 
 @st.composite
@@ -1278,48 +1266,42 @@ def _argparse_reads(argv: list[str]):
 
 
 @settings(max_examples=400, deadline=None)
-@given(spelled_argv(), st.sampled_from(WORKERS_ENV))
-@example(["eval", "phi-k", "--k=2", "--n", "15"], None)
-@example(["eval", "phi-k", "--k", "2", "--k", "3", "--n", "15"], None)
-@example(["eval", "phi-k", "--k", "x", "--n", "15", "--k", "2"], None)  # argparse reads every --k
-@example(["eval", "phi-k", "--k", "-2", "--n", "15"], None)
-@example(["verify", "menon", "--k-m", "2", "--n-max", "10"], None)
-@example(["eval", "phi-k", "--k", "2", "--n", "15", "--help"], None)
-@example(["eval", "phi-k", "-h"], None)
-@example(["verify", "sita-ramaiah", "--n-max", "5"], "abc")
-@example(["verify", "sita-ramaiah", "--n-max", "5"], "=2")
-@example(["verify", "menon", "--k-max", "2", "--n-max", "10", "--workers", "2"], " 3")
-@example(["sum", "phi-k", "--k", "2", "--x", "10", "--method", "all"], None)
-@example(["eval", "phi-k", "--k", "2", "--n", "15", "--format", "csv"], None)
-@example(["eval", "phi-k", "--k", "2", "--n", "15", "extra"], None)
-@example(["eval", "phi-k", "--k", " 2", "--n", "15"], None)
-@example(["eval", "phi-k", "--k", "+15", "--n", "15"], None)
-@example(["eval", "phi-k", "--k", "2_0", "--n", "15"], None)
-@example(["verify", "menon", "--f", ""], None)
-@example(["verify", "menon", "--f", "-x"], None)
-@example(["eval", "phi-k", "--k", "2"], None)
-@example(["error-table", "--k", "2", "--x-grid", "10,100", "--format", "json", "--out", "r"], None)
-@example([], None)
-@example(["--help"], None)
-@example(["eval", "--help"], None)
-def test_the_table_reads_argv_as_argparse_does(argv, workers_env):
+@given(spelled_argv())
+@example(["eval", "phi-k", "--k=2", "--n", "15"])
+@example(["eval", "phi-k", "--k", "2", "--k", "3", "--n", "15"])
+@example(["eval", "phi-k", "--k", "x", "--n", "15", "--k", "2"])  # argparse reads every --k
+@example(["eval", "phi-k", "--k", "-2", "--n", "15"])
+@example(["verify", "menon", "--k-m", "2", "--n-max", "10"])
+@example(["eval", "phi-k", "--k", "2", "--n", "15", "--help"])
+@example(["eval", "phi-k", "-h"])
+@example(["verify", "sita-ramaiah", "--n-max", "5"])
+@example(["verify", "menon", "--k-max", "2", "--n-max", "10", "--workers", "2"])
+@example(["sum", "phi-k", "--k", "2", "--x", "10", "--method", "all"])
+@example(["eval", "phi-k", "--k", "2", "--n", "15", "--format", "csv"])
+@example(["eval", "phi-k", "--k", "2", "--n", "15", "extra"])
+@example(["eval", "phi-k", "--k", " 2", "--n", "15"])
+@example(["eval", "phi-k", "--k", "+15", "--n", "15"])
+@example(["eval", "phi-k", "--k", "2_0", "--n", "15"])
+@example(["verify", "menon", "--f", ""])
+@example(["verify", "menon", "--f", "-x"])
+@example(["eval", "phi-k", "--k", "2"])
+@example(["error-table", "--k", "2", "--x-grid", "10,100", "--format", "json", "--out", "r"])
+@example([])
+@example(["--help"])
+@example(["eval", "--help"])
+def test_the_table_reads_argv_as_argparse_does(argv):
     # what the table takes, argparse takes alike; what it leaves, main prints as argparse does
-    with pytest.MonkeyPatch.context() as patch:
-        if workers_env is None:
-            patch.delenv("PHIK_WORKERS", raising=False)
-        else:
-            patch.setenv("PHIK_WORKERS", workers_env)
-        table, parsed = _read_table(argv), _argparse_reads(argv)
-        if table is not None:
-            assert not isinstance(parsed, tuple), parsed
-            assert vars(table) == {key: v for key, v in vars(parsed).items() if key != "parser"}
-        elif isinstance(parsed, tuple):
-            assert _printed(lambda: main(argv)) == parsed
+    table, parsed = _read_table(argv), _argparse_reads(argv)
+    if table is not None:
+        assert not isinstance(parsed, tuple), parsed
+        assert vars(table) == {key: v for key, v in vars(parsed).items() if key != "parser"}
+    elif isinstance(parsed, tuple):
+        assert _printed(lambda: main(argv)) == parsed
 
 
 @pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: " ".join(cmd.path))
 def test_the_table_reads_every_row_with_every_flag(cmd):
-    words = {"f": "tau", "out": "rows.txt", "x-grid": "10,100"}
+    words = {"f": "tau", "x-grid": "10,100"}
     argv = [*cmd.path, *(word for name, spec in _row_flags(cmd).items() for word in
                          (f"--{name}", spec["choices"][-1] if "choices" in spec
                           else words.get(name, "3")))]
@@ -1381,8 +1363,8 @@ def test_both_methods_price_the_bernoulli_build_before_the_direct_sum():
 ADVERSARIAL = ["0", "-1", str(10**20), "2.5", "x", ""]
 # Each flag's valid words (small ints where it has none here), and its adversarial words beyond
 # ADVERSARIAL.  --workers draws from {1, 0, -1, x} alone, and only 1 is valid, so no pool
-# starts.  A budget flag raised to 10**20 opts out of the refusals that bound the work (a sweep
-# to --n-max 10**20 would run), so the budget flags take every other adversarial word.
+# starts.  A budget flag raised to 10**20 opts out of the refusals that bound the work (a lemma
+# sweep to --n-max 10**20 would run), so the budget flags take every other adversarial word.
 VALID_WORDS = {"f": ["id", "tau", "pow:2"], "x-grid": ["10,100", "2,3,1000"],
                "prime-bound": ["1000"], "workers": ["1"]}
 ODD_WORDS = {"f": ["pow:2:3", "pow:-1", "table:not-json", "table:key-x"],
@@ -1392,14 +1374,14 @@ BUDGET_FLAGS = ("budget", "sieve-limit")
 
 @st.composite
 def adversarial_argv(draw) -> list[str]:
-    """A row's path and, for each of its flags but --out, a valid word (twice as often) or an
-    adversarial one; an optional flag may also be left out."""
+    """A row's path and, for each of its flags, a valid word (twice as often) or an adversarial
+    one; an optional flag may also be left out."""
     cmd = draw(st.sampled_from(COMMANDS))
     argv = list(cmd.path)
     for name, spec in _row_flags(cmd).items():
         kind = draw(st.sampled_from(["valid", "valid", "adversarial"]
                                     + ([] if spec.get("required") else ["omitted"])))
-        if name == "out" or kind == "omitted":
+        if kind == "omitted":
             continue
         if kind == "valid":
             words = spec.get("choices") or VALID_WORDS.get(name, ["1", "2", "3", "12"])
@@ -1450,7 +1432,6 @@ def test_every_input_ends_in_one_of_the_four_outcomes(bad_tables, argv):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(bad_tables)
-        patch.delenv("PHIK_WORKERS", raising=False)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)

@@ -288,6 +288,19 @@ def test_verify_sweep_takes_k_up_to_3_by_default():
     assert report.swept["k"] == "1..3" and report.checked == 12
 
 
+def test_the_lemma_price_sums_on_past_a_budget_it_meets_exactly():
+    # n = 1 costs 1 + 1 checks, meeting a budget of 2; n = 2 costs 3 + 9 more
+    assert lemma_sweep(1, budget=2).ok
+    with pytest.raises(BudgetExceededError, match="lemma sweep to n_max=2: its checks up to n=2 "
+                       "would visit 14 tuples, over the budget of 2$"):
+        lemma_sweep(2, budget=2)
+
+
+def test_lemma_sweeps_take_k_up_to_3_by_default():
+    lemmas, n_k_report = menon.lemma_sweeps(n_max=4)
+    assert lemmas.ok and n_k_report.swept["k"] == "1..3"
+
+
 def test_verify_sweep_partial_on_budget():
     report = verify_sweep("menon_gcd", k_max=3, n_max=12, budget=1000)
     assert report.partial
@@ -321,6 +334,12 @@ def test_a_parallel_sweep_refuses_an_f_that_does_not_pickle_before_any_cell(monk
     monkeypatch.setattr(menon, "parallel_map", lambda *args: pytest.fail("a cell ran"))
     with pytest.raises(ValueError, match="parallel sweeps need an f that pickles"):
         verify_sweep("menon_general", k_max=2, n_max=6, f=f, workers=2)
+
+
+@pytest.mark.parametrize("f", [lambda x: x, tau_mf], ids=["lambda", "tau_mf"])
+def test_a_serial_sweep_takes_an_f_that_does_not_pickle(f):
+    # only a pool pickles f: the default, one worker, never asks
+    assert verify_sweep("menon_general", k_max=2, n_max=6, f=f).ok
 
 
 def test_verify_sweep_skips_the_cells_its_oracle_refuses():
@@ -373,6 +392,19 @@ def test_a_sweep_prices_its_grid_before_any_cell(sweep, what):
     with pytest.raises(BudgetExceededError) as exc:
         sweep()
     assert str(exc.value).startswith(what) and exc.value.limit == "budget"
+
+
+@pytest.mark.parametrize("budget", [menon.DEFAULT_ORACLE_BUDGET, 10**20])
+def test_a_sweep_prices_the_residues_its_cells_walk_whatever_the_budget(monkeypatch, budget):
+    # a k = 1 cell walks its n residues: the grid's sum of n is held to the default budget, which
+    # --budget does not raise, so at k = 1 the last n_max admitted is 14,141
+    monkeypatch.setattr(menon, "parallel_map", lambda fn, cells, workers: [(len(cells), 0, [])])
+    assert verify_sweep("nageswara_rao", k_max=1, n_max=14141, budget=budget).checked == 14141
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_sweep("nageswara_rao", k_max=1, n_max=14142, budget=budget)
+    assert str(exc.value) == ("nageswara_rao sweep of 1 x 14142 cells, n residues each, would "
+                              "visit 100005153 tuples, over the budget of 100000000")
+    assert exc.value.limit is None  # no flag raises it
 
 
 def test_n_k_sweep_skips_the_cells_its_oracle_refuses():

@@ -121,7 +121,6 @@ def run_mutant(copy: Path, file: str, source: str, path: tuple | None) -> str:
     target = copy / file
     target.write_text(mutated_source(source, path))
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("PHIK_WORKERS", None)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
