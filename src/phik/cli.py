@@ -240,11 +240,11 @@ COMMANDS = (
     Command(("eval", "gcd-sum"), "gcd sum over admissible tuples", ROUTES["gcd-sum"],
             ("k", "n", "f", "method", "budget")),
     Command(("verify", "menon"), "gcd-sum identity, arbitrary f", "menon_general",
-            ("k-max", "n-max", "f", "budget", "workers")),
+            ("k-max", "n-max", "f", "budget")),
     Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", "sita_ramaiah",
-            (("n-max", dict(default=60)), "budget", "workers")),
+            (("n-max", dict(default=60)), "budget")),
     Command(("verify", "nageswara-rao"), "joint-gcd power identity", "nageswara_rao",
-            ("k-max", "n-max", "budget", "workers")),
+            ("k-max", "n-max", "budget")),
     Command(("verify", "lemmas"), "residue-class counts and N_k machinery", "lemmas",
             ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget")),
     Command(("verify", "phi-k-nm"), "every route of phi_k(n, m), every m | n", "phi_k_nm",

@@ -3,9 +3,11 @@
 All values are exact: integers, or the `Fraction`s a caller's function
 returns, never floats.  Functions here are pure and safe to call concurrently.
 `tuple_args` is the one argument gate of every tuple count, and `table_lookup` the
-one table rule, for `table:` files and Mappings alike; its reader pickles to workers.
+one table rule, for `table:` files and Mappings alike.
 `ROUTES` names every route to each quantity, once, for the command line and the sweeps.
-`power` builds every k-th power of a closed form, and refuses one no printable answer needs.
+`power` builds every k-th power of a closed form, and refuses one no printable answer needs;
+`_phi_k_prime_power` and `_g_k_prime` live beside it, so the sums need no `totients`.
+`parallel_map` runs the direct sum's ranges, one process each.
 """
 from __future__ import annotations
 
@@ -136,15 +138,15 @@ def cap_workers(workers: int, tasks: int) -> int:
     return max(1, min(workers, cpus, tasks))
 
 
-def parallel_map(fn: Callable, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], on `cap_workers` processes (about 4 chunks each) if over 1."""
-    pool_size = cap_workers(workers, len(tasks))
-    if pool_size == 1:
-        return [fn(task) for task in tasks]
+def parallel_map(fn: Callable, tasks: list) -> list:
+    """[fn(t) for t in tasks], each task in a process of its own when there are several; the
+    caller sizes tasks by `cap_workers`."""
+    if len(tasks) == 1:
+        return [fn(tasks[0])]
     import concurrent.futures  # looked up per call, so a stand-in pool can be patched in
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // (4 * pool_size))))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def check_budget(cost: int | tuple, budget: int, what: str, limit: str | None = "budget") -> None:
@@ -178,6 +180,17 @@ def power(base: int, e: int) -> int:
         raise BudgetExceededError(f"the power {base}**{e} has more than {MAX_POWER_BITS} bits, "
                                   "the longest phik builds")
     return base**e
+
+
+def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
+    # (p-1)**k == (-1)**k (mod p), so the division by p is exact.
+    sign = -1 if k % 2 else 1
+    return power(p, (e - 1) * k) * exact_div((p - 1) * (power(p - 1, k) - sign), p)
+
+
+def _g_k_prime(k: int, p: int) -> int:
+    # g_k(p) = phi_k(p) - p**k; lies in (-(k+1) p**(k-1), 0) for k >= 2.
+    return _phi_k_prime_power(k, p, 1) - power(p, k)
 
 
 def exact_div(a: int, b: int) -> int:
@@ -449,7 +462,7 @@ def _table_entry(table: Mapping[int, ArithValue], what: str, n: int) -> ArithVal
 
 
 def table_lookup(table: Mapping, what: str = "value table") -> Callable[[int], int]:
-    """Read an arithmetic function off a divisor-indexed table; the reader pickles with it.
+    """Read an arithmetic function off a divisor-indexed table.
 
     The one table rule: a Mapping, keys integers (no bool) or strings `int` reads, values exact
     integers (no bool; an integral float reads as its int), each refusal naming `what` and the key.

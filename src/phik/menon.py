@@ -11,8 +11,8 @@ sums.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
 units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
 of f `core.table_lookup`.  `verify_sweep` runs every (k, n) grid, of an identity or of the routes
-of a quantity of `core.ROUTES` (SWEEP_KINDS); it reports through `IdentityReport.of`, a skipped
-cell by its oracle's own refusal, and spreads the cells with `core.parallel_map`.
+of a quantity of `core.ROUTES` (SWEEP_KINDS), in one process; it reports through
+`IdentityReport.of`, a skipped cell by its oracle's own refusal.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .core import (
     ArithValue,
     BudgetExceededError,
     MultiplicativeFunction,
-    cap_workers,
     check_budget,
     check_word_budget,
     divisors,
@@ -39,7 +38,6 @@ from .core import (
     library,
     mobius,
     mobius_transform,
-    parallel_map,
     positive_int,
     power,
     route_order,
@@ -62,14 +60,11 @@ SWEEP_KINDS = {
     "n_k_machinery": ("n-k", ("d", "delta"), "N_k"),
 }
 
-# Cells per worker below which `verify_sweep` starts no pool.  As processes (`verify menon --f tau`,
-# 2 vCPUs, Python 3.11, medians of 9-13 alternating runs), `--workers 2` lost to `--workers 1` at
-# 120 cells (k <= 3, n <= 40: 140 against 89 ms), 480 (k <= 6, n <= 80: 234 against 153 ms) and
-# 600 (k <= 3, n <= 200: 301 against 238 ms; k <= 4, n <= 150: 276 against 181 ms), split at 800
-# (k = 1, n <= 800: 419 against 689 ms; k <= 2, n <= 400: 391 against 359 ms), tied at 900
-# (k <= 3, n <= 300) and won from 1,000 (k <= 2, n <= 500: 409 against 444 ms; k <= 3, n <= 400:
-# 472 against 591 ms).  A cell costs more as n grows.  At 400, a 2-way pool starts at 800 cells.
-SWEEP_POOL_FLOOR = 400
+# The tuples `verify_sweep` prices each residue a cell walks at: the fixed DEFAULT_ORACLE_BUDGET
+# then admits 2 * 10**6 residues, --n-max up to 1,999 at --k-max 1 and 1,154 at --k-max 3.  A
+# residue costs 0.35-1.86 us by kind (2 vCPUs, Python 3.11), and the largest admitted sweep of
+# each kind took at most 3.3 s as a process.
+RESIDUE_PRICE = 50
 
 
 # -- counting units in residue classes -------------------------------------
@@ -120,7 +115,6 @@ class FunctionSpec(NamedTuple):
     When `mu_fn` is given, the closed-form side of the gcd-sum identity uses
     it instead of computing the Moebius transform of `fn`; a table whose
     mu_fn disagrees with fn therefore yields genuine identity failures.
-    Every spec parsed from a name, pow:j or a table pickles.
     """
 
     label: str
@@ -374,9 +368,9 @@ def verify_identity(
                     phi_kn == 0, detail)
 
 
-def _sweep_cell(args: tuple) -> Union[tuple[int, int, list[Instance]], dict]:
+def _sweep_cell(kind: str, k: int, n: int, spec: FunctionSpec,
+                budget: int) -> Union[tuple[int, int, list[Instance]], dict]:
     """One (k, n) of a sweep as a report cell, or the skip record of a cell its oracle refused."""
-    kind, k, n, spec, budget = args
     try:
         if SWEEP_KINDS[kind]:
             return _route_cell(*SWEEP_KINDS[kind][:2], k, n, budget)
@@ -409,16 +403,13 @@ def verify_sweep(
     n_max: int = 40,
     f: FSpecInput = "id",
     budget: int = DEFAULT_ORACLE_BUDGET,
-    workers: int = 1,
 ) -> IdentityReport:
-    """Sweep a kind of SWEEP_KINDS over 1 <= k <= k_max, 1 <= n <= n_max.
+    """Sweep a kind of SWEEP_KINDS over 1 <= k <= k_max, 1 <= n <= n_max, in one process.
 
-    The grid is priced first, at a tuple per cell, then at the n residues each cell walks
-    against DEFAULT_ORACLE_BUDGET, which `budget` does not raise; cells whose oracle refuses the
-    budget are skipped and reported, making the report partial.  With workers > 1 the cells, each
-    carrying the one parsed f, are evaluated by `core.parallel_map`, on at most one worker per
-    SWEEP_POOL_FLOOR cells, and merged back in parameter order; an f that does not pickle is
-    refused before any cell runs.  A route kind reads no f.
+    The grid is priced first, at a tuple per cell, then at the n residues each cell walks,
+    RESIDUE_PRICE tuples each, against DEFAULT_ORACLE_BUDGET, which `budget` does not raise; cells
+    whose oracle refuses the budget are skipped and reported, making the report partial.  The cells
+    run in parameter order, each on the one parsed f.  A route kind reads no f.
     """
     route = _sweep_kind(kind)
     k_max = positive_int(k_max, "k_max")
@@ -428,21 +419,12 @@ def verify_sweep(
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
     what = route[2] if route else kind
     check_budget(k_count * n_max, budget, f"{what} sweep of {k_count} x {n_max} cells, one each,")
-    check_budget(k_count * n_max * (n_max + 1) // 2, DEFAULT_ORACLE_BUDGET,
+    check_budget(k_count * n_max * (n_max + 1) // 2 * RESIDUE_PRICE, DEFAULT_ORACLE_BUDGET,
                  f"{what} sweep of {k_count} x {n_max} cells, n residues each,", None)
     if kind in ("menon_general", "menon_gcd"):
         swept["f"] = spec.label
-    if positive_int(workers, "worker count") > 1:
-        import pickle
-
-        try:
-            pickle.dumps(spec)
-        except (pickle.PicklingError, AttributeError, TypeError):
-            raise ValueError(f"parallel sweeps need an f that pickles (a name, pow:j, a table, "
-                             f"or a module-level function), got {spec.label}") from None
-    cells = [(kind, k, n, spec, budget) for k in ks for n in range(1, n_max + 1)]
-    workers = cap_workers(workers, len(cells) // SWEEP_POOL_FLOOR)
-    return IdentityReport.of(kind, swept, parallel_map(_sweep_cell, cells, workers))
+    cells = (_sweep_cell(kind, k, n, spec, budget) for k in ks for n in range(1, n_max + 1))
+    return IdentityReport.of(kind, swept, cells)
 
 
 def _priced_lemmas(n_max: int, budget: int) -> int:

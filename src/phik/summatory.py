@@ -26,7 +26,8 @@ byte sieve of the odd numbers (`_primes`, which also serves the sums) without nu
 widened by a rounding bound proven in advance; the truncated product overestimates
 (every omitted factor is below 1), and the tail is bounded below via
 sum_{p > P} 1/p**2 <= 1/(P - 1).  Each exact bound is a ratio of ints, rounded outward
-(`_float_below`), so no `Fraction` is built; and only the sums import `totients`.
+(`_float_below`), so no `Fraction` is built.  phi_k and g_k at primes and at powers of 2 come
+from `core`, so no command here imports `totients`.
 The enclosure (`Enclosure`) and the error rows (`ErrorTable`) print themselves: their str is
 what `phik constant` and `phik error-table` print, and their as_dict() the JSON.
 """
@@ -42,6 +43,8 @@ from .core import (
     DEFAULT_PRIME_BOUND,
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
+    _g_k_prime,
+    _phi_k_prime_power,
     cap_workers,
     check_word_budget,
     exact_div,
@@ -159,8 +162,6 @@ def _prime_values(k: int, limit: int) -> np.ndarray:
     phi_k(p) is an integer polynomial of degree <= k in p (`Rows.polynomial`); entry 0, for
     primes[0] = 1, holds phi_k(1) = 1.  The rows are priced before the sieve is built.
     """
-    from .totients import _phi_k_prime_power
-
     rows = _priced_rows(k, limit)
     table = rows.polynomial(partial(_phi_k_prime_power, k), k, _spf_sieve(limit)[0])
     table[:, 0] = 1
@@ -175,8 +176,6 @@ def _two_adic(k: int, ys: list[int], odd_sums: Callable[[list[int]], list[int]])
     as phi_k(2**e) = 0 from e = 1 on.  odd_sums gives F_odd at each of the cuts z, ascending, in
     one walk; the terms are combined in exact ints.
     """
-    from .totients import _phi_k_prime_power
-
     terms = [[(1, y), *takewhile(lambda term: term[0], ((_phi_k_prime_power(k, 2, e), y >> e)
                                                        for e in range(1, y.bit_length())))]
              for y in ys]
@@ -228,7 +227,7 @@ def _direct_sums(k: int, xs: list[int], workers: int = 1) -> list[int]:
     def odd_sums(cuts: list[int]) -> list[int]:
         ranges = [(k, 2 * (odd * i // workers) + 1, 2 * (odd * (i + 1) // workers) - 1, cuts, x)
                   for i in range(workers)]
-        return [sum(pieces) for pieces in zip(*parallel_map(_direct_range_sum, ranges, workers))]
+        return [sum(pieces) for pieces in zip(*parallel_map(_direct_range_sum, ranges))]
 
     return _two_adic(k, xs, odd_sums)
 
@@ -282,7 +281,6 @@ def _quotient_convolution(k: int, x: int, rows: Rows) -> int:
     import numpy as np
 
     from .residues import monomials
-    from .totients import _g_k_prime
 
     v = _quotient_set(x)
     if rows.moduli:

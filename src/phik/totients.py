@@ -13,6 +13,8 @@ totients exactly, and `n_k_recursion` never calls them.
 Every closed form is built in integers from phi_k(p) = (p-1)((p-1)**k -
 (-1)**k)/p: phi_k(n, m) = (phi(n) / prod (p-1))**k * prod phi_k(p) over the
 primes p | m, phi_k(n) = phi_k(n, n), and g_k(p) = phi_k(p) - p**k, each k-th power by `core.power`.
+The prime values live beside it, in `core._phi_k_prime_power` and `core._g_k_prime`, which the
+sums read without importing this module.
 
 The oracles count from the definitions, never visiting tuples one by one:
 unit tuples by their sum mod M in one big-integer power, folded after each
@@ -31,6 +33,8 @@ from .core import (
     DEFAULT_ORACLE_BUDGET,
     BudgetExceededError,
     MultiplicativeFunction,
+    _g_k_prime,
+    _phi_k_prime_power,
     check_budget,
     check_word_budget,
     euler_phi,
@@ -104,12 +108,6 @@ def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]
     digits = power.to_bytes(width * (power.bit_length() // (8 * width) + 1), "little")
     return tuple((r, c) for r in range(len(digits) // width)
                  if (c := int.from_bytes(digits[r * width:(r + 1) * width], "little")))
-
-
-def _phi_k_prime_power(k: int, p: int, e: int = 1) -> int:
-    # (p-1)**k == (-1)**k (mod p), so the division by p is exact.
-    sign = -1 if k % 2 else 1
-    return power(p, (e - 1) * k) * exact_div((p - 1) * (power(p - 1, k) - sign), p)
 
 
 def phi_k_mf(k: int) -> MultiplicativeFunction:
@@ -234,11 +232,6 @@ def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_
     k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
     check_budget((euler_phi(n), k), budget, f"N_{k}({n}, {d}, {delta}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, n) if r % d == 1 % d and r % delta == 0)
-
-
-def _g_k_prime(k: int, p: int) -> int:
-    # g_k(p) = phi_k(p) - p**k; lies in (-(k+1) p**(k-1), 0) for k >= 2.
-    return _phi_k_prime_power(k, p, 1) - power(p, k)
 
 
 def g_k_mf(k: int) -> MultiplicativeFunction:

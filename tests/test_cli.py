@@ -641,8 +641,9 @@ def test_a_large_output_redirected_to_a_file_by_a_process_is_complete(tmp_path):
 def test_a_process_pool_ends_with_its_command(tmp_path):
     outputs = []
     for workers in ("1", "2"):
-        # 800 cells: two workers at menon.SWEEP_POOL_FLOOR
-        argv = ["verify", "menon", "--k-max", "2", "--n-max", "400", "--workers", workers]
+        # two ranges of over summatory.POOL_FLOOR numbers each: a pool of two
+        argv = ["sum", "phi-k", "--k", "2", "--x", "9000000", "--method", "direct",
+                "--workers", workers]
         out = tmp_path / f"workers-{workers}.txt"
         with open(out, "w") as fh:  # a file, not a pipe that a leftover worker would hold open
             proc = subprocess.Popen([sys.executable, "-m", "phik.cli", *argv], stdout=fh,
@@ -715,6 +716,9 @@ def test_malformed_table_file_is_usage_error(tmp_path, capsys, table):
         ("eval", "jordan", "--k", "2", "--n", "2", "--workers", "2"),
         ("eval", "phi-k", "--k", "2", "--n", "15", "--method", "oracle", "--workers", "2"),
         ("verify", "lemmas", "--n-max", "4", "--workers", "2"),
+        ("verify", "menon", "--k-max", "2", "--n-max", "4", "--workers", "2"),
+        ("verify", "sita-ramaiah", "--n-max", "4", "--workers", "2"),
+        ("verify", "nageswara-rao", "--k-max", "2", "--n-max", "4", "--workers", "2"),
         ("sum", "phi-k", "--k", "2", "--x", "10", "--budget", "5"),
         ("constant", "--k", "2", "--workers", "2"),
         ("error-table", "--k", "2", "--x-grid", "10", "--budget", "5"),
@@ -785,7 +789,7 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
+    def map(self, fn, *iterables):
         return map(fn, *iterables)
 
 
@@ -794,7 +798,6 @@ class _SerialPool:
     [
         (("sum", "phi-k", "--k", "2", "--x", "1000", "--workers", "8"), 3),
         (("sum", "phi-k", "--k", "2", "--x", "9", "--workers", "8"), 2),
-        (("verify", "sita-ramaiah", "--n-max", "2", "--workers", "8"), 2),
     ],
 )
 def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, pool_size):
@@ -805,7 +808,6 @@ def test_workers_capped_at_cpus_and_tasks(monkeypatch, capsys, argv, pool_size):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(summatory, "POOL_FLOOR", 4)
-    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)
     assert run_cli(*argv) == 0
     parallel_out = capsys.readouterr().out
     assert _SerialPool.sizes == [pool_size]
@@ -832,37 +834,20 @@ def test_a_direct_sum_below_the_pool_floor_starts_no_pool(monkeypatch, capsys):
     assert _SerialPool.sizes == [2]
 
 
-def test_a_sweep_below_the_pool_floor_starts_no_pool(monkeypatch, capsys):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    argv = ("verify", "menon", "--k-max", "3", "--n-max", "40", "--f", "tau")  # 120 cells
-    assert run_cli(*argv, "--workers", "2") == 0
-    parallel_out = capsys.readouterr().out
-    assert run_cli(*argv, "--workers", "1") == 0
-    assert capsys.readouterr().out == parallel_out
-    assert _SerialPool.sizes == []
-    # each worker gets at least SWEEP_POOL_FLOOR cells
-    for floor, pool_size in ((41, 2), (40, 3)):
-        monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", floor)
-        assert run_cli(*argv, "--workers", "8") == 0
-        assert capsys.readouterr().out == parallel_out
-        assert _SerialPool.sizes.pop() == pool_size
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "-4"),
-        ("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "0"),
-        ("verify", "sita-ramaiah", "--n-max", "5", "--workers", "0"),
+        (("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "-4"), "error: worker count"),
+        (("sum", "phi-k", "--k", "2", "--x", "100", "--workers", "0"), "error: worker count"),
+        (("verify", "sita-ramaiah", "--n-max", "5", "--workers", "0"),
+         "error: unrecognized arguments: --workers 0"),
     ],
 )
-def test_bad_worker_counts_are_usage_errors(argv):
+def test_bad_worker_counts_are_usage_errors(argv, message):
     proc = phik_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

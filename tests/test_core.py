@@ -478,16 +478,16 @@ def test_a_price_is_compared_from_its_factors_and_printed_as_a_power_when_long()
     assert refusal((3, 3000), 3**3000 - 1).startswith("it would visit 3**3000 tuples")
 
 
-def test_parallel_map_keeps_task_order_and_derives_its_chunks(monkeypatch):
+def test_parallel_map_keeps_task_order_one_process_per_task(monkeypatch):
     import concurrent.futures
 
     from phik.core import parallel_map
 
     pools = []
 
-    class StandIn:  # maps in-process, recording its size and chunk size
+    class StandIn:  # maps in-process, recording its size
         def __init__(self, max_workers):
-            pools.append([max_workers])
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -495,16 +495,29 @@ def test_parallel_map_keeps_task_order_and_derives_its_chunks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            pools[-1].append(chunksize)
+        def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
-    assert parallel_map(abs, list(range(-20, 0)), 8) == list(range(20, 0, -1))
-    assert pools == [[2, 3]]  # two CPUs; 20 tasks in about four chunks per worker
-    assert parallel_map(abs, [-1], 8) == [1] and parallel_map(abs, [-1, -2], 1) == [1, 2]
-    assert len(pools) == 1  # one task, or one worker asked for: no pool
+    assert parallel_map(abs, [-3, -2, -1]) == [3, 2, 1]
+    assert pools == [3]  # the caller sized the tasks: one process each
+    assert parallel_map(abs, [-1]) == [1]
+    assert pools == [3]  # one task: no pool
+
+
+def test_cap_workers_counts_the_cpus_this_process_may_use(monkeypatch):
+    from phik.core import cap_workers
+
+    # its own affinity (pid 0), not another process's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2} if pid == 0 else {0},
+                        raising=False)
+    assert cap_workers(8, 8) == 3
+    # no affinity call on this platform: the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    assert cap_workers(8, 8) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cap_workers(8, 8) == 3 and cap_workers(2, 8) == 2 and cap_workers(8, 0) == 1
 
 
 # Entry points behind the argument gate, each with a valid call; k is argument 0, n argument 1.

@@ -144,7 +144,7 @@ def test_the_units_past_their_bound_are_refused_before_they_are_listed():
         with pytest.raises(BudgetExceededError, match="over 1048576"):
             oracle(1, 10**8)
     # a sweep's cell at such an n is skipped, and its reason is the refusal
-    cell = menon._sweep_cell(("menon_gcd", 1, MAX_UNITS + 1, parse_function_spec("id"), 10**8))
+    cell = menon._sweep_cell("menon_gcd", 1, MAX_UNITS + 1, parse_function_spec("id"), 10**8)
     assert cell == {"k": 1, "n": MAX_UNITS + 1, "reason": refusal}
     assert len(units_mod(MAX_UNITS)) == MAX_UNITS // 2  # the bound itself is listed
     units_mod.cache_clear()
@@ -309,36 +309,19 @@ def test_verify_sweep_partial_on_budget():
     assert report.ok
 
 
-def test_verify_sweep_parallel_matches_serial(monkeypatch):
-    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
-    seq = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=1)
-    par = verify_sweep("menon_general", k_max=2, n_max=12, f="tau", workers=2)
-    assert seq.as_dict() == par.as_dict()
-
-
 @pytest.mark.parametrize("f", ["mapping", "table file", "module-level function"])
-def test_parallel_sweeps_run_the_one_parsed_f_as_serial_ones_do(monkeypatch, tmp_path, f):
-    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
+def test_a_sweep_runs_the_one_parsed_f_of_each_form(tmp_path, f):
     values = {d: (d * d + 3 * d + 7) % 11 for d in range(1, 17)}  # not multiplicative
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"f": values}))
     f = {"mapping": values, "table file": f"table:{path}", "module-level function": euler_phi}[f]
     serial = verify_sweep("menon_general", k_max=2, n_max=16, f=f)
     assert serial.ok and serial.checked == 32
-    assert verify_sweep("menon_general", k_max=2, n_max=16, f=f, workers=2).as_dict() == \
-        serial.as_dict()
-
-
-@pytest.mark.parametrize("f", [lambda x: x, tau_mf], ids=["lambda", "tau_mf"])
-def test_a_parallel_sweep_refuses_an_f_that_does_not_pickle_before_any_cell(monkeypatch, f):
-    monkeypatch.setattr(menon, "parallel_map", lambda *args: pytest.fail("a cell ran"))
-    with pytest.raises(ValueError, match="parallel sweeps need an f that pickles"):
-        verify_sweep("menon_general", k_max=2, n_max=6, f=f, workers=2)
 
 
 @pytest.mark.parametrize("f", [lambda x: x, tau_mf], ids=["lambda", "tau_mf"])
 def test_a_serial_sweep_takes_an_f_that_does_not_pickle(f):
-    # only a pool pickles f: the default, one worker, never asks
+    # a sweep runs in one process, so f is never pickled
     assert verify_sweep("menon_general", k_max=2, n_max=6, f=f).ok
 
 
@@ -357,26 +340,14 @@ def test_verify_sweep_skips_the_cells_its_oracle_refuses():
 
 @pytest.mark.parametrize("kind", ["phi_k_nm", "n_k_machinery"])
 @pytest.mark.parametrize("budget", [10**6, 100], ids=["whole", "skipping"])
-def test_a_parallel_route_sweep_reports_as_a_serial_one(monkeypatch, kind, budget):
-    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
+def test_a_route_sweep_is_partial_only_where_its_budget_skips(kind, budget):
     serial = verify_sweep(kind, k_max=3, n_max=14, budget=budget)
     assert serial.ok and serial.checked and serial.partial == (budget == 100)
-    assert verify_sweep(kind, k_max=3, n_max=14, budget=budget, workers=2).as_dict() == \
-        serial.as_dict()
 
 
-@pytest.mark.parametrize("workers", ["2", 2.0, True, 0])
-def test_a_sweep_refuses_a_worker_count_that_is_no_positive_integer(workers):
-    with pytest.raises(ValueError) as exc:
-        verify_sweep("menon_general", 2, 5, workers=workers)
-    assert str(exc.value) == f"worker count must be a positive integer, got {workers!r}"
-
-
-def test_parallel_sweep_skips_as_serial(monkeypatch):
-    monkeypatch.setattr(menon, "SWEEP_POOL_FLOOR", 1)  # a real pool at a small sweep
+def test_a_sweep_of_f_skips_over_its_budget():
     seq = verify_sweep("menon_general", k_max=3, n_max=14, f="tau", budget=1000)
-    par = verify_sweep("menon_general", k_max=3, n_max=14, f="tau", budget=1000, workers=2)
-    assert seq.skipped and seq.as_dict() == par.as_dict()
+    assert seq.skipped and seq.ok
 
 
 @pytest.mark.parametrize("sweep, what", [
@@ -394,16 +365,29 @@ def test_a_sweep_prices_its_grid_before_any_cell(sweep, what):
     assert str(exc.value).startswith(what) and exc.value.limit == "budget"
 
 
+# The last n_max the residue price admits at each k_max: k_max n_max (n_max + 1) / 2 residues of
+# RESIDUE_PRICE = 50 tuples each, at most 10**8.
+LAST_ADMITTED = {1: 1999, 3: 1154}
+
+
+@pytest.mark.parametrize("kind", list(menon.SWEEP_KINDS))
+@pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("budget", [menon.DEFAULT_ORACLE_BUDGET, 10**20])
-def test_a_sweep_prices_the_residues_its_cells_walk_whatever_the_budget(monkeypatch, budget):
-    # a k = 1 cell walks its n residues: the grid's sum of n is held to the default budget, which
-    # --budget does not raise, so at k = 1 the last n_max admitted is 14,141
-    monkeypatch.setattr(menon, "parallel_map", lambda fn, cells, workers: [(len(cells), 0, [])])
-    assert verify_sweep("nageswara_rao", k_max=1, n_max=14141, budget=budget).checked == 14141
+def test_a_sweep_prices_the_residues_its_cells_walk_whatever_the_budget(monkeypatch, kind, k_max,
+                                                                       budget):
+    # each residue a cell walks is priced at RESIDUE_PRICE tuples against the default budget,
+    # which --budget does not raise; sita_ramaiah sweeps k = 2 alone, one k whatever k_max is
+    monkeypatch.setattr(menon, "_sweep_cell", lambda *args: (1, 0, []))
+    k_count = 1 if kind == "sita_ramaiah" else k_max
+    n_max = LAST_ADMITTED[k_count]
+    assert verify_sweep(kind, k_max, n_max, budget=budget).checked == k_count * n_max
     with pytest.raises(BudgetExceededError) as exc:
-        verify_sweep("nageswara_rao", k_max=1, n_max=14142, budget=budget)
-    assert str(exc.value) == ("nageswara_rao sweep of 1 x 14142 cells, n residues each, would "
-                              "visit 100005153 tuples, over the budget of 100000000")
+        verify_sweep(kind, k_max, n_max + 1, budget=budget)
+    what = (menon.SWEEP_KINDS[kind] or (0, 0, kind))[2]
+    price = k_count * (n_max + 1) * (n_max + 2) // 2 * menon.RESIDUE_PRICE
+    assert price > 10**8 >= k_count * n_max * (n_max + 1) // 2 * menon.RESIDUE_PRICE
+    assert str(exc.value) == (f"{what} sweep of {k_count} x {n_max + 1} cells, n residues each, "
+                              f"would visit {price} tuples, over the budget of 100000000")
     assert exc.value.limit is None  # no flag raises it
 
 

@@ -127,8 +127,7 @@ def test_divisor_sum_side_imports_no_fractions(argv):
     ["constant", "--k", "5", "--format", "json"],
 ])
 def test_the_constant_imports_no_numpy_and_runs_without_it(argv):
-    # one byte sieve streams the primes into a product of Python floats, bounded in integers;
-    # the sums import totients when they run
+    # one byte sieve streams the primes into a product of Python floats, bounded in integers
     assert loaded_after(argv, PHIK + ("numpy",) + RATIONALS) == [
         f"phik.{name}" for name in ("cli", "core", "summatory")]
     code = (
@@ -149,6 +148,16 @@ def test_sums_import_no_fractions():
     # every bound is rounded from integer ratios, and the sums are exact ints
     argv = ["sum", "phi-k", "--k", "2", "--x", "100", "--method", "both"]
     assert loaded_after(argv, ("phik.summatory", "fractions")) == ["phik.summatory"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "phi-k", "--k", "3", "--x", "100", "--method", method]
+    for method in ("direct", "convolution", "both")
+] + [["error-table", "--k", "3", "--x-grid", "10,1000", "--prime-bound", "1000"]])
+def test_sums_and_error_tables_load_no_totients(argv):
+    # phi_k and g_k at primes and at powers of 2 come from core
+    assert loaded_after(argv, PHIK) == [f"phik.{name}" for name in ("cli", "core", "summatory",
+                                                                     "residues")]
 
 
 def test_the_error_table_imports_no_fractions():

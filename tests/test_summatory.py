@@ -508,8 +508,8 @@ def test_direct_sum_builds_the_sieve_and_prime_table_before_the_workers(monkeypa
     monkeypatch.setattr(summatory, "POOL_FLOOR", 4)  # a real split at a small x
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
-    def inline_pool(fn, tasks, pool_workers):
-        assert len(tasks) == pool_workers == workers
+    def inline_pool(fn, tasks):
+        assert len(tasks) == workers
         # the odd numbers, split in ranges, each with every cut x >> e (phi_3(2**e) is never 0)
         ranges = [(1, 4999)] if workers == 1 else [(1, 2499), (2501, 4999)]
         assert [task[1:3] for task in tasks] == ranges
