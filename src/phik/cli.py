@@ -33,14 +33,12 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 from .core import (
-    DEFAULT_ORACLE_BUDGET,
     DEFAULT_PRIME_BOUND,
     DEFAULT_SIEVE_LIMIT,
     ROUTES,
     BudgetExceededError,
     library,
     route_order,
-    route_values,
 )
 
 if TYPE_CHECKING:
@@ -90,7 +88,6 @@ FLAGS = {
     "k-max": dict(type=int, default=3),
     "n-max": dict(type=int, default=40),
     "x-grid": dict(required=True, help="comma-separated cutoffs, e.g. 100,1000"),
-    "budget": dict(type=int, default=DEFAULT_ORACLE_BUDGET),
     "workers": dict(type=int, default=1),
     "prime-bound": dict(type=int, default=DEFAULT_PRIME_BOUND),
     "sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT),
@@ -170,10 +167,9 @@ def _agree(values: Mapping[str, object]) -> bool:
 def _cmd_value(cmd: Command, args) -> int:
     """One route's value, or every route's when --method names none (all, both): they must agree."""
     params = _params(cmd, args)
-    budget = params.pop("budget", None)
     order = route_order({route: library(name) for route, name in cmd.fn.items()},
                         getattr(args, "method", "all"))
-    values = route_values(order, params, budget)
+    values = {route: fn(**params) for route, fn in order}
     if not _agree(values):
         return EXIT_FAILURE
     value = next(iter(values.values()))
@@ -230,25 +226,25 @@ def _cmd_verify(cmd: Command, args) -> int:
 
 
 COMMANDS = (
-    Command(("eval", "phi-k"), "phi_k(n)", ROUTES["phi-k"], ("k", "n", "method", "budget")),
+    Command(("eval", "phi-k"), "phi_k(n)", ROUTES["phi-k"], ("k", "n", "method")),
     Command(("eval", "phi-k-nm"), "two-parameter phi_k(n, m)", ROUTES["phi-k-nm"],
-            ("k", "n", "m", "method", "budget")),
+            ("k", "n", "m", "method")),
     Command(("eval", "g-k"), "convolution factor g_k(n)", ROUTES["g-k"], ("k", "n")),
     Command(("eval", "n-k"), "unit-tuple count N_k(n, d, delta)", ROUTES["n-k"],
-            ("k", "n", "d", "delta", "method", "budget")),
+            ("k", "n", "d", "delta", "method")),
     Command(("eval", "jordan"), "Jordan totient J_k(n)", ROUTES["jordan"], ("k", "n")),
     Command(("eval", "gcd-sum"), "gcd sum over admissible tuples", ROUTES["gcd-sum"],
-            ("k", "n", "f", "method", "budget")),
+            ("k", "n", "f", "method")),
     Command(("verify", "menon"), "gcd-sum identity, arbitrary f", "menon_general",
-            ("k-max", "n-max", "f", "budget")),
+            ("k-max", "n-max", "f")),
     Command(("verify", "sita-ramaiah"), "k = 2 gcd-sum specialization", "sita_ramaiah",
-            (("n-max", dict(default=60)), "budget")),
+            (("n-max", dict(default=60)),)),
     Command(("verify", "nageswara-rao"), "joint-gcd power identity", "nageswara_rao",
-            ("k-max", "n-max", "budget")),
+            ("k-max", "n-max")),
     Command(("verify", "lemmas"), "residue-class counts and N_k machinery", "lemmas",
-            ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")), "budget")),
+            ("n-max", ("k-max", dict(help="tuple length cap for the N_k sweep")))),
     Command(("verify", "phi-k-nm"), "every route of phi_k(n, m), every m | n", "phi_k_nm",
-            ("k-max", "n-max", "budget")),
+            ("k-max", "n-max")),
     Command(("sum", "phi-k"), "sum of phi_k(n) for n <= x", ROUTES["sum-phi-k"],
             ("k", "x", "sieve-limit", "workers",
              ("method", dict(choices=("direct", "convolution", "both"))))),

@@ -8,6 +8,20 @@ one table rule, for `table:` files and Mappings alike.
 `power` builds every k-th power of a closed form, and refuses one no printable answer needs;
 `_phi_k_prime_power` and `_g_k_prime` live beside it, so the sums need no `totients`.
 `parallel_map` runs the direct sum's ranges, one process each.
+
+All exhaustive work is priced in 64-bit word operations against one fixed DEFAULT_ORACLE_BUDGET,
+by `check_word_budget`, before it starts: an oracle by its kernel (`totients.unit_sum_price`,
+`totients.fold_price`; a w-word product costs `product_price(w)`), a sweep at the sum of its
+cells, recursions, divisor sums, exact rows and S_k at steps times `words_of` their numbers.  The
+weights were calibrated once so that each largest admitted input ends within 3.3 s as a process
+(2-core x86, Python 3.11.7): its n (or n_max) at k (or k_max) 1 | 3 | 6, and median seconds:
+    phi-k, n-k, gcd-sum oracles   2**20 (`units_mod`'s cap) 0.9-1.2 | 79224 1.4 | 33790 1.3-1.7
+    joint-gcd oracle              2000000 1.5 | 27720 1.2 | 25200 0.9
+    verify menon, sita-ramaiah    1949 1.8 | 987 1.6 | 600 1.9; sita-ramaiah (k = 2) 1737 1.7
+    verify nageswara-rao          1950 0.7 | 639 0.9 | 329 0.8
+    verify phi-k-nm               699 0.4 | 395 0.5 | 269 0.6
+    verify lemmas                 224 0.7 | 134 0.5 | 93 0.4
+    largest k_max at n_max 1      menon 35164 1.6, nageswara-rao 29956 1.2, phi-k-nm 1551 1.1
 """
 from __future__ import annotations
 
@@ -28,8 +42,8 @@ ArithFn = Union["MultiplicativeFunction", Callable[[int], ArithValue], Mapping[i
 class BudgetExceededError(Exception):
     """An exhaustive computation refused to run: it would exceed its budget.
 
-    `limit` names the parameter that sets the refused budget ("budget",
-    "sieve_limit"), or is None where no caller can raise it.
+    `limit` names the parameter that sets the refused budget ("sieve_limit"), or is None where no
+    caller can raise it.
     """
 
     def __init__(self, message: str, limit: str | None = None):
@@ -37,8 +51,16 @@ class BudgetExceededError(Exception):
         self.limit = limit
 
 
-# Default cap on oracle work, priced in the tuples a definition ranges over (n**k per call).
+# The fixed cap on all priced work, in 64-bit word operations (`check_word_budget`).
 DEFAULT_ORACLE_BUDGET = 10**8
+
+# The weights of the one price, in word operations: a residue walked, a pair of keys
+# `totients.fold_counts` combines, a recursion level and a sweep point (calibrated above).
+RESIDUE_PRICE = 50
+PAIR_PRICE = 40
+LEVEL_PRICE = 64
+POINT_PRICE = 2500
+KARATSUBA_WORDS = 32  # CPython multiplies schoolbook up to 70 30-bit digits
 
 # SPF arrays are int32: 4 bytes per entry, so this caps a sieve near 128 MiB.
 DEFAULT_SIEVE_LIMIT = 1 << 25
@@ -85,12 +107,6 @@ def route_order(routes: Mapping[str, Callable], method: str = "all") -> list[tup
     when it names none ("all", "both"); resolved once per command or sweep cell."""
     return [(route, routes[route]) for route in reversed(routes)
             if method == route or method not in routes]
-
-
-def route_values(order: list[tuple[str, Callable]], params: dict, budget: int | None) -> dict:
-    """The value at params of each route of `order` (`route_order`); the oracle takes budget."""
-    return {route: fn(**params, budget=budget) if route == "oracle" else fn(**params)
-            for route, fn in order}
 
 
 def positive_int(value, name: str, least: int = 1) -> int:
@@ -149,28 +165,28 @@ def parallel_map(fn: Callable, tasks: list) -> list:
         return list(pool.map(fn, tasks))
 
 
-def check_budget(cost: int | tuple, budget: int, what: str, limit: str | None = "budget") -> None:
-    """Refuse an enumeration that would visit more than `budget` tuples.
-
-    `cost` is a count, or (choices, k) for choices**k tuples.  With b = bits(choices), a power with
-    b k > 4,096 is printed "choices**k", and not built when (b - 1) k >= bits(budget) shows it over.
-    """
-    base, k = cost if isinstance(cost, tuple) else (cost, 1)
-    short = base.bit_length() * k <= 4096
-    if (short or (base.bit_length() - 1) * k < budget.bit_length()) and base**k <= budget:
-        return
-    price = base**k if short else f"{base}**{k}"
-    raise BudgetExceededError(f"{what} would visit {price} tuples, over the budget of {budget}",
-                              limit)
+def words_of(bits: int) -> int:
+    """The 64-bit words of a number of `bits` bits, one at least (under a word is priced as one)."""
+    return max(1, bits // 64)
 
 
-def check_word_budget(steps: int, bits: int, what: str) -> None:
-    """Refuse `steps` exact steps on numbers of up to `bits` bits, priced in 64-bit words.
+def product_price(words: int) -> int:
+    """The word operations of one product of two `words`-word numbers: words**2 up to
+    KARATSUBA_WORDS, then Karatsuba's words**log2(3), linear between powers of two (and past
+    2**4096 words, where 3**e would be built, its line extended: a lower bound)."""
+    if words <= KARATSUBA_WORDS:
+        return words * words
+    e = min(words.bit_length() - 1, 4096)
+    return 3**e * (2 * words - (1 << e)) >> e
 
-    The budget is DEFAULT_ORACLE_BUDGET, which no caller sets.
-    """
-    cost = steps * max(1, bits // 64)
-    check_budget(cost, DEFAULT_ORACLE_BUDGET, f"{what}, counting word operations as tuples,", None)
+
+def check_word_budget(price: int, what: str) -> None:
+    """Refuse work priced at more than DEFAULT_ORACLE_BUDGET word operations, naming both; a price
+    past 4,096 bits is printed by its bit length."""
+    if price > DEFAULT_ORACLE_BUDGET:
+        shown = price if price.bit_length() <= 4096 else f"at least 2**{price.bit_length() - 1}"
+        raise BudgetExceededError(f"{what} would take {shown} word operations, over the budget "
+                                  f"of {DEFAULT_ORACLE_BUDGET}")
 
 
 def power(base: int, e: int) -> int:

@@ -12,23 +12,24 @@ the definition with the kernels of `totients`: `unit_sum_counts` for sums of
 units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
 of f `core.table_lookup`.  `verify_sweep` runs every (k, n) grid, of an identity or of the routes
 of a quantity of `core.ROUTES` (SWEEP_KINDS), in one process; it reports through
-`IdentityReport.of`, a skipped cell by its oracle's own refusal.
+`IdentityReport.of`.  Each oracle is priced by its kernel, a sweep first at the sum of its cells'
+prices (`_cell_price`): a cell is skipped only by a refusal no price foresees (a value of f).
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .core import (
     DEFAULT_ORACLE_BUDGET,
+    POINT_PRICE,
     ROUTES,
     ArithValue,
     BudgetExceededError,
     MultiplicativeFunction,
-    check_budget,
     check_word_budget,
     divisors,
     euler_phi,
@@ -41,15 +42,15 @@ from .core import (
     positive_int,
     power,
     route_order,
-    route_values,
     table_lookup,
     tau,
     tuple_args,
+    words_of,
 )
 # units_mod and the N_k routes stay names here: perfbench reports the cache of "menon.units_mod"
 # and traces "menon.n_k", "menon.n_k_recursion" and "menon.n_k_oracle"
-from .totients import (fold_counts, n_k, n_k_oracle, n_k_recursion, phi_k, unit_sum_counts,
-                       units_mod)
+from .totients import (fold_counts, fold_price, levels_price, n_k, n_k_oracle, n_k_recursion,
+                       phi_k, unit_sum_counts, unit_sum_price, units_mod)
 
 # The kinds of `verify_sweep`: the four identities of `verify_identity` (None), and the route
 # sweeps, each a quantity of `core.ROUTES`, its arguments that range over the divisors of n, and
@@ -59,13 +60,6 @@ SWEEP_KINDS = {
     "phi_k_nm": ("phi-k-nm", ("m",), "phi_k(n, m)"),
     "n_k_machinery": ("n-k", ("d", "delta"), "N_k"),
 }
-
-# The tuples `verify_sweep` prices each residue a cell walks at: the fixed DEFAULT_ORACLE_BUDGET
-# then admits 2 * 10**6 residues, --n-max up to 1,999 at --k-max 1 and 1,154 at --k-max 3.  A
-# residue costs 0.35-1.86 us by kind (2 vCPUs, Python 3.11), and the largest admitted sweep of
-# each kind took at most 3.3 s as a process.
-RESIDUE_PRICE = 50
-
 
 # -- counting units in residue classes -------------------------------------
 
@@ -192,17 +186,15 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
 # -- the gcd-sum identity ---------------------------------------------------
 
 
-def gcd_sum_lhs_oracle(
-    k: int, n: int, f: FSpecInput = "id", budget: int = DEFAULT_ORACLE_BUDGET
-) -> ArithValue:
+def gcd_sum_lhs_oracle(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     """Sum f(gcd(a_1+...+a_k-1, n)) over admissible tuples, counted by their sum.
 
     Admissible: every entry in [1, n], product and sum both coprime to n.
     The gcd is taken with the sum reduced mod n, so gcd(0, n) = n.  f is
-    called only at gcds some tuple reaches.  Priced at n**k tuples.
+    called only at gcds some tuple reaches.  Priced by its kernel (`unit_sum_price`).
     """
     k, n = tuple_args(k, n)
-    check_budget((n, k), budget, f"gcd-sum oracle at k={k}, n={n}")
+    check_word_budget(unit_sum_price(k, n, n), f"gcd-sum oracle at k={k}, n={n}")
     spec = parse_function_spec(f)
     gcds: Counter[int] = Counter()
     for r, c in unit_sum_counts(k, n, n):
@@ -211,16 +203,20 @@ def gcd_sum_lhs_oracle(
     return sum(spec.fn(g) * c for g, c in sorted(gcds.items()))
 
 
-def _divisor_sum_spec(k: int, n: int, f: FSpecInput, what: str, with_n_k=False) -> FunctionSpec:
-    """f for a divisor sum over n, priced first at prod (e+1)(e+2)/2 = sum_{d | n} tau(d) transform
-    terms (with_n_k: plus the 2**omega(n) N_k pairs of each divisor, each a closed-form N_k of
-    omega(n) + 1 products) of k bits(n) bits.  Without a mu_f table, f is evaluated once per
-    divisor, not per read (3**omega at squarefree n)."""
-    spec = parse_function_spec(f)
+def _divisor_sum_price(k: int, n: int, with_n_k=False) -> int:
+    """prod (e+1)(e+2)/2 = sum_{d | n} tau(d) transform terms (with_n_k: plus the 2**omega(n) N_k
+    pairs of each divisor, each a closed-form N_k of omega(n) + 1 products) of k bits(n) bits."""
     factors = factorize(n).factors
     terms = prod((e + 1) * (e + 2) // 2 for _, e in factors)
     pairs = (len(factors) + 1) * prod(e + 1 for _, e in factors) << len(factors) if with_n_k else 0
-    check_word_budget(terms + pairs, k * n.bit_length(), what)
+    return (terms + pairs) * words_of(k * n.bit_length())
+
+
+def _divisor_sum_spec(k: int, n: int, f: FSpecInput, what: str, with_n_k=False) -> FunctionSpec:
+    """f for a divisor sum over n, priced first (`_divisor_sum_price`).  Without a mu_f table, f
+    is evaluated once per divisor, not per read (3**omega at squarefree n)."""
+    spec = parse_function_spec(f)
+    check_word_budget(_divisor_sum_price(k, n, with_n_k), what)
     if spec.mu_fn is None:  # a refusal is not cached: the first read of a missing entry raises
         spec = spec._replace(fn=lru_cache(maxsize=None)(spec.fn))
     return spec
@@ -256,14 +252,14 @@ def menon_expansion_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
                * spec.mobius_transform_at(d) for d in divs)
 
 
-def nageswara_rao_lhs_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+def nageswara_rao_lhs_oracle(k: int, n: int) -> int:
     """Sum gcd(a_1-1, ..., a_k-1, n)**k over tuples with gcd(a_1,...,a_k,n)=1.
 
     The tuples of [1, n] are counted by the pair (gcd(a_1, ..., a_k, n),
-    gcd(a_1-1, ..., a_k-1, n)), folded by squaring.  Priced at n**k tuples.
+    gcd(a_1-1, ..., a_k-1, n)), folded by squaring.  Priced by its fold (`fold_price`).
     """
     k, n = tuple_args(k, n)
-    check_budget((n, k), budget, f"joint-gcd oracle at k={k}, n={n}")
+    check_word_budget(fold_price(k, n), f"joint-gcd oracle at k={k}, n={n}")
     pairs = fold_counts(range(1, n + 1), lambda a: (gcd(a, n), gcd(a - 1, n)),
                         lambda u, v: (gcd(u[0], v[0]), gcd(u[1], v[1])), k)
     return sum(c * h**k for (g, h), c in pairs.items() if g == 1)
@@ -294,7 +290,7 @@ class Instance(NamedTuple):
 class IdentityReport(NamedTuple):
     """Outcome of an identity sweep; `failures` empty iff every lhs = rhs.
 
-    A sweep that had to skip instances (budget) is `partial`, never silent.
+    A sweep that had to skip instances (a refusal no price foresaw) is `partial`, never silent.
     """
 
     identity: str
@@ -341,24 +337,18 @@ def _sweep_kind(kind: str, routes: bool = True):
     return SWEEP_KINDS[kind]
 
 
-def verify_identity(
-    kind: str,
-    k: int,
-    n: int,
-    f: FSpecInput = "id",
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> Instance:
+def verify_identity(kind: str, k: int, n: int, f: FSpecInput = "id") -> Instance:
     """Check one instance of a named identity; returns both exact sides."""
     _sweep_kind(kind, routes=False)
     if kind == "sita_ramaiah" and k != 2:
         raise ValueError("the k = 2 specialization requires k = 2")
     params = (("identity", kind), ("k", k), ("n", n))
     if kind == "nageswara_rao":
-        lhs = nageswara_rao_lhs_oracle(k, n, budget)
+        lhs = nageswara_rao_lhs_oracle(k, n)
         rhs = jordan_totient(k, n) * tau(n)
         return Instance(params, lhs, rhs, lhs == rhs)
     spec = parse_function_spec(f if kind == "menon_general" else "id")
-    lhs = gcd_sum_lhs_oracle(k, n, spec, budget)
+    lhs = gcd_sum_lhs_oracle(k, n, spec)
     divisor_form = gcd_sum_rhs(k, n, spec)
     phi_kn = phi_k(k, n)
     # menon_gcd, sita_ramaiah: f = id, and the rhs collapses to phi_k(n) tau(n)
@@ -368,20 +358,20 @@ def verify_identity(
                     phi_kn == 0, detail)
 
 
-def _sweep_cell(kind: str, k: int, n: int, spec: FunctionSpec,
-                budget: int) -> Union[tuple[int, int, list[Instance]], dict]:
-    """One (k, n) of a sweep as a report cell, or the skip record of a cell its oracle refused."""
+def _sweep_cell(kind: str, k: int, n: int,
+                spec: FunctionSpec) -> Union[tuple[int, int, list[Instance]], dict]:
+    """One (k, n) of a sweep as a report cell, or the skip record of a cell a refusal stopped."""
     try:
         if SWEEP_KINDS[kind]:
-            return _route_cell(*SWEEP_KINDS[kind][:2], k, n, budget)
-        inst = verify_identity(kind, k, n, spec, budget)
+            return _route_cell(*SWEEP_KINDS[kind][:2], k, n)
+        inst = verify_identity(kind, k, n, spec)
     except BudgetExceededError as exc:
         return {"k": k, "n": n, "reason": str(exc)}
     return 1, inst.trivial_zero, [] if inst.ok else [inst]
 
 
-def _route_cell(quantity: str, divisor_args: tuple[str, ...], k: int, n: int,
-                budget: int) -> tuple[int, int, list[Instance]]:
+def _route_cell(quantity: str, divisor_args: tuple[str, ...], k: int,
+                n: int) -> tuple[int, int, list[Instance]]:
     """Each route of a quantity of `core.ROUTES` against its first at k, n and every divisor of n
     for each of `divisor_args`: the checks, and as failures the routes off the first, each naming
     the point and the route, its value as lhs, the first's as rhs."""
@@ -391,25 +381,50 @@ def _route_cell(quantity: str, divisor_args: tuple[str, ...], k: int, n: int,
     failures = []
     for point in points:
         params = {"k": k, "n": n, **dict(zip(divisor_args, point))}
-        values = route_values(order, params, budget)
+        values = {route: fn(**params) for route, fn in order}
         failures += [Instance((*params.items(), ("route", route)), value, values[first], False)
                      for route, value in values.items() if value != values[first]]
     return len(points), 0, failures
 
 
-def verify_sweep(
-    kind: str,
-    k_max: int = 3,
-    n_max: int = 40,
-    f: FSpecInput = "id",
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> IdentityReport:
+def _cell_price(kind: str, k: int, n: int) -> int:
+    """The word operations of a sweep's (k, n) cell: POINT_PRICE at each point it checks, plus the
+    price of each priced call there (an oracle's kernel, a recursion's levels, a divisor sum)."""
+    if kind == "nageswara_rao":
+        return POINT_PRICE + fold_price(k, n)
+    if kind == "phi_k_nm":
+        return sum(POINT_PRICE + unit_sum_price(k, n, m) + levels_price(k, n, factorize(m).omega())
+                   for m in divisors(n))
+    if kind == "n_k_machinery":  # the recursion prices a pair only when gcd(d, delta) = 1
+        omegas = {d: factorize(d).omega() for d in divisors(n)}
+        oracle = POINT_PRICE + unit_sum_price(k, n, n)
+        return sum(oracle + (levels_price(k, n, omegas[d] + omegas[e]) if gcd(d, e) == 1 else 0)
+                   for d in omegas for e in omegas)
+    return POINT_PRICE + unit_sum_price(k, n, n) + _divisor_sum_price(k, n)
+
+
+def _grid_prices(kind: str, ks: Iterable[int], n_max: int) -> Iterator[tuple[int, str]]:
+    """Each cell's price (`_cell_price`) and its name, in the order the cells run."""
+    return ((_cell_price(kind, k, n), f"k={k}, n={n}") for k in ks for n in range(1, n_max + 1))
+
+
+def _check_prices(prices: Iterable[tuple[int, str]], what: str) -> None:
+    """Refuse `what` once the prices of its parts, summed in order, are over the budget, naming
+    the part the sum reached: no part past it is priced, so a huge grid is refused at once."""
+    total = 0
+    for price, part in prices:
+        total += price
+        if total > DEFAULT_ORACLE_BUDGET:
+            check_word_budget(total, f"{what}, to {part},")
+
+
+def verify_sweep(kind: str, k_max: int = 3, n_max: int = 40,
+                 f: FSpecInput = "id") -> IdentityReport:
     """Sweep a kind of SWEEP_KINDS over 1 <= k <= k_max, 1 <= n <= n_max, in one process.
 
-    The grid is priced first, at a tuple per cell, then at the n residues each cell walks,
-    RESIDUE_PRICE tuples each, against DEFAULT_ORACLE_BUDGET, which `budget` does not raise; cells
-    whose oracle refuses the budget are skipped and reported, making the report partial.  The cells
-    run in parameter order, each on the one parsed f.  A route kind reads no f.
+    The grid is priced first, at the sum of its cells' prices (`_grid_prices`), so no cell's own
+    price is over the budget; a cell refused anyway (a value of f too long to build) is skipped
+    and reported, making the report partial.  The cells run in order, on the one parsed f.
     """
     route = _sweep_kind(kind)
     k_max = positive_int(k_max, "k_max")
@@ -417,40 +432,31 @@ def verify_sweep(
     spec = parse_function_spec(f)
     ks, k_count = ([2], 1) if kind == "sita_ramaiah" else (range(1, k_max + 1), k_max)
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
-    what = route[2] if route else kind
-    check_budget(k_count * n_max, budget, f"{what} sweep of {k_count} x {n_max} cells, one each,")
-    check_budget(k_count * n_max * (n_max + 1) // 2 * RESIDUE_PRICE, DEFAULT_ORACLE_BUDGET,
-                 f"{what} sweep of {k_count} x {n_max} cells, n residues each,", None)
+    _check_prices(_grid_prices(kind, ks, n_max),
+                  f"{route[2] if route else kind} sweep of {k_count} x {n_max} cells")
     if kind in ("menon_general", "menon_gcd"):
         swept["f"] = spec.label
-    cells = (_sweep_cell(kind, k, n, spec, budget) for k in ks for n in range(1, n_max + 1))
+    cells = (_sweep_cell(kind, k, n, spec) for k in ks for n in range(1, n_max + 1))
     return IdentityReport.of(kind, swept, cells)
 
 
-def _priced_lemmas(n_max: int, budget: int) -> int:
-    """n_max, checked, once the lemma sweep to it is within budget: sigma(n) + sigma(n)**2 checks
-    at each n <= n_max, summed only until they are over it."""
-    n_max = positive_int(n_max, "n_max")
-    cost = 0
-    for n in range(1, n_max + 1):  # the cost grows like n**3: stop once it is over
-        sigma = sum(divisors(n))
-        cost += sigma + sigma**2
-        if cost > budget:
-            break
-    check_budget(cost, budget, f"lemma sweep to n_max={n_max}: its checks up to n={n}")
-    return n_max
+def _lemma_prices(n_max: int) -> Iterator[tuple[int, str]]:
+    """The price of the lemma checks at each n <= n_max, one word operation for each of its
+    sigma(n) + sigma(n)**2 checks, and its name."""
+    return ((s + s * s, f"n={n}") for n in range(1, n_max + 1) for s in [sum(divisors(n))])
 
 
-def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> IdentityReport:
+def lemma_sweep(n_max: int = 40) -> IdentityReport:
     """Exhaustive residue-class count checks for all n <= n_max.
 
     Covers every divisor pair (d, e) of n and all residues 0 <= r < d,
     0 <= s < e, including the e = 1 collapse onto the one-congruence count:
-    sigma(n) + sigma(n)**2 checks at each n, all priced against the budget.
+    sigma(n) + sigma(n)**2 checks at each n, all priced first (`_lemma_prices`).
     Each (n, d, e) is counted once into a class table, walked pair by pair only when it is
     wrong; only failures become Instances.
     """
-    n_max = _priced_lemmas(n_max, budget)
+    n_max = positive_int(n_max, "n_max")
+    _check_prices(_lemma_prices(n_max), f"lemma sweep to n_max={n_max}")
 
     def check(n, d, e, table, params):  # the table of (d, e) at every residue pair (r, s)
         # the phi(lcm(d, e)) unit pairs that agree mod gcd(d, e) (CRT) are the only ones predicted
@@ -477,17 +483,17 @@ def lemma_sweep(n_max: int = 40, budget: int = DEFAULT_ORACLE_BUDGET) -> Identit
     return IdentityReport.of("lemmas", {"n": f"1..{n_max}", "residues": "all"}, cells)
 
 
-def n_k_sweep(
-    k_max: int = 3, n_max: int = 30, budget: int = DEFAULT_ORACLE_BUDGET
-) -> IdentityReport:
+def n_k_sweep(k_max: int = 3, n_max: int = 30) -> IdentityReport:
     """N_k's closed form, recursion and oracle at every divisor pair (d, delta)."""
-    return verify_sweep("n_k_machinery", k_max, n_max, budget=budget)
+    return verify_sweep("n_k_machinery", k_max, n_max)
 
 
-def lemma_sweeps(n_max: int = 40, k_max: int = 3,
-                 budget: int = DEFAULT_ORACLE_BUDGET) -> list[IdentityReport]:
-    """[`lemma_sweep`, `n_k_sweep`] to n_max, both priced before either runs: the lemmas first,
-    so theirs is the refusal when both are over budget, then the N_k grid, which runs first."""
-    _priced_lemmas(n_max, budget)
-    n_k = n_k_sweep(k_max, n_max, budget)
-    return [lemma_sweep(n_max, budget), n_k]
+def lemma_sweeps(n_max: int = 40, k_max: int = 3) -> list[IdentityReport]:
+    """[`lemma_sweep`, `n_k_sweep`] to n_max, priced as one before either runs: the lemma checks,
+    then the N_k grid, which runs first."""
+    n_max, k_max = positive_int(n_max, "n_max"), positive_int(k_max, "k_max")
+    grid = _grid_prices("n_k_machinery", range(1, k_max + 1), n_max)
+    _check_prices(chain(_lemma_prices(n_max), grid), f"lemma and N_k sweeps to n_max={n_max}, "
+                  f"k_max={k_max}")
+    n_k = n_k_sweep(k_max, n_max)
+    return [lemma_sweep(n_max), n_k]

@@ -51,6 +51,7 @@ from .core import (
     parallel_map,
     positive_int,
     tuple_args,
+    words_of,
 )
 
 if TYPE_CHECKING:
@@ -151,7 +152,8 @@ def _priced_rows(k: int, x: int) -> Rows:
     from .residues import Rows
 
     if not (rows := Rows(k, x)).moduli:
-        check_word_budget(x, (k + 1) * (x - 1).bit_length(), f"the exact sums to x={x} at k={k}")
+        check_word_budget(x * words_of((k + 1) * (x - 1).bit_length()),
+                          f"the exact sums to x={x} at k={k}")
     return rows
 
 
@@ -412,7 +414,7 @@ def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, ...]]:
     at k**2/8 steps on numbers of up to k bits(k) bits (the price of the Bernoulli numbers
     B_0 ... B_k it replaced, so the same k are refused).
     """
-    check_word_budget(k * k // 8, k * k.bit_length(), f"the power-sum polynomial S_{k}")
+    check_word_budget(k * k // 8 * words_of(k * k.bit_length()), f"the power-sum polynomial S_{k}")
     from .residues import scaled_monomials
 
     scaled, scale = scaled_monomials(list(accumulate(i**k for i in range(1, k + 3))))

@@ -19,8 +19,9 @@ sums read without importing this module.
 The oracles count from the definitions, never visiting tuples one by one:
 unit tuples by their sum mod M in one big-integer power, folded after each
 product (`unit_sum_counts`), other keys by squaring count tables (`fold_counts`).
-`_divisor_levels` builds and prices the recursions of phi_k(n, m) and N_k.  k, n,
-m, d and delta pass the one argument gate, `core.tuple_args`.
+Each kernel is priced by its work, n residues and the `_products` of `_power` (`unit_sum_price`,
+`fold_price`).  `_divisor_levels` builds and prices (`levels_price`) the recursions of phi_k(n, m)
+and N_k.  k, n, m, d and delta pass the one argument gate, `core.tuple_args`.
 """
 from __future__ import annotations
 
@@ -30,12 +31,13 @@ from math import gcd, prod
 from typing import Callable, Iterable
 
 from .core import (
-    DEFAULT_ORACLE_BUDGET,
+    LEVEL_PRICE,
+    PAIR_PRICE,
+    RESIDUE_PRICE,
     BudgetExceededError,
     MultiplicativeFunction,
     _g_k_prime,
     _phi_k_prime_power,
-    check_budget,
     check_word_budget,
     euler_phi,
     eval_mf,
@@ -43,7 +45,9 @@ from .core import (
     factorize,
     mobius,
     power,
+    product_price,
     tuple_args,
+    words_of,
 )
 
 
@@ -68,6 +72,20 @@ def _power(base, k: int, times: Callable):
     return power
 
 
+def _products(k: int) -> int:
+    """The `times` calls `_power` makes for a k-th power: (bits(k) - 1) + (popcount(k) - 1)."""
+    return k.bit_length() + bin(k).count("1") - 2
+
+
+def fold_price(k: int, n: int) -> int:
+    """The word operations of the joint-gcd fold of [1, n]: n residues, then `_products(k)`
+    pairings of K x K keys (gcd(a, n), gcd(a - 1, n)), K = prod (2e+1), each pair PAIR_PRICE and a
+    product of counts of k (bits(n) - 1) + 1 bits (n**k at most; one word at n = 1)."""
+    keys = prod(2 * e + 1 for _, e in factorize(n).factors)
+    pair = PAIR_PRICE + product_price(words_of(k * (n.bit_length() - 1) + 1))
+    return RESIDUE_PRICE * n + _products(k) * keys * keys * pair
+
+
 def fold_counts(entries: Iterable, key: Callable, combine: Callable, k: int) -> Counter:
     """How many k-tuples of entries reach each value of combine(key(a_1), ..., key(a_k)).
 
@@ -83,6 +101,18 @@ def fold_counts(entries: Iterable, key: Callable, combine: Callable, k: int) -> 
     return _power(Counter(map(key, entries)), k, pair)
 
 
+def _digit_width(k: int, n: int) -> int:
+    """The bytes of a digit of `unit_sum_counts`: 2**(8 width) > phi(n)**k, the digit sum."""
+    return k * (euler_phi(n) - 1).bit_length() // 8 + 1
+
+
+def unit_sum_price(k: int, n: int, modulus: int) -> int:
+    """The word operations of `unit_sum_counts(k, n, modulus)`: its n residues, and `_products(k)`
+    products of ceil(min(modulus, n + 1) digits of `_digit_width` bytes / 8) words."""
+    words = -(-min(modulus, n + 1) * _digit_width(k, n) // 8)
+    return RESIDUE_PRICE * n + _products(k) * product_price(words)
+
+
 @lru_cache(maxsize=4096)
 def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]:
     """Pairs (r, c): c k-tuples of units mod n sum to r mod `modulus`, c > 0.  Cached.
@@ -93,7 +123,7 @@ def unit_sum_counts(k: int, n: int, modulus: int) -> tuple[tuple[int, int], ...]
     digits; a digit after the step to exponent j is at most phi(n)**j (one byte at phi(n) = 1).
     """
     units = units_mod(n)
-    width = k * (len(units) - 1).bit_length() // 8 + 1  # 2**(8 width) > phi(n)**k, the digit sum
+    width = _digit_width(k, n)
     hist = [0] * min(modulus, n + 1)
     for a in units:
         hist[a % modulus] += 1
@@ -121,9 +151,10 @@ def phi_k(k: int, n: int) -> int:
     return phi_k_nm(k, n, n)
 
 
-def phi_k_oracle(k: int, n: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count phi_k(n) = phi_k(n, n) from the definition, priced at n**k.  Independent of phi_k."""
-    return phi_k_nm_oracle(k, n, n, budget)
+def phi_k_oracle(k: int, n: int) -> int:
+    """Count phi_k(n) = phi_k(n, n) from the definition, priced by its kernel.  Independent of
+    phi_k."""
+    return phi_k_nm_oracle(k, n, n)
 
 
 def phi_k_nm(k: int, n: int, m: int) -> int:
@@ -141,17 +172,22 @@ def phi_k_nm(k: int, n: int, m: int) -> int:
     return power(free, k) * prod(_phi_k_prime_power(k, p) for p in primes)
 
 
+def levels_price(k: int, n: int, omega: int) -> int:
+    """The word operations of `_divisor_levels` at omega primes: per level LEVEL_PRICE, and
+    3**omega divisor pairs on numbers of up to k bits(phi(n)) bits."""
+    return k * (LEVEL_PRICE + 3**omega * words_of(k * euler_phi(n).bit_length()))
+
+
 def _divisor_levels(k: int, n: int, primes: tuple[int, ...], first: Callable[[int], int],
                     what: str) -> int:
-    """phi(rad) level_k(rad), rad = prod(primes), k >= 1; priced before any divisor is listed.
+    """phi(rad) level_k(rad), rad = prod(primes), k >= 1; priced (`levels_price`) before any
+    divisor is listed.
 
     level_1(s) = first(s), level_i(s) = phi(n)/phi(s) sum_{e | s} mu(e) level_{i-1}(e) (exact)
-    over the squarefree s | rad, priced at 3**omega divisor pairs per level, on numbers of up
-    to k bits(phi(n)) bits.  The divisor sums of a level take omega 2**(omega-1) subtractions.
+    over the squarefree s | rad.  The divisor sums of a level take omega 2**(omega-1) subtractions.
     """
     phi_n = euler_phi(n)
-    check_word_budget(k * 3 ** len(primes), k * phi_n.bit_length(),
-                      f"{what} recursion over divisor steps")
+    check_word_budget(levels_price(k, n, len(primes)), f"{what} recursion over divisor steps")
     divs, phis = [1], [1]  # divs[b] is the product of the primes at the set bits of b
     for p in primes:
         divs += [d * p for d in divs]
@@ -181,10 +217,10 @@ def phi_k_nm_recursion(k: int, n: int, m: int) -> int:
                            f"phi_{k}(n, m={m})")
 
 
-def phi_k_nm_oracle(k: int, n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count tuples with product coprime to n and sum coprime to m | n; priced at n**k."""
+def phi_k_nm_oracle(k: int, n: int, m: int) -> int:
+    """Count tuples with product coprime to n and sum coprime to m | n; priced by its kernel."""
     k, n, m = tuple_args(k, n, m=m)
-    check_budget((n, k), budget, f"phi_{k}({n}, m={m}) oracle")
+    check_word_budget(unit_sum_price(k, n, m), f"phi_{k}({n}, m={m}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, m) if gcd(r, m) == 1)
 
 
@@ -227,10 +263,10 @@ def n_k_recursion(k: int, n: int, d: int, delta: int) -> int:
     return exact_div(total, euler_phi(d) * euler_phi(delta))
 
 
-def n_k_oracle(k: int, n: int, d: int, delta: int, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Count N_k(n, d, delta) from the unit tuples by sum; priced at their phi(n)**k."""
+def n_k_oracle(k: int, n: int, d: int, delta: int) -> int:
+    """Count N_k(n, d, delta) from the unit tuples by sum; priced by its kernel."""
     k, n, d, delta = tuple_args(k, n, d=d, delta=delta)
-    check_budget((euler_phi(n), k), budget, f"N_{k}({n}, {d}, {delta}) oracle")
+    check_word_budget(unit_sum_price(k, n, n), f"N_{k}({n}, {d}, {delta}) oracle")
     return sum(c for r, c in unit_sum_counts(k, n, n) if r % d == 1 % d and r % delta == 0)
 
 

@@ -118,7 +118,7 @@ HUGE_ARGUMENTS = [
     (f"eval phi-k --k {HUGE_K} --n 3 --method oracle", 3),
     (f"eval gcd-sum --k {HUGE_K} --n 3 --method oracle", 3),
     (f"eval n-k --k {HUGE_K} --n 3 --d 1 --delta 1 --method oracle", 3),
-    ("eval phi-k --k 1000000000 --n 2 --method oracle", 3),
+    ("eval phi-k --k 999999999 --n 2 --method oracle", 0),
     (f"eval phi-k --k {HUGE_K} --n 1 --method oracle", 0),
     (f"eval n-k --k {HUGE_K} --n 2 --d 1 --delta 1 --method oracle", 0),
     ("eval n-k --k 1000000000 --n 2 --d 1 --delta 1 --method oracle", 0),
@@ -166,9 +166,8 @@ LONG_OR_REFUSED = [
     ("sum phi-k --k 2 --x 10 --prime-bound 1000", 2),
     ("sum phi-k --k 2 --x 10 --method all", 2),
     ("error-table --k 300 --x-grid 2,20", 2),
-    # 10^8 cells, each walking its n residues: refused at once, whatever the --budget
+    # 10^8 cells, each walking its n residues: priced only until the sum is over, at n = 1951
     ("verify nageswara-rao --k-max 1 --n-max 100000000", 3),
-    ("verify nageswara-rao --k-max 1 --n-max 100000000 --budget 100000000000000000000", 3),
 ]
 
 
@@ -333,10 +332,25 @@ def test_oracle_phi_k(capsys):
     assert capsys.readouterr().out.strip() == "24"
 
 
-def test_oracle_budget_refusal(capsys):
-    assert run_cli("eval", "phi-k", "--k", "3", "--n", "50", "--method", "oracle",
-                   "--budget", "1000") == 3
-    assert "budget" in capsys.readouterr().err
+def test_oracle_refusal_names_its_price_and_the_budget(capsys):
+    assert run_cli("eval", "phi-k", "--k", "3", "--n", "79225", "--method", "oracle") == 3
+    assert capsys.readouterr() == ("", "budget refused: phi_3(79225, m=79225) oracle would take "
+                                   "100001888 word operations, over the budget of 100000000\n")
+
+
+ORACLE_AND_SWEEP_ROWS = [("eval", "phi-k"), ("eval", "phi-k-nm"), ("eval", "n-k"),
+                         ("eval", "gcd-sum"), ("verify", "menon"), ("verify", "sita-ramaiah"),
+                         ("verify", "nageswara-rao"), ("verify", "lemmas"), ("verify", "phi-k-nm")]
+
+
+@pytest.mark.parametrize("path", ORACLE_AND_SWEEP_ROWS, ids=" ".join)
+def test_no_row_takes_a_budget(capsys, path):
+    # the one budget is fixed: --budget is an unrecognized argument on the rows that read it
+    required = [word for name, spec in _row_flags(next(c for c in COMMANDS if c.path == path))
+                .items() if spec.get("required") for word in (f"--{name}", "3")]
+    code, out, err = cli_exit(capsys, *path, *required, "--budget", "1000")
+    assert code == 2 and out == ""
+    assert err.endswith("error: unrecognized arguments: --budget 1000\n")
 
 
 def test_oracle_menon_lhs(capsys):
@@ -392,13 +406,16 @@ def test_verify_lemmas(capsys):
 
 
 def test_verify_lemmas_prices_both_sweeps_before_either_runs(monkeypatch, capsys):
-    # a refused N_k grid runs no lemma check; with both refused, the lemma sweep's refusal is shown
+    # the lemma checks and the N_k grid are priced as one: a refused grid runs no lemma check
     monkeypatch.setattr(menon, "_class_table", lambda *args: pytest.fail("a lemma check ran"))
-    assert run_cli("verify", "lemmas", "--n-max", "300", "--k-max", HUGE_K) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"budget refused: N_k sweep of {HUGE_K}")
-    assert run_cli("verify", "lemmas", "--n-max", "1000", "--k-max", HUGE_K) == 3
-    assert capsys.readouterr().err.startswith("budget refused: lemma sweep to n_max=1000:")
+    monkeypatch.setattr(menon, "_sweep_cell", lambda *args: pytest.fail("an N_k cell ran"))
+    for n_max in ("100", "1000"):
+        assert run_cli("verify", "lemmas", "--n-max", n_max, "--k-max", HUGE_K) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            f"budget refused: lemma and N_k sweeps to n_max={n_max}, k_max={HUGE_K}, to ")
+    # at n_max = 1000 the lemma checks alone are over, before the grid is priced
+    assert re.search(r"to n=\d+, would take", captured.err)
 
 
 def test_verify_sita_ramaiah(capsys):
@@ -411,9 +428,10 @@ def test_verify_nageswara_rao(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_verify_partial_budget_exit(capsys):
+def test_verify_partial_exit(capsys):
+    # f = pow:10**8 is refused at any value past 1: each cell past n = 1 is skipped
     code = run_cli(
-        "verify", "menon", "--k-max", "3", "--n-max", "12", "--budget", "1000"
+        "verify", "menon", "--k-max", "3", "--n-max", "12", "--f", "pow:100000000"
     )
     out = capsys.readouterr().out
     assert code == 3
@@ -521,7 +539,7 @@ JSON_ROWS = [
     ("eval", "phi-k-nm", "--k", "2", "--n", "12", "--m", "6", "--method", "oracle"),
     ("eval", "n-k", "--k", "2", "--n", "15", "--d", "3", "--delta", "1", "--method", "oracle"),
     ("eval", "gcd-sum", "--k", "2", "--n", "12", "--f", "tau", "--method", "oracle"),
-    ("verify", "menon", "--k-max", "2", "--n-max", "12", "--budget", "100"),
+    ("verify", "menon", "--k-max", "2", "--n-max", "12", "--f", "pow:100000000"),
     ("verify", "sita-ramaiah", "--n-max", "8"),
     ("verify", "nageswara-rao", "--k-max", "2", "--n-max", "8"),
     ("verify", "lemmas", "--n-max", "6", "--k-max", "2"),
@@ -564,7 +582,7 @@ def test_json_of_a_verify_failure_carries_every_integer_as_a_string(tmp_path, ca
 @pytest.mark.parametrize("argv, code", [
     (("sum", "phi-k", "--k", "2", "--x", "200000", "--format", "json"), 0),
     (("verify", "menon", "--k-max", "1", "--n-max", "3", "--f", "{table}"), 1),
-    (("verify", "menon", "--k-max", "3", "--n-max", "12", "--budget", "1000"), 3),
+    (("verify", "menon", "--k-max", "3", "--n-max", "12", "--f", "pow:100000000"), 3),
 ])
 def test_a_closed_stdout_ends_the_output_and_keeps_the_exit_code(argv, code, tmp_path):
     argv = [word.format(table=_bad_table(tmp_path)) for word in argv]
@@ -1020,14 +1038,14 @@ def test_lemma_sweep_over_budget_is_refused_quickly():
     assert proc.stderr.startswith("budget refused:") and "Traceback" not in proc.stderr
 
 
-def test_lemma_sweep_reads_the_budget(capsys):
-    # at n = 12 the sweep makes exactly 2092 checks
-    argv = ("verify", "lemmas", "--n-max", "12", "--k-max", "2")
-    assert run_cli(*argv, "--budget", "2092") == 0
+def test_lemma_sweep_counts_its_checks_and_is_refused_past_its_price(capsys):
+    # at n = 12 the sweep makes exactly 2092 checks; at k_max = 1 it admits n_max up to 224
+    assert run_cli("verify", "lemmas", "--n-max", "12", "--k-max", "2") == 0
     assert "identity=lemmas checked=2092 " in capsys.readouterr().out
-    assert run_cli(*argv, "--budget", "2091") == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("budget refused:")
+    assert run_cli("verify", "lemmas", "--n-max", "225", "--k-max", "1") == 3
+    assert capsys.readouterr() == ("", "budget refused: lemma and N_k sweeps to n_max=225, "
+                                   "k_max=1, to k=1, n=224, would take 100025518 word operations, "
+                                   "over the budget of 100000000\n")
 
 
 def test_long_answers_print_up_to_the_cap(capsys):
@@ -1305,9 +1323,9 @@ def test_recursion_refusal_names_no_flag():
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["eval", "phi-k", "--k", "9", "--n", "100", "--method", "oracle"], "--budget"),
-    (["eval", "gcd-sum", "--k", "9", "--n", "100", "--method", "oracle"], "--budget"),
-    (["verify", "lemmas", "--n-max", "1000"], "--budget"),
+    (["eval", "phi-k", "--k", "2", "--n", "164223", "--method", "oracle"], None),
+    (["eval", "gcd-sum", "--k", "6", "--n", "33791", "--method", "oracle"], None),
+    (["verify", "lemmas", "--n-max", "1000"], None),
     (["sum", "phi-k", "--k", "2", "--x", "2000", "--sieve-limit", "1000"], "--sieve-limit"),
     (["error-table", "--k", "2", "--x-grid", "10,2000", "--sieve-limit", "1000"], "--sieve-limit"),
     (["eval", "phi-k", "--k", "2", "--n", "1000000000000000000000000000057"], None),
@@ -1330,7 +1348,8 @@ def test_large_k_bernoulli_build_is_refused_at_once():
                         timeout=5)
     assert time.perf_counter() - start < 5
     assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.startswith("budget refused: the power-sum polynomial S_5000,")
+    assert proc.stderr == ("budget refused: the power-sum polynomial S_5000 would take 3171875000 "
+                           "word operations, over the budget of 100000000\n")
 
 
 def test_both_methods_price_the_bernoulli_build_before_the_direct_sum():
@@ -1348,13 +1367,14 @@ def test_both_methods_price_the_bernoulli_build_before_the_direct_sum():
 ADVERSARIAL = ["0", "-1", str(10**20), "2.5", "x", ""]
 # Each flag's valid words (small ints where it has none here), and its adversarial words beyond
 # ADVERSARIAL.  --workers draws from {1, 0, -1, x} alone, and only 1 is valid, so no pool
-# starts.  A budget flag raised to 10**20 opts out of the refusals that bound the work (a lemma
-# sweep to --n-max 10**20 would run), so the budget flags take every other adversarial word.
+# starts.  A sieve limit raised to 10**20 opts out of the refusal that bounds a sieve (an error
+# table to --prime-bound 10**20 would allocate one), so the budget flags take every other
+# adversarial word.
 VALID_WORDS = {"f": ["id", "tau", "pow:2"], "x-grid": ["10,100", "2,3,1000"],
                "prime-bound": ["1000"], "workers": ["1"]}
 ODD_WORDS = {"f": ["pow:2:3", "pow:-1", "table:not-json", "table:key-x"],
              "x-grid": [",", "10,,100", "1,a"], "method": ["bogus"], "format": ["bogus"]}
-BUDGET_FLAGS = ("budget", "sieve-limit")
+BUDGET_FLAGS = ("sieve-limit",)
 
 
 @st.composite

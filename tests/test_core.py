@@ -442,40 +442,44 @@ def test_integer_arguments_one_validator(fn, args, positions):
 def test_budget_errors_name_the_limit_a_caller_can_raise():
     import pickle
 
-    from phik.core import check_budget, check_word_budget
+    from phik.core import check_word_budget, words_of
 
     with pytest.raises(BudgetExceededError) as exc:
-        check_budget(11, 10, "ten tuples")
-    assert exc.value.limit == "budget" and str(exc.value).endswith("over the budget of 10")
-    with pytest.raises(BudgetExceededError) as exc:
-        check_word_budget(10**8, 128, "two-word steps")
-    assert exc.value.limit is None and "200000000 tuples" in str(exc.value)
-    check_word_budget(10**8, 127, "one-word steps")  # under a word: priced as one
+        check_word_budget(10**8 * words_of(128), "two-word steps")
+    assert exc.value.limit is None and str(exc.value) == (
+        "two-word steps would take 200000000 word operations, over the budget of 100000000")
+    check_word_budget(10**8 * words_of(127), "one-word steps")  # under a word: priced as one
+    check_word_budget(10**8, "the budget itself")
     copy = pickle.loads(pickle.dumps(BudgetExceededError("refused", "sieve_limit")))
     assert str(copy) == "refused" and copy.limit == "sieve_limit"
 
 
-def test_a_price_is_compared_from_its_factors_and_printed_as_a_power_when_long():
-    from phik.core import check_budget
+def test_a_price_past_4096_bits_is_printed_by_its_bit_length():
+    from phik.core import check_word_budget
 
-    def refusal(cost, budget) -> str:
+    def refusal(price) -> str:
         with pytest.raises(BudgetExceededError) as exc:
-            check_budget(cost, budget, "it")
+            check_word_budget(price, "it")
         return str(exc.value)
 
-    # never built: 3**(10**20) has over 10**20 bits
-    assert refusal((3, 10**20), 10**8) == (
-        "it would visit 3**100000000000000000000 tuples, over the budget of 100000000")
-    check_budget((1, 10**20), 1, "it")
-    check_budget((0, 10**20), 0, "it")
-    check_budget((2, 26), 2**26, "it")
-    assert refusal((2, 27), 2**27 - 1) == "it would visit 134217728 tuples, over the budget of 134217727"
-    # a bound of 2 * 2048 = 4096 bits is printed in full, one of 2 * 2049 as a power
-    assert refusal((2, 2048), 1).startswith(f"it would visit {2**2048} tuples")
-    assert refusal((2, 2049), 1).startswith("it would visit 2**2049 tuples")
-    # near a large budget the power is built, and compared exactly
-    check_budget((3, 3000), 3**3000, "it")
-    assert refusal((3, 3000), 3**3000 - 1).startswith("it would visit 3**3000 tuples")
+    assert refusal(2**4096 - 1) == f"it would take {2**4096 - 1} word operations, over the budget of 100000000"
+    assert refusal(2**4096) == ("it would take at least 2**4096 word operations, over the budget of "
+                                "100000000")
+    assert refusal(3**(10**6)).startswith("it would take at least 2**1584962 word operations")
+
+
+def test_a_product_is_priced_schoolbook_then_by_karatsuba():
+    from phik.core import KARATSUBA_WORDS, product_price
+
+    assert [product_price(w) for w in (1, 2, KARATSUBA_WORDS)] == [1, 4, KARATSUBA_WORDS**2]
+    # words**log2(3) at each power of two past the cutoff, on a line between them
+    assert [product_price(2**e) for e in (6, 10, 16)] == [3**6, 3**10, 3**16]
+    assert product_price(3 * 2**9) == (3**10 + 3**11) // 2
+    assert all(product_price(w) <= product_price(w + 1) for w in range(KARATSUBA_WORDS + 1, 5000))
+    # an enormous operand is priced without building 3**e for its bit length e: a lower bound
+    start = time.perf_counter()
+    assert product_price(2**(10**7)).bit_length() > 4096
+    assert time.perf_counter() - start < 1
 
 
 def test_parallel_map_keeps_task_order_one_process_per_task(monkeypatch):

@@ -158,18 +158,62 @@ def test_oracle_with_a_huge_m_is_refused_at_once():
 
 
 def test_oracle_at_a_large_k_folds_each_product():
-    # 200**151 tuples are admitted by the budget; the unfolded power took about 20 s
+    # the default budget admits it (the kernel's price is 4.3 * 10**6 word operations); the
+    # unfolded power took about 20 s
     def phik(*argv):
         return subprocess.run([sys.executable, "-m", "phik.cli", *argv], capture_output=True,
                               text=True, timeout=60)
 
     start = time.perf_counter()
-    oracle = phik("eval", "phi-k", "--k", "151", "--n", "200", "--method", "oracle",
-                  "--budget", str(10**348))
+    oracle = phik("eval", "phi-k", "--k", "151", "--n", "200", "--method", "oracle")
     assert time.perf_counter() - start < 10
     closed = phik("eval", "phi-k", "--k", "151", "--n", "200")
     assert oracle.returncode == closed.returncode == 0 and oracle.stderr == ""
     assert oracle.stdout == closed.stdout
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_power_makes_the_products_it_is_priced_at(k):
+    # (bits(k) - 1) squarings and (popcount(k) - 1) products by the base
+    calls = []
+    assert totients._power(3, k, lambda u, v: calls.append(1) or u * v) == 3**k
+    assert len(calls) == totients._products(k) == (k.bit_length() - 1) + (bin(k).count("1") - 1)
+
+
+@pytest.mark.parametrize("k, n, modulus", [(1, 1, 1), (16, 3, 3), (2, 1000, 1000), (3, 60, 12),
+                                           (5, 97, 97), (151, 200, 200), (1000, 30, 5),
+                                           (7, 360, 40)])
+def test_the_kernel_price_counts_the_words_of_its_packed_operand(monkeypatch, k, n, modulus):
+    # the operand packs the unit counts of min(modulus, n + 1) classes in digits wider than
+    # phi(n)**k: the price is n residues and one product of its words per `_power` call
+    bases = []
+    real_power = totients._power
+    monkeypatch.setattr(totients, "_power", lambda base, k, times: bases.append(base)
+                        or real_power(base, k, times))
+    totients.unit_sum_counts.cache_clear()
+    totients.unit_sum_counts(k, n, modulus)
+    width = k * (euler_phi(n) - 1).bit_length() // 8 + 1
+    classes = Counter(a % modulus for a in range(1, n + 1) if gcd(a, n) == 1)
+    packed = b"".join(classes[r].to_bytes(width, "little") for r in range(min(modulus, n + 1)))
+    assert bases == [int.from_bytes(packed, "little")]
+    words = -(-len(packed) // 8)
+    assert totients.unit_sum_price(k, n, modulus) == (
+        50 * n + totients._products(k) * totients.product_price(words))
+
+
+def test_the_fold_price_counts_its_key_pairs():
+    # 60 = 2**2 * 3 * 5 has 5 * 3 * 3 = 45 coprime divisor pairs, which bound the keys
+    # (gcd(a, 60), gcd(a - 1, 60)) (36: one of a, a - 1 is even); at k = 3 two pairings, each
+    # priced at 45 x 45 keys, on counts of 3 * 5 + 1 bits
+    keys = Counter((gcd(a, 60), gcd(a - 1, 60)) for a in range(1, 61))
+    assert len(keys) == 36
+    assert totients.fold_price(3, 60) == 50 * 60 + 2 * 45 * 45 * (40 + 1)
+    # a count of k (bits(n) - 1) + 1 bits: one word at n = 1 whatever k is, 313 words at n = 2
+    assert totients.fold_price(20000, 1) == 50 + 18 * (40 + 1)
+    assert totients.fold_price(20000, 2) == 100 + 18 * 9 * (40 + totients.product_price(312))
+    # k + 1 bits at n = 2: 127 fit one word, 128 take two (two squared: 4 word operations)
+    assert totients.fold_price(126, 2) == 100 + totients._products(126) * 9 * (40 + 1)
+    assert totients.fold_price(127, 2) == 100 + totients._products(127) * 9 * (40 + 4)
 
 
 def old_lemma_witnesses(n_max, count):

@@ -57,11 +57,17 @@ def test_phi_k_domain_errors():
             phi_k(2, bad)
 
 
-def test_phi_k_oracle_budget_refusal():
-    with pytest.raises(BudgetExceededError):
-        phi_k_oracle(3, 10, budget=999)
-    # the same call passes with the budget raised
-    assert phi_k_oracle(3, 10, budget=1000) == phi_k(3, 10)
+def test_phi_k_oracle_refuses_the_kernel_price_past_the_budget(monkeypatch):
+    # at k = 2 the kernel costs 50 n plus one product of ceil(5 n / 8) words: first over at 164223
+    from phik import totients
+
+    monkeypatch.setattr(totients, "unit_sum_counts", lambda k, n, m: ())  # an admitted call runs
+    assert totients.unit_sum_price(2, 164222, 164222) <= 10**8 < totients.unit_sum_price(
+        2, 164223, 164223)
+    assert phi_k_oracle(2, 164222) == 0
+    with pytest.raises(BudgetExceededError, match=r"^phi_2\(164223, m=164223\) oracle would take "
+                       r"100000715 word operations, over the budget of 100000000$"):
+        phi_k_oracle(2, 164223)
 
 
 def test_phi_k_vanishing_characterization():
@@ -270,8 +276,9 @@ def test_both_recursions_are_priced_once_by_the_level_builder(monkeypatch):
     monkeypatch.setattr(totients, "check_word_budget", lambda *args: priced.append(args))
     assert phi_k_nm_recursion(5, 30, 30) == phi_k_nm(5, 30, 30)
     assert menon.n_k_recursion(5, 30, 3, 5) == n_k(5, 30, 3, 5)
-    assert priced == [(5 * 27, 5 * 4, "phi_5(n, m=30) recursion over divisor steps"),
-                      (5 * 9, 5 * 4, "N_5(n, 3, 5) recursion over divisor steps")]
+    # 5 levels, each 64 and 3**omega pairs of one word (5 bits(phi(30)) = 20 bits)
+    assert priced == [(5 * (64 + 27), "phi_5(n, m=30) recursion over divisor steps"),
+                      (5 * (64 + 9), "N_5(n, 3, 5) recursion over divisor steps")]
 
 
 def test_recursions_at_many_primes_take_each_prime_once():

@@ -12,7 +12,7 @@ from the AST, and runs `python -m pytest -x` on the copy, for at most TIMEOUT se
 working tree is never written.  A mutant is "killed" when a test fails, "timeout" when the run
 passes TIMEOUT, and "survived" when every test passes: a gap, or an equivalent mutant.
 
-    python tools/mutate.py src/phik/cli.py src/phik/core.py:library,route_order,route_values
+    python tools/mutate.py src/phik/cli.py src/phik/core.py:library,route_order
 
 Not part of tier-1: a sample of 40 takes up to 40 tier-1 runs.
 """
