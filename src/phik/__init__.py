@@ -30,7 +30,7 @@ _EXPORTS = {
         "FunctionSpec", "IdentityReport", "Instance", "count_units_in_class",
         "count_units_in_two_classes", "gcd_sum_lhs_oracle", "gcd_sum_rhs", "lemma_sweep",
         "lemma_sweeps", "menon_expansion_rhs", "n_k_sweep", "nageswara_rao_lhs_oracle",
-        "parse_function_spec", "units_mod", "verify_identity", "verify_sweep",
+        "parse_function_spec", "units_mod", "verify_sweep",
     ),
     "summatory": (
         "Enclosure", "ErrorRow", "PartialSum", "average_order_constant", "error_table_csv",

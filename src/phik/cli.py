@@ -189,10 +189,7 @@ def _report_lines(report) -> list[str]:
     ]
     for inst in report.failures:
         params = " ".join(f"{key}={val}" for key, val in inst.params)
-        line = f"FAIL {params} lhs={inst.lhs} rhs={inst.rhs}"
-        if inst.detail:
-            line += f" ({inst.detail})"
-        lines.append(line)
+        lines.append(f"FAIL {params} lhs={inst.lhs} rhs={inst.rhs}")
     for skip in report.skipped:
         lines.append(f"SKIP {_json_value(skip)}")
     return lines

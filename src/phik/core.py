@@ -69,7 +69,8 @@ DEFAULT_PRIME_BOUND = 10**6
 
 
 # Each quantity's routes, "module.function" by name: the first is the default and the one the
-# others are checked against, "oracle" counts from the definition, and they run last listed first
+# others are checked against (by `cli._agree`, and at every point of a `menon.verify_sweep` kind,
+# the identities' included), "oracle" counts from the definition, and they run last listed first
 # (`route_order`): an oracle, or the convolution sum, refuses before any other route runs.  A name
 # is resolved when called (`library`), so only a route that runs imports its module, and a
 # function replaced on its module (by a tracer, say) is the one called.  A value prints as its
@@ -83,11 +84,16 @@ ROUTES = {
             "oracle": "totients.n_k_oracle"},
     "jordan": {"closed": "core.jordan_totient"},
     "gcd-sum": {"closed": "menon.gcd_sum_rhs", "oracle": "menon.gcd_sum_lhs_oracle"},
+    "joint-gcd-sum": {"identity": "menon.nageswara_rao_rhs",
+                      "oracle": "menon.nageswara_rao_lhs_oracle"},
     "sum-phi-k": {"direct": "summatory.sum_phi_k_direct",
                   "convolution": "summatory.sum_phi_k_convolution"},
     "constant": {"product": "summatory.average_order_constant"},
     "error-table": {"direct": "summatory.error_term_rows"},
 }
+# An identity's closed form comes first, then the routes to its sum: Nageswara Rao's above, and
+# Menon's for phi_k at f = id (Sita Ramaiah's at k = 2), which has every route of "gcd-sum".
+ROUTES["gcd-sum-id"] = {"identity": "menon.menon_gcd_rhs", **ROUTES["gcd-sum"]}
 
 # The longest power `power` builds, in bits (3**(2**20) takes about 0.2 s).  A closed form's value
 # has at least about half the bits of each power it builds (phi_k, J_k, id_k: the power divides

@@ -10,10 +10,11 @@ delta, whose three routes live in `totients` and which `menon_expansion_rhs`
 sums.  Every closed form has an oracle next to it, counting from
 the definition with the kernels of `totients`: `unit_sum_counts` for sums of
 units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
-of f `core.table_lookup`.  `verify_sweep` runs every (k, n) grid, of an identity or of the routes
-of a quantity of `core.ROUTES` (SWEEP_KINDS), in one process; it reports through
-`IdentityReport.of`.  Each oracle is priced by its kernel, a sweep first at the sum of its cells'
-prices (`_cell_price`): a cell is skipped only by a refusal no price foresees (a value of f).
+of f `core.table_lookup`.  `verify_sweep` runs every (k, n) grid in one process, each kind
+(SWEEP_KINDS) the routes of a quantity of `core.ROUTES`, an identity's sides among them, checked
+route against route by one cell, `_sweep_cell`; it reports through `IdentityReport.of`.  Each
+oracle is priced by its kernel, a sweep first at the sum of its cells' prices (`_cell_price`): a
+cell is skipped only by a refusal no price foresees (a value of f).
 """
 from __future__ import annotations
 
@@ -52,13 +53,16 @@ from .core import (
 from .totients import (fold_counts, fold_price, levels_price, n_k, n_k_oracle, n_k_recursion,
                        phi_k, unit_sum_counts, unit_sum_price, units_mod)
 
-# The kinds of `verify_sweep`: the four identities of `verify_identity` (None), and the route
-# sweeps, each a quantity of `core.ROUTES`, its arguments that range over the divisors of n, and
-# the name of its grid in a refusal.
+# The kinds of `verify_sweep`, each a quantity of `core.ROUTES`; its arguments past k and n, each
+# a divisor of n but f, the swept f; the name of its grid in a refusal; and whether it sums over
+# the phi_k(n) admissible tuples, so that a cell where phi_k(n) = 0 is a trivial zero.
 SWEEP_KINDS = {
-    "menon_general": None, "menon_gcd": None, "sita_ramaiah": None, "nageswara_rao": None,
-    "phi_k_nm": ("phi-k-nm", ("m",), "phi_k(n, m)"),
-    "n_k_machinery": ("n-k", ("d", "delta"), "N_k"),
+    "menon_general": ("gcd-sum", ("f",), "menon_general", True),
+    "menon_gcd": ("gcd-sum-id", (), "menon_gcd", True),
+    "sita_ramaiah": ("gcd-sum-id", (), "sita_ramaiah", True),
+    "nageswara_rao": ("joint-gcd-sum", (), "nageswara_rao", False),
+    "phi_k_nm": ("phi-k-nm", ("m",), "phi_k(n, m)", False),
+    "n_k_machinery": ("n-k", ("d", "delta"), "N_k", False),
 }
 
 # -- counting units in residue classes -------------------------------------
@@ -203,6 +207,11 @@ def gcd_sum_lhs_oracle(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     return sum(spec.fn(g) * c for g, c in sorted(gcds.items()))
 
 
+def menon_gcd_rhs(k: int, n: int) -> int:
+    """phi_k(n) tau(n): the gcd sum at f = id, where the divisor sum of `gcd_sum_rhs` collapses."""
+    return phi_k(k, n) * tau(n)
+
+
 def _divisor_sum_price(k: int, n: int, with_n_k=False) -> int:
     """prod (e+1)(e+2)/2 = sum_{d | n} tau(d) transform terms (with_n_k: plus the 2**omega(n) N_k
     pairs of each divisor, each a closed-form N_k of omega(n) + 1 products) of k bits(n) bits."""
@@ -265,6 +274,11 @@ def nageswara_rao_lhs_oracle(k: int, n: int) -> int:
     return sum(c * h**k for (g, h), c in pairs.items() if g == 1)
 
 
+def nageswara_rao_rhs(k: int, n: int) -> int:
+    """J_k(n) tau(n): Nageswara Rao's closed form of the joint-gcd sum."""
+    return jordan_totient(k, n) * tau(n)
+
+
 # -- identity verification and sweeps ---------------------------------------
 
 
@@ -275,16 +289,9 @@ class Instance(NamedTuple):
     lhs: ArithValue
     rhs: ArithValue
     ok: bool
-    trivial_zero: bool = False
-    detail: str | None = None
 
     def as_dict(self) -> dict:
-        out = {**dict(self.params), "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
-        if self.trivial_zero:
-            out["trivial_zero"] = True
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        return {**dict(self.params), "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
 
 class IdentityReport(NamedTuple):
@@ -329,62 +336,29 @@ class IdentityReport(NamedTuple):
                 "partial": self.partial, "ok": self.ok}
 
 
-def _sweep_kind(kind: str, routes: bool = True):
-    """kind's entry of SWEEP_KINDS; a route kind is unknown unless `routes`."""
-    kinds = tuple(name for name, route in SWEEP_KINDS.items() if routes or route is None)
-    if kind not in kinds:
-        raise ValueError(f"unknown identity {kind!r}, expected one of {kinds}")
-    return SWEEP_KINDS[kind]
-
-
-def verify_identity(kind: str, k: int, n: int, f: FSpecInput = "id") -> Instance:
-    """Check one instance of a named identity; returns both exact sides."""
-    _sweep_kind(kind, routes=False)
-    if kind == "sita_ramaiah" and k != 2:
-        raise ValueError("the k = 2 specialization requires k = 2")
-    params = (("identity", kind), ("k", k), ("n", n))
-    if kind == "nageswara_rao":
-        lhs = nageswara_rao_lhs_oracle(k, n)
-        rhs = jordan_totient(k, n) * tau(n)
-        return Instance(params, lhs, rhs, lhs == rhs)
-    spec = parse_function_spec(f if kind == "menon_general" else "id")
-    lhs = gcd_sum_lhs_oracle(k, n, spec)
-    divisor_form = gcd_sum_rhs(k, n, spec)
-    phi_kn = phi_k(k, n)
-    # menon_gcd, sita_ramaiah: f = id, and the rhs collapses to phi_k(n) tau(n)
-    rhs = divisor_form if kind == "menon_general" else phi_kn * tau(n)
-    detail = None if divisor_form == rhs else f"divisor-sum rhs = {divisor_form}"
-    return Instance(params + (("f", spec.label),), lhs, rhs, lhs == rhs == divisor_form,
-                    phi_kn == 0, detail)
-
-
 def _sweep_cell(kind: str, k: int, n: int,
                 spec: FunctionSpec) -> Union[tuple[int, int, list[Instance]], dict]:
-    """One (k, n) of a sweep as a report cell, or the skip record of a cell a refusal stopped."""
-    try:
-        if SWEEP_KINDS[kind]:
-            return _route_cell(*SWEEP_KINDS[kind][:2], k, n)
-        inst = verify_identity(kind, k, n, spec)
-    except BudgetExceededError as exc:
-        return {"k": k, "n": n, "reason": str(exc)}
-    return 1, inst.trivial_zero, [] if inst.ok else [inst]
+    """One (k, n) of a sweep as a report cell, or the skip record of a cell a refusal stopped.
 
-
-def _route_cell(quantity: str, divisor_args: tuple[str, ...], k: int,
-                n: int) -> tuple[int, int, list[Instance]]:
-    """Each route of a quantity of `core.ROUTES` against its first at k, n and every divisor of n
-    for each of `divisor_args`: the checks, and as failures the routes off the first, each naming
-    the point and the route, its value as lhs, the first's as rhs."""
+    Each route of the kind's quantity runs at every point, k, n and the kind's arguments, and is
+    checked against the first.  The cell is the points it checks, whether it is a trivial zero
+    (k and n even in a sum over the phi_k(n) admissible tuples), and as failures the routes off
+    the first, each naming the point and the route, its value as lhs, the first's as rhs.
+    """
+    quantity, args, _, admissible_sum = SWEEP_KINDS[kind]
     order = route_order({route: library(name) for route, name in ROUTES[quantity].items()})
     first = next(iter(ROUTES[quantity]))
-    points = list(product(divisors(n), repeat=len(divisor_args)))
     failures = []
-    for point in points:
-        params = {"k": k, "n": n, **dict(zip(divisor_args, point))}
-        values = {route: fn(**params) for route, fn in order}
-        failures += [Instance((*params.items(), ("route", route)), value, values[first], False)
-                     for route, value in values.items() if value != values[first]]
-    return len(points), 0, failures
+    try:
+        points = list(product(*([spec] if arg == "f" else divisors(n) for arg in args)))
+        for point in points:
+            params = {"k": k, "n": n, **dict(zip(args, point))}
+            values = {route: fn(**params) for route, fn in order}
+            failures += [Instance((*params.items(), ("route", route)), value, values[first], False)
+                         for route, value in values.items() if value != values[first]]
+    except BudgetExceededError as exc:
+        return {"k": k, "n": n, "reason": str(exc)}
+    return len(points), admissible_sum and k % 2 == n % 2 == 0, failures
 
 
 def _cell_price(kind: str, k: int, n: int) -> int:
@@ -426,15 +400,16 @@ def verify_sweep(kind: str, k_max: int = 3, n_max: int = 40,
     price is over the budget; a cell refused anyway (a value of f too long to build) is skipped
     and reported, making the report partial.  The cells run in order, on the one parsed f.
     """
-    route = _sweep_kind(kind)
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"unknown identity {kind!r}, expected one of {tuple(SWEEP_KINDS)}")
+    _, args, name, _ = SWEEP_KINDS[kind]
     k_max = positive_int(k_max, "k_max")
     n_max = positive_int(n_max, "n_max")
     spec = parse_function_spec(f)
     ks, k_count = ([2], 1) if kind == "sita_ramaiah" else (range(1, k_max + 1), k_max)
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
-    _check_prices(_grid_prices(kind, ks, n_max),
-                  f"{route[2] if route else kind} sweep of {k_count} x {n_max} cells")
-    if kind in ("menon_general", "menon_gcd"):
+    _check_prices(_grid_prices(kind, ks, n_max), f"{name} sweep of {k_count} x {n_max} cells")
+    if "f" in args:
         swept["f"] = spec.label
     cells = (_sweep_cell(kind, k, n, spec) for k in ks for n in range(1, n_max + 1))
     return IdentityReport.of(kind, swept, cells)

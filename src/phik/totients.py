@@ -31,6 +31,7 @@ from math import gcd, prod
 from typing import Callable, Iterable
 
 from .core import (
+    DEFAULT_ORACLE_BUDGET,
     LEVEL_PRICE,
     PAIR_PRICE,
     RESIDUE_PRICE,
@@ -80,7 +81,10 @@ def _products(k: int) -> int:
 def fold_price(k: int, n: int) -> int:
     """The word operations of the joint-gcd fold of [1, n]: n residues, then `_products(k)`
     pairings of K x K keys (gcd(a, n), gcd(a - 1, n)), K = prod (2e+1), each pair PAIR_PRICE and a
-    product of counts of k (bits(n) - 1) + 1 bits (n**k at most; one word at n = 1)."""
+    product of counts of k (bits(n) - 1) + 1 bits (n**k at most; one word at n = 1).  Residues
+    over the budget alone are the price, and n is not factorized."""
+    if RESIDUE_PRICE * n > DEFAULT_ORACLE_BUDGET:
+        return RESIDUE_PRICE * n
     keys = prod(2 * e + 1 for _, e in factorize(n).factors)
     pair = PAIR_PRICE + product_price(words_of(k * (n.bit_length() - 1) + 1))
     return RESIDUE_PRICE * n + _products(k) * keys * keys * pair
@@ -108,7 +112,10 @@ def _digit_width(k: int, n: int) -> int:
 
 def unit_sum_price(k: int, n: int, modulus: int) -> int:
     """The word operations of `unit_sum_counts(k, n, modulus)`: its n residues, and `_products(k)`
-    products of ceil(min(modulus, n + 1) digits of `_digit_width` bytes / 8) words."""
+    products of ceil(min(modulus, n + 1) digits of `_digit_width` bytes / 8) words.  Residues over
+    the budget alone are the price, and phi(n) is not computed."""
+    if RESIDUE_PRICE * n > DEFAULT_ORACLE_BUDGET:
+        return RESIDUE_PRICE * n
     words = -(-min(modulus, n + 1) * _digit_width(k, n) // 8)
     return RESIDUE_PRICE * n + _products(k) * product_price(words)
 

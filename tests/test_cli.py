@@ -109,6 +109,7 @@ def test_phi_k_at_even_k_and_even_n_is_zero_at_once():
 
 HUGE_K = "99999999999999999999"
 FLOAT_K = str(10**309)  # over the largest float
+UNFACTORED = "200000000000000001130000000000000000561"  # past Pollard rho's step cap
 
 
 # each hung, raised a traceback or misreported its exit: a price built before it was compared,
@@ -168,6 +169,9 @@ LONG_OR_REFUSED = [
     ("error-table --k 300 --x-grid 2,20", 2),
     # 10^8 cells, each walking its n residues: priced only until the sum is over, at n = 1951
     ("verify nageswara-rao --k-max 1 --n-max 100000000", 3),
+    # refused on its residues alone, before Pollard rho spends 0.5 s not splitting n
+    (f"eval phi-k --k 2 --n {UNFACTORED} --method oracle", 3),
+    (f"eval gcd-sum --k 2 --n {UNFACTORED} --method oracle", 3),
 ]
 
 
@@ -300,6 +304,28 @@ README_MD5 = {
     "phik error-table --k 2 --x-grid 100,1000,10000": (
         "35fac1a1e8fd1f6e6ab694ef793cf8bf", "a784a22ef5f5d6235235a75e78017f79"),
 }
+
+
+# The md5 of the plain and the JSON stdout of three identity sweeps: the routes that check an
+# identity may change, what a passing sweep prints may not.  The menon sweep prints
+# trivial_zeros=6 (phi_2(n) = 0 at n = 2, 4, ..., 12), though its sum at f = mu is 0 at 7 more
+# cells.
+SWEEP_MD5 = {
+    "verify menon --k-max 3 --n-max 12 --f mu": (
+        "676a8673d279d04082c876ab18d78477", "cc47ad43d40cc6bdb14dda882fe871e4"),
+    "verify sita-ramaiah --n-max 30": (
+        "3d0cf5b2884124c52ac2232fac157855", "7d167055595fa1b4eda75f140c37924d"),
+    "verify nageswara-rao --k-max 2 --n-max 12": (
+        "51fe0d8af5c86359d66d6c9b0eda0601", "358ff6b9515b894bec379243b70070b4"),
+}
+
+
+@pytest.mark.parametrize("command", SWEEP_MD5)
+def test_identity_sweeps_print_their_pinned_bytes(command, capsys):
+    for fmt, md5 in zip([[], ["--format", "json"]], SWEEP_MD5[command]):
+        assert main([*command.split(), *fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == md5, (fmt, out)
 
 
 @pytest.mark.parametrize("command, comment", readme_commands())
@@ -984,6 +1010,12 @@ def test_every_route_prints_what_all_prints(capsys, argv):
      "FAIL k=1 n=1 d=1 delta=1 route=oracle lhs=2 rhs=1"),
     ("totients.phi_k_nm_recursion", ("verify", "phi-k-nm", "--k-max", "2", "--n-max", "3"),
      "FAIL k=1 n=1 m=1 route=recursion lhs=2 rhs=1"),
+    ("menon.gcd_sum_lhs_oracle", ("verify", "menon", "--k-max", "1", "--n-max", "3"),
+     "FAIL k=1 n=1 f=id route=oracle lhs=2 rhs=1"),
+    ("menon.gcd_sum_rhs", ("verify", "sita-ramaiah", "--n-max", "3"),
+     "FAIL k=2 n=1 route=closed lhs=2 rhs=1"),
+    ("menon.nageswara_rao_lhs_oracle", ("verify", "nageswara-rao", "--k-max", "1", "--n-max", "3"),
+     "FAIL k=1 n=1 route=oracle lhs=2 rhs=1"),
 ])
 def test_a_route_off_the_first_fails_its_sweep_naming_the_cell_and_route(capsys, monkeypatch,
                                                                          route, argv, fail):

@@ -33,7 +33,6 @@ from phik import (
     tau,
     tau_mf,
     units_mod,
-    verify_identity,
     verify_sweep,
 )
 from phik import menon
@@ -118,6 +117,9 @@ ORACLE_BOUNDARIES = [
     ("n_k_oracle", (3, 79224, 1, 1), (3, 79225, 1, 1), "N_3(79225, 1, 1) oracle"),
     ("gcd_sum_lhs_oracle", (6, 33790), (6, 33791), "gcd-sum oracle at k=6, n=33791"),
     ("nageswara_rao_lhs_oracle", (2, 55440), (3, 55440), "joint-gcd oracle at k=3, n=55440"),
+    # the residues alone meet the budget: k = 1 folds nothing, and k = 2 pairs the keys once
+    ("nageswara_rao_lhs_oracle", (1, 2000000), (2, 2000000),
+     "joint-gcd oracle at k=2, n=2000000"),
 ]
 
 
@@ -137,6 +139,31 @@ def test_each_oracle_admits_its_last_input_and_refuses_the_next(monkeypatch, ora
         fn(*refused)
     assert re.fullmatch(rf"{re.escape(what)} would take \d+ word operations, over the budget of "
                         r"100000000", str(exc.value)) and exc.value.limit is None
+
+
+# 39 digits, whose factorization Pollard rho's step cap refuses, after 0.5 s
+UNFACTORED = 200000000000000001130000000000000000561
+
+
+@pytest.mark.parametrize("oracle, args", [
+    ("phi_k_oracle", (2, UNFACTORED)), ("phi_k_nm_oracle", (2, UNFACTORED, UNFACTORED)),
+    ("n_k_oracle", (2, UNFACTORED, 1, 1)), ("gcd_sum_lhs_oracle", (2, UNFACTORED)),
+    ("nageswara_rao_lhs_oracle", (2, UNFACTORED)),
+])
+def test_an_oracle_over_the_budget_on_its_residues_is_refused_before_n_is_factorized(
+        monkeypatch, oracle, args):
+    from phik import core, totients
+
+    def no_factorize(n):
+        raise AssertionError(f"{n} was factorized")
+
+    for module in (core, totients, menon):
+        monkeypatch.setattr(module, "factorize", no_factorize)
+    fn = getattr(menon if hasattr(menon, oracle) else totients, oracle)
+    with pytest.raises(BudgetExceededError) as exc:
+        fn(*args)
+    assert str(exc.value).endswith(f" would take {50 * UNFACTORED} word operations, over the "
+                                   "budget of 100000000")
 
 
 def test_n_k_three_routes_agree():
@@ -284,16 +311,22 @@ def test_nageswara_k1_coincides_with_menon():
         assert nageswara_rao_lhs_oracle(1, n) == gcd_sum_lhs_oracle(1, n, "id")
 
 
-def test_verify_identity_instance():
-    inst = verify_identity("menon_general", 2, 6, "id")
-    assert inst.ok and inst.trivial_zero and inst.lhs == inst.rhs == 0
-    inst2 = verify_identity("sita_ramaiah", 2, 15)
-    assert inst2.ok and inst2.rhs == phi_k(2, 15) * tau(15)
-    with pytest.raises(ValueError):
-        verify_identity("sita_ramaiah", 3, 15)
-    for kind in ("nonsense", "phi_k_nm", "n_k_machinery"):  # a route kind is no identity
-        with pytest.raises(ValueError, match=f"unknown identity '{kind}'"):
-            verify_identity(kind, 2, 6)
+@pytest.mark.parametrize("kind, k, n, f, cell", [
+    ("menon_general", 2, 6, "id", (1, True, [])),  # phi_2(6) = 0: a trivial zero
+    # the sum is 0 at f = mu, n = 3, but phi_1(3) = 2 tuples are summed: no trivial zero
+    ("menon_general", 1, 3, "mu", (1, False, [])),
+    ("menon_gcd", 3, 6, "id", (1, False, [])),
+    ("sita_ramaiah", 2, 15, "id", (1, False, [])),
+    ("nageswara_rao", 2, 6, "id", (1, False, [])),  # no sum over phi_k(n) tuples
+])
+def test_one_cell_checks_each_identity_route_against_route(kind, k, n, f, cell):
+    assert menon._sweep_cell(kind, k, n, parse_function_spec(f)) == cell
+
+
+@pytest.mark.parametrize("kind", ["nonsense", "lemmas"])
+def test_verify_sweep_refuses_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"unknown identity '{kind}', expected one of"):
+        verify_sweep(kind)
 
 
 def test_verify_sweep_reports():
@@ -405,7 +438,7 @@ def test_each_sweep_admits_its_last_n_max_and_refuses_the_next(monkeypatch, kind
     else:
         sweep = lambda n_max: verify_sweep(kind, k_max, n_max)  # noqa: E731
         k_count = 1 if kind == "sita_ramaiah" else k_max
-        name = (menon.SWEEP_KINDS[kind] or (0, 0, kind))[2]
+        name = menon.SWEEP_KINDS[kind][2]
         what = f"{name} sweep of {k_count} x {n_max + 1} cells"
         assert sweep(n_max).checked == k_count * n_max
     with pytest.raises(BudgetExceededError) as exc:

@@ -17,8 +17,7 @@ PUBLIC = """
     jordan_totient lemma_sweep lemma_sweeps menon_expansion_rhs mobius mobius_mf mobius_transform
     n_k n_k_oracle n_k_recursion n_k_sweep nageswara_rao_lhs_oracle one_mf parse_function_spec
     phi_k phi_k_mf phi_k_nm phi_k_nm_oracle phi_k_nm_recursion phi_k_oracle phi_mf piltz_mf
-    primes_up_to sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod
-    verify_identity verify_sweep
+    primes_up_to sum_phi_k_convolution sum_phi_k_direct tau tau_mf units_mod verify_sweep
 """.split()
 
 HEAVY = ("phik.menon", "phik.summatory", "phik.residues", "numpy", "dataclasses", "fractions")
