@@ -20,7 +20,7 @@ weights were calibrated once so that each largest admitted input ends within 3.3
     verify menon, sita-ramaiah    1949 1.8 | 987 1.6 | 600 1.9; sita-ramaiah (k = 2) 1737 1.7
     verify nageswara-rao          1950 0.7 | 639 0.9 | 329 0.8
     verify phi-k-nm               699 0.4 | 395 0.5 | 269 0.6
-    verify lemmas                 224 0.7 | 134 0.5 | 93 0.4
+    verify lemmas                 363 1.4 | 239 1.1 | 159 1.0
     largest k_max at n_max 1      menon 35164 1.6, nageswara-rao 29956 1.2, phi-k-nm 1551 1.1
 """
 from __future__ import annotations

@@ -1,16 +1,15 @@
 """Gcd-sum identities over coprime tuples and the unit-counting machinery.
 
-The central identity: summing f(gcd(a_1 + ... + a_k - 1, n)) over the
-phi_k(n) admissible tuples equals phi_k(n) * sum_{d | n} (mu*f)(d)/phi(d)
-for any arithmetic function f.  With f = id the divisor sum collapses to
-tau(n).  Supporting pieces: counts of units in one or two residue classes,
-read off one table of the units by (a mod d, a mod e) per (n, d, e), and
-N_k(n, d, delta), the number of unit k-tuples whose sum is 1 mod d and 0 mod
-delta, whose three routes live in `totients` and which `menon_expansion_rhs`
-sums.  Every closed form has an oracle next to it, counting from
-the definition with the kernels of `totients`: `unit_sum_counts` for sums of
-units, `fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables
-of f `core.table_lookup`.  `verify_sweep` runs every (k, n) grid in one process, each kind
+The central identity: summing f(gcd(a_1 + ... + a_k - 1, n)) over the phi_k(n) admissible tuples
+equals phi_k(n) * sum_{d | n} (mu*f)(d)/phi(d) for any arithmetic function f, parsed once into a
+`FunctionSpec` that caches f and mu*f, so a command reads each once per argument.  With f = id
+the divisor sum collapses to tau(n).  Supporting pieces: counts of units in one or two residue
+classes, read off one table of the units by (a mod d, a mod e) per (n, d, e), and N_k(n, d,
+delta), the number of unit k-tuples whose sum is 1 mod d and 0 mod delta, whose three routes live
+in `totients` and which `menon_expansion_rhs` sums.  Every closed form has an oracle next to it,
+counting from the definition with the kernels of `totients`: `unit_sum_counts` for sums of units,
+`fold_counts` for the joint-gcd pairs.  Arguments pass `core.tuple_args`, tables of f
+`core.table_lookup`.  `verify_sweep` runs every (k, n) grid in one process, each kind
 (SWEEP_KINDS) the routes of a quantity of `core.ROUTES`, an identity's sides among them, checked
 route against route by one cell, `_sweep_cell`; it reports through `IdentityReport.of`.  Each
 oracle is priced by its kernel, a sweep first at the sum of its cells' prices (`_cell_price`): a
@@ -19,7 +18,7 @@ cell is skipped only by a refusal no price foresees (a value of f).
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import cache, partial
 from itertools import chain, product
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
@@ -108,30 +107,29 @@ FSpecInput = Union[str, Mapping, MultiplicativeFunction, Callable[[int], ArithVa
 
 
 class FunctionSpec(NamedTuple):
-    """An arithmetic function f, plus (optionally) precomputed (mu * f) values.
-
-    When `mu_fn` is given, the closed-form side of the gcd-sum identity uses
-    it instead of computing the Moebius transform of `fn`; a table whose
-    mu_fn disagrees with fn therefore yields genuine identity failures.
-    """
+    """An arithmetic function f and mu*f, as `_spec` caches them: mu_fn is a table's mu_f as given,
+    else the transform of fn.  The closed-form side of the gcd-sum identity reads mu_fn, so a table
+    whose mu_f disagrees with f yields genuine identity failures."""
 
     label: str
     fn: Callable[[int], ArithValue]
-    mu_fn: Callable[[int], ArithValue] | None = None
+    mu_fn: Callable[[int], ArithValue]
 
     def __str__(self) -> str:
         return self.label
 
-    def mobius_transform_at(self, d: int) -> ArithValue:
-        if self.mu_fn is not None:
-            return self.mu_fn(d)
-        return mobius_transform(self.fn, d)
+
+def _spec(label: str, fn: Callable, mu_fn: Callable | None = None) -> FunctionSpec:
+    """fn cached, read once per argument while the spec lives (a command), and mu_fn as given or
+    the cached transform of fn; a refusal is not cached: a missing entry raises at every read."""
+    fn = cache(fn)
+    return FunctionSpec(label, fn, cache(partial(mobius_transform, fn)) if mu_fn is None else mu_fn)
 
 
 def _parse_table(data: Mapping, label: str) -> FunctionSpec:
     raw_f, raw_mu = (data["f"], data.get("mu_f")) if "f" in data else (data, None)
     mu_fn = None if raw_mu is None else table_lookup(raw_mu, f"{label} mu_f")
-    return FunctionSpec(label, table_lookup(raw_f, f"{label} f"), mu_fn)
+    return _spec(label, table_lookup(raw_f, f"{label} f"), mu_fn)
 
 
 def _load_table_file(path: str) -> FunctionSpec:
@@ -150,28 +148,36 @@ def _load_table_file(path: str) -> FunctionSpec:
 def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
     """Resolve a function spec: id | one | tau | mu | pow:j | table:<path>.
 
-    Also accepts a divisor-indexed mapping (optionally {"f": ..., "mu_f": ...}),
-    a registered multiplicative function, a plain callable, or an already
-    parsed FunctionSpec.  id, one and pow:j are x**1, x**0 and x**j, built by `core.power`, which
-    refuses a value of f over its bits as it refuses a closed form's power.
+    Also accepts a divisor-indexed mapping (optionally {"f": ..., "mu_f": ...}), a registered
+    multiplicative function, a plain callable, or an already parsed FunctionSpec.  id, one and
+    pow:j are x**1, x**0 and x**j, built by `core.power`, which refuses a value of f over its bits
+    as it refuses a closed form's power.  A named f is built once per process (`_named_spec`).
     """
     if isinstance(spec, FunctionSpec):
         return spec
     if isinstance(spec, MultiplicativeFunction):
-        return FunctionSpec(spec.name, spec)
+        return _spec(spec.name, spec)
     if isinstance(spec, Mapping):
         return _parse_table(spec, "table")
     if callable(spec):
-        return FunctionSpec(getattr(spec, "__name__", "callable"), spec)
+        return _spec(getattr(spec, "__name__", "callable"), spec)
     if not isinstance(spec, str):
         raise ValueError(f"cannot interpret {spec!r} as a function spec")
     text = spec.strip()
+    if text.startswith("table:"):
+        return _load_table_file(text.split(":", 1)[1])
+    return _named_spec(text)
+
+
+@cache
+def _named_spec(text: str) -> FunctionSpec:
+    """The spec of a named f, one per name: its values and transforms are pure, so shared."""
     if text in ("id", "one"):  # x**1 and x**0
-        return FunctionSpec(text, partial(power, e=1 if text == "id" else 0))
+        return _spec(text, partial(power, e=1 if text == "id" else 0))
     if text == "tau":
-        return FunctionSpec("tau", tau)
+        return _spec("tau", tau)
     if text == "mu":
-        return FunctionSpec("mu", mobius)
+        return _spec("mu", mobius)
     if text.startswith("pow:"):
         try:
             j = int(text.split(":", 1)[1])
@@ -179,12 +185,9 @@ def parse_function_spec(spec: FSpecInput) -> FunctionSpec:
             raise ValueError(f"bad power spec {text!r}, expected pow:<integer>") from None
         if j < 0:
             raise ValueError(f"pow:{j} rejected, exponent must be >= 0")
-        return FunctionSpec(text, partial(power, e=j))
-    if text.startswith("table:"):
-        return _load_table_file(text.split(":", 1)[1])
-    raise ValueError(
-        f"unknown function spec {text!r}; expected id, one, tau, mu, pow:j, or table:<path>"
-    )
+        return _spec(text, partial(power, e=j))
+    raise ValueError(f"unknown function spec {text!r}; expected id, one, tau, mu, pow:j, or "
+                     "table:<path>")
 
 
 # -- the gcd-sum identity ---------------------------------------------------
@@ -221,28 +224,19 @@ def _divisor_sum_price(k: int, n: int, with_n_k=False) -> int:
     return (terms + pairs) * words_of(k * n.bit_length())
 
 
-def _divisor_sum_spec(k: int, n: int, f: FSpecInput, what: str, with_n_k=False) -> FunctionSpec:
-    """f for a divisor sum over n, priced first (`_divisor_sum_price`).  Without a mu_f table, f
-    is evaluated once per divisor, not per read (3**omega at squarefree n)."""
-    spec = parse_function_spec(f)
-    check_word_budget(_divisor_sum_price(k, n, with_n_k), what)
-    if spec.mu_fn is None:  # a refusal is not cached: the first read of a missing entry raises
-        spec = spec._replace(fn=lru_cache(maxsize=None)(spec.fn))
-    return spec
-
-
 def gcd_sum_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
     """Closed form phi_k(n) * sum_{d | n} (mu*f)(d) / phi(d), exactly, in integers.
 
     phi(d) | phi(n) | phi_k(n), so each phi_k(n) / phi(d) is an exact integer:
     the value is an int for every integer-valued f and mu_f table, consistent
     or not, and a Fraction only where f itself takes Fraction values.  Priced before any
-    divisor is listed (`_divisor_sum_spec`).
+    divisor is listed (`_divisor_sum_price`).
     """
     k, n = tuple_args(k, n)
-    spec = _divisor_sum_spec(k, n, f, f"gcd-sum divisor sum at k={k}, n={n}")
+    spec = parse_function_spec(f)
+    check_word_budget(_divisor_sum_price(k, n), f"gcd-sum divisor sum at k={k}, n={n}")
     phi_kn = phi_k(k, n)
-    val = sum(spec.mobius_transform_at(d) * exact_div(phi_kn, euler_phi(d)) for d in divisors(n))
+    val = sum(spec.mu_fn(d) * exact_div(phi_kn, euler_phi(d)) for d in divisors(n))
     return int(val) if getattr(val, "denominator", None) == 1 else val
 
 
@@ -251,14 +245,15 @@ def menon_expansion_rhs(k: int, n: int, f: FSpecInput = "id") -> ArithValue:
 
     sum_{d | n} (mu*f)(d) * sum_{delta | n} mu(delta) * N_k(n, d, delta);
     a third route to the identity, independent of the admissible-tuple loop.  Priced before any
-    divisor is listed, with its N_k pairs (`_divisor_sum_spec`).
+    divisor is listed, with its N_k pairs (`_divisor_sum_price`).
     """
     k, n = tuple_args(k, n)
-    spec = _divisor_sum_spec(k, n, f, f"N_k expansion of the gcd sum at k={k}, n={n}",
-                             with_n_k=True)
+    spec = parse_function_spec(f)
+    check_word_budget(_divisor_sum_price(k, n, with_n_k=True),
+                      f"N_k expansion of the gcd sum at k={k}, n={n}")
     divs = divisors(n)
     return sum(sum(mobius(delta) * n_k(k, n, d, delta) for delta in divs if mobius(delta))
-               * spec.mobius_transform_at(d) for d in divs)
+               * spec.mu_fn(d) for d in divs)
 
 
 def nageswara_rao_lhs_oracle(k: int, n: int) -> int:
@@ -337,7 +332,7 @@ class IdentityReport(NamedTuple):
 
 
 def _sweep_cell(kind: str, k: int, n: int,
-                spec: FunctionSpec) -> Union[tuple[int, int, list[Instance]], dict]:
+                spec: FunctionSpec | None) -> Union[tuple[int, int, list[Instance]], dict]:
     """One (k, n) of a sweep as a report cell, or the skip record of a cell a refusal stopped.
 
     Each route of the kind's quantity runs at every point, k, n and the kind's arguments, and is
@@ -369,11 +364,11 @@ def _cell_price(kind: str, k: int, n: int) -> int:
     if kind == "phi_k_nm":
         return sum(POINT_PRICE + unit_sum_price(k, n, m) + levels_price(k, n, factorize(m).omega())
                    for m in divisors(n))
-    if kind == "n_k_machinery":  # the recursion prices a pair only when gcd(d, delta) = 1
-        omegas = {d: factorize(d).omega() for d in divisors(n)}
-        oracle = POINT_PRICE + unit_sum_price(k, n, n)
-        return sum(oracle + (levels_price(k, n, omegas[d] + omegas[e]) if gcd(d, e) == 1 else 0)
-                   for d in omegas for e in omegas)
+    if kind == "n_k_machinery":  # every pair's oracle reads the one kernel of modulus n; the
+        omegas = {d: factorize(d).omega() for d in divisors(n)}  # recursion prices a coprime pair
+        return unit_sum_price(k, n, n) + sum(
+            POINT_PRICE + (levels_price(k, n, omegas[d] + omegas[e]) if gcd(d, e) == 1 else 0)
+            for d in omegas for e in omegas)
     return POINT_PRICE + unit_sum_price(k, n, n) + _divisor_sum_price(k, n)
 
 
@@ -393,23 +388,25 @@ def _check_prices(prices: Iterable[tuple[int, str]], what: str) -> None:
 
 
 def verify_sweep(kind: str, k_max: int = 3, n_max: int = 40,
-                 f: FSpecInput = "id") -> IdentityReport:
+                 f: FSpecInput | None = None) -> IdentityReport:
     """Sweep a kind of SWEEP_KINDS over 1 <= k <= k_max, 1 <= n <= n_max, in one process.
 
     The grid is priced first, at the sum of its cells' prices (`_grid_prices`), so no cell's own
     price is over the budget; a cell refused anyway (a value of f too long to build) is skipped
-    and reported, making the report partial.  The cells run in order, on the one parsed f.
+    and reported, making the report partial.  Only the kind that sweeps f takes one (None: id),
+    parsed once for all its cells; any other refuses an f before reading it.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown identity {kind!r}, expected one of {tuple(SWEEP_KINDS)}")
     _, args, name, _ = SWEEP_KINDS[kind]
-    k_max = positive_int(k_max, "k_max")
-    n_max = positive_int(n_max, "n_max")
-    spec = parse_function_spec(f)
+    if f is not None and "f" not in args:
+        raise ValueError(f"the {kind} sweep takes no f")
+    k_max, n_max = positive_int(k_max, "k_max"), positive_int(n_max, "n_max")
+    spec = parse_function_spec("id" if f is None else f) if "f" in args else None
     ks, k_count = ([2], 1) if kind == "sita_ramaiah" else (range(1, k_max + 1), k_max)
     swept = {"k": ks if kind == "sita_ramaiah" else f"1..{k_max}", "n": f"1..{n_max}"}
     _check_prices(_grid_prices(kind, ks, n_max), f"{name} sweep of {k_count} x {n_max} cells")
-    if "f" in args:
+    if spec is not None:
         swept["f"] = spec.label
     cells = (_sweep_cell(kind, k, n, spec) for k in ks for n in range(1, n_max + 1))
     return IdentityReport.of(kind, swept, cells)

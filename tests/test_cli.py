@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from phik import BudgetExceededError, menon, sum_phi_k_direct, summatory
 from phik.cli import (COMMANDS, MAX_PRINTED_DIGITS, _agree, _check_printable, _read_table,
                       _row_flags, build_parser, main)
-from phik.core import ROUTES
+from phik.core import ROUTES, divisors, mobius
 
 
 def run_cli(*argv):
@@ -306,13 +306,20 @@ README_MD5 = {
 }
 
 
-# The md5 of the plain and the JSON stdout of three identity sweeps: the routes that check an
-# identity may change, what a passing sweep prints may not.  The menon sweep prints
-# trivial_zeros=6 (phi_2(n) = 0 at n = 2, 4, ..., 12), though its sum at f = mu is 0 at 7 more
-# cells.
+# The md5 of the plain and the JSON stdout of the identity sweeps: the routes that check an
+# identity, and how f and mu*f are read, may change, what a passing sweep prints may not.  The
+# first menon sweep prints trivial_zeros=6 (phi_2(n) = 0 at n = 2, 4, ..., 12), though its sum at
+# f = mu is 0 at 7 more cells.  f.json is a table of a non-multiplicative f, fmu.json the same f
+# with its mu_f (`SWEEP_TABLES`).
 SWEEP_MD5 = {
     "verify menon --k-max 3 --n-max 12 --f mu": (
         "676a8673d279d04082c876ab18d78477", "cc47ad43d40cc6bdb14dda882fe871e4"),
+    "verify menon --k-max 3 --n-max 40 --f tau": (
+        "baece300a9b6e11896768570ac78d8a8", "92b97df5ebe31d8e3bcdb37055c53318"),
+    "verify menon --k-max 3 --n-max 40 --f table:f.json": (
+        "baece300a9b6e11896768570ac78d8a8", "79729a9782109b858ba0881f18a7d1e5"),
+    "verify menon --k-max 3 --n-max 40 --f table:fmu.json": (
+        "baece300a9b6e11896768570ac78d8a8", "7f6e2ff198a69405f59597526d917819"),
     "verify sita-ramaiah --n-max 30": (
         "3d0cf5b2884124c52ac2232fac157855", "7d167055595fa1b4eda75f140c37924d"),
     "verify nageswara-rao --k-max 2 --n-max 12": (
@@ -320,8 +327,16 @@ SWEEP_MD5 = {
 }
 
 
+_F = {d: (d * d + 3 * d + 7) % 11 for d in range(1, 41)}
+SWEEP_TABLES = {"f.json": _F, "fmu.json": {"f": _F, "mu_f": {
+    d: sum(mobius(d // j) * _F[j] for j in divisors(d)) for d in _F}}}
+
+
 @pytest.mark.parametrize("command", SWEEP_MD5)
-def test_identity_sweeps_print_their_pinned_bytes(command, capsys):
+def test_identity_sweeps_print_their_pinned_bytes(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, table in SWEEP_TABLES.items():
+        (tmp_path / name).write_text(json.dumps(table))
     for fmt, md5 in zip([[], ["--format", "json"]], SWEEP_MD5[command]):
         assert main([*command.split(), *fmt]) == 0
         out = capsys.readouterr().out
@@ -1071,12 +1086,12 @@ def test_lemma_sweep_over_budget_is_refused_quickly():
 
 
 def test_lemma_sweep_counts_its_checks_and_is_refused_past_its_price(capsys):
-    # at n = 12 the sweep makes exactly 2092 checks; at k_max = 1 it admits n_max up to 224
+    # at n = 12 the sweep makes exactly 2092 checks; at k_max = 1 it admits n_max up to 363
     assert run_cli("verify", "lemmas", "--n-max", "12", "--k-max", "2") == 0
     assert "identity=lemmas checked=2092 " in capsys.readouterr().out
-    assert run_cli("verify", "lemmas", "--n-max", "225", "--k-max", "1") == 3
-    assert capsys.readouterr() == ("", "budget refused: lemma and N_k sweeps to n_max=225, "
-                                   "k_max=1, to k=1, n=224, would take 100025518 word operations, "
+    assert run_cli("verify", "lemmas", "--n-max", "364", "--k-max", "1") == 3
+    assert capsys.readouterr() == ("", "budget refused: lemma and N_k sweeps to n_max=364, "
+                                   "k_max=1, to k=1, n=364, would take 100182902 word operations, "
                                    "over the budget of 100000000\n")
 
 

@@ -147,6 +147,11 @@ def test_unit_sum_counts_equals_the_generic_fold():
                 assert unit_sum_counts.__wrapped__(k, n, m) == tuple(sorted(folded.items())), (k, n, m)
 
 
+def test_the_kernel_price_bounds_its_table_by_n_plus_one():
+    # a modulus over n: the table has n + 1 one-byte digits at k = 2, n = 7, one word, not two
+    assert totients.unit_sum_price(2, 7, 10**12) == totients.unit_sum_price(2, 7, 8) == 351
+
+
 def test_oracle_with_a_huge_m_is_refused_at_once():
     proc = subprocess.run(
         [sys.executable, "-m", "phik.cli", "eval", "phi-k-nm", "--k", "2", "--n", "10", "--m",

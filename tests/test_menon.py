@@ -22,6 +22,7 @@ from phik import (
     jordan_totient,
     lemma_sweep,
     menon_expansion_rhs,
+    mobius,
     n_k,
     n_k_oracle,
     n_k_recursion,
@@ -256,6 +257,9 @@ def test_function_spec_parsing():
     assert parse_function_spec("tau").fn(12) == 6
     assert parse_function_spec("mu").fn(30) == -1
     assert parse_function_spec("pow:3").fn(2) == 8
+    assert parse_function_spec("pow:0").fn(7) == 1  # the least exponent admitted
+    with pytest.raises(ValueError, match="pow:-1 rejected, exponent must be >= 0"):
+        parse_function_spec("pow:-1")
     spec = parse_function_spec({1: 1, 2: 9})
     assert spec.fn(2) == 9
     with pytest.raises(ValueError):
@@ -277,6 +281,9 @@ def test_table_file_spec(tmp_path):
     assert spec.fn(12) == 13
     for n in (6, 10, 12):
         assert gcd_sum_lhs_oracle(2, n, spec) == gcd_sum_rhs(2, n, spec)
+    colon = tmp_path / "f:1.json"  # the path is all that follows the first colon
+    colon.write_text(path.read_text())
+    assert parse_function_spec(f"table:{colon}").label == f"table:{colon}"
 
 
 def test_corrupted_mu_table_breaks_identity(tmp_path):
@@ -422,7 +429,7 @@ def test_a_sweep_prices_its_grid_before_any_cell(monkeypatch, sweep, what):
 # summed, at most 10**8; sita_ramaiah sweeps k = 2 alone, whatever k_max is.
 LAST_ADMITTED = {"menon_general": (1949, 987), "menon_gcd": (1949, 987),
                  "sita_ramaiah": (1737, 1737), "nageswara_rao": (1950, 639),
-                 "phi_k_nm": (699, 395), "n_k_machinery": (239, 137), "lemmas": (224, 134)}
+                 "phi_k_nm": (699, 395), "n_k_machinery": (584, 267), "lemmas": (363, 239)}
 
 
 @pytest.mark.parametrize("kind", list(LAST_ADMITTED))
@@ -462,7 +469,7 @@ def test_a_cell_is_priced_at_each_call_it_makes():
         2500 + unit_sum_price(2, 12, m) + levels_price(2, 12, omega[m]) for m in omega)
     coprime = [(d, e) for d in omega for e in omega if gcd(d, e) == 1]
     assert len(coprime) == 15
-    assert menon._cell_price("n_k_machinery", 2, 12) == 36 * (2500 + kernel) + sum(
+    assert menon._cell_price("n_k_machinery", 2, 12) == kernel + 36 * 2500 + sum(
         levels_price(2, 12, omega[d] + omega[e]) for d, e in coprime)
 
 
@@ -496,7 +503,7 @@ def test_gcd_sum_rhs_in_integers_matches_fractions():
         spec = parse_function_spec(table)
         for k in (1, 2, 3):
             for n in range(1, 31):
-                total = sum(Fraction(spec.mobius_transform_at(d), euler_phi(d)) for d in divisors(n))
+                total = sum(Fraction(spec.mu_fn(d), euler_phi(d)) for d in divisors(n))
                 got = gcd_sum_rhs(k, n, spec)
                 assert got == phi_k(k, n) * total and type(got) is int, (table, k, n)
 
@@ -514,6 +521,72 @@ def test_gcd_sum_rhs_evaluates_f_once_per_divisor():
     # a table's refusal still names the least divisor it lacks, as the transforms read it
     with pytest.raises(ValueError, match="table f has no entry for 3$"):
         gcd_sum_rhs(2, 12, {1: 1, 2: 1, 6: 1})
+
+
+def test_a_sweep_reads_f_and_its_transform_once_per_argument(monkeypatch):
+    # the lhs reads f at each gcd, the rhs (mu*f)(d) at each divisor, every n <= 40 both; the
+    # parsed f and its transform serve all 120 cells (765 reads of f and 474 transforms unshared)
+    calls, transforms = Counter(), Counter()
+    mobius_transform = menon.mobius_transform
+
+    def f(d):
+        calls[d] += 1
+        return d * d % 7
+
+    def transform(fn, d):
+        transforms[d] += 1
+        return mobius_transform(fn, d)
+
+    monkeypatch.setattr(menon, "mobius_transform", transform)
+    report = verify_sweep("menon_general", 3, 40, f)
+    assert report.ok and report.checked == 120 and report.swept["f"] == "f"
+    assert sorted(calls) == sorted(transforms) == list(range(1, 41))
+    assert set(calls.values()) == set(transforms.values()) == {1}
+
+
+def test_every_parsed_f_carries_its_transform(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({str(d): d + 1 for d in range(1, 13)}))
+    for f in ("id", "one", "tau", "mu", "pow:2", f"table:{path}", {d: d + 1 for d in range(1, 13)},
+              tau_mf, lambda d: d % 5):
+        spec = parse_function_spec(f)
+        assert [spec.mu_fn(d) for d in range(1, 13)] == [
+            sum(mobius(d // j) * spec.fn(j) for j in divisors(d)) for d in range(1, 13)], f
+    given = {"f": {1: 1, 2: 2}, "mu_f": {1: 5, 2: 7}}  # inconsistent, and read as given
+    assert [parse_function_spec(given).mu_fn(d) for d in (1, 2)] == [5, 7]
+    assert parse_function_spec(" tau ") is parse_function_spec("tau")  # once per process
+
+
+def test_a_tables_missing_entry_raises_at_every_read():
+    # the caches keep no refusal: each read of a missing entry raises again, f and mu_f alike
+    spec = parse_function_spec({1: 1, 2: 3})
+    given = parse_function_spec({"f": {1: 1, 2: 3, 3: 4}, "mu_f": {1: 1}})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="table f has no entry for 3$"):
+            spec.fn(3)
+        with pytest.raises(ValueError, match="table f has no entry for 3$"):
+            spec.mu_fn(6)
+        with pytest.raises(ValueError, match="table f has no entry for 3$"):
+            gcd_sum_rhs(1, 3, spec)
+        with pytest.raises(ValueError, match="table mu_f has no entry for 2$"):
+            gcd_sum_rhs(1, 2, given)
+    assert spec.mu_fn(2) == 2 and given.fn(3) == 4
+
+
+@pytest.mark.parametrize("kind", [kind for kind, (_, args, _, _) in menon.SWEEP_KINDS.items()
+                                  if "f" not in args])
+@pytest.mark.parametrize("f", ["tau", "table:/nonexistent.json", "id"])
+def test_a_sweep_that_sweeps_no_f_refuses_one_before_reading_it(monkeypatch, kind, f):
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"a file was opened: {args}")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    with pytest.raises(ValueError, match=f"^the {kind} sweep takes no f$"):
+        verify_sweep(kind, 1, 3, f=f)
+
+
+def test_the_f_sweep_checks_id_when_given_no_f():
+    assert verify_sweep("menon_general", 2, 6).swept == {"k": "1..2", "n": "1..6", "f": "id"}
 
 
 def test_menon_expansion_rhs_evaluates_f_once_per_divisor():
